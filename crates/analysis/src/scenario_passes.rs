@@ -4,7 +4,7 @@
 //! net is built or event fired.
 
 use wsnem_core::BackendRegistry;
-use wsnem_scenario::{Scenario, SweepAxis, MIN_SCHEMA_VERSION, SCHEMA_VERSION};
+use wsnem_scenario::{Scenario, SweepAxis, MAX_TEMPLATE_COUNT, MIN_SCHEMA_VERSION, SCHEMA_VERSION};
 use wsnem_stats::Sample;
 
 use crate::diag::{Diagnostic, Location, Severity};
@@ -70,6 +70,24 @@ fn schema_pass(s: &Scenario, registry: &BackendRegistry, out: &mut Vec<Diagnosti
                             .collect::<Vec<_>>()
                             .join(", ")
                     )),
+            );
+        }
+    }
+    if let Some(t) = s.network.as_ref().and_then(|n| n.template.as_ref()) {
+        if t.count == 0 || t.count > MAX_TEMPLATE_COUNT {
+            out.push(
+                lints::INVALID_FIELD
+                    .at(
+                        loc.clone().with_field("network.template.count"),
+                        format!(
+                            "template count {} is outside 1..={MAX_TEMPLATE_COUNT}",
+                            t.count
+                        ),
+                    )
+                    .with_help(
+                        "node indices are u32 and u32::MAX marks the sink, so a \
+                         template holds at most u32::MAX - 1 nodes",
+                    ),
             );
         }
     }
@@ -424,6 +442,46 @@ mod tests {
         s.cpu.horizon = -1.0;
         let diags = run(&s, registry());
         assert!(diags.iter().any(|d| d.code == "E004"), "{diags:?}");
+    }
+
+    #[test]
+    fn template_count_beyond_the_u32_index_fires_e004_on_the_field() {
+        let template = |count: u64| {
+            let mut s = builtin::paper_defaults();
+            s.backends = vec![wsnem_core::BackendId::Mg1];
+            s.network = Some(wsnem_scenario::NetworkSpec {
+                nodes: vec![],
+                topology: None,
+                radio: None,
+                template: Some(wsnem_scenario::TemplateSpec {
+                    count,
+                    prefix: "n".into(),
+                    event_rate: 1e-12,
+                    tx_per_event: 1.0,
+                    rx_rate: 0.0,
+                }),
+            });
+            s
+        };
+        let clean = run(&template(MAX_TEMPLATE_COUNT), registry());
+        assert!(
+            clean.iter().all(|d| d.severity < Severity::Error),
+            "{clean:?}"
+        );
+        for count in [MAX_TEMPLATE_COUNT + 1, 4_294_967_297] {
+            let diags = run(&template(count), registry());
+            let errors: Vec<&Diagnostic> = diags
+                .iter()
+                .filter(|d| d.severity == Severity::Error)
+                .collect();
+            assert_eq!(errors.len(), 1, "{diags:?}");
+            assert_eq!(errors[0].code, "E004");
+            assert_eq!(
+                errors[0].location.field.as_deref(),
+                Some("network.template.count")
+            );
+            assert!(errors[0].message.contains(&count.to_string()), "{diags:?}");
+        }
     }
 
     #[test]

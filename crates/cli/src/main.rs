@@ -110,9 +110,10 @@ COMMANDS:
                                saturation, and net-level proofs (semiflows,
                                deadlock, dead transitions); exits non-zero
                                when any error-severity lint fires
-    validate <FILES..>         Schema-level checks only (check --only-schema):
-                               parse + validate scenario files, reporting
-                               every finding as a coded diagnostic
+    validate <FILES|DIRS..>    Schema-level checks only (check --only-schema):
+                               parse + validate scenario files (a directory
+                               means every file a fleet run would load),
+                               reporting every finding as a coded diagnostic
     export <NAME> [OPTIONS]    Print a built-in scenario as a file
     topology [FILE] [--builtin <NAME>] [--limit <N>]
                                Inspect a scenario's multi-hop routing:
@@ -1785,7 +1786,18 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
 
 fn cmd_validate(args: &[String]) -> Result<(), String> {
     if args.is_empty() {
-        return Err("validate expects at least one scenario file".into());
+        return Err("validate expects at least one scenario file or directory".into());
+    }
+    // Directory targets validate every file a fleet run would load, as in
+    // `check` and `run`.
+    let mut files: Vec<String> = Vec::with_capacity(args.len());
+    for arg in args {
+        if Path::new(arg).is_dir() {
+            let found = fleet::discover(arg).map_err(|e| e.to_string())?;
+            files.extend(found.iter().map(|p| p.display().to_string()));
+        } else {
+            files.push(arg.clone());
+        }
     }
     // `validate` is `check --only-schema` with fixed reporting: every
     // error-severity diagnostic prints, clean files get one ok-line, and
@@ -1794,7 +1806,7 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
     let config = wsnem_analysis::LintConfig::default();
     let opts = wsnem_analysis::CheckOptions { only_schema: true };
     let mut bad = 0usize;
-    for file in args {
+    for file in &files {
         let diags = wsnem_analysis::resolve(
             wsnem_analysis::check_file(Path::new(file), registry, opts),
             &config,
@@ -1818,7 +1830,7 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
         }
     }
     if bad > 0 {
-        Err(format!("{bad} of {} file(s) invalid", args.len()))
+        Err(format!("{bad} of {} file(s) invalid", files.len()))
     } else {
         Ok(())
     }

@@ -238,3 +238,101 @@ fn check_json_envelope_carries_counts_and_locations() {
         other => panic!("expected diagnostics array, got {other:?}"),
     }
 }
+
+#[test]
+fn deeply_nested_files_fail_with_e001_instead_of_overflowing_the_stack() {
+    let dir = temp_dir("deep");
+    let json = dir.join("deep.json");
+    std::fs::write(&json, "[".repeat(200_000)).unwrap();
+    let toml = dir.join("deep.toml");
+    std::fs::write(&toml, format!("x = {}", "[".repeat(200_000))).unwrap();
+    for file in [&json, &toml] {
+        for cmd in ["validate", "check"] {
+            let out = wsnem(&[cmd, file.to_str().unwrap()]);
+            // A stack overflow aborts with SIGABRT (exit 134 from a shell);
+            // a parse error is an ordinary failure.
+            assert_eq!(out.status.code(), Some(1), "{cmd} {}", stderr(&out));
+            let text = stdout(&out);
+            assert!(text.contains("error[E001]"), "{cmd}: {text}");
+            assert!(
+                text.contains("nest deeper than 128 levels"),
+                "{cmd}: {text}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn validate_accepts_directories_like_check_and_run() {
+    let dir = temp_dir("validate-dir");
+    let dir_s = dir.to_str().unwrap();
+    let out = wsnem(&["gen", dir_s, "--field", "lambda=0.25:0.75:3"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+
+    let out = wsnem(&["validate", dir_s]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    assert_eq!(text.matches(": ok (scenario `").count(), 3, "{text}");
+    assert!(!text.contains("manifest.json"), "{text}");
+
+    // One broken member fails the directory, counted among its files.
+    std::fs::write(dir.join("fleet-2.toml"), "this is not toml = = =").unwrap();
+    let out = wsnem(&["validate", dir_s]);
+    assert!(!out.status.success());
+    assert!(stdout(&out).contains("error[E001]"), "{}", stdout(&out));
+    assert!(
+        stderr(&out).contains("1 of 3 file(s) invalid"),
+        "{}",
+        stderr(&out)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn template_count_past_the_u32_node_index_is_rejected() {
+    let dir = temp_dir("template-count");
+    let path = dir.join("huge.toml");
+    std::fs::write(
+        &path,
+        r#"schema_version = 5
+name = "huge-template"
+description = "More nodes than a u32 index can name"
+profile = "Pxa271"
+battery = "TwoAa"
+backends = ["Mg1"]
+
+[cpu]
+lambda = 1.0
+mu = 10.0
+power_down_threshold = 0.5
+power_up_delay = 0.001
+horizon = 1000.0
+warmup = 0.0
+replications = 2
+master_seed = 7
+
+[report]
+energy_horizon_s = 1000.0
+
+[network]
+nodes = []
+
+[network.template]
+count = 4294967297
+prefix = "n"
+event_rate = 1e-12
+tx_per_event = 1.0
+rx_rate = 0.0
+"#,
+    )
+    .unwrap();
+    for cmd in ["check", "validate"] {
+        let out = wsnem(&[cmd, path.to_str().unwrap()]);
+        assert!(!out.status.success(), "{cmd} accepted the count");
+        let text = stdout(&out);
+        assert!(text.contains("error[E004]"), "{cmd}: {text}");
+        assert!(text.contains("network.template.count"), "{cmd}: {text}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -238,7 +238,7 @@ impl<'a> Coordinator<'a> {
         let mut slots: Vec<Option<Result<ScenarioReport, ScenarioError>>> =
             (0..n).map(|_| None).collect();
 
-        // Resolve cache hits up front, exactly like the local fleet runner.
+        // Resolve cache hits up front: only misses become shards.
         let mut hits = 0usize;
         let mut to_run: Vec<usize> = Vec::with_capacity(n);
         for (i, s) in self.scenarios.iter().enumerate() {

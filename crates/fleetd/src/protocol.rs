@@ -124,7 +124,8 @@ pub enum FrameError {
         /// Bytes actually received.
         got: usize,
     },
-    /// The payload was not a valid UTF-8 JSON [`Message`].
+    /// The payload was not a valid UTF-8 JSON [`Message`] (nesting deeper
+    /// than [`serde_json::MAX_DEPTH`] included).
     Corrupt(String),
     /// An underlying transport error.
     Io(String),

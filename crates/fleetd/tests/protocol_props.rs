@@ -1,16 +1,19 @@
 //! Frame-codec property battery: seeded round-trips, length-prefix
-//! bounds, truncation at every cut point, byte-flip corruption and raw
-//! fuzz — the decoder must answer every input with a typed
-//! [`FrameError`], never a panic.
+//! bounds, truncation at every cut point, byte-flip corruption, raw fuzz
+//! and deep nesting — the decoder must answer every input with a typed
+//! [`FrameError`], never a panic, and a live coordinator must survive it.
 
 #![allow(clippy::disallowed_methods)] // tests/examples may panic on broken invariants
 
-use std::io::Cursor;
+use std::io::{Cursor, Write};
+use std::net::TcpStream;
 
 use wsnem_fleetd::protocol::{
     decode_payload, encode_message, read_message, write_message, FrameError, Message,
     MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
+use wsnem_fleetd::{run_worker, Coordinator, ServeOptions, WorkerOptions};
+use wsnem_scenario::{builtin, BackendId, CacheMode, ResultCache, Scenario};
 use wsnem_stats::rng::{Rng64, Xoshiro256PlusPlus};
 
 fn rand_string(rng: &mut Xoshiro256PlusPlus, max_len: u64) -> String {
@@ -187,4 +190,72 @@ fn raw_fuzz_blobs_never_panic() {
         decode_payload(&[0xff, 0xfe, 0x00]),
         Err(FrameError::Corrupt(_))
     ));
+}
+
+/// A length-valid frame whose payload is `depth` nested `[`.
+fn nested_array_frame(depth: usize) -> Vec<u8> {
+    let payload = format!("{}\n", "[".repeat(depth));
+    let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
+    frame.extend_from_slice(payload.as_bytes());
+    frame
+}
+
+#[test]
+fn deeply_nested_frames_are_corrupt_not_a_stack_overflow() {
+    for depth in [serde_json::MAX_DEPTH + 1, 200_000] {
+        let frame = nested_array_frame(depth);
+        assert!(frame.len() - 4 <= MAX_FRAME_LEN as usize);
+        let err = read_message(&mut Cursor::new(frame.clone())).unwrap_err();
+        assert!(
+            matches!(&err, FrameError::Corrupt(m) if m.contains("nest deeper than")),
+            "{err}"
+        );
+        assert!(matches!(
+            decode_payload(&frame[4..]),
+            Err(FrameError::Corrupt(_))
+        ));
+    }
+}
+
+#[test]
+fn coordinator_rejects_a_nested_array_frame_and_keeps_serving() {
+    let scenarios: Vec<Scenario> = (0..2)
+        .map(|i| {
+            let mut s = builtin::paper_defaults();
+            s.name = format!("nest-{i}");
+            s.backends = vec![BackendId::Markov];
+            s.cpu = s.cpu.with_lambda(0.3 + 0.1 * i as f64);
+            s
+        })
+        .collect();
+    let caches: Vec<Option<&ResultCache>> = vec![None, None];
+    let opts = ServeOptions {
+        addr: "127.0.0.1:0".into(),
+        ..ServeOptions::default()
+    };
+    let coord = Coordinator::bind(&scenarios, &caches, CacheMode::Disabled, opts).unwrap();
+    let addr = coord.local_addr().unwrap();
+    let outcome = std::thread::scope(|scope| {
+        let run = scope.spawn(|| coord.run(None).unwrap());
+        // ~200 KB of `[` under a valid length prefix: the coordinator must
+        // count it and drop only this connection.
+        let mut hostile = TcpStream::connect(addr).unwrap();
+        hostile.write_all(&nested_array_frame(200_000)).unwrap();
+        assert!(matches!(
+            read_message(&mut hostile),
+            Err(FrameError::Closed) | Err(FrameError::Io(_))
+        ));
+        // A well-behaved worker still completes the fleet.
+        let worker = WorkerOptions {
+            name: "after-nest".into(),
+            heartbeat_ms: 100,
+            ..WorkerOptions::default()
+        };
+        let summary = run_worker(&addr.to_string(), worker).unwrap();
+        assert_eq!(summary.shards_done, 2);
+        run.join().unwrap()
+    });
+    assert_eq!(outcome.dist.rejected_frames, 1);
+    assert_eq!(outcome.dist.shards_remote, 2);
+    assert!(outcome.results.iter().all(|r| r.is_ok()));
 }

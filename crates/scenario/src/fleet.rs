@@ -14,13 +14,14 @@
 //! cold run that populated the cache.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::cache::{CacheMode, CacheStats, ResultCache};
 use crate::error::ScenarioError;
 use crate::files;
 use crate::gen::MANIFEST_FILE;
 use crate::report::ScenarioReport;
-use crate::runner::{run_batch_with_options, BatchMetrics, BatchProgress};
+use crate::runner::{run_batch_hooked, BatchMetrics, BatchProgress};
 use crate::schema::Scenario;
 
 /// Knobs for [`run_cached_with`] beyond the scenario/cache lists.
@@ -130,8 +131,9 @@ pub fn load_dir(dir: impl AsRef<Path>) -> Result<Vec<(PathBuf, Scenario)>, Scena
 /// Results come back in input order, cache hits returned verbatim. The
 /// returned [`BatchMetrics`] covers the whole call (hits resolve in the
 /// wall-clock but add no busy time), and [`CacheStats`] counts hits vs
-/// simulated scenarios. The progress callback fires once per scenario —
-/// hits first, then misses as workers finish them.
+/// simulated scenarios. Hits are probed and fresh reports stored on the
+/// batch's worker threads, so the progress callback fires once per
+/// scenario, hits and misses in the order the workers finish them.
 pub fn run_cached(
     scenarios: &[Scenario],
     caches: &[Option<&ResultCache>],
@@ -174,76 +176,31 @@ pub fn run_cached_with(
         timeout_seconds,
     } = opts;
     assert_eq!(scenarios.len(), caches.len(), "one cache slot per scenario");
-    let started = std::time::Instant::now();
-    let n = scenarios.len();
-
-    // Resolve hits up front; everything else joins the simulation batch.
-    let mut slots: Vec<Option<Result<ScenarioReport, ScenarioError>>> =
-        (0..n).map(|_| None).collect();
-    let mut to_run: Vec<usize> = Vec::with_capacity(n);
-    let mut hits = 0usize;
-    for (i, s) in scenarios.iter().enumerate() {
-        let cached = match (mode, caches[i]) {
-            (CacheMode::ReadWrite, Some(cache)) => cache.lookup(s).unwrap_or(None),
-            _ => None,
+    // Probes and stores run on the batch's workers, next to the
+    // simulations: a warm fleet reads and parses its entries in parallel,
+    // and a cold one writes them while other scenarios are still running.
+    let hits = AtomicUsize::new(0);
+    let probe = |i: usize| {
+        let (CacheMode::ReadWrite, Some(cache)) = (mode, caches[i]) else {
+            return None;
         };
-        match cached {
-            Some(report) => {
-                hits += 1;
-                if let Some(cb) = on_done {
-                    cb(hits, n, &s.name);
-                }
-                slots[i] = Some(Ok(report));
-            }
-            None => to_run.push(i),
+        let report = cache.lookup(&scenarios[i]).unwrap_or(None)?;
+        hits.fetch_add(1, Ordering::Relaxed);
+        Some(report)
+    };
+    let store = |i: usize, report: &ScenarioReport| {
+        if let (Some(cache), true) = (caches[i], mode != CacheMode::Disabled) {
+            store_or_warn(cache, &scenarios[i], report);
         }
-    }
-
-    // Simulate the misses as one batch; offset the progress count past the
-    // hits so the user sees one monotone [done/total] sequence.
-    let misses = to_run.len();
-    let mut inner_workers = 0;
-    let mut busy_seconds = 0.0;
-    if misses > 0 {
-        let subset: Vec<Scenario> = to_run.iter().map(|&i| scenarios[i].clone()).collect();
-        let offset_cb = on_done
-            .map(|cb| move |done: usize, _total: usize, name: &str| cb(hits + done, n, name));
-        let (results, inner) = run_batch_with_options(
-            &subset,
-            threads,
-            offset_cb
-                .as_ref()
-                .map(|cb| cb as &(dyn Fn(usize, usize, &str) + Sync)),
-            timeout_seconds,
-        );
-        inner_workers = inner.workers;
-        busy_seconds = inner.busy_seconds;
-        for (&i, result) in to_run.iter().zip(results) {
-            if let (Ok(report), Some(cache)) = (&result, caches[i]) {
-                if mode != CacheMode::Disabled {
-                    store_or_warn(cache, &scenarios[i], report);
-                }
-            }
-            slots[i] = Some(result);
-        }
-    }
-
-    // Every index is written exactly once: cache hits above, misses by the
-    // runner's ordered results.
-    let results: Vec<_> = slots
-        .into_iter()
-        .map(|slot| match slot {
-            Some(result) => result,
-            None => unreachable!("scenario left unresolved"),
-        })
-        .collect();
-    let metrics = BatchMetrics::new(
-        n,
-        inner_workers.max(1),
-        started.elapsed().as_secs_f64(),
-        busy_seconds,
-    );
-    (results, metrics, CacheStats { hits, misses })
+    };
+    let (results, metrics) =
+        run_batch_hooked(scenarios, threads, on_done, timeout_seconds, &probe, &store);
+    let hits = hits.into_inner();
+    let stats = CacheStats {
+        hits,
+        misses: scenarios.len() - hits,
+    };
+    (results, metrics, stats)
 }
 
 #[cfg(test)]
@@ -438,7 +395,11 @@ mod tests {
         let seen = seen.into_inner().unwrap();
         assert_eq!(seen.len(), 4);
         let counts: Vec<usize> = seen.iter().map(|(d, _, _)| *d).collect();
-        assert_eq!(counts, vec![1, 2, 3, 4], "hits first, then misses");
+        assert_eq!(
+            counts,
+            vec![1, 2, 3, 4],
+            "one monotone sequence across hits and misses"
+        );
         assert!(seen.iter().all(|(_, t, _)| *t == 4));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -632,6 +593,42 @@ mod tests {
             run_cached(&scenarios, &caches, Some(1), CacheMode::ReadWrite, None);
         assert!(results[0].is_ok());
         assert_eq!(stats, CacheStats { hits: 0, misses: 1 }, "recorded miss");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn watchdog_bounds_simulations_but_not_cache_hits() {
+        let dir = temp_dir("watchdog");
+        let cache = ResultCache::open_under(&dir).unwrap();
+        let scenarios: Vec<Scenario> = (0..2)
+            .map(|i| {
+                let mut s = quick(builtin::paper_defaults());
+                s.name = format!("w{i}");
+                s
+            })
+            .collect();
+        let caches = vec![Some(&cache), Some(&cache)];
+        let zero_budget = FleetRunOptions {
+            threads: Some(2),
+            mode: CacheMode::ReadWrite,
+            timeout_seconds: Some(0.0),
+        };
+        // A zero budget fails every simulation, and nothing is stored.
+        let (results, _, stats) = run_cached_with(&scenarios, &caches, zero_budget, None);
+        assert!(results
+            .iter()
+            .all(|r| matches!(r, Err(ScenarioError::Timeout { .. }))));
+        assert_eq!(stats, CacheStats { hits: 0, misses: 2 });
+        assert_eq!(cache.len(), 0);
+        // Once the cache holds the reports, the same budget answers both:
+        // probes run outside the watchdog.
+        let (cold, _, _) = run_cached(&scenarios, &caches, Some(2), CacheMode::ReadWrite, None);
+        let (warm, metrics, stats) = run_cached_with(&scenarios, &caches, zero_budget, None);
+        assert_eq!(stats, CacheStats { hits: 2, misses: 0 });
+        assert_eq!(metrics.busy_seconds, 0.0);
+        for (c, w) in cold.iter().zip(&warm) {
+            assert_eq!(c.as_ref().unwrap(), w.as_ref().unwrap());
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -97,8 +97,8 @@ pub use runner::{
 };
 pub use schema::{
     Backend, BatterySpec, NetworkSpec, NodeSpec, ProfileSpec, ReportSpec, RouteSpec, Scenario,
-    SweepAxis, SweepSpec, TemplateSpec, TopologySpec, WorkloadSpec, MIN_SCHEMA_VERSION,
-    SCHEMA_VERSION,
+    SweepAxis, SweepSpec, TemplateSpec, TopologySpec, WorkloadSpec, MAX_TEMPLATE_COUNT,
+    MIN_SCHEMA_VERSION, SCHEMA_VERSION,
 };
 pub use wsnem_core::backend::global as global_registry;
 pub use wsnem_core::{BackendId, BackendRegistry, Capabilities, ServiceDist};

@@ -265,6 +265,33 @@ pub fn run_batch_with_options(
     on_done: Option<BatchProgress<'_>>,
     timeout_seconds: Option<f64>,
 ) -> (Vec<Result<ScenarioReport, ScenarioError>>, BatchMetrics) {
+    run_batch_hooked(
+        scenarios,
+        threads,
+        on_done,
+        timeout_seconds,
+        &|_| None,
+        &|_, _| {},
+    )
+}
+
+/// The batch work queue behind every batch entry point.
+///
+/// Each worker claims the next scenario index `i` from an atomic counter
+/// and first asks `probe(i)`: a report it returns answers the scenario
+/// without running it and adds no busy time (the result cache's hit
+/// path). Otherwise the scenario runs under the optional watchdog and a
+/// successful report is handed to `store(i, report)` on the same worker
+/// before it claims the next index. Results come back in input order, and
+/// `on_done` sees one monotone `[done/total]` sequence.
+pub(crate) fn run_batch_hooked(
+    scenarios: &[Scenario],
+    threads: Option<usize>,
+    on_done: Option<BatchProgress<'_>>,
+    timeout_seconds: Option<f64>,
+    probe: &(dyn Fn(usize) -> Option<ScenarioReport> + Sync),
+    store: &(dyn Fn(usize, &ScenarioReport) + Sync),
+) -> (Vec<Result<ScenarioReport, ScenarioError>>, BatchMetrics) {
     let n = scenarios.len();
     if n == 0 {
         return (Vec::new(), BatchMetrics::new(0, 0, 0.0, 0.0));
@@ -276,73 +303,75 @@ pub fn run_batch_with_options(
                 .unwrap_or(1)
         })
         .clamp(1, n);
-    let batch_started = Instant::now();
-    if threads == 1 || n == 1 {
-        let mut busy = 0.0;
-        let mut results = Vec::with_capacity(n);
-        for (i, s) in scenarios.iter().enumerate() {
-            let started = Instant::now();
-            results.push(run_scenario_bounded(s, None, timeout_seconds));
-            busy += started.elapsed().as_secs_f64();
-            if let Some(cb) = on_done {
-                cb(i + 1, n, &s.name);
-            }
-        }
-        let wall = batch_started.elapsed().as_secs_f64();
-        return (results, BatchMetrics::new(n, 1, wall, busy));
-    }
     // Across-scenario parallelism: pin each scenario's inner replication
-    // fan-out to one thread so the batch does not oversubscribe cores.
-    //
+    // fan-out to one thread so the batch does not oversubscribe cores; a
+    // single worker leaves the inner fan-out at all cores.
+    let inner_threads = (threads > 1).then_some(1);
+    let batch_started = Instant::now();
     // Scenarios are claimed from an atomic work queue rather than split
     // into static contiguous chunks: costs vary wildly (a DES-heavy
-    // scenario runs orders of magnitude longer than an analytic one), and
-    // static partitioning left every other worker idle at the tail while
-    // one thread drained the expensive chunk.
+    // scenario runs orders of magnitude longer than an analytic one, a
+    // cache hit costs a file read), and static partitioning left every
+    // other worker idle at the tail while one thread drained the
+    // expensive chunk.
     let next = std::sync::atomic::AtomicUsize::new(0);
-    let completed = std::sync::atomic::AtomicUsize::new(0);
+    // Incremented and reported under one lock, so the callback observes
+    // the completed counts in order whichever worker finishes. The count
+    // is whole at every step, so a lock poisoned by a panicking callback
+    // is safe to recover.
+    let completed = std::sync::Mutex::new(0usize);
+    let worker = || {
+        let mut done = Vec::new();
+        let mut busy = 0.0;
+        loop {
+            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            let result = match probe(i) {
+                Some(report) => Ok(report),
+                None => {
+                    let started = Instant::now();
+                    let result =
+                        run_scenario_bounded(&scenarios[i], inner_threads, timeout_seconds);
+                    busy += started.elapsed().as_secs_f64();
+                    if let Ok(report) = &result {
+                        store(i, report);
+                    }
+                    result
+                }
+            };
+            if let Some(cb) = on_done {
+                let mut c = completed.lock().unwrap_or_else(|e| e.into_inner());
+                *c += 1;
+                cb(*c, n, &scenarios[i].name);
+            }
+            done.push((i, result));
+        }
+        (done, busy)
+    };
+    let parts = if threads == 1 {
+        vec![worker()]
+    } else {
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+            workers
+                .into_iter()
+                // A worker Err means it panicked; re-raise the original payload.
+                .map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        })
+    };
+    let wall = batch_started.elapsed().as_secs_f64();
     let mut slots: Vec<Option<Result<ScenarioReport, ScenarioError>>> =
         (0..n).map(|_| None).collect();
     let mut busy_seconds = 0.0;
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut done = Vec::new();
-                    let mut busy = 0.0;
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let started = Instant::now();
-                        done.push((
-                            i,
-                            run_scenario_bounded(&scenarios[i], Some(1), timeout_seconds),
-                        ));
-                        busy += started.elapsed().as_secs_f64();
-                        if let Some(cb) = on_done {
-                            let c = completed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            cb(c + 1, n, &scenarios[i].name);
-                        }
-                    }
-                    (done, busy)
-                })
-            })
-            .collect();
-        for w in workers {
-            // A worker Err means it panicked; re-raise the original payload.
-            let (done, busy) = match w.join() {
-                Ok(result) => result,
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            busy_seconds += busy;
-            for (i, result) in done {
-                slots[i] = Some(result);
-            }
+    for (done, busy) in parts {
+        busy_seconds += busy;
+        for (i, result) in done {
+            slots[i] = Some(result);
         }
-    });
-    let wall = batch_started.elapsed().as_secs_f64();
+    }
     // The workers partition the index range, so every slot was written.
     let results = slots
         .into_iter()

@@ -50,6 +50,11 @@ pub const SCHEMA_VERSION: u32 = 5;
 /// (the v2 additions are optional) and produce identical results.
 pub const MIN_SCHEMA_VERSION: u32 = 1;
 
+/// Largest `network.template.count`: the structure-of-arrays core indexes
+/// nodes with `u32` and reserves `u32::MAX` as its [`wsnem_wsn::SINK`]
+/// sentinel, so no node index may reach it.
+pub const MAX_TEMPLATE_COUNT: u64 = wsnem_wsn::SINK as u64 - 1;
+
 /// A declarative scenario definition.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
@@ -362,7 +367,7 @@ pub struct NetworkSpec {
 /// `count = 1_000_000` is a normal scenario file, not a gigabyte of JSON.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TemplateSpec {
-    /// Number of nodes (≥ 1).
+    /// Number of nodes, 1 to [`MAX_TEMPLATE_COUNT`].
     pub count: u64,
     /// Node-name prefix; node `i` (1-based) is `{prefix}{i}`.
     pub prefix: String,
@@ -870,10 +875,11 @@ impl Scenario {
                 self.name
             )));
         }
-        if t.count == 0 {
+        if t.count == 0 || t.count > MAX_TEMPLATE_COUNT {
             return Err(ScenarioError::Invalid(format!(
-                "scenario `{}`: network.template.count must be >= 1",
-                self.name
+                "scenario `{}`: network.template.count must be in 1..={MAX_TEMPLATE_COUNT} \
+                 (found {})",
+                self.name, t.count
             )));
         }
         if t.prefix.is_empty() {
@@ -1514,7 +1520,25 @@ mod tests {
             .validate()
             .unwrap_err()
             .to_string();
-        assert!(err.contains("count must be >= 1"), "{err}");
+        assert!(
+            err.contains("network.template.count must be in 1..="),
+            "{err}"
+        );
+
+        // The SoA core's u32 node index and SINK sentinel bound the count.
+        assert!(
+            template_scenario(template_net(MAX_TEMPLATE_COUNT, 1e-12, None))
+                .validate()
+                .is_ok()
+        );
+        for count in [MAX_TEMPLATE_COUNT + 1, u64::from(u32::MAX) + 2, u64::MAX] {
+            let err = template_scenario(template_net(count, 1e-12, None))
+                .validate()
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains("network.template.count"), "{err}");
+            assert!(err.contains(&count.to_string()), "{err}");
+        }
 
         let mut net = template_net(10, 0.01, None);
         net.template.as_mut().unwrap().prefix = String::new();

@@ -9,6 +9,11 @@
 //! literal for non-finite floats; they are written as the strings
 //! `"Infinity"`, `"-Infinity"` and `"NaN"`, which the serde subset's `f64`
 //! deserializer accepts symmetrically.
+//!
+//! The parser is linear in the input: each plain run of a string is copied
+//! with one `push_str`, and arrays and objects may nest at most
+//! [`MAX_DEPTH`] levels, so hostile input is answered with an [`Error`]
+//! rather than a stack overflow.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::disallowed_methods))]
@@ -16,7 +21,12 @@
 pub use serde::Value;
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
+use std::fmt::{self, Write as _};
+
+/// Deepest nesting of arrays and objects [`parse`] accepts; a deeper
+/// document is a parse error. Scenario files, reports and fleetd frames
+/// nest fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// Serialization/deserialization error.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,8 +92,13 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize)
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::UInt(u) => out.push_str(&u.to_string()),
+        // Writing into a `String` cannot fail.
+        Value::Int(i) => {
+            let _ = write!(out, "{i}");
+        }
+        Value::UInt(u) => {
+            let _ = write!(out, "{u}");
+        }
         Value::Float(f) => write_float(out, *f),
         Value::Str(s) => write_string(out, s),
         Value::Seq(items) => write_block(out, indent, depth, '[', ']', items.len(), |out, i| {
@@ -121,16 +136,26 @@ fn write_block(
             out.push(',');
         }
         if let Some(w) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(w * (depth + 1)));
+            newline_indent(out, w * (depth + 1));
         }
         item(out, i);
     }
     if let Some(w) = indent {
-        out.push('\n');
-        out.push_str(&" ".repeat(w * depth));
+        newline_indent(out, w * depth);
     }
     out.push(close);
+}
+
+/// A newline followed by `width` spaces, copied from a static run.
+fn newline_indent(out: &mut String, width: usize) {
+    const SPACES: &str = "                                                                ";
+    out.push('\n');
+    let mut left = width;
+    while left > 0 {
+        let n = left.min(SPACES.len());
+        out.push_str(&SPACES[..n]);
+        left -= n;
+    }
 }
 
 fn write_float(out: &mut String, f: f64) {
@@ -147,9 +172,9 @@ fn write_float(out: &mut String, f: f64) {
         // the same bits; keep a trailing `.0` so the value re-parses as a
         // float rather than an integer (harmless either way, since numeric
         // deserializers coerce).
-        let s = f.to_string();
-        out.push_str(&s);
-        if !s.contains(['.', 'e', 'E']) {
+        let start = out.len();
+        let _ = write!(out, "{f}");
+        if !out[start..].contains(['.', 'e', 'E']) {
             out.push_str(".0");
         }
     }
@@ -157,17 +182,28 @@ fn write_float(out: &mut String, f: f64) {
 
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    // Every byte that needs an escape is ASCII, so the plain runs between
+    // them start and end on char boundaries and are copied whole.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -176,15 +212,22 @@ fn write_string(out: &mut String, s: &str) {
 // ---------------------------------------------------------------------------
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 /// Parse a JSON document into a [`Value`] tree.
+///
+/// Arrays and objects nested deeper than [`MAX_DEPTH`] are an error.
 pub fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
+        src: s,
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -225,8 +268,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, Error> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -234,6 +277,20 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parse an array or object one level deeper, refusing to recurse
+    /// past [`MAX_DEPTH`].
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!(
+                "arrays and objects nest deeper than {MAX_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, lit: &str, v: Value) -> Result<Value, Error> {
@@ -300,13 +357,27 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the plain run up to the next quote or backslash whole.
+            // It starts after an ASCII byte and ends before one, so it is
+            // a slice of whole characters of the `&str` input.
+            let rest = &self.bytes[self.pos..];
+            let len = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            let run = self
+                .src
+                .get(self.pos..self.pos + len)
+                .ok_or_else(|| self.err("invalid UTF-8"))?;
+            out.push_str(run);
+            self.pos += len;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -336,17 +407,6 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("invalid escape")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one full UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    // The Some(_) arm guarantees at least one byte remains.
-                    let Some(c) = s.chars().next() else {
-                        unreachable!("peeked byte vanished from the input")
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -468,5 +528,131 @@ mod tests {
         assert_eq!(s, "tab\there A");
         let round = to_string(&"line\nbreak\u{1}").unwrap();
         assert_eq!(from_str::<String>(&round).unwrap(), "line\nbreak\u{1}");
+    }
+
+    /// SplitMix64: a seeded stream for the string battery.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// 1-, 2-, 3- and 4-byte UTF-8, plus every character the writer or
+    /// the parser treats specially.
+    const ALPHABET: &[char] = &[
+        'a', 'Z', '7', ' ', 'é', 'ß', '€', '中', '😀', '𝄞', '"', '\\', '/', '\n', '\r', '\t',
+        '\u{1}', '\u{1f}', '\u{8}', '\u{c}',
+    ];
+
+    /// `c` as JSON string content, written one of several valid ways.
+    fn encode_char(c: char, how: u64, out: &mut String) {
+        let short = match c {
+            '"' => Some("\\\""),
+            '\\' => Some("\\\\"),
+            '/' => Some("\\/"),
+            '\n' => Some("\\n"),
+            '\r' => Some("\\r"),
+            '\t' => Some("\\t"),
+            '\u{8}' => Some("\\b"),
+            '\u{c}' => Some("\\f"),
+            _ => None,
+        };
+        match (how % 3, short) {
+            (0, Some(esc)) => out.push_str(esc),
+            (1, _) if (c as u32) < 0x10000 => out.push_str(&format!("\\u{:04X}", c as u32)),
+            // Raw: everything but the quote and the backslash may appear
+            // unescaped, control characters included.
+            _ if c != '"' && c != '\\' => out.push(c),
+            _ => out.push_str(short.unwrap()),
+        }
+    }
+
+    #[test]
+    fn seeded_strings_round_trip_with_escapes_next_to_multibyte_characters() {
+        let mut state = 0x5eed;
+        for round in 0..2000 {
+            let len = next(&mut state) % 40;
+            let expected: String = (0..len)
+                .map(|_| ALPHABET[(next(&mut state) % ALPHABET.len() as u64) as usize])
+                .collect();
+            // Through the writer.
+            let written = to_string(&expected).unwrap();
+            assert_eq!(from_str::<String>(&written).unwrap(), expected, "{written}");
+            // Through hand-mixed raw characters, short escapes and \u
+            // escapes, so escapes land right before and after multi-byte
+            // characters.
+            let mut doc = String::from("\"");
+            for c in expected.chars() {
+                encode_char(c, next(&mut state), &mut doc);
+            }
+            doc.push('"');
+            assert_eq!(
+                from_str::<String>(&doc).unwrap(),
+                expected,
+                "round {round}: {doc}"
+            );
+            // Inside a document, next to other values.
+            let pair = format!("[{doc},{written},\"€\"]");
+            let back: Vec<String> = from_str(&pair).unwrap();
+            assert_eq!(back, vec![expected.clone(), expected, "€".into()]);
+        }
+    }
+
+    #[test]
+    fn raw_control_characters_in_strings_are_accepted() {
+        let doc = "\"a\u{1}b\tc\nd\u{1f}\"";
+        assert_eq!(from_str::<String>(doc).unwrap(), "a\u{1}b\tc\nd\u{1f}");
+    }
+
+    #[test]
+    fn bad_strings_are_errors() {
+        assert!(parse("\"abc")
+            .unwrap_err()
+            .to_string()
+            .contains("unterminated"));
+        assert!(parse("\"a\\é\"")
+            .unwrap_err()
+            .to_string()
+            .contains("invalid escape"));
+        assert!(parse("\"\\u12\"").is_err());
+        assert!(parse("\"\\ud800\"").is_err(), "lone surrogate");
+        let e = parse("[\n\"ok\",\n\"open").unwrap_err();
+        assert!(e.to_string().contains("line 3"), "{e}");
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 4 MB of mixed-width characters with an escape every ~1000
+        // bytes. The old character-at-a-time scan re-validated the rest
+        // of the document per character and took hours on this.
+        let chunk = format!("{}\\n", "aé€😀".repeat(100));
+        let body = chunk.repeat(4_000_000 / chunk.len());
+        let doc = format!("\"{body}\"");
+        assert!(doc.len() >= 3_900_000);
+        let started = std::time::Instant::now();
+        let s: String = from_str(&doc).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(s.len(), body.len() - body.matches("\\n").count());
+        assert!(elapsed.as_secs_f64() < 10.0, "{elapsed:?}");
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize, open: &str, close: &str| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(parse(&nested(MAX_DEPTH, "[", "]")).is_ok());
+        assert!(parse(&nested(MAX_DEPTH, "{\"k\":", "}").replace(":}", ":1}")).is_ok());
+        for doc in [
+            nested(MAX_DEPTH + 1, "[", "]"),
+            nested(MAX_DEPTH + 1, "{\"k\":", "}").replace(":}", ":1}"),
+            "[".repeat(200_000),
+            "[{\"a\":".repeat(100_000),
+        ] {
+            let e = parse(&doc).unwrap_err().to_string();
+            assert!(e.contains("nest deeper than 128 levels"), "{e}");
+        }
     }
 }

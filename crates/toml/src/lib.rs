@@ -15,12 +15,21 @@
 //!
 //! Dates/times and multi-line strings are not supported. `None` fields are
 //! skipped on write (TOML has no null), which matches upstream `toml`.
+//!
+//! The parser is linear in the input, and tables and arrays may nest at
+//! most [`MAX_DEPTH`] levels, so hostile input is answered with an
+//! [`Error`] rather than a stack overflow.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
+
+/// Deepest nesting [`parse`] accepts, counting every table (from a header
+/// segment, a dotted-key prefix or an inline table) and every array around
+/// a value; a deeper document is a parse error.
+pub const MAX_DEPTH: usize = 128;
 
 /// Serialization/deserialization error.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,10 +82,14 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
 }
 
 /// Parse a TOML document into a [`Value`] tree.
+///
+/// Nesting deeper than [`MAX_DEPTH`] is an error.
 pub fn parse(s: &str) -> Result<Value, Error> {
     Parser {
+        src: s,
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     }
     .document()
 }
@@ -236,8 +249,11 @@ fn write_basic_string(out: &mut String, s: &str) {
 // ---------------------------------------------------------------------------
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Tables and arrays open around `pos`; the root table is level 0.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -251,6 +267,28 @@ impl<'a> Parser<'a> {
 
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
+    }
+
+    fn too_deep(&self) -> Error {
+        self.err(&format!(
+            "tables and arrays nest deeper than {MAX_DEPTH} levels"
+        ))
+    }
+
+    /// Parse with `levels` more tables or arrays open, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        levels: usize,
+        parse: fn(&mut Self) -> Result<Value, Error>,
+    ) -> Result<Value, Error> {
+        if self.depth + levels > MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.depth += levels;
+        let out = parse(self);
+        self.depth -= levels;
+        out
     }
 
     /// Skip spaces/tabs and comments on the current line.
@@ -312,6 +350,10 @@ impl<'a> Parser<'a> {
                     }
                     self.skip_inline_ws();
                     let path = self.dotted_key()?;
+                    // Each header segment is a table.
+                    if path.len() > MAX_DEPTH {
+                        return Err(self.too_deep());
+                    }
                     self.skip_inline_ws();
                     if self.peek() != Some(b']') {
                         return Err(self.err("expected `]`"));
@@ -339,7 +381,9 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                     self.skip_inline_ws();
-                    let value = self.value()?;
+                    // The current table's segments and the key's dotted
+                    // prefix are tables around the value.
+                    let value = self.nested(current.len() + key_path.len() - 1, Self::value)?;
                     self.expect_eol()?;
                     let mut full: Vec<String> = current.clone();
                     full.extend(key_path);
@@ -389,8 +433,8 @@ impl<'a> Parser<'a> {
         match self.peek() {
             Some(b'"') => Ok(Value::Str(self.basic_string()?)),
             Some(b'\'') => Ok(Value::Str(self.literal_string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.inline_table(),
+            Some(b'[') => self.nested(1, Self::array),
+            Some(b'{') => self.nested(1, Self::inline_table),
             Some(b't') | Some(b'f') => self.boolean(),
             Some(c) if c == b'+' || c == b'-' || c.is_ascii_digit() || c == b'i' || c == b'n' => {
                 self.number()
@@ -472,13 +516,27 @@ impl<'a> Parser<'a> {
         self.pos += 1;
         let mut out = String::new();
         loop {
+            // Copy the plain run up to the next quote, backslash or newline
+            // whole. It starts after an ASCII byte and ends before one, so
+            // it is a slice of whole characters of the `&str` input.
+            let rest = &self.bytes[self.pos..];
+            let len = rest
+                .iter()
+                .position(|&b| matches!(b, b'"' | b'\\' | b'\n'))
+                .unwrap_or(rest.len());
+            let run = self
+                .src
+                .get(self.pos..self.pos + len)
+                .ok_or_else(|| self.err("invalid UTF-8"))?;
+            out.push_str(run);
+            self.pos += len;
             match self.peek() {
                 None | Some(b'\n') => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -504,16 +562,6 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("invalid escape")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    // The Some(_) arm guarantees at least one byte remains.
-                    let Some(c) = s.chars().next() else {
-                        unreachable!("peeked byte vanished from the input")
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -576,7 +624,7 @@ impl<'a> Parser<'a> {
             }
             self.pos += 1;
             self.skip_inline_ws();
-            let v = self.value()?;
+            let v = self.nested(path.len() - 1, Self::value)?;
             insert_value(&mut entries, &path, v).map_err(|m| self.err(&m))?;
             self.skip_inline_ws();
             match self.peek() {
@@ -841,5 +889,147 @@ w = 1
         let mut doc = String::new();
         write_table(&mut doc, &[], entries);
         assert_eq!(parse(&doc).unwrap(), v, "document was:\n{doc}");
+    }
+
+    /// SplitMix64: a seeded stream for the string battery.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// 1-, 2-, 3- and 4-byte UTF-8, plus every character the writer or
+    /// the parser treats specially.
+    const ALPHABET: &[char] = &[
+        'a', 'Z', '7', ' ', '=', '#', '\'', 'é', 'ß', '€', '中', '😀', '𝄞', '"', '\\', '\n', '\r',
+        '\t', '\u{1}',
+    ];
+
+    /// `c` as basic-string content, written one of several valid ways.
+    fn encode_char(c: char, how: u64, out: &mut String) {
+        let short = match c {
+            '"' => Some("\\\""),
+            '\\' => Some("\\\\"),
+            '\n' => Some("\\n"),
+            '\r' => Some("\\r"),
+            '\t' => Some("\\t"),
+            _ => None,
+        };
+        match (how % 3, short) {
+            (0, Some(esc)) => out.push_str(esc),
+            (1, _) if (c as u32) < 0x10000 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            // Raw: everything but the quote, the backslash and the
+            // newline may appear unescaped.
+            _ if !matches!(c, '"' | '\\' | '\n') => out.push(c),
+            _ => out.push_str(short.unwrap()),
+        }
+    }
+
+    #[test]
+    fn seeded_strings_round_trip_with_escapes_next_to_multibyte_characters() {
+        let mut state = 0x70e1;
+        for round in 0..2000 {
+            let len = next(&mut state) % 40;
+            let expected: String = (0..len)
+                .map(|_| ALPHABET[(next(&mut state) % ALPHABET.len() as u64) as usize])
+                .collect();
+            // Through the writer, as a value and as a quoted key.
+            let entries = vec![
+                ("s".to_owned(), Value::Str(expected.clone())),
+                (format!("k{expected}"), Value::Int(1)),
+            ];
+            let mut written = String::new();
+            write_table(&mut written, &[], &entries);
+            assert_eq!(
+                parse(&written).unwrap(),
+                Value::Map(entries),
+                "round {round}:\n{written}"
+            );
+            // Through hand-mixed raw characters, short escapes and \u
+            // escapes, so escapes land right before and after multi-byte
+            // characters.
+            let mut doc = String::from("s = \"");
+            for c in expected.chars() {
+                encode_char(c, next(&mut state), &mut doc);
+            }
+            doc.push_str("\" # tail \"€\"\nt = [\"😀\"]\n");
+            let v = parse(&doc).unwrap_or_else(|e| panic!("round {round}: {e}\n{doc}"));
+            assert_eq!(
+                v.get("s").unwrap().as_str(),
+                Some(expected.as_str()),
+                "{doc}"
+            );
+            assert_eq!(
+                v.get("t").unwrap().as_seq().unwrap()[0].as_str(),
+                Some("😀")
+            );
+        }
+    }
+
+    #[test]
+    fn basic_string_hitting_a_newline_is_an_error_on_its_line() {
+        let e = parse("a = 1\nb = \"ab€c\ndef\"\n").unwrap_err().to_string();
+        assert!(
+            e.contains("line 2") && e.contains("unterminated string"),
+            "{e}"
+        );
+        let e = parse("a = \"open").unwrap_err().to_string();
+        assert!(
+            e.contains("line 1") && e.contains("unterminated string"),
+            "{e}"
+        );
+        assert!(parse("a = \"x\\é\"")
+            .unwrap_err()
+            .to_string()
+            .contains("invalid escape"));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 1 MB of mixed-width characters with an escape every ~1000
+        // bytes. The old character-at-a-time scan re-validated the rest
+        // of the document per character and took hours on this.
+        let chunk = format!("{}\\t", "aé€😀".repeat(100));
+        let body = chunk.repeat(1_000_000 / chunk.len());
+        let doc = format!("s = \"{body}\"\n");
+        assert!(doc.len() >= 990_000);
+        let started = std::time::Instant::now();
+        let v = parse(&doc).unwrap();
+        let elapsed = started.elapsed();
+        let s = v.get("s").unwrap().as_str().unwrap();
+        assert_eq!(s.len(), body.len() - body.matches("\\t").count());
+        assert!(elapsed.as_secs_f64() < 10.0, "{elapsed:?}");
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let arrays = |depth: usize| format!("x = {}{}\n", "[".repeat(depth), "]".repeat(depth));
+        let tables =
+            |depth: usize| format!("x = {}1{}\n", "{a = ".repeat(depth), "}".repeat(depth));
+        let dotted = |segments: usize| format!("{} = 1\n", vec!["a"; segments].join("."));
+        let header = |segments: usize| format!("[{}]\n", vec!["a"; segments].join("."));
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&tables(MAX_DEPTH)).is_ok());
+        // A dotted key's last segment names the value, not a table.
+        assert!(parse(&dotted(MAX_DEPTH + 1)).is_ok());
+        assert!(parse(&header(MAX_DEPTH)).is_ok());
+        // Header segments and dotted prefixes count toward the value's depth.
+        assert!(parse(&format!("{}x = [1]\n", header(MAX_DEPTH - 1))).is_ok());
+        for doc in [
+            arrays(MAX_DEPTH + 1),
+            tables(MAX_DEPTH + 1),
+            dotted(MAX_DEPTH + 2),
+            header(MAX_DEPTH + 1),
+            format!("{}x = [1]\n", header(MAX_DEPTH)),
+            format!("{}b.x = 1\n", header(MAX_DEPTH)),
+            format!("x = {{{} = 1}}\n", vec!["a"; MAX_DEPTH + 1].join(".")),
+            format!("x = {}", "[".repeat(200_000)),
+            format!("x = {}", "{a = [".repeat(100_000)),
+        ] {
+            let e = parse(&doc).unwrap_err().to_string();
+            assert!(e.contains("nest deeper than 128 levels"), "{e}");
+        }
     }
 }
