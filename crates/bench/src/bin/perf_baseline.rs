@@ -1,5 +1,5 @@
 //! Tracked performance baseline: times the key engine benches and writes a
-//! machine-readable JSON snapshot (`BENCH_9.json` by default) so future PRs
+//! machine-readable JSON snapshot (`BENCH_13.json` by default) so future PRs
 //! have a perf trajectory to compare against.
 //!
 //! ```text
@@ -166,7 +166,7 @@ fn main() {
     };
     let out_path = arg_value("-o")
         .or_else(|| arg_value("--output"))
-        .unwrap_or_else(|| "BENCH_9.json".to_owned());
+        .unwrap_or_else(|| "BENCH_13.json".to_owned());
     let check_path = arg_value("--check");
     let tolerance_pct: f64 = match arg_value("--tolerance") {
         None => 25.0,

@@ -60,7 +60,7 @@ fn serve_with_two_workers_survives_a_mid_run_kill_and_matches_a_local_run() {
     let addr = free_addr();
 
     // Coordinator in a child process; workers race it to the socket and
-    // reconnect with backoff, so spawn order does not matter.
+    // reconnect with backoff.
     let serve = Command::new(env!("CARGO_BIN_EXE_wsnem"))
         .args([
             "serve",
@@ -93,6 +93,12 @@ fn serve_with_two_workers_survives_a_mid_run_kill_and_matches_a_local_run() {
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn faulty worker");
+    // The faulty worker runs alone until its fault fires: it finishes two
+    // shards and dies holding its third lease. Only then does the steady
+    // worker start — started together, the steady one can drain all 12
+    // quick shards before the faulty one connects, and nothing is
+    // reassigned.
+    let _ = faulty.wait_with_output();
     let steady = Command::new(env!("CARGO_BIN_EXE_wsnem"))
         .args(["worker", &addr, "--name", "steady"])
         .stdout(Stdio::piped())
@@ -103,7 +109,6 @@ fn serve_with_two_workers_survives_a_mid_run_kill_and_matches_a_local_run() {
     let serve_out = serve.wait_with_output().expect("serve exits");
     let serve_err = String::from_utf8_lossy(&serve_out.stderr).into_owned();
     assert!(serve_out.status.success(), "serve stderr: {serve_err}");
-    let _ = faulty.wait_with_output();
     let steady_out = steady.wait_with_output().expect("steady worker exits");
     assert!(
         steady_out.status.success(),

@@ -67,8 +67,6 @@ impl TangibleChain {
 struct VanishingBufs {
     /// Maximal-priority enabled immediates of the marking under resolution.
     winners: Vec<(crate::net::TransitionId, f64)>,
-    /// `fire_into` changed-place scratch.
-    changed: Vec<u32>,
     /// Pool of branch/accumulation vectors recycled across recursion levels.
     pool: Vec<Vec<(Marking, f64)>>,
 }
@@ -113,7 +111,7 @@ fn immediate_branches_into(
     for i in 0..bufs.winners.len() {
         let (t, w) = bufs.winners[i];
         let mut next = m.clone();
-        net.fire_into(&mut next, t.index() as u32, &mut bufs.changed);
+        net.fire_into(&mut next, t.index() as u32);
         out.push((next, w / total));
     }
 }
@@ -252,7 +250,7 @@ pub fn tangible_chain(net: &PetriNet, opts: ReachOptions) -> Result<TangibleChai
                 continue;
             }
             let mut next = m.clone();
-            net.fire_into(&mut next, t.index() as u32, &mut bufs.changed);
+            net.fire_into(&mut next, t.index() as u32);
             for (tang, p) in resolve(net, &next, &mut cache, &mut stack, &mut bufs)? {
                 let j = intern(tang, &mut markings, &mut index)?;
                 if j != frontier as u32 {

@@ -172,6 +172,34 @@ impl EnablingCond {
     }
 }
 
+/// Compressed sparse rows: row `i` is `items[start[i]..start[i + 1]]`.
+#[derive(Debug, Clone, PartialEq)]
+struct Csr<T> {
+    start: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T> Default for Csr<T> {
+    fn default() -> Self {
+        Self {
+            start: vec![0],
+            items: Vec::new(),
+        }
+    }
+}
+
+impl<T> Csr<T> {
+    /// Close the current row at the end of `items`.
+    fn end_row(&mut self) {
+        self.start.push(self.items.len() as u32);
+    }
+
+    #[inline]
+    fn row(&self, i: u32) -> &[T] {
+        &self.items[self.start[i as usize] as usize..self.start[i as usize + 1] as usize]
+    }
+}
+
 /// Incremental net constructor.
 #[derive(Debug, Default)]
 pub struct NetBuilder {
@@ -291,17 +319,6 @@ impl NetBuilder {
             }
         }
 
-        // place -> transitions whose enabling depends on it.
-        let mut affecting: Vec<Vec<u32>> = vec![Vec::new(); self.place_names.len()];
-        for (ti, arcs) in self.arcs.iter().enumerate() {
-            for &(p, _) in arcs.inputs.iter().chain(&arcs.inhibitors) {
-                let list = &mut affecting[p as usize];
-                if !list.contains(&(ti as u32)) {
-                    list.push(ti as u32);
-                }
-            }
-        }
-
         // Highest priority first (stable, so equal priorities keep index
         // order and weight-tie RNG draws are unchanged): the simulator's
         // vanishing resolution can then stop scanning at the end of the
@@ -327,9 +344,9 @@ impl NetBuilder {
             .map(|(i, _)| i as u32)
             .collect();
 
-        // CSR of enabling conditions grouped by place: `cond_start[p] ..
-        // cond_start[p + 1]` indexes the conditions reading place `p`.
-        // Two passes: count per place, then fill at the running offsets.
+        // CSR of enabling conditions grouped by place, each place's run in
+        // ascending transition order. Two passes: count per place, then
+        // fill at the running offsets.
         let n_places = self.place_names.len();
         let mut cond_start = vec![0u32; n_places + 1];
         for arcs in &self.arcs {
@@ -341,16 +358,50 @@ impl NetBuilder {
             cond_start[p + 1] += cond_start[p];
         }
         let mut fill = cond_start.clone();
-        let mut conds = vec![EnablingCond::new(0, 0, false); cond_start[n_places] as usize];
+        let mut items = vec![EnablingCond::new(0, 0, false); cond_start[n_places] as usize];
         for (ti, arcs) in self.arcs.iter().enumerate() {
             for &(p, bound) in &arcs.inputs {
-                conds[fill[p as usize] as usize] = EnablingCond::new(ti as u32, bound, false);
+                items[fill[p as usize] as usize] = EnablingCond::new(ti as u32, bound, false);
                 fill[p as usize] += 1;
             }
             for &(p, bound) in &arcs.inhibitors {
-                conds[fill[p as usize] as usize] = EnablingCond::new(ti as u32, bound, true);
+                items[fill[p as usize] as usize] = EnablingCond::new(ti as u32, bound, true);
                 fill[p as usize] += 1;
             }
+        }
+        let conds = Csr {
+            start: cond_start,
+            items,
+        };
+
+        // Firing plans, one CSR row per transition `t`: the places a firing
+        // changes (inputs first, then outputs not already listed), and the
+        // transitions other than `t` with an enabling condition on those
+        // places, deduplicated keeping first occurrence (each place's
+        // conditions run in ascending transition order). An enabling
+        // recheck never moves the marking, so a repeated visit is a no-op
+        // and walking the deduplicated row visits transitions — and draws
+        // random numbers — in exactly the order the full neighbour walk
+        // did.
+        let mut changed = Csr::default();
+        let mut recheck = Csr::default();
+        for (ti, arcs) in self.arcs.iter().enumerate() {
+            let row = changed.items.len();
+            for &(p, _) in arcs.inputs.iter().chain(&arcs.outputs) {
+                if !changed.items[row..].contains(&p) {
+                    changed.items.push(p);
+                }
+            }
+            changed.end_row();
+            let rrow = recheck.items.len();
+            for &p in &changed.items[row..] {
+                for c in conds.row(p) {
+                    if c.trans != ti as u32 && !recheck.items[rrow..].contains(&c.trans) {
+                        recheck.items.push(c.trans);
+                    }
+                }
+            }
+            recheck.end_row();
         }
 
         // Flat immediate priority/weight side tables (timed slots unused):
@@ -379,10 +430,10 @@ impl NetBuilder {
             trans_names: self.trans_names,
             kinds: self.kinds,
             arcs: self.arcs,
-            affecting,
+            changed,
+            recheck,
             immediates,
             timed,
-            cond_start,
             conds,
             imm_priority,
             imm_weight,
@@ -398,16 +449,17 @@ pub struct PetriNet {
     trans_names: Vec<String>,
     kinds: Vec<TransitionKind>,
     arcs: Vec<TransitionArcs>,
-    /// place index → transitions having it as input or inhibitor.
-    affecting: Vec<Vec<u32>>,
+    /// Firing plan, part 1: places whose marking firing `t` changes.
+    changed: Csr<u32>,
+    /// Firing plan, part 2: transitions whose enabling may flip after `t`
+    /// fires, in enabling-recheck order.
+    recheck: Csr<u32>,
     /// Indices of immediate transitions.
     immediates: Vec<u32>,
     /// Indices of timed transitions.
     timed: Vec<u32>,
-    /// CSR offsets into `conds`, one run per place (len `n_places + 1`).
-    cond_start: Vec<u32>,
     /// Enabling conditions grouped by place (see [`EnablingCond`]).
-    conds: Vec<EnablingCond>,
+    conds: Csr<EnablingCond>,
     /// Per-transition immediate priority (0 for timed transitions).
     imm_priority: Vec<u8>,
     /// Per-transition immediate weight (0.0 for timed transitions).
@@ -448,6 +500,13 @@ impl PetriNet {
     /// Kind of a transition.
     pub fn kind(&self, t: TransitionId) -> TransitionKind {
         self.kinds[t.index()]
+    }
+
+    /// Kind of transition `t` by reference (engine hot path: no copy of the
+    /// distribution).
+    #[inline]
+    pub(crate) fn kind_ref(&self, t: u32) -> &TransitionKind {
+        &self.kinds[t as usize]
     }
 
     /// Look a place up by name.
@@ -495,9 +554,19 @@ impl PetriNet {
             .map(|&(p, m)| (PlaceId(p), m))
     }
 
-    /// Transitions whose enabling can change when `p`'s marking changes.
-    pub(crate) fn affected_by(&self, p: u32) -> &[u32] {
-        &self.affecting[p as usize]
+    /// Places whose marking firing `t` changes: inputs first, then outputs
+    /// not already listed.
+    #[inline]
+    pub(crate) fn changed_places(&self, t: u32) -> &[u32] {
+        self.changed.row(t)
+    }
+
+    /// Transitions other than `t` to recheck for an enabling flip after `t`
+    /// fires: every neighbour of [`Self::changed_places`], deduplicated in
+    /// first-visit order.
+    #[inline]
+    pub(crate) fn recheck_after(&self, t: u32) -> &[u32] {
+        self.recheck.row(t)
     }
 
     /// Indices of immediate transitions, highest priority first (equal
@@ -514,7 +583,7 @@ impl PetriNet {
     /// Enabling conditions reading place `p` (CSR slice).
     #[inline]
     pub(crate) fn conds_of(&self, p: u32) -> &[EnablingCond] {
-        &self.conds[self.cond_start[p as usize] as usize..self.cond_start[p as usize + 1] as usize]
+        self.conds.row(p)
     }
 
     /// Count each transition's unsatisfied enabling conditions in `marking`
@@ -570,21 +639,16 @@ impl PetriNet {
             .collect()
     }
 
-    /// Fire `t` in `marking` (must be enabled), mutating it in place and
-    /// recording changed place indices into `changed` (cleared first).
-    pub(crate) fn fire_into(&self, marking: &mut Marking, t: u32, changed: &mut Vec<u32>) {
-        changed.clear();
+    /// Fire `t` in `marking` (must be enabled), mutating it in place.
+    #[inline]
+    pub(crate) fn fire_into(&self, marking: &mut Marking, t: u32) {
         let arcs = &self.arcs[t as usize];
         for &(p, mult) in &arcs.inputs {
             debug_assert!(marking.0[p as usize] >= mult, "firing disabled transition");
             marking.0[p as usize] -= mult;
-            changed.push(p);
         }
         for &(p, mult) in &arcs.outputs {
             marking.0[p as usize] += mult;
-            if !changed.contains(&p) {
-                changed.push(p);
-            }
         }
     }
 
@@ -604,8 +668,7 @@ impl PetriNet {
     /// enabled).
     pub fn fire(&self, marking: &Marking, t: TransitionId) -> Marking {
         let mut next = marking.clone();
-        let mut scratch = Vec::new();
-        self.fire_into(&mut next, t.0, &mut scratch);
+        self.fire_into(&mut next, t.0);
         next
     }
 
@@ -998,10 +1061,48 @@ mod tests {
     #[test]
     fn affected_by_index() {
         let net = tiny();
-        // P0 is input of t; P1 is inhibitor of t — both affect t.
-        assert_eq!(net.affected_by(0), &[0]);
-        assert_eq!(net.affected_by(1), &[0]);
+        // Firing t changes P0 (input) and P1 (output); t is the only
+        // transition reading either, so there is nothing else to recheck.
+        assert_eq!(net.changed_places(0), &[0, 1]);
+        assert_eq!(net.recheck_after(0), &[] as &[u32]);
         assert_eq!(net.immediate_indices(), &[] as &[u32]);
         assert_eq!(net.timed_indices(), &[0]);
+    }
+
+    /// Firing plans: changed places list inputs first, then new outputs;
+    /// recheck lists walk each changed place's readers in index order,
+    /// skipping the fired transition and repeats.
+    #[test]
+    fn firing_plans_dedup_in_first_visit_order() {
+        let mut b = NetBuilder::new();
+        let p = b.place("P", 1);
+        let q = b.place("Q", 0);
+        let r = b.place("R", 0);
+        // t0: P -> P + Q (self-loop on P), inhibited by R.
+        let t0 = b.exponential("t0", 1.0);
+        b.input_arc(p, t0, 1);
+        b.output_arc(t0, q, 1);
+        b.output_arc(t0, p, 1);
+        b.inhibitor_arc(r, t0, 1);
+        // t1 reads Q and R; t2 reads P (input and inhibitor) and Q.
+        let t1 = b.immediate("t1", 1, 1.0);
+        b.input_arc(q, t1, 1);
+        b.input_arc(r, t1, 1);
+        let t2 = b.exponential("t2", 1.0);
+        b.input_arc(q, t2, 1);
+        b.input_arc(p, t2, 1);
+        b.inhibitor_arc(p, t2, 3);
+        // Source: no inputs, feeds R.
+        let src = b.exponential("src", 1.0);
+        b.output_arc(src, r, 1);
+        let net = b.build().unwrap();
+        assert_eq!(net.changed_places(t0.0), &[0, 1]);
+        assert_eq!(net.recheck_after(t0.0), &[2, 1]);
+        assert_eq!(net.changed_places(t1.0), &[1, 2]);
+        assert_eq!(net.recheck_after(t1.0), &[2, 0]);
+        assert_eq!(net.changed_places(t2.0), &[1, 0]);
+        assert_eq!(net.recheck_after(t2.0), &[1, 0]);
+        assert_eq!(net.changed_places(src.0), &[2]);
+        assert_eq!(net.recheck_after(src.0), &[0, 1]);
     }
 }

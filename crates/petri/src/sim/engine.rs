@@ -38,11 +38,24 @@
 //!   linear scan's "lowest index wins" rule.
 //!
 //! Small nets (the paper's CPU net has 8 transitions; M/M/1-style models
-//! have 2) keep the direct path — `is_enabled` recheck plus a linear timer
-//! scan — because measured constant factors dominate there: counting
-//! deltas and heap slab bookkeeping cost more than walking two arcs.
-//! Both strategies share tie-break rules and RNG draw order, so the
-//! chosen mode changes wall-clock only, never the trajectory.
+//! have 2) keep the direct path — `is_enabled` recheck plus a linear scan
+//! of a flat `f64` timer array — because measured constant factors
+//! dominate there: counting deltas and heap slab bookkeeping cost more
+//! than walking two arcs. Both strategies share tie-break rules and RNG
+//! draw order, so the chosen mode changes wall-clock only, never the
+//! trajectory.
+//!
+//! # Firing plans
+//!
+//! Both modes take the per-firing neighbourhood from the net instead of
+//! recomputing it: [`NetBuilder::build`](crate::net::NetBuilder::build)
+//! stores, per transition, the places a firing changes and the
+//! *recheck list* — every other transition reading those places,
+//! deduplicated in first-visit order. A recheck never moves the marking,
+//! so a repeated visit is a no-op and the deduplicated list reproduces the
+//! full neighbour walk's visit order and RNG draws exactly. Unobserved
+//! small-net firings apply the arcs straight to the marking; only an
+//! attached observer reads the changed-place list (for `marking_update`).
 //!
 //! A scan-driven reference implementation is retained under `#[cfg(test)]`
 //! (`sim::reference`) and a randomized battery (covering nets on both
@@ -64,6 +77,11 @@ use crate::sim::{Reward, SimConfig, SimOutput};
 /// count maintenance). Both strategies share tie-break rules and RNG draw
 /// order, so the trajectory is identical — only the wall-clock changes.
 const SCAN_THRESHOLD: usize = 16;
+
+/// Timer value of a transition with no pending firing. A firing time of +∞
+/// lies beyond every (finite) horizon, so the earliest-timer scan needs no
+/// separate "scheduled" flag: an unscheduled slot simply never wins.
+const UNSCHEDULED: f64 = f64::INFINITY;
 
 /// Run one replication of the token game.
 pub fn simulate<R: Rng64 + ?Sized>(
@@ -114,8 +132,10 @@ struct Engine<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> {
     now: f64,
     enabled: Vec<bool>,
     /// Sampled absolute firing time per transition while scheduled (timed
-    /// only) — read back when AgeMemory freezes the remaining delay.
-    timers: Vec<Option<f64>>,
+    /// only), [`UNSCHEDULED`] otherwise — scanned for the earliest firing
+    /// on the small-net path, read back when AgeMemory freezes the
+    /// remaining delay.
+    timers: Vec<f64>,
     /// Frozen remaining delay for AgeMemory transitions while disabled.
     age_left: Vec<Option<f64>>,
     /// Unsatisfied enabling-condition count per transition; enabled iff 0
@@ -136,8 +156,7 @@ struct Engine<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> {
     firings: Vec<u64>,
     warmup_done: bool,
 
-    // Scratch buffers (no allocation in the hot loop).
-    changed: Vec<u32>,
+    // Scratch buffer (no allocation in the hot loop).
     candidates: Vec<u32>,
 }
 
@@ -166,7 +185,7 @@ impl<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> Engine<'a, R, O, ED> {
             now: 0.0,
             enabled: vec![false; nt],
             unsat,
-            timers: vec![None; nt],
+            timers: vec![UNSCHEDULED; nt],
             timer_ids: vec![None; nt],
             queue: EventQueue::with_capacity(if ED { n_timed } else { 0 }),
             age_left: vec![None; nt],
@@ -176,7 +195,6 @@ impl<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> Engine<'a, R, O, ED> {
             reward_value: vec![0.0; rewards.len()],
             firings: vec![0; nt],
             warmup_done: cfg.warmup == 0.0,
-            changed: Vec::with_capacity(8),
             candidates: Vec::with_capacity(8),
         }
     }
@@ -221,7 +239,7 @@ impl<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> Engine<'a, R, O, ED> {
             return;
         }
         self.enabled[t as usize] = is;
-        match self.net.kind(crate::net::TransitionId(t)) {
+        match self.net.kind_ref(t) {
             TransitionKind::Immediate { .. } => {}
             TransitionKind::Timed { dist, policy } => {
                 if is {
@@ -243,39 +261,35 @@ impl<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> Engine<'a, R, O, ED> {
                         },
                     };
                     let at = self.now + delay;
-                    self.timers[t as usize] = Some(at);
+                    self.timers[t as usize] = at;
                     if ED {
                         self.timer_ids[t as usize] =
                             Some(self.queue.schedule_keyed(at, t as u64, t));
                     }
                 } else {
-                    let fire_at = self.timers[t as usize].take();
+                    // An enabled timed transition always holds a timer, so
+                    // `at` is its scheduled firing time.
+                    let at = std::mem::replace(&mut self.timers[t as usize], UNSCHEDULED);
                     if ED {
                         if let Some(id) = self.timer_ids[t as usize].take() {
                             self.queue.cancel(id);
                         }
                     }
-                    if policy == TimedPolicy::AgeMemory {
-                        if let Some(at) = fire_at {
-                            self.age_left[t as usize] = Some((at - self.now).max(0.0));
-                        }
+                    if *policy == TimedPolicy::AgeMemory {
+                        self.age_left[t as usize] = Some((at - self.now).max(0.0));
                     }
                 }
             }
         }
     }
 
-    /// Fire `t`: move tokens and fold each place's delta into the enabling
-    /// counts in one pass (no second traversal, no old-value snapshots).
-    /// Records the changed places for the flip pass in `propagate`.
+    /// Fire `t`: move tokens and, event-driven, fold each place's delta
+    /// into the enabling counts in the same pass (no second traversal, no
+    /// old-value snapshots).
     fn fire_transition(&mut self, t: u32) {
-        self.changed.clear();
         let net = self.net;
         if O::ENABLED {
-            let immediate = matches!(
-                net.kind(crate::net::TransitionId(t)),
-                TransitionKind::Immediate { .. }
-            );
+            let immediate = net.kind_ref(t).is_immediate();
             self.obs.firing(self.now, t, immediate);
         }
         if ED {
@@ -285,25 +299,20 @@ impl<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> Engine<'a, R, O, ED> {
                 let new = old - mult;
                 self.marking.0[p as usize] = new;
                 self.apply_delta(p, old, new);
-                self.changed.push(p);
             }
             for &(p, mult) in net.output_arcs(t) {
                 let old = self.marking.0[p as usize];
                 let new = old + mult;
                 self.marking.0[p as usize] = new;
                 self.apply_delta(p, old, new);
-                if !self.changed.contains(&p) {
-                    self.changed.push(p);
-                }
             }
         } else {
             // Small-net path: flips are rechecked directly from the
             // marking, so no count maintenance.
-            net.fire_into(&mut self.marking, t, &mut self.changed);
+            net.fire_into(&mut self.marking, t);
         }
         if O::ENABLED {
-            for i in 0..self.changed.len() {
-                let p = self.changed[i];
+            for &p in net.changed_places(t) {
                 let tokens = self.marking.0[p as usize];
                 self.obs.marking_update(self.now, p, tokens);
             }
@@ -313,14 +322,14 @@ impl<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> Engine<'a, R, O, ED> {
         }
     }
 
-    /// After firing, run flip checks over the fired transition and
-    /// everything adjacent to the changed places (the same visit order —
-    /// and therefore RNG draw order — the scan engine used).
+    /// After firing, run flip checks over the fired transition and then
+    /// its precompiled recheck list (the same visit order — and therefore
+    /// RNG draw order — the scan engine used).
     fn propagate(&mut self, fired: u32) {
         // The fired transition consumed its own timer; force recompute
         // (without AgeMemory freezing — the clock was spent by firing).
         self.enabled[fired as usize] = false;
-        self.timers[fired as usize] = None;
+        self.timers[fired as usize] = UNSCHEDULED;
         if ED {
             if let Some(id) = self.timer_ids[fired as usize].take() {
                 self.queue.cancel(id);
@@ -328,14 +337,8 @@ impl<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> Engine<'a, R, O, ED> {
         }
         self.flip_check(fired);
         // Enabling of neighbours of changed places may have flipped.
-        let net = self.net;
-        for i in 0..self.changed.len() {
-            let p = self.changed[i];
-            for &t in net.affected_by(p) {
-                if t != fired {
-                    self.flip_check(t);
-                }
-            }
+        for &t in self.net.recheck_after(fired) {
+            self.flip_check(t);
         }
     }
 
@@ -464,26 +467,26 @@ impl<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> Engine<'a, R, O, ED> {
             let next = if ED {
                 self.queue.pop()
             } else {
-                let mut next: Option<(f64, u32)> = None;
+                let mut best = UNSCHEDULED;
+                let mut pick = None;
                 for &t in self.net.timed_indices() {
-                    if let Some(at) = self.timers[t as usize] {
-                        match next {
-                            Some((best, _)) if at >= best => {}
-                            _ => next = Some((at, t)),
-                        }
+                    let at = self.timers[t as usize];
+                    if at < best {
+                        best = at;
+                        pick = Some(t);
                     }
                 }
-                next
+                pick.map(|t| (best, t))
             };
             let Some((at, t)) = next else {
                 break; // dead marking: idle to the horizon
             };
             debug_assert!(self.enabled[t as usize]);
-            debug_assert_eq!(self.timers[t as usize], Some(at));
+            debug_assert_eq!(self.timers[t as usize], at);
             // This event is consumed (the heap already dropped its entry);
             // clear the per-transition handle so propagate's forced
             // recompute doesn't chase a stale id.
-            self.timers[t as usize] = None;
+            self.timers[t as usize] = UNSCHEDULED;
             if ED {
                 self.timer_ids[t as usize] = None;
             }
@@ -512,7 +515,7 @@ impl<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> Engine<'a, R, O, ED> {
                 let depth = if ED {
                     self.queue.len()
                 } else {
-                    self.timers.iter().filter(|x| x.is_some()).count()
+                    self.timers.iter().filter(|&&x| x != UNSCHEDULED).count()
                 };
                 self.obs.timer_depth(at, depth);
             }

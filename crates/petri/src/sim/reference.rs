@@ -1,12 +1,17 @@
 //! The scan-driven reference token game (test-only).
 //!
-//! This is the pre-event-driven engine, retained verbatim as the semantic
+//! This is the pre-event-driven engine, retained as the semantic
 //! oracle for the heap+counter engine in [`super::engine`]: every event it
 //! re-scans `timed_indices()` for the earliest timer and re-walks arcs via
 //! `net.is_enabled()`. Slow, but obviously correct — the randomized battery
 //! below asserts the production engine reproduces its `firings` and
 //! `place_means` **bit-for-bit** on nets mixing immediates, both timer
 //! policies, inhibitor arcs and zero-delay timed transitions.
+//!
+//! The oracle shares none of the engine's precompiled tables: after each
+//! firing it collects the changed places and walks every reader of each,
+//! repeats included, from adjacency lists it derives itself from the
+//! public arc iterators.
 
 use wsnem_stats::dist::Sample;
 use wsnem_stats::rng::Rng64;
@@ -31,6 +36,8 @@ struct RefEngine<'a, R: Rng64 + ?Sized> {
     cfg: &'a SimConfig,
     rewards: &'a [Reward],
     rng: &'a mut R,
+    /// place index → transitions having it as input or inhibitor.
+    affecting: Vec<Vec<u32>>,
 
     marking: crate::marking::Marking,
     now: f64,
@@ -57,11 +64,21 @@ impl<'a, R: Rng64 + ?Sized> RefEngine<'a, R> {
     fn new(net: &'a PetriNet, cfg: &'a SimConfig, rewards: &'a [Reward], rng: &'a mut R) -> Self {
         let marking = net.initial_marking();
         let nt = net.n_transitions();
+        let mut affecting: Vec<Vec<u32>> = vec![Vec::new(); net.n_places()];
+        for t in net.transitions() {
+            for (p, _) in net.inputs(t).chain(net.inhibitors(t)) {
+                let list = &mut affecting[p.index()];
+                if !list.contains(&(t.index() as u32)) {
+                    list.push(t.index() as u32);
+                }
+            }
+        }
         Self {
             net,
             cfg,
             rewards,
             rng,
+            affecting,
             marking,
             now: 0.0,
             enabled: vec![false; nt],
@@ -110,6 +127,25 @@ impl<'a, R: Rng64 + ?Sized> RefEngine<'a, R> {
         }
     }
 
+    /// Fire `t`, recording the changed places (inputs first, then outputs
+    /// not already listed) into `changed`.
+    fn fire(&mut self, t: u32) {
+        self.changed.clear();
+        for &(p, mult) in self.net.input_arcs(t) {
+            self.marking.0[p as usize] -= mult;
+            self.changed.push(p);
+        }
+        for &(p, mult) in self.net.output_arcs(t) {
+            self.marking.0[p as usize] += mult;
+            if !self.changed.contains(&p) {
+                self.changed.push(p);
+            }
+        }
+        if self.warmup_done {
+            self.firings[t as usize] += 1;
+        }
+    }
+
     fn refresh_all(&mut self) {
         for t in 0..self.net.n_transitions() as u32 {
             self.refresh_transition(t);
@@ -120,15 +156,14 @@ impl<'a, R: Rng64 + ?Sized> RefEngine<'a, R> {
         self.enabled[fired as usize] = false;
         self.timers[fired as usize] = None;
         self.refresh_transition(fired);
-        let mut i = 0;
-        while i < self.changed.len() {
-            let p = self.changed[i];
-            for &t in self.net.affected_by(p) {
+        for i in 0..self.changed.len() {
+            let p = self.changed[i] as usize;
+            for j in 0..self.affecting[p].len() {
+                let t = self.affecting[p][j];
                 if t != fired {
                     self.refresh_transition(t);
                 }
             }
-            i += 1;
         }
     }
 
@@ -182,11 +217,7 @@ impl<'a, R: Rng64 + ?Sized> RefEngine<'a, R> {
                 pick
             }
         };
-        let marking = &mut self.marking;
-        self.net.fire_into(marking, chosen, &mut self.changed);
-        if self.warmup_done {
-            self.firings[chosen as usize] += 1;
-        }
+        self.fire(chosen);
         self.propagate(chosen);
         true
     }
@@ -276,11 +307,7 @@ impl<'a, R: Rng64 + ?Sized> RefEngine<'a, R> {
                 zeno_streak = 0;
             }
             self.advance_to(at);
-            let marking = &mut self.marking;
-            self.net.fire_into(marking, t, &mut self.changed);
-            if self.warmup_done {
-                self.firings[t as usize] += 1;
-            }
+            self.fire(t);
             self.propagate(t);
             self.settle()?;
         }
@@ -328,36 +355,8 @@ mod tests {
         let places: Vec<PlaceId> = (0..n_places)
             .map(|i| b.place(format!("P{i}"), (rng.next_u64() % 3) as u32))
             .collect();
-        let policy = |rng: &mut Xoshiro256PlusPlus| {
-            if rng.next_u64().is_multiple_of(2) {
-                TimedPolicy::RaceResample
-            } else {
-                TimedPolicy::AgeMemory
-            }
-        };
         for i in 0..n_trans {
-            let kind = match rng.next_u64() % 8 {
-                0 | 1 => TransitionKind::Immediate {
-                    priority: (rng.next_u64() % 3) as u8,
-                    weight: 0.5 + rng.next_f64(),
-                },
-                // Zero-delay timed: stresses the Zeno path and equal-time
-                // tie-breaking in the timer heap.
-                2 => TransitionKind::Timed {
-                    dist: Dist::Deterministic(0.0),
-                    policy: policy(rng),
-                },
-                3..=5 => TransitionKind::Timed {
-                    dist: Dist::Exponential {
-                        rate: 0.5 + 2.0 * rng.next_f64(),
-                    },
-                    policy: policy(rng),
-                },
-                _ => TransitionKind::Timed {
-                    dist: Dist::Deterministic(0.05 + rng.next_f64()),
-                    policy: policy(rng),
-                },
-            };
+            let kind = random_kind(rng, false);
             let t = b.transition(format!("T{i}"), kind);
             // Distinct places per arc kind: walk a random rotation.
             let start = (rng.next_u64() % n_places as u64) as usize;
@@ -386,99 +385,273 @@ mod tests {
         b.build().expect("random net is structurally valid")
     }
 
+    /// A random transition kind: immediate (random priority/weight),
+    /// zero-delay timed, exponential or deterministic, under either race
+    /// policy. `timed_only` turns the immediate and zero-delay draws into
+    /// exponentials (for sources, which would otherwise loop forever).
+    fn random_kind(rng: &mut Xoshiro256PlusPlus, timed_only: bool) -> TransitionKind {
+        let policy = |rng: &mut Xoshiro256PlusPlus| {
+            if rng.next_u64().is_multiple_of(2) {
+                TimedPolicy::RaceResample
+            } else {
+                TimedPolicy::AgeMemory
+            }
+        };
+        match rng.next_u64() % 8 {
+            0 | 1 if !timed_only => TransitionKind::Immediate {
+                priority: (rng.next_u64() % 3) as u8,
+                weight: 0.5 + rng.next_f64(),
+            },
+            // Zero-delay timed: stresses the Zeno path and equal-time
+            // tie-breaking in the timer heap.
+            2 if !timed_only => TransitionKind::Timed {
+                dist: Dist::Deterministic(0.0),
+                policy: policy(rng),
+            },
+            0..=5 => TransitionKind::Timed {
+                dist: Dist::Exponential {
+                    rate: 0.5 + 2.0 * rng.next_f64(),
+                },
+                policy: policy(rng),
+            },
+            _ => TransitionKind::Timed {
+                dist: Dist::Deterministic(0.05 + rng.next_f64()),
+                policy: policy(rng),
+            },
+        }
+    }
+
+    /// Second population, from its own generator: the arc shapes where a
+    /// precompiled changed-place or recheck list could drift from the
+    /// dynamic walk. Every net mixes
+    ///
+    /// * **sources** — timed transitions with no input arcs (the shape of
+    ///   the paper's `AR` and the M/M/1 `arrive`), half of them bounded by
+    ///   an inhibitor on a place they feed;
+    /// * **self-loops** — transitions whose input and output arcs hit the
+    ///   same place (the shape of `T5`, `T6` and `T2`): 2–3 inputs, a
+    ///   proper subset of them put back, sometimes listed after a fresh
+    ///   output place;
+    /// * plain transitions as in [`random_net`].
+    fn random_shaped_net(rng: &mut Xoshiro256PlusPlus, wide: bool) -> PetriNet {
+        let n_places = 3 + (rng.next_u64() % if wide { 10 } else { 6 }) as usize;
+        let n_trans = if wide {
+            24 + (rng.next_u64() % 16) as usize // 24..=39
+        } else {
+            3 + (rng.next_u64() % 8) as usize // 3..=10
+        };
+        let mut b = NetBuilder::new();
+        let places: Vec<PlaceId> = (0..n_places)
+            .map(|i| b.place(format!("P{i}"), (rng.next_u64() % 3) as u32))
+            .collect();
+        let pick =
+            |rng: &mut Xoshiro256PlusPlus| places[(rng.next_u64() % n_places as u64) as usize];
+        for i in 0..n_trans {
+            // The first two transitions are a source and a self-loop, so
+            // every net carries both shapes.
+            let shape = if i < 2 { i as u64 } else { rng.next_u64() % 4 };
+            let t = b.transition(format!("T{i}"), random_kind(rng, shape == 0));
+            let mult = |rng: &mut Xoshiro256PlusPlus| 1 + (rng.next_u64() % 2) as u32;
+            match shape {
+                0 => {
+                    let out = pick(rng);
+                    b.output_arc(t, out, mult(rng));
+                    if rng.next_u64().is_multiple_of(2) {
+                        b.inhibitor_arc(out, t, 2 + (rng.next_u64() % 4) as u32);
+                    }
+                }
+                1 => {
+                    let start = (rng.next_u64() % n_places as u64) as usize;
+                    let n_in = 2 + (rng.next_u64() % 2) as usize;
+                    let inputs: Vec<(PlaceId, u32)> = (0..n_in)
+                        .map(|k| (places[(start + k) % n_places], mult(rng)))
+                        .collect();
+                    for &(p, m) in &inputs {
+                        b.input_arc(p, t, m);
+                    }
+                    // Put back 1..n_in-1 of the inputs from a random one on
+                    // (`T6` returns its first input, `T5` and `T2` a later
+                    // one), mostly with the multiplicity taken so the
+                    // place's marking does not move, with a fresh output
+                    // place before them (`T6`: Power_Up, then P6), after
+                    // them (`T2`: CPU_ON, then Active) or none (`T5`).
+                    let fresh = places[(start + n_in) % n_places];
+                    let fresh = (!inputs.iter().any(|&(p, _)| p == fresh)).then_some(fresh);
+                    let fresh_at = rng.next_u64() % 3;
+                    if let (Some(f), 1) = (fresh, fresh_at) {
+                        b.output_arc(t, f, mult(rng));
+                    }
+                    let kept = 1 + (rng.next_u64() % (n_in as u64 - 1)) as usize;
+                    let first = (rng.next_u64() % n_in as u64) as usize;
+                    for k in 0..kept {
+                        let (p, m) = inputs[(first + k) % n_in];
+                        let m = if rng.next_u64().is_multiple_of(4) {
+                            mult(rng)
+                        } else {
+                            m
+                        };
+                        b.output_arc(t, p, m);
+                    }
+                    if let (Some(f), 2) = (fresh, fresh_at) {
+                        b.output_arc(t, f, mult(rng));
+                    }
+                }
+                _ => {
+                    let n_in = 1 + (rng.next_u64() % 2) as usize;
+                    let start = (rng.next_u64() % n_places as u64) as usize;
+                    for k in 0..n_in {
+                        b.input_arc(places[(start + k) % n_places], t, mult(rng));
+                    }
+                    b.output_arc(t, pick(rng), mult(rng));
+                }
+            }
+            if shape != 0 && rng.next_u64().is_multiple_of(3) {
+                b.inhibitor_arc(pick(rng), t, 1 + (rng.next_u64() % 4) as u32);
+            }
+        }
+        b.build().expect("shaped net is structurally valid")
+    }
+
+    /// One battery run: a net, its configuration and its RNG seed.
+    struct Case {
+        label: String,
+        /// Whether the net came from [`random_shaped_net`].
+        shaped: bool,
+        net: PetriNet,
+        cfg: SimConfig,
+        seed: u64,
+    }
+
+    fn battery_cfg(case: u64) -> SimConfig {
+        SimConfig {
+            horizon: 40.0,
+            warmup: if case.is_multiple_of(3) { 5.0 } else { 0.0 },
+            // Tight guards so Zeno/vanishing-prone nets terminate fast
+            // (and must do so identically in both engines).
+            max_vanishing_chain: 5_000,
+            zeno_guard: 5_000,
+        }
+    }
+
+    /// The 80 [`random_net`] cases, then 48 [`random_shaped_net`] cases.
+    /// Every fourth net of each population is wide (24+ transitions) so the
+    /// heap-selection path is battered too, not just the scan.
+    fn battery_cases() -> Vec<Case> {
+        let mut cases = Vec::new();
+        let mut gen = Xoshiro256PlusPlus::new(0xED5_B411E);
+        for case in 0..80u64 {
+            cases.push(Case {
+                label: format!("case {case}"),
+                shaped: false,
+                net: random_net(&mut gen, case % 4 == 0),
+                cfg: battery_cfg(case),
+                seed: 1000 + case,
+            });
+        }
+        let mut gen = Xoshiro256PlusPlus::new(0x5A9E_2008);
+        for case in 0..48u64 {
+            cases.push(Case {
+                label: format!("shaped case {case}"),
+                shaped: true,
+                net: random_shaped_net(&mut gen, case % 4 == 0),
+                cfg: battery_cfg(case),
+                seed: 5000 + case,
+            });
+        }
+        cases
+    }
+
     /// The battery: for many seeded random nets, the heap+counter engine
     /// must reproduce the reference scan engine's output — `firings` and
     /// `place_means` bit-for-bit — or fail with the identical error.
     #[test]
     fn randomized_engine_equivalence_battery() {
-        let mut gen = Xoshiro256PlusPlus::new(0xED5_B411E);
-        let mut ok_runs = 0usize;
-        let mut err_runs = 0usize;
-        for case in 0..80u64 {
-            // Every fourth net is wide (24+ transitions, mostly timed) so
-            // the heap-selection path is battered too, not just the scan.
-            let net = random_net(&mut gen, case % 4 == 0);
-            let cfg = SimConfig {
-                horizon: 40.0,
-                warmup: if case % 3 == 0 { 5.0 } else { 0.0 },
-                // Tight guards so Zeno/vanishing-prone nets terminate fast
-                // (and must do so identically in both engines).
-                max_vanishing_chain: 5_000,
-                zeno_guard: 5_000,
-            };
-            let seed = 1000 + case;
+        // Clean runs of the plain and the shaped population.
+        let mut ok_runs = [0usize; 2];
+        for Case {
+            label: case,
+            shaped,
+            net,
+            cfg,
+            seed,
+        } in battery_cases()
+        {
             let mut rng_new = Xoshiro256PlusPlus::new(seed);
             let mut rng_ref = Xoshiro256PlusPlus::new(seed);
             let out_new = simulate(&net, &cfg, &[], &mut rng_new);
             let out_ref = simulate_reference(&net, &cfg, &[], &mut rng_ref);
-            assert_eq!(out_new, out_ref, "case {case} diverged");
+            assert_eq!(out_new, out_ref, "{case} diverged");
             // Both engines must also have consumed the same RNG stream.
             assert_eq!(
                 rng_new.next_u64(),
                 rng_ref.next_u64(),
-                "case {case}: RNG streams desynchronized"
+                "{case}: RNG streams desynchronized"
             );
-            match out_new {
-                Ok(_) => ok_runs += 1,
-                Err(_) => err_runs += 1,
+            if out_new.is_ok() {
+                ok_runs[shaped as usize] += 1;
             }
         }
-        // The generator must actually produce runnable nets (not only
-        // degenerate error cases) for the battery to mean anything.
-        assert!(ok_runs >= 40, "only {ok_runs} clean runs of 80");
-        // A few Zeno/vanishing cases are expected and fine.
-        let _ = err_runs;
+        // The generators must actually produce runnable nets (not only
+        // degenerate error cases) for the battery to mean anything; a few
+        // Zeno/vanishing cases are expected and fine.
+        assert!(ok_runs[0] >= 40, "only {} clean runs of 80", ok_runs[0]);
+        assert!(
+            ok_runs[1] >= 24,
+            "only {} clean shaped runs of 48",
+            ok_runs[1]
+        );
     }
 
     /// Attaching any concrete observer must leave the trajectory — output
     /// AND RNG stream position — bit-identical to the unobserved run, over
-    /// the same randomized 80-net population as the engine battery.
+    /// the same randomized populations as the engine battery.
     #[test]
     fn observer_equivalence_battery() {
         use crate::sim::engine::simulate_observed;
         use wsnem_obs::{Counters, NoopObserver, StateTimeline, Tee, TraceWriter};
 
-        let mut gen = Xoshiro256PlusPlus::new(0xED5_B411E);
         let mut traced_records = 0usize;
-        for case in 0..80u64 {
-            let net = random_net(&mut gen, case % 4 == 0);
-            let cfg = SimConfig {
-                horizon: 40.0,
-                warmup: if case % 3 == 0 { 5.0 } else { 0.0 },
-                max_vanishing_chain: 5_000,
-                zeno_guard: 5_000,
-            };
-            let seed = 1000 + case;
+        for (
+            i,
+            Case {
+                label: case,
+                net,
+                cfg,
+                seed,
+                ..
+            },
+        ) in battery_cases().into_iter().enumerate()
+        {
             let mut rng_base = Xoshiro256PlusPlus::new(seed);
             let out_base = simulate(&net, &cfg, &[], &mut rng_base);
 
             // NDJSON trace into a memory sink (sampled on odd cases to also
             // cover the admission logic).
             let mut trace =
-                TraceWriter::new(Vec::new()).with_sampling(if case % 2 == 1 { 3 } else { 1 });
+                TraceWriter::new(Vec::new()).with_sampling(if i % 2 == 1 { 3 } else { 1 });
             let mut rng = Xoshiro256PlusPlus::new(seed);
             let out = simulate_observed(&net, &cfg, &[], &mut rng, &mut trace);
-            assert_eq!(out, out_base, "case {case}: TraceWriter perturbed run");
-            assert_eq!(rng, rng_base, "case {case}: TraceWriter moved the RNG");
+            assert_eq!(out, out_base, "{case}: TraceWriter perturbed run");
+            assert_eq!(rng, rng_base, "{case}: TraceWriter moved the RNG");
             traced_records += trace.records_written();
 
             let mut timeline = StateTimeline::new();
             let mut rng = Xoshiro256PlusPlus::new(seed);
             let out = simulate_observed(&net, &cfg, &[], &mut rng, &mut timeline);
-            assert_eq!(out, out_base, "case {case}: StateTimeline perturbed run");
-            assert_eq!(rng, rng_base, "case {case}: StateTimeline moved the RNG");
+            assert_eq!(out, out_base, "{case}: StateTimeline perturbed run");
+            assert_eq!(rng, rng_base, "{case}: StateTimeline moved the RNG");
 
             let mut counters = Counters::new();
             let mut rng = Xoshiro256PlusPlus::new(seed);
             let out = simulate_observed(&net, &cfg, &[], &mut rng, &mut counters);
-            assert_eq!(out, out_base, "case {case}: Counters perturbed run");
-            assert_eq!(rng, rng_base, "case {case}: Counters moved the RNG");
+            assert_eq!(out, out_base, "{case}: Counters perturbed run");
+            assert_eq!(rng, rng_base, "{case}: Counters moved the RNG");
             if let Ok(ref o) = out_base {
                 let total: u64 = o.firings.iter().sum();
                 let snap = counters.snapshot();
                 assert!(
                     snap.firings >= total,
-                    "case {case}: observer saw {} firings, report counted {total} \
+                    "{case}: observer saw {} firings, report counted {total} \
                      (pre-warmup firings are observed but not reported)",
                     snap.firings
                 );
@@ -487,8 +660,8 @@ mod tests {
             let mut tee = Tee::new(Counters::new(), NoopObserver);
             let mut rng = Xoshiro256PlusPlus::new(seed);
             let out = simulate_observed(&net, &cfg, &[], &mut rng, &mut tee);
-            assert_eq!(out, out_base, "case {case}: Tee perturbed run");
-            assert_eq!(rng, rng_base, "case {case}: Tee moved the RNG");
+            assert_eq!(out, out_base, "{case}: Tee perturbed run");
+            assert_eq!(rng, rng_base, "{case}: Tee moved the RNG");
         }
         assert!(traced_records > 1000, "traces were empty: {traced_records}");
     }

@@ -74,3 +74,50 @@ fn different_seeds_differ() {
     let b = DesCpuModel::new(params().with_seed(2)).evaluate().unwrap();
     assert_ne!(a.fractions, b.fractions);
 }
+
+/// Pinned Fig. 3 trajectory: the paper-default EDSPN at a fixed seed and a
+/// short horizon must reproduce these exact bits. Any change to the token
+/// game's RNG draw order or floating-point accrual order moves them.
+#[test]
+fn paper_edspn_trajectory_pinned() {
+    use wsnem::core::{build_cpu_edspn, state_rewards};
+    use wsnem::petri::{simulate, SimConfig};
+    use wsnem::stats::rng::StreamFactory;
+
+    let p = CpuModelParams::paper_defaults()
+        .with_replications(4)
+        .with_horizon(300.0)
+        .with_seed(2008);
+    let eval = PetriCpuModel::new(p)
+        .with_threads(Some(1))
+        .evaluate()
+        .unwrap();
+    let f = eval.fractions;
+    assert_eq!(f.standby.to_bits(), 0x3fe0_f30b_5814_dd74, "standby");
+    assert_eq!(f.powerup.to_bits(), 0x3f42_8390_42d8_bbd9, "powerup");
+    assert_eq!(f.idle.to_bits(), 0x3fd7_2f75_17a9_ce0c, "idle");
+    assert_eq!(f.active.to_bits(), 0x3fbb_84c9_c02c_2abc, "active");
+    assert_eq!(
+        eval.mean_jobs.unwrap().to_bits(),
+        0x3fbf_49c3_01d3_5a89,
+        "mean_jobs"
+    );
+
+    // One raw replication stream: per-transition firing counts
+    // (AR, T1, T6, PUT, T5, T2, SR, PDT) and the four reward means.
+    let (net, handles) = build_cpu_edspn(p.lambda, p.mu, 0.5, 0.001).unwrap();
+    let rewards = state_rewards(&handles);
+    let mut rng = StreamFactory::new(2008).stream(0);
+    let out = simulate(&net, &SimConfig::for_horizon(300.0), &rewards, &mut rng).unwrap();
+    assert_eq!(out.firings, [300, 300, 169, 169, 131, 300, 300, 169]);
+    let reward_bits: Vec<u64> = out.reward_means.iter().map(|x| x.to_bits()).collect();
+    assert_eq!(
+        reward_bits,
+        [
+            0x3fe1_2e11_74b4_12cb,
+            0x3f42_7595_1f28_2b0b,
+            0x3fd7_127e_8b6f_ddd9,
+            0x3fba_208f_0261_a1ef,
+        ]
+    );
+}
