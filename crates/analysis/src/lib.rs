@@ -24,7 +24,8 @@
 //!   and structural boundedness), T-semiflow existence (a steady cycle),
 //!   bounded reachability for deadlock detection — with an empty-siphon or
 //!   inhibitor-arc witness — and dead-transition detection, plus the
-//!   structural classification as an informational note.
+//!   structural classification as an informational note. They read no
+//!   delay, so each distinct net structure is analyzed once per process.
 //!
 //! [`manifest`] adds fleet-manifest verification for `wsnem gen --check`:
 //! a generated directory is compared against what its `manifest.json`

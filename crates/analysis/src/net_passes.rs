@@ -2,13 +2,24 @@
 //! prove what can be proved before simulating — conservation from P-semiflow
 //! coverage, steady-cycle existence from T-semiflows, deadlock and dead
 //! transitions from bounded reachability, and the structural class.
+//!
+//! Every pass reads net structure only, never a delay: the paper's per-node
+//! EDSPN has one fixed structure, and λ, the service law, T and D only set
+//! its timed transitions' distributions. [`check_net`] therefore runs the
+//! passes once per distinct structure per process and serves repeats from a
+//! memo keyed by everything a pass can read (names, initial tokens,
+//! transition kinds without their delays, and arcs), compared in full. A
+//! thousand-scenario fleet pays for one exploration, not a thousand.
+
+use std::collections::HashMap;
+use std::sync::{LazyLock, Mutex, MutexGuard, PoisonError};
 
 use wsnem_core::build_cpu_edspn_with_service;
 use wsnem_petri::analysis::{
     dead_transitions, explain_dead_marking, explore, is_free_choice, is_marked_graph,
     is_state_machine, p_semiflows, structurally_dead_transitions, t_semiflows, ReachOptions,
 };
-use wsnem_petri::{PetriError, PetriNet};
+use wsnem_petri::{PetriError, PetriNet, PlaceId, TimedPolicy, TransitionKind};
 use wsnem_scenario::Scenario;
 use wsnem_stats::Dist;
 
@@ -28,33 +39,137 @@ pub const CHECK_REACH_OPTIONS: ReachOptions = ReachOptions {
 /// service distribution, T and D exactly as the Petri backend would, then
 /// run the net passes on it.
 pub fn run(s: &Scenario) -> Vec<Diagnostic> {
+    match edspn(s) {
+        Some(net) => check_net(&net, Location::scenario(&s.name)),
+        // An unbuildable net means some parameter is out of range; the
+        // scenario passes' catch-all already reports that with field-level
+        // context, so stay quiet rather than duplicate it.
+        None => Vec::new(),
+    }
+}
+
+/// The scenario's per-node EDSPN, or `None` when a parameter is out of range.
+fn edspn(s: &Scenario) -> Option<PetriNet> {
     let service: Dist = s
         .service
         .as_ref()
         .map(|sv| sv.to_dist(s.cpu.mu))
         .unwrap_or(Dist::Exponential { rate: s.cpu.mu });
-    let loc = Location::scenario(&s.name);
-    match build_cpu_edspn_with_service(
+    build_cpu_edspn_with_service(
         s.cpu.lambda,
         service,
         s.cpu.power_down_threshold,
         s.cpu.power_up_delay,
-    ) {
-        Ok((net, _)) => check_net(&net, loc),
-        // An unbuildable net means some parameter is out of range; the
-        // scenario passes' catch-all already reports that with field-level
-        // context, so stay quiet rather than duplicate it.
-        Err(_) => Vec::new(),
-    }
+    )
+    .ok()
+    .map(|(net, _)| net)
 }
 
 /// Run every net pass on an already-built net. `loc` seeds the location of
 /// each finding (file or scenario); place/transition names go in `field`.
+/// Findings for a structure already checked in this process come from the
+/// memo (see the module docs), stamped with `loc`.
 pub fn check_net(net: &PetriNet, loc: Location) -> Vec<Diagnostic> {
+    static MEMO: LazyLock<Memo> = LazyLock::new(Memo::default);
+    MEMO.check(net, &loc)
+}
+
+/// Everything a net pass can read from a built net: place names and initial
+/// tokens, transition names and kinds, and every arc in stored order. Only
+/// the timed transitions' delay distributions are left out. Names stay in
+/// because messages and `field` carry them.
+#[derive(PartialEq, Eq, Hash)]
+struct NetKey {
+    places: Vec<(String, u32)>,
+    transitions: Vec<TransitionKey>,
+}
+
+#[derive(PartialEq, Eq, Hash)]
+struct TransitionKey {
+    name: String,
+    kind: KindKey,
+    inputs: Vec<(PlaceId, u32)>,
+    outputs: Vec<(PlaceId, u32)>,
+    inhibitors: Vec<(PlaceId, u32)>,
+}
+
+#[derive(PartialEq, Eq, Hash)]
+enum KindKey {
+    /// Priority and the bit pattern of the weight.
+    Immediate(u8, u64),
+    Timed(TimedPolicy),
+}
+
+impl NetKey {
+    fn of(net: &PetriNet) -> Self {
+        let m0 = net.initial_marking();
+        NetKey {
+            places: net
+                .places()
+                .map(|p| (net.place_name(p).to_owned(), m0.tokens(p)))
+                .collect(),
+            transitions: net
+                .transitions()
+                .map(|t| TransitionKey {
+                    name: net.transition_name(t).to_owned(),
+                    kind: match net.kind(t) {
+                        TransitionKind::Immediate { priority, weight } => {
+                            KindKey::Immediate(priority, weight.to_bits())
+                        }
+                        TransitionKind::Timed { policy, .. } => KindKey::Timed(policy),
+                    },
+                    inputs: net.inputs(t).collect(),
+                    outputs: net.outputs(t).collect(),
+                    inhibitors: net.inhibitors(t).collect(),
+                })
+                .collect(),
+        }
+    }
+}
+
+/// Net-pass findings by structure. Entries carry no location except the
+/// `field` a pass set. No cap: a run's output already holds a copy of every
+/// stored diagnostic.
+#[derive(Default)]
+struct Memo(Mutex<HashMap<NetKey, Vec<Diagnostic>>>);
+
+impl Memo {
+    fn check(&self, net: &PetriNet, loc: &Location) -> Vec<Diagnostic> {
+        let key = NetKey::of(net);
+        let cached = self.entries().get(&key).cloned();
+        let found = cached.unwrap_or_else(|| {
+            // Run the passes outside the lock; a concurrent miss on the same
+            // key computes the same findings, so either insert is right.
+            let found = run_passes(net, &Location::default());
+            self.entries().insert(key, found.clone());
+            found
+        });
+        found
+            .into_iter()
+            .map(|mut d| {
+                let field = d.location.field.take().or_else(|| loc.field.clone());
+                d.location = Location {
+                    field,
+                    ..loc.clone()
+                };
+                d
+            })
+            .collect()
+    }
+
+    fn entries(&self) -> MutexGuard<'_, HashMap<NetKey, Vec<Diagnostic>>> {
+        // Every update is one `insert` of a finished entry, so a poisoned
+        // map is still a valid memo.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Run every net pass, bypassing the memo.
+fn run_passes(net: &PetriNet, loc: &Location) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    semiflow_pass(net, &loc, &mut out);
-    structural_pass(net, &loc, &mut out);
-    dead_and_deadlock_pass(net, &loc, &mut out);
+    semiflow_pass(net, loc, &mut out);
+    structural_pass(net, loc, &mut out);
+    dead_and_deadlock_pass(net, loc, &mut out);
     out
 }
 
@@ -259,7 +374,7 @@ fn dead_and_deadlock_pass(net: &PetriNet, loc: &Location, out: &mut Vec<Diagnost
 mod tests {
     use super::*;
     use crate::diag::Severity;
-    use wsnem_petri::NetBuilder;
+    use wsnem_petri::{NetBuilder, NetSpec};
     use wsnem_scenario::builtin;
 
     #[test]
@@ -281,8 +396,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn inhibitor_frozen_net_reports_e007_with_witness() {
+    /// `t` moves A's two tokens to B until B's inhibitor freezes it.
+    fn frozen_net() -> PetriNet {
         let mut b = NetBuilder::new();
         let a = b.place("A", 2);
         let bb = b.place("B", 0);
@@ -290,17 +405,11 @@ mod tests {
         b.input_arc(a, t, 1);
         b.output_arc(t, bb, 1);
         b.inhibitor_arc(bb, t, 1);
-        let net = b.build().expect("valid net");
-        let diags = check_net(&net, Location::default());
-        let hit = diags
-            .iter()
-            .find(|d| d.code == "E007")
-            .expect("deadlock must be found");
-        assert!(hit.message.contains("inhibitor"), "{hit:?}");
+        b.build().expect("valid net")
     }
 
-    #[test]
-    fn starved_transition_reports_e008() {
+    /// A live P0/P1 cycle plus `dead`, whose input place is never marked.
+    fn starved_net() -> PetriNet {
         let mut b = NetBuilder::new();
         let p0 = b.place("P0", 1);
         let p1 = b.place("P1", 0);
@@ -314,8 +423,46 @@ mod tests {
         let dead = b.exponential("dead", 1.0);
         b.input_arc(never, dead, 1);
         b.output_arc(dead, p0, 1);
-        let net = b.build().expect("valid net");
-        let diags = check_net(&net, Location::default());
+        b.build().expect("valid net")
+    }
+
+    /// Immediates `hi` and `lo` conflict on P0; `lo` loses whenever its
+    /// priority is lower.
+    fn conflict_net(lo_priority: u8) -> PetriNet {
+        let mut b = NetBuilder::new();
+        let p0 = b.place("P0", 1);
+        let p1 = b.place("P1", 0);
+        for (name, priority) in [("hi", 2), ("lo", lo_priority)] {
+            let t = b.immediate(name, priority, 1.0);
+            b.input_arc(p0, t, 1);
+            b.output_arc(t, p1, 1);
+        }
+        let back = b.exponential("back", 1.0);
+        b.input_arc(p1, back, 1);
+        b.output_arc(back, p0, 1);
+        b.build().expect("valid net")
+    }
+
+    /// `net` rebuilt after one edit to its spec.
+    fn edited(net: &PetriNet, edit: impl FnOnce(&mut NetSpec)) -> PetriNet {
+        let mut spec = net.to_spec();
+        edit(&mut spec);
+        spec.build().expect("valid edited net")
+    }
+
+    #[test]
+    fn inhibitor_frozen_net_reports_e007_with_witness() {
+        let diags = check_net(&frozen_net(), Location::default());
+        let hit = diags
+            .iter()
+            .find(|d| d.code == "E007")
+            .expect("deadlock must be found");
+        assert!(hit.message.contains("inhibitor"), "{hit:?}");
+    }
+
+    #[test]
+    fn starved_transition_reports_e008() {
+        let diags = check_net(&starved_net(), Location::default());
         let hit = diags
             .iter()
             .find(|d| d.code == "E008")
@@ -323,5 +470,89 @@ mod tests {
         assert_eq!(hit.location.field.as_deref(), Some("dead"));
         // The live cycle keeps the net deadlock-free.
         assert!(diags.iter().all(|d| d.code != "E007"), "{diags:?}");
+    }
+
+    #[test]
+    fn memo_cold_calls_and_hits_equal_the_unmemoized_passes() {
+        let mut nets: Vec<PetriNet> = builtin::all()
+            .iter()
+            .map(|s| edspn(s).expect("builtin EDSPN builds"))
+            .collect();
+        nets.extend([frozen_net(), starved_net()]);
+        let locs = [
+            Location::default(),
+            Location::scenario("s").with_file("f.toml").with_node("n"),
+            // A caller's field survives where no pass set one.
+            Location::scenario("s").with_field("cpu"),
+        ];
+        for net in &nets {
+            let memo = Memo::default();
+            for loc in &locs {
+                let want = run_passes(net, loc);
+                assert_eq!(memo.check(net, loc), want, "{loc}");
+                assert_eq!(memo.check(net, loc), want, "{loc}: hit");
+            }
+            assert_eq!(memo.entries().len(), 1);
+        }
+    }
+
+    #[test]
+    fn nets_differing_only_in_delays_share_one_entry() {
+        let memo = Memo::default();
+        let loc = Location::scenario("s");
+        let points = [
+            (0.5, Dist::Exponential { rate: 10.0 }, 0.5, 0.001),
+            (0.75, Dist::Deterministic(0.1), 2.0, 0.3),
+            (0.1, Dist::Exponential { rate: 4.0 }, 0.01, 1.0),
+        ];
+        for (lambda, service, t, d) in points {
+            let (net, _) =
+                build_cpu_edspn_with_service(lambda, service, t, d).expect("valid parameters");
+            assert_eq!(memo.check(&net, &loc), run_passes(&net, &loc));
+        }
+        assert_eq!(memo.entries().len(), 1);
+    }
+
+    #[test]
+    fn any_structural_edit_gets_its_own_entry_and_verdict() {
+        let loc = Location::scenario("s");
+        let frozen = frozen_net();
+        let conflict = conflict_net(1);
+        let variants = [
+            // Input arc A -> t consumes two tokens.
+            edited(&frozen, |s| s.arcs[0].multiplicity = 2),
+            // B's inhibitor threshold 1 -> 3: the deadlock is no longer
+            // inhibitor-induced; A simply runs dry.
+            edited(&frozen, |s| s.arcs[2].multiplicity = 3),
+            edited(&frozen, |s| s.places[0].initial = 1),
+            edited(&frozen, |s| {
+                s.places[1].name = "C".into();
+                for arc in s.arcs.iter_mut().filter(|a| a.place == "B") {
+                    arc.place = "C".into();
+                }
+            }),
+            // Equal priorities: `lo` is no longer dead.
+            conflict_net(2),
+        ];
+        let memo = Memo::default();
+        let base_frozen = memo.check(&frozen, &loc);
+        let base_conflict = memo.check(&conflict, &loc);
+        assert!(base_conflict.iter().any(|d| d.code == "E008"));
+        for (i, net) in variants.iter().enumerate() {
+            let got = memo.check(net, &loc);
+            assert_eq!(got, run_passes(net, &loc), "variant {i}");
+            assert_ne!(got, base_frozen, "variant {i}");
+            assert_ne!(got, base_conflict, "variant {i}");
+            assert_eq!(memo.entries().len(), 3 + i, "variant {i}");
+        }
+        let raised = memo.check(&variants[1], &loc);
+        let e007 = raised
+            .iter()
+            .find(|d| d.code == "E007")
+            .expect("A runs dry");
+        assert!(!e007.message.contains("inhibitor"), "{e007:?}");
+        assert!(e007.help.is_none(), "{e007:?}");
+        let equal = memo.check(&variants[4], &loc);
+        assert!(equal.iter().all(|d| d.code != "E008"), "{equal:?}");
     }
 }

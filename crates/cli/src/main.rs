@@ -839,10 +839,13 @@ fn run_with_progress(g: &Gathered, o: &RunOptions) -> Result<BatchRun, String> {
             .map_err(|e| e.to_string())?;
             if !o.quiet {
                 let bound = coord.local_addr().map_err(|e| e.to_string())?;
-                eprintln!(
-                    "serving {} scenario(s) on {bound} (join with `wsnem worker {bound}`)",
+                // One write: `eprintln!` issues a write(2) per format piece,
+                // and a reader polling the log could see a torn address.
+                let line = format!(
+                    "serving {} scenario(s) on {bound} (join with `wsnem worker {bound}`)\n",
                     g.scenarios.len()
                 );
+                let _ = std::io::Write::write_all(&mut std::io::stderr(), line.as_bytes());
             }
             let outcome = coord.run(on_done).map_err(|e| e.to_string())?;
             (

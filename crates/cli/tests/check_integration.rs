@@ -96,6 +96,61 @@ fn checking_the_fixture_directory_surfaces_all_three_codes() {
     }
 }
 
+/// The `diagnostics` array of `wsnem check <target> --format json`.
+fn json_diagnostics(target: &str) -> Vec<serde_json::Value> {
+    let out = wsnem(&["check", target, "--format", "json"]);
+    let v = serde_json::parse(&stdout(&out)).expect("valid JSON");
+    v.get("diagnostics")
+        .and_then(|d| d.as_seq())
+        .expect("a diagnostics array")
+        .to_vec()
+}
+
+#[test]
+fn checking_a_directory_equals_checking_each_file_alone() {
+    // One process reuses net-pass findings across targets with the same net
+    // structure (the generated scenarios share the EDSPN; the renamed copy
+    // shares the deadlock net); each finding must still name its own target.
+    let dir = temp_dir("mixed");
+    let dir_s = dir.to_str().unwrap();
+    let out = wsnem(&["gen", dir_s, "--field", "lambda=0.25:0.75:3"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    for name in [
+        "deadlock.net.json",
+        "dead-transition.net.json",
+        "unstable-lambda.toml",
+    ] {
+        std::fs::copy(fixture(name), dir.join(name)).unwrap();
+    }
+    std::fs::copy(fixture("deadlock.net.json"), dir.join("renamed.net.json")).unwrap();
+
+    let whole = json_diagnostics(dir_s);
+    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| !p.ends_with("manifest.json"))
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 7);
+    let mut each: Vec<serde_json::Value> = files
+        .iter()
+        .flat_map(|f| json_diagnostics(f.to_str().unwrap()))
+        .collect();
+    // `check` lists findings worst-first, stable within a severity.
+    each.sort_by_key(|d| match d.get("severity").and_then(|s| s.as_str()) {
+        Some("error") => 0,
+        Some("warning") => 1,
+        _ => 2,
+    });
+    assert_eq!(whole, each);
+    let deadlocks = whole
+        .iter()
+        .filter(|d| d.get("code").and_then(|c| c.as_str()) == Some("E007"))
+        .count();
+    assert_eq!(deadlocks, 2, "one deadlock per copy of the net");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn lint_overrides_rewrite_severities() {
     // Allowing the specific code turns the failing fixture clean — the

@@ -5,9 +5,11 @@
 //! an unopenable result cache.
 
 #![allow(clippy::disallowed_methods)] // tests/examples may panic on broken invariants
+use std::io::Read;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn wsnem(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_wsnem"))
@@ -174,6 +176,61 @@ fn distributed_run_with_no_workers_falls_back_to_a_local_run() {
         ),
         "{err}"
     );
+}
+
+#[test]
+fn the_coordinator_announces_its_address_in_one_write() {
+    // Workers are started from the address a launcher reads off this pipe;
+    // a line split across writes can hand them a torn address.
+    let dir = fresh_dir("announce");
+    gen_fleet(&dir, 2);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_wsnem"))
+        .args([
+            "run",
+            dir.to_str().unwrap(),
+            "--distributed",
+            "127.0.0.1:0",
+            "--grace",
+            "0.3",
+            "--quick",
+            "--format",
+            "csv",
+        ])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn wsnem");
+    let mut pipe = child.stderr.take().unwrap();
+    let mut buf = [0u8; 4096];
+    let n = pipe.read(&mut buf).unwrap();
+    let first = String::from_utf8_lossy(&buf[..n]).into_owned();
+    let mut rest = String::new();
+    pipe.read_to_string(&mut rest).unwrap();
+    assert!(child.wait().unwrap().success(), "stderr: {first}{rest}");
+    let line = first.lines().next().unwrap_or_default();
+    let addr = line
+        .strip_prefix("serving 4 scenario(s) on ")
+        .and_then(|tail| tail.split(' ').next())
+        .unwrap_or_else(|| panic!("first read: {first:?}"));
+    assert!(addr.starts_with("127.0.0.1:"), "first read: {first:?}");
+    assert!(
+        first.starts_with(&format!("{line}\n"))
+            && line.ends_with(&format!("(join with `wsnem worker {addr}`)")),
+        "first read: {first:?}"
+    );
+}
+
+#[test]
+fn a_worker_given_a_malformed_address_fails_fast() {
+    let start = Instant::now();
+    let out = wsnem(&["worker", "127."]);
+    assert!(!out.status.success());
+    assert!(
+        start.elapsed() < Duration::from_secs(2),
+        "{:?}",
+        start.elapsed()
+    );
+    assert!(stderr(&out).contains("`127.`"), "{}", stderr(&out));
 }
 
 fn slow_des_scenario() -> PathBuf {

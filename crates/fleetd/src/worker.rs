@@ -8,7 +8,7 @@
 //! it already computed instantly — the digest in `Assign` is the same
 //! content hash the cache files under.
 
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -127,7 +127,8 @@ fn read_reply(r: &mut TcpStream, wait: Duration) -> Result<Message, FleetdError>
 }
 
 /// Run a worker against `addr` until the coordinator says `Done`, a
-/// `kill-after` fault fires, or the reconnect budget is exhausted.
+/// `kill-after` fault fires, or the reconnect budget is exhausted. An
+/// `addr` that does not resolve fails at once, before any connect.
 pub fn run_worker(addr: &str, opts: WorkerOptions) -> Result<WorkerSummary, FleetdError> {
     let cache = match &opts.cache_dir {
         Some(dir) => {
@@ -138,9 +139,15 @@ pub fn run_worker(addr: &str, opts: WorkerOptions) -> Result<WorkerSummary, Flee
     let mut plan = opts.fault_plan.clone();
     let mut summary = WorkerSummary::default();
     let mut rng = Xoshiro256PlusPlus::new(StableHasher::hash_bytes(opts.name.as_bytes()) as u64);
+    // Resolve once: a malformed address can never connect, so it fails
+    // now, naming itself, instead of spending the retry budget.
+    let targets: Vec<SocketAddr> = addr
+        .to_socket_addrs()
+        .map_err(|e| FleetdError::Io(format!("coordinator address `{addr}`: {e}")))?
+        .collect();
     let mut attempt: u32 = 0;
     loop {
-        let stream = match TcpStream::connect(addr) {
+        let stream = match TcpStream::connect(&targets[..]) {
             Ok(s) => s,
             Err(e) => {
                 attempt += 1;

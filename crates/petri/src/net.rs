@@ -34,7 +34,7 @@ impl TransitionId {
 
 /// What happens to a timed transition's sampled firing time when the
 /// transition is disabled before it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum TimedPolicy {
     /// Race with resampling (a.k.a. *enabling memory*): the clock is
