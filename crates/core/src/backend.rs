@@ -1,12 +1,9 @@
 //! The unified solver-backend API.
 //!
-//! Historically the workspace spelled "which backend" three different ways
-//! (`ModelKind` in core, `CpuBackend` in wsn, `Backend` in the scenario
-//! schema) with copy-pasted `match` dispatch at every call site. This module
-//! collapses all of them into one [`BackendId`] plus an object-safe
-//! [`CpuSolver`] trait, a per-backend [`Capabilities`] descriptor and a
-//! [`BackendRegistry`] the rest of the workspace dispatches through — the
-//! single place a new backend has to be wired in.
+//! "Which backend" is one [`BackendId`] across the workspace, plus an
+//! object-safe [`CpuSolver`] trait, a per-backend [`Capabilities`]
+//! descriptor and a [`BackendRegistry`] the rest of the workspace
+//! dispatches through — the single place a new backend has to be wired in.
 //!
 //! ```
 //! use wsnem_core::{backend, BackendId, CpuModelParams, EvalOptions};
@@ -31,8 +28,7 @@ use crate::evaluation::ModelEvaluation;
 use crate::params::CpuModelParams;
 
 /// Canonical identifier of a solver backend — the one name shared by the
-/// core models, the node/network layer and the scenario schema (where the
-/// deprecated `CpuBackend` and `Backend` aliases now point here).
+/// core models, the node/network layer and the scenario schema.
 ///
 /// Serialized as its canonical variant name (`"Markov"`, `"Mg1"`,
 /// `"ErlangPhase"`, `"PetriNet"`, `"Des"`), so scenario files written

@@ -5,11 +5,6 @@ use wsnem_energy::{EnergyBreakdown, PowerProfile, StateFractions};
 use crate::backend::BackendId;
 use crate::error::CoreError;
 
-/// Deprecated alias of [`BackendId`], kept so pre-registry code compiles
-/// unchanged. Use [`BackendId`] in new code; `ModelKind`'s paper-legend
-/// display names now live in [`BackendId::paper_label`].
-pub type ModelKind = BackendId;
-
 /// A model's steady-state verdict on the CPU.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelEvaluation {
@@ -61,14 +56,13 @@ mod tests {
 
     #[test]
     fn paper_legends_live_on_paper_label() {
-        // ModelKind is a deprecated alias of BackendId: canonical names for
-        // Display/serialization, the paper's figure legends via
-        // `paper_label`.
-        assert_eq!(ModelKind::Markov.to_string(), "Markov");
-        assert_eq!(ModelKind::PetriNet.to_string(), "PetriNet");
-        assert_eq!(ModelKind::Des.to_string(), "Des");
-        assert_eq!(ModelKind::PetriNet.paper_label(), "Petri Net");
-        assert_eq!(ModelKind::Des.paper_label(), "Simulation");
+        // Canonical names for Display/serialization, the paper's figure
+        // legends via `paper_label`.
+        assert_eq!(BackendId::Markov.to_string(), "Markov");
+        assert_eq!(BackendId::PetriNet.to_string(), "PetriNet");
+        assert_eq!(BackendId::Des.to_string(), "Des");
+        assert_eq!(BackendId::PetriNet.paper_label(), "Petri Net");
+        assert_eq!(BackendId::Des.paper_label(), "Simulation");
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! trusted — the constant behind `wsn::tuning`'s backend choice.
 
 use wsnem_energy::StateFractions;
+use wsnem_stats::par;
 
 use crate::error::CoreError;
 use crate::evaluation::CpuModel;
@@ -41,35 +42,9 @@ pub fn delay_sweep(
     d_values: &[f64],
 ) -> Result<Vec<DelaySweepRow>, CoreError> {
     params.validate()?;
-    let n = d_values.len();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    let mut slots: Vec<Option<Result<DelaySweepRow, CoreError>>> = vec![None; n];
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .clamp(1, n.max(1));
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (k, chunk_slots) in slots.chunks_mut(chunk).enumerate() {
-            scope.spawn(move || {
-                for (j, slot) in chunk_slots.iter_mut().enumerate() {
-                    let d = d_values[k * chunk + j];
-                    *slot = Some(sweep_point(params, d));
-                }
-            });
-        }
-    });
-    let mut rows = Vec::with_capacity(n);
-    for slot in slots {
-        // `chunks_mut` partitions the whole slice, so every slot was written.
-        let Some(row) = slot else {
-            unreachable!("sweep point left unevaluated")
-        };
-        rows.push(row?);
-    }
-    Ok(rows)
+    par::map_indexed(d_values.len(), None, |i| sweep_point(params, d_values[i]))
+        .into_iter()
+        .collect()
 }
 
 fn sweep_point(base: CpuModelParams, d: f64) -> Result<DelaySweepRow, CoreError> {

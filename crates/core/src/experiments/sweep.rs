@@ -1,6 +1,7 @@
 //! Power-Down-Threshold sweeps — the x-axis of Figs. 4 and 5.
 
 use wsnem_energy::PowerProfile;
+use wsnem_stats::par;
 
 use crate::backend::BackendId;
 use crate::error::CoreError;
@@ -91,41 +92,11 @@ impl ThresholdSweep {
     /// single-threaded so the parallelism is not nested).
     pub fn run(&self) -> Result<SweepResult, CoreError> {
         self.params.validate()?;
-        let n = self.t_values.len();
-        if n == 0 {
-            return Ok(SweepResult {
-                params: self.params,
-                points: Vec::new(),
-            });
-        }
-        let mut slots: Vec<Option<Result<SweepPoint, CoreError>>> = vec![None; n];
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .clamp(1, n.max(1));
-        let chunk = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (k, chunk_slots) in slots.chunks_mut(chunk).enumerate() {
-                let t_values = &self.t_values;
-                let params = self.params;
-                scope.spawn(move || {
-                    for (j, slot) in chunk_slots.iter_mut().enumerate() {
-                        let t = t_values[k * chunk + j];
-                        *slot = Some(evaluate_point(params, t));
-                    }
-                });
-            }
-        });
-
-        let mut points = Vec::with_capacity(n);
-        for slot in slots {
-            // `chunks_mut` partitions the whole slice, so every slot was
-            // written.
-            let Some(point) = slot else {
-                unreachable!("sweep point left unevaluated")
-            };
-            points.push(point?);
-        }
+        let points = par::map_indexed(self.t_values.len(), None, |i| {
+            evaluate_point(self.params, self.t_values[i])
+        })
+        .into_iter()
+        .collect::<Result<_, _>>()?;
         Ok(SweepResult {
             params: self.params,
             points,

@@ -39,7 +39,7 @@ pub mod params;
 
 pub use backend::{BackendId, BackendRegistry, Capabilities, CpuSolver, EvalOptions, ServiceDist};
 pub use error::CoreError;
-pub use evaluation::{CpuModel, ModelEvaluation, ModelKind};
+pub use evaluation::{CpuModel, ModelEvaluation};
 pub use models::des_model::{DesCpuModel, DesSolver};
 pub use models::markov_model::{MarkovCpuModel, MarkovSolver};
 pub use models::mg1_model::{Mg1CpuModel, Mg1Solver};

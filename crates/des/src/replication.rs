@@ -8,6 +8,7 @@
 use wsnem_energy::StateFractions;
 use wsnem_stats::ci::ConfidenceInterval;
 use wsnem_stats::online::Welford;
+use wsnem_stats::par;
 use wsnem_stats::rng::StreamFactory;
 use wsnem_stats::StatsError;
 
@@ -68,48 +69,12 @@ pub fn run_replications(
     threads: Option<usize>,
 ) -> ReplicationSummary {
     assert!(n > 0, "need at least one replication");
-    let threads = threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        })
-        .clamp(1, n);
     let factory = StreamFactory::new(master_seed);
-
-    let mut reports: Vec<Option<CpuRunReport>> = vec![None; n];
-    if threads == 1 {
-        for (i, slot) in reports.iter_mut().enumerate() {
-            let mut rng = factory.stream(i as u64);
-            *slot = Some(sim.run(&mut rng));
-        }
-    } else {
-        // Static block partition: thread k owns a contiguous chunk. Each
-        // chunk is an exclusive &mut slice, so no locks in the hot path.
-        let chunk = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (k, slots) in reports.chunks_mut(chunk).enumerate() {
-                scope.spawn(move || {
-                    for (j, slot) in slots.iter_mut().enumerate() {
-                        let rep = k * chunk + j;
-                        let mut rng = factory.stream(rep as u64);
-                        *slot = Some(sim.run(&mut rng));
-                    }
-                });
-            }
-        });
-    }
-
-    // Ordered, deterministic reduction. Both branches above write every
-    // slot: the serial loop visits each index, and `chunks_mut` partitions
-    // the whole slice across threads.
-    let reports: Vec<CpuRunReport> = reports
-        .into_iter()
-        .map(|r| match r {
-            Some(report) => report,
-            None => unreachable!("replication slot left unfilled"),
-        })
-        .collect();
+    let reports = par::map_indexed(n, threads, |i| {
+        let mut rng = factory.stream(i as u64);
+        sim.run(&mut rng)
+    });
+    // Ordered, deterministic reduction.
     let mut fraction_stats = [Welford::new(); 4];
     let mut latency_stats = Welford::new();
     for r in &reports {

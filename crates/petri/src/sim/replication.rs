@@ -6,6 +6,7 @@
 
 use wsnem_stats::ci::ConfidenceInterval;
 use wsnem_stats::online::Welford;
+use wsnem_stats::par;
 use wsnem_stats::rng::StreamFactory;
 use wsnem_stats::StatsError;
 
@@ -62,45 +63,13 @@ pub fn simulate_replications(
 ) -> Result<PnReplicationSummary, PetriError> {
     assert!(n > 0, "need at least one replication");
     cfg.validate()?;
-    let threads = threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        })
-        .clamp(1, n);
     let factory = StreamFactory::new(master_seed);
-
-    let mut slots: Vec<Option<Result<SimOutput, PetriError>>> = vec![None; n];
-    if threads == 1 {
-        for (i, slot) in slots.iter_mut().enumerate() {
-            let mut rng = factory.stream(i as u64);
-            *slot = Some(simulate(net, cfg, rewards, &mut rng));
-        }
-    } else {
-        let chunk = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (k, chunk_slots) in slots.chunks_mut(chunk).enumerate() {
-                scope.spawn(move || {
-                    for (j, slot) in chunk_slots.iter_mut().enumerate() {
-                        let rep = k * chunk + j;
-                        let mut rng = factory.stream(rep as u64);
-                        *slot = Some(simulate(net, cfg, rewards, &mut rng));
-                    }
-                });
-            }
-        });
-    }
-
-    let mut outputs = Vec::with_capacity(n);
-    for slot in slots {
-        // Both branches above write every slot: the serial loop visits each
-        // index, and `chunks_mut` partitions the whole slice across threads.
-        let Some(output) = slot else {
-            unreachable!("replication slot left unfilled")
-        };
-        outputs.push(output?);
-    }
+    let outputs = par::map_indexed(n, threads, |i| {
+        let mut rng = factory.stream(i as u64);
+        simulate(net, cfg, rewards, &mut rng)
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
     let mut reward_stats = vec![Welford::new(); rewards.len()];
     let mut place_stats = vec![Welford::new(); net.n_places()];
     for out in &outputs {

@@ -17,13 +17,12 @@
 //! CPU arrival rate and radio traffic — the load imbalance that determines
 //! network lifetime. v1 files keep loading unchanged.
 //!
-//! Schema v3 unifies backend selection on [`wsnem_core::BackendId`] (the
-//! schema's `Backend` is now a deprecated alias) and adds an optional
-//! `service` section — a serializable service-time distribution for the
-//! backends whose [`wsnem_core::Capabilities`] allow it. The [`compare`]
-//! module runs *every registered backend* over a scenario's sweep and emits
-//! the paper's Table 4/5 as a cross-backend comparison matrix
-//! (`wsnem compare`).
+//! Schema v3 unifies backend selection on [`wsnem_core::BackendId`] and
+//! adds an optional `service` section — a serializable service-time
+//! distribution for the backends whose [`wsnem_core::Capabilities`] allow
+//! it. The [`compare`] module runs *every registered backend* over a
+//! scenario's sweep and emits the paper's Table 4/5 as a cross-backend
+//! comparison matrix (`wsnem compare`).
 //!
 //! Schema v4 makes the radio a first-class model input: a network can name
 //! a duty-cycle MAC ([`RadioSpec`] — presets, LPL, B-MAC-style full
@@ -96,9 +95,9 @@ pub use runner::{
     run_scenario_bounded, BatchMetrics, BatchProgress, AGGREGATE_NODE_THRESHOLD,
 };
 pub use schema::{
-    Backend, BatterySpec, NetworkSpec, NodeSpec, ProfileSpec, ReportSpec, RouteSpec, Scenario,
-    SweepAxis, SweepSpec, TemplateSpec, TopologySpec, WorkloadSpec, MAX_TEMPLATE_COUNT,
-    MIN_SCHEMA_VERSION, SCHEMA_VERSION,
+    BatterySpec, NetworkSpec, NodeSpec, ProfileSpec, ReportSpec, RouteSpec, Scenario, SweepAxis,
+    SweepSpec, TemplateSpec, TopologySpec, WorkloadSpec, MAX_TEMPLATE_COUNT, MIN_SCHEMA_VERSION,
+    SCHEMA_VERSION,
 };
 pub use wsnem_core::backend::global as global_registry;
 pub use wsnem_core::{BackendId, BackendRegistry, Capabilities, ServiceDist};

@@ -7,6 +7,7 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 use wsnem_core::{backend, BackendId, CpuModelParams, EvalOptions};
 use wsnem_energy::{Battery, PowerProfile};
+use wsnem_stats::par;
 
 use crate::error::ScenarioError;
 use crate::report::{
@@ -277,13 +278,13 @@ pub fn run_batch_with_options(
 
 /// The batch work queue behind every batch entry point.
 ///
-/// Each worker claims the next scenario index `i` from an atomic counter
-/// and first asks `probe(i)`: a report it returns answers the scenario
-/// without running it and adds no busy time (the result cache's hit
-/// path). Otherwise the scenario runs under the optional watchdog and a
-/// successful report is handed to `store(i, report)` on the same worker
-/// before it claims the next index. Results come back in input order, and
-/// `on_done` sees one monotone `[done/total]` sequence.
+/// Scenarios run on [`wsnem_stats::par::map_indexed`]. For each claimed
+/// index `i` a worker first asks `probe(i)`: a report it returns answers
+/// the scenario without running it and adds no busy time (the result
+/// cache's hit path). Otherwise the scenario runs under the optional
+/// watchdog and a successful report is handed to `store(i, report)` on the
+/// same worker before it claims the next index. Results come back in input
+/// order, and `on_done` sees one monotone `[done/total]` sequence.
 pub(crate) fn run_batch_hooked(
     scenarios: &[Scenario],
     threads: Option<usize>,
@@ -296,90 +297,40 @@ pub(crate) fn run_batch_hooked(
     if n == 0 {
         return (Vec::new(), BatchMetrics::new(0, 0, 0.0, 0.0));
     }
-    let threads = threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        })
-        .clamp(1, n);
+    let threads = par::workers(n, threads);
     // Across-scenario parallelism: pin each scenario's inner replication
     // fan-out to one thread so the batch does not oversubscribe cores; a
     // single worker leaves the inner fan-out at all cores.
     let inner_threads = (threads > 1).then_some(1);
     let batch_started = Instant::now();
-    // Scenarios are claimed from an atomic work queue rather than split
-    // into static contiguous chunks: costs vary wildly (a DES-heavy
-    // scenario runs orders of magnitude longer than an analytic one, a
-    // cache hit costs a file read), and static partitioning left every
-    // other worker idle at the tail while one thread drained the
-    // expensive chunk.
-    let next = std::sync::atomic::AtomicUsize::new(0);
     // Incremented and reported under one lock, so the callback observes
     // the completed counts in order whichever worker finishes. The count
     // is whole at every step, so a lock poisoned by a panicking callback
     // is safe to recover.
     let completed = std::sync::Mutex::new(0usize);
-    let worker = || {
-        let mut done = Vec::new();
-        let mut busy = 0.0;
-        loop {
-            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
-            let result = match probe(i) {
-                Some(report) => Ok(report),
-                None => {
-                    let started = Instant::now();
-                    let result =
-                        run_scenario_bounded(&scenarios[i], inner_threads, timeout_seconds);
-                    busy += started.elapsed().as_secs_f64();
-                    if let Ok(report) = &result {
-                        store(i, report);
-                    }
-                    result
+    let done = par::map_indexed(n, Some(threads), |i| {
+        let (result, busy) = match probe(i) {
+            Some(report) => (Ok(report), 0.0),
+            None => {
+                let started = Instant::now();
+                let result = run_scenario_bounded(&scenarios[i], inner_threads, timeout_seconds);
+                let busy = started.elapsed().as_secs_f64();
+                if let Ok(report) = &result {
+                    store(i, report);
                 }
-            };
-            if let Some(cb) = on_done {
-                let mut c = completed.lock().unwrap_or_else(|e| e.into_inner());
-                *c += 1;
-                cb(*c, n, &scenarios[i].name);
+                (result, busy)
             }
-            done.push((i, result));
+        };
+        if let Some(cb) = on_done {
+            let mut c = completed.lock().unwrap_or_else(|e| e.into_inner());
+            *c += 1;
+            cb(*c, n, &scenarios[i].name);
         }
-        (done, busy)
-    };
-    let parts = if threads == 1 {
-        vec![worker()]
-    } else {
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
-            workers
-                .into_iter()
-                // A worker Err means it panicked; re-raise the original payload.
-                .map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        })
-    };
+        (result, busy)
+    });
     let wall = batch_started.elapsed().as_secs_f64();
-    let mut slots: Vec<Option<Result<ScenarioReport, ScenarioError>>> =
-        (0..n).map(|_| None).collect();
-    let mut busy_seconds = 0.0;
-    for (done, busy) in parts {
-        busy_seconds += busy;
-        for (i, result) in done {
-            slots[i] = Some(result);
-        }
-    }
-    // The workers partition the index range, so every slot was written.
-    let results = slots
-        .into_iter()
-        .map(|slot| match slot {
-            Some(result) => result,
-            None => unreachable!("scenario left unran"),
-        })
-        .collect();
+    let busy_seconds = done.iter().map(|(_, busy)| busy).sum();
+    let results = done.into_iter().map(|(result, _)| result).collect();
     (results, BatchMetrics::new(n, threads, wall, busy_seconds))
 }
 

@@ -92,12 +92,6 @@ pub struct Scenario {
     pub network: Option<NetworkSpec>,
 }
 
-/// Deprecated alias of [`BackendId`], kept so pre-registry code compiles
-/// unchanged and schema v1/v2 files keep loading byte-identically (the
-/// serialized names are the same). The old `Backend::assumes_poisson`
-/// metadata now lives in each solver's [`wsnem_core::Capabilities`].
-pub type Backend = BackendId;
-
 /// Power profile selection: a named preset or custom per-state rates.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ProfileSpec {
@@ -1091,13 +1085,13 @@ mod tests {
 
     #[test]
     fn backend_metadata_is_capability_driven() {
-        // The old `Backend::assumes_poisson` now lives on Capabilities; the
-        // deprecated alias still gives the canonical serialized names.
+        // Whether a backend assumes Poisson arrivals lives on its
+        // Capabilities; `BackendId` gives the canonical serialized names.
         let caps = |b: BackendId| backend::global().capabilities_of(b).unwrap();
         assert!(caps(BackendId::Markov).assumes_poisson);
         assert!(caps(BackendId::PetriNet).assumes_poisson);
         assert!(!caps(BackendId::Des).assumes_poisson);
-        assert_eq!(Backend::ErlangPhase.to_string(), "ErlangPhase");
+        assert_eq!(BackendId::ErlangPhase.to_string(), "ErlangPhase");
     }
 
     #[test]

@@ -27,6 +27,8 @@
 //!   result cache's key function; `std::hash` is randomized per process).
 //! * [`pq`] — the cancellable tombstone timer heap shared by the DES kernel
 //!   and the EDSPN token-game engine (O(log n) schedule/pop, O(1) cancel).
+//! * [`par`] — the order-preserving parallel executor every compute pool
+//!   (replications, sweeps, node maps, scenario batches) runs on.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::disallowed_methods))]
@@ -44,6 +46,7 @@ pub mod hash;
 pub mod histogram;
 pub mod mser;
 pub mod online;
+pub mod par;
 pub mod pq;
 pub mod rng;
 pub mod timeweighted;

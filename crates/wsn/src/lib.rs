@@ -13,10 +13,9 @@
 //! * [`node`] — a sensor node: sensing workload → CPU jobs (+ radio
 //!   traffic), evaluated with any registered CPU backend, yielding power
 //!   breakdown and battery lifetime.
-//! * [`network`] — star-topology networks of heterogeneous nodes:
-//!   first-node death, mean lifetime, per-node breakdown.
-//! * [`topology`] — multi-hop routed networks (chain/tree/mesh with static
-//!   routes): per-node forwarding load propagated sink-ward, hop depths,
+//! * [`topology`] — routed networks of heterogeneous nodes (star, chain,
+//!   tree or mesh with static routes): per-node forwarding load propagated
+//!   sink-ward, hop depths, first-node death, mean lifetime and
 //!   relay-bottleneck identification (lifetime-ranked, so per-node radio
 //!   overrides shift the hot spot).
 //! * [`soa`] — the same routed model in structure-of-arrays form (flat
@@ -55,17 +54,15 @@
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 #![warn(missing_docs)]
 
-pub mod network;
 pub mod node;
 pub mod radio;
 pub mod soa;
 pub mod topology;
 pub mod tuning;
 
-// `BackendId` (and the deprecated `CpuBackend` alias) re-exported so node
-// and network analysis callers need no direct wsnem-core dependency.
-pub use network::{NetworkAnalysis, StarNetwork};
-pub use node::{CpuBackend, NodeAnalysis, NodeConfig};
+// `BackendId` re-exported so node and network analysis callers need no
+// direct wsnem-core dependency.
+pub use node::{NodeAnalysis, NodeConfig};
 pub use radio::{RadioModel, RadioSpec, RadioTimeSplit, DEFAULT_RADIO_PRESET};
 pub use soa::{
     chain_parents, star_parents, tree_parents, HistBin, NodeNames, SoaAnalysis, SoaNetwork,

@@ -30,12 +30,6 @@ use wsnem_energy::{Battery, PowerProfile, StateFractions};
 
 use crate::radio::RadioModel;
 
-/// Deprecated alias of [`BackendId`], kept so pre-registry code (and the
-/// scenario schema) compiles unchanged. Use [`BackendId`] in new code — node
-/// analysis now dispatches through the [`wsnem_core::BackendRegistry`]
-/// instead of matching on this enum.
-pub type CpuBackend = BackendId;
-
 /// Node configuration.
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -222,17 +216,6 @@ mod tests {
     fn event_rate_overrides_lambda() {
         let node = NodeConfig::monitoring("n", 4.0);
         assert!((node.cpu_params().lambda - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn deprecated_cpu_backend_alias_still_works() {
-        // Downstream code written against the pre-registry API keeps
-        // compiling: `CpuBackend` is `BackendId`.
-        let alias: CpuBackend = CpuBackend::Markov;
-        let direct: BackendId = BackendId::Markov;
-        assert_eq!(alias, direct);
-        let node = NodeConfig::monitoring("compat", 10.0);
-        assert_eq!(node.analyze(alias).unwrap(), node.analyze(direct).unwrap());
     }
 
     #[test]

@@ -34,8 +34,8 @@
 use wsnem_core::{BackendId, BackendRegistry, CpuModelParams, EvalOptions};
 use wsnem_energy::{Battery, PowerProfile};
 use wsnem_stats::dist::Sample;
+use wsnem_stats::par;
 
-use crate::network::parallel_node_map;
 use crate::radio::RadioModel;
 use crate::topology::{Network, NetworkError, NextHop};
 
@@ -404,7 +404,7 @@ impl SoaNetwork {
             subtree_sizes,
         } = self.routing().map_err(NetworkError::Routing)?;
         let mean_service = opts.service.to_dist(self.cpu.mu).mean();
-        let results = parallel_node_map(self.len(), threads, |i| {
+        let results = par::map_indexed(self.len(), threads, |i| {
             let params = self.cpu.with_forwarding(self.event_rate[i], forwarded[i]);
             let eval = registry.solve(backend, &params, opts)?;
             let cpu_power = self.cpu_profile.mean_power_mw(&eval.fractions);

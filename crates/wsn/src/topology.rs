@@ -2,11 +2,11 @@
 //!
 //! The paper models one node's CPU, but its WSN setting is multi-hop: relay
 //! nodes near the sink carry the aggregate traffic of their subtree, which
-//! is exactly the load imbalance that determines network lifetime. This
-//! module generalizes the star of [`crate::network`] into a routed
-//! [`Network`]: every node has a static [`NextHop`] toward the sink, and the
-//! per-node *forwarding load* is computed by propagating subtree packet
-//! rates sink-ward — a node's effective CPU arrival rate becomes
+//! is exactly the load imbalance that determines network lifetime. A
+//! routed [`Network`] gives every node a static [`NextHop`] toward the sink
+//! (a star is the one-hop case), and the per-node *forwarding load* is
+//! computed by propagating subtree packet rates sink-ward — a node's
+//! effective CPU arrival rate becomes
 //! `own_rate + sum(children's forwarded output)`, and its radio both
 //! receives and retransmits that forwarded traffic.
 //!
@@ -39,6 +39,7 @@
 //! ```
 
 use wsnem_core::BackendId;
+use wsnem_stats::par;
 
 use crate::node::{NodeAnalysis, NodeConfig};
 
@@ -138,8 +139,19 @@ pub struct RoutedAnalysis {
 
 impl Network {
     /// Every node transmits directly to the sink — the v1 star, as a routed
-    /// network (forwarding loads are all zero, so the analysis is identical
-    /// to [`crate::StarNetwork`]).
+    /// network. Forwarding loads are all zero, so each node's analysis is
+    /// its standalone [`NodeConfig::analyze`].
+    ///
+    /// ```
+    /// use wsnem_wsn::{BackendId, Network, NodeConfig};
+    ///
+    /// let nodes = (0..4)
+    ///     .map(|i| NodeConfig::monitoring(format!("node-{i}"), 10.0))
+    ///     .collect();
+    /// let a = Network::star(nodes).analyze(BackendId::Markov).unwrap();
+    /// // Identical nodes die together: first death == mean lifetime.
+    /// assert!((a.first_death_days() - a.mean_lifetime_days()).abs() < 1e-9);
+    /// ```
     pub fn star(nodes: Vec<NodeConfig>) -> Self {
         let next_hop = star_next_hops(nodes.len());
         Self { nodes, next_hop }
@@ -306,7 +318,7 @@ impl Network {
             forwarded,
             subtree_sizes: sizes,
         } = self.routing().map_err(NetworkError::Routing)?;
-        let analyses = crate::network::parallel_node_map(self.nodes.len(), threads, |i| {
+        let analyses = par::map_indexed(self.nodes.len(), threads, |i| {
             self.nodes[i].analyze_with_forwarding(backend, forwarded[i])
         });
         let mut per_node = Vec::with_capacity(self.nodes.len());
@@ -433,19 +445,52 @@ mod tests {
 
     #[test]
     fn star_has_no_forwarding_and_matches_star_network() {
+        // A star network analyzes every node on its own: the routed star
+        // must reproduce each standalone node analysis exactly.
         let nodes = monitoring_nodes(3, 10.0);
         let routed = Network::star(nodes.clone());
         routed.validate().unwrap();
         assert_eq!(routed.hop_depths().unwrap(), vec![1, 1, 1]);
         assert_eq!(routed.forwarded_rates().unwrap(), vec![0.0; 3]);
-
-        let star = crate::StarNetwork { nodes };
-        let a = star.analyze(BackendId::Markov).unwrap();
         let r = routed.analyze(BackendId::Markov).unwrap();
-        for (s, r) in a.per_node.iter().zip(&r.per_node) {
-            assert_eq!(s, &r.analysis, "star and routed-star must agree exactly");
+        for (node, r) in nodes.iter().zip(&r.per_node) {
+            let alone = node.analyze(BackendId::Markov).unwrap();
+            assert_eq!(alone, r.analysis, "star and routed-star must agree exactly");
         }
         assert!(r.bottleneck_relay().is_none());
+    }
+
+    #[test]
+    fn homogeneous_star_uniform_lifetimes() {
+        let a = Network::star(monitoring_nodes(4, 10.0))
+            .analyze(BackendId::Markov)
+            .unwrap();
+        assert_eq!(a.per_node.len(), 4);
+        let first = a.first_death_days();
+        let mean = a.mean_lifetime_days();
+        assert!(
+            (first - mean).abs() < 1e-9,
+            "homogeneous nodes die together"
+        );
+        assert!(a.total_power_mw() > 0.0);
+        assert!(a.bottleneck().is_some());
+    }
+
+    #[test]
+    fn heterogeneous_star_bottleneck_is_busiest() {
+        let mut nodes = monitoring_nodes(3, 30.0);
+        nodes[1] = NodeConfig::monitoring("hot", 0.5);
+        let a = Network::star(nodes).analyze(BackendId::Markov).unwrap();
+        assert_eq!(a.bottleneck().unwrap().analysis.name, "hot");
+        assert!(a.first_death_days() < a.mean_lifetime_days());
+    }
+
+    #[test]
+    fn empty_star() {
+        let a = Network::star(vec![]).analyze(BackendId::Markov).unwrap();
+        assert_eq!(a.mean_lifetime_days(), 0.0);
+        assert!(a.first_death_days().is_infinite());
+        assert!(a.bottleneck().is_none());
     }
 
     #[test]

@@ -10,9 +10,9 @@
 
 #![allow(clippy::disallowed_methods)] // tests/examples may panic on broken invariants
 use wsnem::wsn::BackendId;
-use wsnem::wsn::{NodeConfig, StarNetwork};
+use wsnem::wsn::{Network, NodeConfig};
 
-fn build_network(station_period: f64) -> StarNetwork {
+fn build_network(station_period: f64) -> Network {
     let mut nodes = Vec::new();
     for i in 0..5 {
         nodes.push(NodeConfig::monitoring(format!("interior-{i}"), 60.0));
@@ -24,7 +24,7 @@ fn build_network(station_period: f64) -> StarNetwork {
         nodes.push(n);
     }
     nodes.push(NodeConfig::monitoring("weather-station", station_period));
-    StarNetwork { nodes }
+    Network::star(nodes)
 }
 
 fn main() {
@@ -38,13 +38,13 @@ fn main() {
         "  {:<16} {:>10} {:>10} {:>10} {:>12}",
         "node", "cpu (mW)", "radio (mW)", "total (mW)", "life (days)"
     );
-    for n in &analysis.per_node {
+    for n in analysis.per_node.iter().map(|r| &r.analysis) {
         println!(
             "  {:<16} {:>10.3} {:>10.3} {:>10.3} {:>12.1}",
             n.name, n.cpu_power_mw, n.radio_power_mw, n.total_power_mw, n.lifetime_days
         );
     }
-    let bottleneck = analysis.bottleneck().expect("non-empty network");
+    let bottleneck = &analysis.bottleneck().expect("non-empty network").analysis;
     println!(
         "\n  Network lifetime (first death): {:.1} days — bottleneck: {}",
         analysis.first_death_days(),

@@ -11,9 +11,9 @@
 //! Run with: `cargo run --release --example surveillance_bursty`
 
 #![allow(clippy::disallowed_methods)] // tests/examples may panic on broken invariants
-use wsnem_scenario::{builtin, runner, Backend, ScenarioReport, WorkloadSpec};
+use wsnem_scenario::{builtin, runner, BackendId, ScenarioReport, WorkloadSpec};
 
-fn backend_of(report: &ScenarioReport, backend: Backend) -> &wsnem_scenario::BackendReport {
+fn backend_of(report: &ScenarioReport, backend: BackendId) -> &wsnem_scenario::BackendReport {
     report
         .backends
         .iter()
@@ -36,8 +36,8 @@ fn main() {
     println!("Surveillance node, mean arrival rate 1 detection/s, T = 0.5 s, D = 1 ms:\n");
 
     let report = runner::run_scenario(&scenario).expect("scenario runs");
-    let markov = backend_of(&report, Backend::Markov); // Poisson approximation
-    let des = backend_of(&report, Backend::Des); // real burst process
+    let markov = backend_of(&report, BackendId::Markov); // Poisson approximation
+    let des = backend_of(&report, BackendId::Des); // real burst process
     print_line("Poisson arrivals (Markov model)", markov);
     print_line("Bursty on-off (target transits)", des);
     let (poisson, bursty) = (markov.mean_power_mw, des.mean_power_mw);
@@ -53,7 +53,7 @@ fn main() {
         switch10: 0.01,
     });
     let mmpp_report = runner::run_scenario(&mmpp_scenario).expect("scenario runs");
-    let mmpp_des = backend_of(&mmpp_report, Backend::Des);
+    let mmpp_des = backend_of(&mmpp_report, BackendId::Des);
     print_line("MMPP day/night modulation", mmpp_des);
     let mmpp = mmpp_des.mean_power_mw;
 

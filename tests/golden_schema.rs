@@ -30,8 +30,8 @@ const GOLDEN_V5_PATH: &str = "tests/golden/scenario_v5.json";
 fn pinned_scenario_v1() -> Scenario {
     use wsnem::stats::dist::Dist;
     use wsnem_scenario::{
-        Backend, BatterySpec, NetworkSpec, NodeSpec, ProfileSpec, ReportSpec, SweepAxis, SweepSpec,
-        WorkloadSpec,
+        BackendId, BatterySpec, NetworkSpec, NodeSpec, ProfileSpec, ReportSpec, SweepAxis,
+        SweepSpec, WorkloadSpec,
     };
 
     let mut s = Scenario::paper_template("golden-v1");
@@ -56,10 +56,10 @@ fn pinned_scenario_v1() -> Scenario {
         rate_on: 5.0,
     });
     s.backends = vec![
-        Backend::Markov,
-        Backend::ErlangPhase,
-        Backend::PetriNet,
-        Backend::Des,
+        BackendId::Markov,
+        BackendId::ErlangPhase,
+        BackendId::PetriNet,
+        BackendId::Des,
     ];
     s.report = ReportSpec {
         energy_horizon_s: 2000.0,
@@ -325,7 +325,7 @@ fn golden_v1_file_still_loads_unchanged() {
     // And the loaded v1 network still analyzes: no topology → star.
     let mut quick = scenario;
     quick.cpu = quick.cpu.with_replications(2).with_horizon(300.0);
-    quick.backends = vec![wsnem_scenario::Backend::Markov];
+    quick.backends = vec![wsnem_scenario::BackendId::Markov];
     quick.sweep = None;
     quick.workload = None;
     let report = runner::run_scenario(&quick).unwrap();

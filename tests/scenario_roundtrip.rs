@@ -8,7 +8,7 @@ use wsnem::core::CpuModelParams;
 use wsnem::petri::{NetBuilder, NetSpec, TransitionKind};
 use wsnem::stats::dist::Dist;
 use wsnem::stats::rng::{Rng64, StreamFactory};
-use wsnem_scenario::{builtin, files, runner, Backend, FileFormat, Scenario};
+use wsnem_scenario::{builtin, files, runner, BackendId, FileFormat, Scenario};
 
 fn uniform<R: Rng64>(rng: &mut R, lo: f64, hi: f64) -> f64 {
     lo + (hi - lo) * rng.next_f64()
@@ -144,10 +144,10 @@ agreement_tolerance_pp = 3.0
     assert_eq!(scenario.name, "my-experiment");
     let report = runner::run_scenario(&scenario).unwrap();
     assert_eq!(report.backends.len(), 3);
-    let kinds: Vec<Backend> = report.backends.iter().map(|b| b.backend).collect();
+    let kinds: Vec<BackendId> = report.backends.iter().map(|b| b.backend).collect();
     assert_eq!(
         kinds,
-        vec![Backend::Markov, Backend::PetriNet, Backend::Des]
+        vec![BackendId::Markov, BackendId::PetriNet, BackendId::Des]
     );
     for b in &report.backends {
         assert!(b.fractions.is_normalized(1e-6), "{:?}", b.fractions);

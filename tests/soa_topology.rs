@@ -262,3 +262,36 @@ fn homogeneous_constructor_matches_the_oracle_on_regular_topologies() {
         }
     }
 }
+
+#[test]
+fn soa_node_map_is_bit_identical_across_thread_counts() {
+    // 10^4 nodes on 3 workers claim blocks of 10^4 / (3 × 1024) = 3 nodes,
+    // so this runs multi-index blocks on the real node map. Per-node rates
+    // differ, so a result written to the wrong index would show.
+    let n = 10_000;
+    let mut rng = Xoshiro256PlusPlus::new(0x7EE);
+    let nodes = (0..n)
+        .map(|i| {
+            let mut node = NodeConfig::monitoring(format!("n{}", i + 1), 60.0);
+            node.event_rate = (0.2 + 0.8 * rng.next_f64()) / n as f64;
+            node
+        })
+        .collect();
+    let soa = SoaNetwork::from_network(&Network::tree(nodes, 4)).unwrap();
+    let run = |threads| {
+        soa.analyze_with(global(), BackendId::Mg1, &EvalOptions::default(), threads)
+            .unwrap()
+    };
+    let (one, three) = (run(Some(1)), run(Some(3)));
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(one.depths, three.depths);
+    assert_eq!(one.subtree_sizes, three.subtree_sizes);
+    assert_eq!(bits(&one.forwarded), bits(&three.forwarded));
+    assert_eq!(bits(&one.total_power_mw), bits(&three.total_power_mw));
+    assert_eq!(bits(&one.lifetime_days), bits(&three.lifetime_days));
+    assert_eq!(bits(&one.rho), bits(&three.rho));
+    assert_eq!(
+        one.sink_arrival_pkts_s.to_bits(),
+        three.sink_arrival_pkts_s.to_bits()
+    );
+}

@@ -189,8 +189,9 @@ fn random_cycles_are_rejected() {
     }
 }
 
-/// The routed star is numerically identical to the legacy star analysis —
-/// the v1 ↔ v2 bridge at the analysis level.
+/// The routed star is numerically identical to the legacy star analysis,
+/// which analyzed every node on its own — the v1 ↔ v2 bridge at the
+/// analysis level.
 #[test]
 fn routed_star_matches_legacy_star_exactly() {
     let factory = StreamFactory::new(0x7090_4000);
@@ -198,14 +199,16 @@ fn routed_star_matches_legacy_star_exactly() {
         let mut rng = factory.stream(i);
         let n = 1 + rng.next_bounded(6) as usize;
         let nodes = arb_nodes(&mut rng, n);
-        let star = wsnem::wsn::StarNetwork {
-            nodes: nodes.clone(),
-        };
-        let legacy = star.analyze(BackendId::Markov).unwrap();
-        let routed = Network::star(nodes).analyze(BackendId::Markov).unwrap();
-        assert_eq!(legacy.per_node.len(), routed.per_node.len());
-        for (a, b) in legacy.per_node.iter().zip(&routed.per_node) {
-            assert_eq!(a, &b.analysis, "case {i}: star analyses must be identical");
+        let routed = Network::star(nodes.clone())
+            .analyze(BackendId::Markov)
+            .unwrap();
+        assert_eq!(nodes.len(), routed.per_node.len());
+        for (node, b) in nodes.iter().zip(&routed.per_node) {
+            let legacy = node.analyze(BackendId::Markov).unwrap();
+            assert_eq!(
+                legacy, b.analysis,
+                "case {i}: star analyses must be identical"
+            );
             assert_eq!(b.hop_depth, 1);
             assert_eq!(b.forwarded_rx_pkts_s, 0.0);
         }
