@@ -177,6 +177,11 @@ WORKER OPTIONS:
     --cache <DIR>         Local result-cache directory (.wsnem-cache format);
                           a rejoining worker answers already-computed shards
                           from it without recomputing
+    --threads <N>         Shards computed at once over the one connection
+                          (default: all cores). With two or more slots each
+                          shard's replications run on one thread; --threads 1
+                          leases one shard at a time and spreads its
+                          replications over every core
     --retries <N>         Consecutive failed connection attempts before
                           giving up (default 10)
     --heartbeat <MS>      Heartbeat period in milliseconds (default 1000)
@@ -376,6 +381,18 @@ fn parse_seconds(flag: &str, v: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("{flag} expects a positive number of seconds, got `{v}`"))
 }
 
+/// Parse the value of `--threads`: a thread count of at least one.
+fn parse_threads(it: &mut std::slice::Iter<'_, String>) -> Result<usize, String> {
+    let v = required(it, "--threads <N>")?;
+    let n: usize = v
+        .parse()
+        .map_err(|_| format!("--threads expects a positive integer, got `{v}`"))?;
+    if n == 0 {
+        return Err("--threads must be >= 1".into());
+    }
+    Ok(n)
+}
+
 fn parse_run_options(args: &[String]) -> Result<RunOptions, String> {
     let mut o = RunOptions {
         format: "summary".into(),
@@ -397,16 +414,7 @@ fn parse_run_options(args: &[String]) -> Result<RunOptions, String> {
             "--all-files" => o.dirs.push(required(&mut it, "--all-files <DIR>")?),
             "--format" => o.format = required(&mut it, "--format <FMT>")?,
             "--out" | "-o" => o.out = Some(required(&mut it, "--out <FILE>")?),
-            "--threads" => {
-                let v = required(&mut it, "--threads <N>")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--threads expects a positive integer, got `{v}`"))?;
-                if n == 0 {
-                    return Err("--threads must be >= 1".into());
-                }
-                o.threads = Some(n);
-            }
+            "--threads" => o.threads = Some(parse_threads(&mut it)?),
             "--limit" => {
                 let v = required(&mut it, "--limit <N>")?;
                 o.node_limit = v
@@ -969,6 +977,7 @@ fn cmd_worker(args: &[String]) -> Result<(), String> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--name" => opts.name = required(&mut it, "--name <NAME>")?,
+            "--threads" => opts.threads = Some(parse_threads(&mut it)?),
             "--cache" => {
                 opts.cache_dir = Some(required(&mut it, "--cache <DIR>")?.into());
             }
@@ -1466,13 +1475,7 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
             "--quick" => quick = true,
             "--no-check" => no_check = true,
             "--tiered" => tiered = true,
-            "--threads" => {
-                let v = required(&mut it, "--threads <N>")?;
-                threads =
-                    Some(v.parse().ok().filter(|&n: &usize| n >= 1).ok_or_else(|| {
-                        format!("--threads expects a positive integer, got `{v}`")
-                    })?);
-            }
+            "--threads" => threads = Some(parse_threads(&mut it)?),
             "--max-delta-pp" => {
                 let v = required(&mut it, "--max-delta-pp <PP>")?;
                 max_delta_pp =

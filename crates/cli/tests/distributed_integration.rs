@@ -233,6 +233,27 @@ fn a_worker_given_a_malformed_address_fails_fast() {
     assert!(stderr(&out).contains("`127.`"), "{}", stderr(&out));
 }
 
+#[test]
+fn a_worker_rejects_zero_threads_with_the_run_message() {
+    let run = wsnem(&["run", "--all", "--quick", "--threads", "0"]);
+    assert!(!run.status.success());
+    assert!(
+        stderr(&run).contains("--threads must be >= 1"),
+        "{}",
+        stderr(&run)
+    );
+    let start = Instant::now();
+    let worker = wsnem(&["worker", "127.0.0.1:9", "--threads", "0"]);
+    assert!(!worker.status.success());
+    // Rejected while parsing, before any connection attempt.
+    assert!(
+        start.elapsed() < Duration::from_secs(2),
+        "{:?}",
+        start.elapsed()
+    );
+    assert_eq!(stderr(&worker), stderr(&run));
+}
+
 fn slow_des_scenario() -> PathBuf {
     let dir = std::env::temp_dir().join("wsnem-cli-dist-timeout");
     std::fs::create_dir_all(&dir).unwrap();

@@ -16,6 +16,12 @@
 //! (last-write-wins), so a reassigned shard completed twice stays one row
 //! in the merged report.
 //!
+//! Every connection's frames go through one state lock, so the work under
+//! it stays small: a `Request` takes the lowest pending index from an
+//! ordered set, a result finds its shard through a digest index, and a
+//! report is parsed before the lock and filed in the result cache after
+//! it.
+//!
 //! # Graceful degradation
 //!
 //! If no live worker has been connected for the grace window while shards
@@ -24,10 +30,10 @@
 //! on stderr, and records the fallback in [`DistStats`]. A fleet with no
 //! workers is a slow local run, never a hang.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
@@ -39,13 +45,14 @@ use wsnem_scenario::{
 };
 
 use crate::error::FleetdError;
+use crate::lock;
 use crate::protocol::{read_message, write_message, FrameError, Message, PROTOCOL_VERSION};
 
 /// Lease owner id reserved for the coordinator's own local fallback.
 const LOCAL_CONN: u64 = 0;
 
 /// How long a worker is told to wait when every shard is leased out.
-const NO_WORK_RETRY_MS: u64 = 200;
+const NO_WORK_RETRY_MS: u64 = 20;
 
 /// Knobs for a distributed run.
 #[derive(Debug, Clone)]
@@ -146,6 +153,11 @@ struct WorkerConn {
 
 struct State {
     shards: Vec<Shard>,
+    /// Shards neither done nor leased. `Request`s take the lowest index
+    /// first, so shards go out in fleet order.
+    pending: BTreeSet<usize>,
+    /// Shards under a live lease and not yet done.
+    leased: BTreeSet<usize>,
     results: Vec<Option<Result<ScenarioReport, ScenarioError>>>,
     /// Shards not yet done.
     remaining: usize,
@@ -158,8 +170,41 @@ struct State {
     dist: DistStats,
 }
 
+impl State {
+    /// Lease a pending shard to `conn` until `deadline`.
+    fn lease(&mut self, i: usize, conn: u64, deadline: Instant) {
+        self.pending.remove(&i);
+        self.leased.insert(i);
+        self.shards[i].lease = Some(Lease { conn, deadline });
+    }
+
+    /// Return a leased shard to the pending pool, counting the
+    /// reassignment.
+    fn release(&mut self, i: usize) {
+        self.shards[i].lease = None;
+        self.leased.remove(&i);
+        self.pending.insert(i);
+        self.dist.reassigned += 1;
+    }
+
+    /// Release every lease that `dead` condemns.
+    fn release_where(&mut self, dead: impl Fn(&Lease) -> bool) {
+        let doomed: Vec<usize> = self
+            .leased
+            .iter()
+            .copied()
+            .filter(|&i| self.shards[i].lease.as_ref().is_some_and(&dead))
+            .collect();
+        for i in doomed {
+            self.release(i);
+        }
+    }
+}
+
 struct Ctx<'a> {
     state: Mutex<State>,
+    /// Shard index by digest; fixed once the shards are built.
+    index: HashMap<String, usize>,
     cv: Condvar,
     done: AtomicBool,
     scenarios: &'a [Scenario],
@@ -170,12 +215,6 @@ struct Ctx<'a> {
     timeout_ms: Option<u64>,
     on_done: Option<BatchProgress<'a>>,
     total: usize,
-}
-
-/// Mutex lock that survives a poisoned peer: a panicking handler thread
-/// must not take the whole fleet down with it.
-fn lock<'m, T>(m: &'m Mutex<T>) -> MutexGuard<'m, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 fn secs(s: f64) -> Duration {
@@ -290,8 +329,15 @@ impl<'a> Coordinator<'a> {
 
         let misses = shards.len();
         let remaining = shards.len();
+        let index = shards
+            .iter()
+            .enumerate()
+            .map(|(i, sh)| (sh.digest.clone(), i))
+            .collect();
         let ctx = Ctx {
             state: Mutex::new(State {
+                pending: (0..shards.len()).collect(),
+                leased: BTreeSet::new(),
                 shards,
                 results: slots,
                 remaining,
@@ -300,6 +346,7 @@ impl<'a> Coordinator<'a> {
                 last_live: Instant::now(),
                 dist,
             }),
+            index,
             cv: Condvar::new(),
             done: AtomicBool::new(false),
             scenarios: self.scenarios,
@@ -357,23 +404,11 @@ impl<'a> Coordinator<'a> {
                         if let Some(w) = st.workers.remove(&id) {
                             to_shutdown.push(w.stream);
                         }
-                        release_leases(&mut st, id);
+                        st.release_where(|l| l.conn == id);
                     }
                     // Reassign shards whose lease deadline passed without a
                     // heartbeat.
-                    let mut expired = 0;
-                    for sh in &mut st.shards {
-                        if sh.done {
-                            continue;
-                        }
-                        if let Some(l) = &sh.lease {
-                            if l.conn != LOCAL_CONN && l.deadline <= now {
-                                sh.lease = None;
-                                expired += 1;
-                            }
-                        }
-                    }
-                    st.dist.reassigned += expired;
+                    st.release_where(|l| l.conn != LOCAL_CONN && l.deadline <= now);
                     if !st.workers.is_empty() {
                         st.last_live = now;
                         None
@@ -382,14 +417,9 @@ impl<'a> Coordinator<'a> {
                         && st.remaining > 0
                     {
                         // Claim everything assignable for the local runner.
-                        let todo: Vec<usize> = (0..st.shards.len())
-                            .filter(|&i| !st.shards[i].done && st.shards[i].lease.is_none())
-                            .collect();
+                        let todo: Vec<usize> = st.pending.iter().copied().collect();
                         for &i in &todo {
-                            st.shards[i].lease = Some(Lease {
-                                conn: LOCAL_CONN,
-                                deadline: now + secs(1.0e9),
-                            });
+                            st.lease(i, LOCAL_CONN, now + secs(1.0e9));
                         }
                         st.dist.fell_back_local = true;
                         Some(todo)
@@ -495,28 +525,64 @@ fn run_local_fallback(
     };
     let timeout = ctx.timeout_ms.map(|ms| ms as f64 / 1000.0);
     let (results, inner) = run_batch_with_options(&subset, threads, Some(&cb), timeout);
-    let mut st = lock(&ctx.state);
-    for (&shard_idx, result) in todo.iter().zip(results) {
-        // `notify: false` — progress already streamed via the batch
-        // callback above.
-        complete_shard(ctx, &mut st, shard_idx, result, false, false);
-    }
+    let completed: Vec<Completed> = {
+        let mut st = lock(&ctx.state);
+        todo.iter()
+            .zip(results)
+            .filter_map(|(&shard_idx, result)| {
+                complete_shard(ctx, &mut st, shard_idx, result, false)
+            })
+            .collect()
+    };
     ctx.cv.notify_all();
+    for c in completed {
+        // Progress already streamed via the batch callback above.
+        c.store(ctx);
+    }
     inner.busy_seconds
+}
+
+/// A shard's first completion, with what is left to do once the state
+/// lock is released.
+struct Completed {
+    /// `(completed, total, name)` for the progress callback.
+    progress: (usize, usize, String),
+    /// Scenario index and report to file in the fleet's result cache.
+    cache_entry: Option<(usize, ScenarioReport)>,
+}
+
+impl Completed {
+    /// File the report in the result cache, if the fleet caches it.
+    fn store(self, ctx: &Ctx<'_>) {
+        if let Some((slot, report)) = self.cache_entry {
+            if let Some(cache) = ctx.caches[slot] {
+                store_or_warn(cache, &ctx.scenarios[slot], &report);
+            }
+        }
+    }
+
+    /// Wake the maintenance loop, report progress, then store.
+    fn finish(self, ctx: &Ctx<'_>) {
+        ctx.cv.notify_all();
+        if let Some(cb) = ctx.on_done {
+            let (done, total, name) = &self.progress;
+            cb(*done, *total, name);
+        }
+        self.store(ctx);
+    }
 }
 
 /// Mark a shard done and file its result, idempotently: a shard that is
 /// already done only overwrites the stored result (last-write-wins) and
-/// counts a duplicate. Returns progress-callback data when the caller
-/// should notify.
+/// counts a duplicate. Only a first completion is returned; its cache
+/// store runs after the caller unlocks.
 fn complete_shard(
     ctx: &Ctx<'_>,
     st: &mut State,
     shard_idx: usize,
     result: Result<ScenarioReport, ScenarioError>,
     remote: bool,
-    notify: bool,
-) -> Option<(usize, usize, String)> {
+) -> Option<Completed> {
     let slot = st.shards[shard_idx].slot;
     if st.shards[shard_idx].done {
         st.dist.duplicate_results += 1;
@@ -525,15 +591,16 @@ fn complete_shard(
         }
         return None;
     }
-    if let Ok(report) = &result {
-        if ctx.mode != CacheMode::Disabled {
-            if let Some(cache) = ctx.caches[slot] {
-                store_or_warn(cache, &ctx.scenarios[slot], report);
-            }
+    let cache_entry = match &result {
+        Ok(report) if ctx.mode != CacheMode::Disabled && ctx.caches[slot].is_some() => {
+            Some((slot, report.clone()))
         }
-    }
+        _ => None,
+    };
     st.shards[shard_idx].done = true;
     st.shards[shard_idx].lease = None;
+    st.pending.remove(&shard_idx);
+    st.leased.remove(&shard_idx);
     st.results[slot] = Some(result);
     st.remaining -= 1;
     st.completed += 1;
@@ -542,28 +609,10 @@ fn complete_shard(
     } else {
         st.dist.shards_local += 1;
     }
-    if notify {
-        Some((st.completed, ctx.total, st.shards[shard_idx].name.clone()))
-    } else {
-        None
-    }
-}
-
-/// Return every lease held by `conn` to the pending pool.
-fn release_leases(st: &mut State, conn: u64) {
-    let mut released = 0;
-    for sh in &mut st.shards {
-        if sh.done {
-            continue;
-        }
-        if let Some(l) = &sh.lease {
-            if l.conn == conn {
-                sh.lease = None;
-                released += 1;
-            }
-        }
-    }
-    st.dist.reassigned += released;
+    Some(Completed {
+        progress: (st.completed, ctx.total, st.shards[shard_idx].name.clone()),
+        cache_entry,
+    })
 }
 
 fn touch(st: &mut State, conn_id: u64) {
@@ -651,14 +700,9 @@ fn handle_conn(ctx: &Ctx<'_>, conn_id: u64, mut stream: TcpStream) {
                 let reply = {
                     let mut st = lock(&ctx.state);
                     touch(&mut st, conn_id);
-                    let pick = (0..st.shards.len())
-                        .find(|&i| !st.shards[i].done && st.shards[i].lease.is_none());
-                    match pick {
+                    match st.pending.first().copied() {
                         Some(i) => {
-                            st.shards[i].lease = Some(Lease {
-                                conn: conn_id,
-                                deadline: Instant::now() + ctx.lease,
-                            });
+                            st.lease(i, conn_id, Instant::now() + ctx.lease);
                             Message::Assign {
                                 digest: st.shards[i].digest.clone(),
                                 scenario: st.shards[i].key.clone(),
@@ -679,16 +723,17 @@ fn handle_conn(ctx: &Ctx<'_>, conn_id: u64, mut stream: TcpStream) {
                 }
             }
             Message::Result { digest, report } => {
-                let notice = {
+                // Parse before locking: every other connection's `Request`
+                // waits on the state lock.
+                let shard = ctx.index.get(&digest).copied();
+                let report = shard.and_then(|_| serde_json::from_str(&report).ok());
+                let completed = {
                     let mut st = lock(&ctx.state);
                     touch(&mut st, conn_id);
-                    ingest_result(ctx, &mut st, conn_id, &digest, &report)
+                    ingest_result(ctx, &mut st, conn_id, shard, report)
                 };
-                if let Some((done, total, name)) = notice {
-                    ctx.cv.notify_all();
-                    if let Some(cb) = ctx.on_done {
-                        cb(done, total, &name);
-                    }
+                if let Some(c) = completed {
+                    c.finish(ctx);
                 }
             }
             Message::Failed {
@@ -700,22 +745,19 @@ fn handle_conn(ctx: &Ctx<'_>, conn_id: u64, mut stream: TcpStream) {
                     Some(seconds) => ScenarioError::Timeout { seconds },
                     None => ScenarioError::Remote(error),
                 };
-                let notice = {
+                let completed = {
                     let mut st = lock(&ctx.state);
                     touch(&mut st, conn_id);
-                    match st.shards.iter().position(|s| s.digest == digest) {
-                        Some(i) => complete_shard(ctx, &mut st, i, Err(err), true, true),
+                    match ctx.index.get(&digest) {
+                        Some(&i) => complete_shard(ctx, &mut st, i, Err(err), true),
                         None => {
                             st.dist.rejected_frames += 1;
                             None
                         }
                     }
                 };
-                if let Some((done, total, name)) = notice {
-                    ctx.cv.notify_all();
-                    if let Some(cb) = ctx.on_done {
-                        cb(done, total, &name);
-                    }
+                if let Some(c) = completed {
+                    c.finish(ctx);
                 }
             }
             Message::Heartbeat { .. } => {
@@ -725,11 +767,9 @@ fn handle_conn(ctx: &Ctx<'_>, conn_id: u64, mut stream: TcpStream) {
                 // A heartbeat extends the holder's leases: slow-but-alive
                 // work is not reassigned from under a beating worker.
                 let deadline = Instant::now() + ctx.lease;
-                for sh in &mut st.shards {
-                    if sh.done {
-                        continue;
-                    }
-                    if let Some(l) = &mut sh.lease {
+                let State { shards, leased, .. } = &mut *st;
+                for &i in leased.iter() {
+                    if let Some(l) = &mut shards[i].lease {
                         if l.conn == conn_id {
                             l.deadline = deadline;
                         }
@@ -749,36 +789,36 @@ fn handle_conn(ctx: &Ctx<'_>, conn_id: u64, mut stream: TcpStream) {
     // Connection gone, however it went: free its leases for reassignment.
     let mut st = lock(&ctx.state);
     st.workers.remove(&conn_id);
-    release_leases(&mut st, conn_id);
+    st.release_where(|l| l.conn == conn_id);
     drop(st);
     ctx.cv.notify_all();
 }
 
-/// File a `Result` frame. Unknown digests and unparsable reports are
-/// rejected (the sender's lease is released so the shard can rerun);
-/// duplicates are tolerated last-write-wins.
+/// File a `Result` frame whose digest lookup and report parse ran before
+/// the lock. Unknown digests and unparsable reports are rejected (the
+/// sender's lease is released so the shard can rerun); duplicates are
+/// tolerated last-write-wins.
 fn ingest_result(
     ctx: &Ctx<'_>,
     st: &mut State,
     conn_id: u64,
-    digest: &str,
-    report_json: &str,
-) -> Option<(usize, usize, String)> {
-    let Some(idx) = st.shards.iter().position(|s| s.digest == digest) else {
+    shard: Option<usize>,
+    report: Option<ScenarioReport>,
+) -> Option<Completed> {
+    let Some(idx) = shard else {
         st.dist.rejected_frames += 1;
         return None;
     };
-    match serde_json::from_str::<ScenarioReport>(report_json) {
-        Ok(report) => complete_shard(ctx, st, idx, Ok(report), true, true),
-        Err(_) => {
+    match report {
+        Some(report) => complete_shard(ctx, st, idx, Ok(report), true),
+        None => {
             st.dist.rejected_frames += 1;
-            if !st.shards[idx].done {
-                if let Some(l) = &st.shards[idx].lease {
-                    if l.conn == conn_id {
-                        st.shards[idx].lease = None;
-                        st.dist.reassigned += 1;
-                    }
-                }
+            if st.shards[idx]
+                .lease
+                .as_ref()
+                .is_some_and(|l| l.conn == conn_id)
+            {
+                st.release(idx);
             }
             None
         }

@@ -14,6 +14,13 @@
 //! coordinator only answers — there is no push path to get ahead of a
 //! slow worker.
 //!
+//! A worker runs up to `--threads` shard slots over its one connection
+//! ([`WorkerOptions::threads`], default all cores) on the workspace's one
+//! executor, `wsnem_stats::par::map_indexed`. With several slots each
+//! shard's replications run on one thread, as in the local batch runner;
+//! one slot is the classic one-lease-at-a-time worker. The coordinator
+//! serves several leases per connection and answers in fleet order.
+//!
 //! ## Robustness model
 //!
 //! Everything here assumes workers die mid-shard and sockets lie:
@@ -52,3 +59,11 @@ pub use error::FleetdError;
 pub use fault::{Fault, FaultPlan, FaultPoint};
 pub use protocol::{FrameError, Message, MAX_FRAME_LEN, PROTOCOL_VERSION};
 pub use worker::{run_worker, WorkerOptions, WorkerSummary};
+
+use std::sync::{Mutex, MutexGuard};
+
+/// Mutex lock that survives a poisoned peer: a panicking thread must not
+/// take the whole fleet, or the worker's other shard slots, down with it.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}

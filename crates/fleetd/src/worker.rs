@@ -7,8 +7,20 @@
 //! `.wsnem-cache/`-format directory lets a rejoining worker answer shards
 //! it already computed instantly — the digest in `Assign` is the same
 //! content hash the cache files under.
+//!
+//! # Shard slots
+//!
+//! One connection runs up to `threads` shards at once (default: all
+//! cores, never more slots than the fleet has shards). The slots run on
+//! [`wsnem_stats::par::map_indexed`] and share the socket: a slot holds
+//! the read half only for one `Request` and its reply, and results go out
+//! through the same write lock as heartbeats. With several slots each
+//! shard's replications run on one thread, the batch runner's rule
+//! ([`par::inner_threads`]); `--threads 1` leases one shard at a time and
+//! fans its replications over every core. A kill, a lost connection or an
+//! error in one slot shuts the socket down so the others stop at once.
 
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -16,11 +28,13 @@ use std::time::{Duration, Instant};
 
 use wsnem_scenario::runner::run_scenario_bounded;
 use wsnem_scenario::{store_or_warn, ResultCache, Scenario, ScenarioError};
+use wsnem_stats::par;
 use wsnem_stats::rng::{Rng64, Xoshiro256PlusPlus};
 use wsnem_stats::StableHasher;
 
 use crate::error::FleetdError;
 use crate::fault::{write_garbage_frame, write_half_frame, Fault, FaultPlan, FaultPoint};
+use crate::lock;
 use crate::protocol::{read_message, write_message, FrameError, Message, PROTOCOL_VERSION};
 
 /// Knobs for one worker process.
@@ -45,6 +59,9 @@ pub struct WorkerOptions {
     /// Local per-scenario watchdog override in seconds; when `None` the
     /// coordinator's `Welcome` timeout applies.
     pub timeout_seconds: Option<f64>,
+    /// Shards computed at once over the one connection (`None` = all
+    /// cores); see the [module docs](self).
+    pub threads: Option<usize>,
 }
 
 impl Default for WorkerOptions {
@@ -58,6 +75,7 @@ impl Default for WorkerOptions {
             backoff_cap_ms: 5000,
             heartbeat_ms: 1000,
             timeout_seconds: None,
+            threads: None,
         }
     }
 }
@@ -103,10 +121,7 @@ fn backoff_delay(
 }
 
 fn send(writer: &Mutex<TcpStream>, msg: &Message) -> Result<(), FleetdError> {
-    let mut w = writer
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    write_message(&mut *w, msg).map_err(FleetdError::from)
+    write_message(&mut *lock(writer), msg).map_err(FleetdError::from)
 }
 
 /// Wait up to `wait` for the next frame, absorbing idle ticks.
@@ -206,8 +221,8 @@ pub fn run_worker(addr: &str, opts: WorkerOptions) -> Result<WorkerSummary, Flee
     }
 }
 
-/// One connection: `Hello`/`Welcome`, then the request/compute/result
-/// loop with a heartbeat thread writing through the shared socket lock.
+/// One connection: `Hello`/`Welcome`, then the shard slots sharing the
+/// socket, with a heartbeat thread writing through the shared socket lock.
 fn session(
     mut reader: TcpStream,
     opts: &WorkerOptions,
@@ -232,17 +247,27 @@ fn session(
         },
     )?;
     let welcome = read_reply(&mut reader, Duration::from_secs(10))?;
-    let Message::Welcome { timeout_ms, .. } = welcome else {
+    let Message::Welcome { shards, timeout_ms } = welcome else {
         return Err(FleetdError::Frame(FrameError::Corrupt(format!(
             "expected Welcome, got {welcome:?}"
         ))));
     };
-    let timeout = opts
-        .timeout_seconds
-        .or(timeout_ms.map(|ms| ms as f64 / 1000.0));
+    let slots = par::workers(usize::try_from(shards).unwrap_or(usize::MAX), opts.threads);
+    let session = Session {
+        opts,
+        cache,
+        timeout: opts
+            .timeout_seconds
+            .or(timeout_ms.map(|ms| ms as f64 / 1000.0)),
+        inner_threads: par::inner_threads(slots),
+        reader: Mutex::new(reader),
+        writer,
+        tally: Mutex::new(Tally { plan, summary }),
+        pause: AtomicBool::new(false),
+        ended: AtomicBool::new(false),
+    };
 
     let stop = AtomicBool::new(false);
-    let pause = AtomicBool::new(false);
     std::thread::scope(|scope| {
         scope.spawn(|| {
             // Heartbeats go through the same write lock as results, so the
@@ -257,55 +282,110 @@ fn session(
                 since_beat += 25;
                 if since_beat >= opts.heartbeat_ms {
                     since_beat = 0;
-                    if !pause.load(Ordering::SeqCst)
+                    if !session.pause.load(Ordering::SeqCst)
                         && send(
-                            &writer,
+                            &session.writer,
                             &Message::Heartbeat {
                                 worker: opts.name.clone(),
                             },
                         )
                         .is_err()
                     {
-                        // Dead socket; the shard loop will hit it too.
+                        // Dead socket; the shard slots will hit it too.
                         break;
                     }
                 }
             }
         });
-        let end = shard_loop(
-            &mut reader,
-            &writer,
-            opts,
-            cache,
-            plan,
-            summary,
-            timeout,
-            &pause,
-        );
+        let ends = par::map_indexed(slots, Some(slots), |_| {
+            let end = shard_loop(&session);
+            session.ended.store(true, Ordering::SeqCst);
+            if !matches!(end, Ok(SessionEnd::Done)) {
+                // Fail the other slots' reads at once instead of letting
+                // them wait on a connection this session is giving up.
+                let _ = lock(&session.writer).shutdown(Shutdown::Both);
+            }
+            end
+        });
         stop.store(true, Ordering::SeqCst);
-        end
+        // The most severe end wins: a kill is final, a lost or broken
+        // connection reconnects, and `Done` only when every slot agrees.
+        ends.into_iter()
+            .min_by_key(|end| match end {
+                Ok(SessionEnd::Killed) => 0,
+                Ok(SessionEnd::Lost) => 1,
+                Err(_) => 2,
+                Ok(SessionEnd::Done) => 3,
+            })
+            .unwrap_or(Ok(SessionEnd::Done))
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn shard_loop(
-    reader: &mut TcpStream,
-    writer: &Mutex<TcpStream>,
-    opts: &WorkerOptions,
-    cache: Option<&ResultCache>,
-    plan: &mut FaultPlan,
-    summary: &mut WorkerSummary,
+/// The fault plan and the counters, shared by every slot of a session: a
+/// fault's trigger counts the shards the whole worker has completed.
+struct Tally<'a> {
+    plan: &'a mut FaultPlan,
+    summary: &'a mut WorkerSummary,
+}
+
+impl Tally<'_> {
+    fn take_fault(&mut self, point: FaultPoint) -> Option<Fault> {
+        self.plan.take_at(point, self.summary.shards_done)
+    }
+}
+
+/// What the shard slots of one connection share.
+struct Session<'a> {
+    opts: &'a WorkerOptions,
+    cache: Option<&'a ResultCache>,
     timeout: Option<f64>,
-    pause: &AtomicBool,
-) -> Result<SessionEnd, FleetdError> {
+    /// Replication threads per shard: one when several slots already
+    /// fill the cores, else all cores.
+    inner_threads: Option<usize>,
+    /// Held for one `Request` and its reply, never while computing.
+    reader: Mutex<TcpStream>,
+    writer: Mutex<TcpStream>,
+    tally: Mutex<Tally<'a>>,
+    /// Set while a `delay-heartbeat` fault stalls: the heartbeat thread
+    /// stays silent.
+    pause: AtomicBool,
+    /// Set when any slot ends; the others stop before their next request.
+    ended: AtomicBool,
+}
+
+/// One slot: request a shard, compute it, send the result, repeat.
+fn shard_loop(session: &Session<'_>) -> Result<SessionEnd, FleetdError> {
+    let Session {
+        opts,
+        cache,
+        timeout,
+        inner_threads,
+        reader,
+        writer,
+        tally,
+        pause,
+        ended,
+    } = session;
     loop {
-        send(
-            writer,
-            &Message::Request {
-                worker: opts.name.clone(),
-            },
-        )?;
-        let reply = read_reply(reader, Duration::from_secs(30))?;
+        let reply = {
+            let mut reader = lock(reader);
+            if ended.load(Ordering::SeqCst) {
+                return Ok(SessionEnd::Done);
+            }
+            send(
+                writer,
+                &Message::Request {
+                    worker: opts.name.clone(),
+                },
+            )?;
+            let reply = read_reply(&mut reader, Duration::from_secs(30))?;
+            if matches!(reply, Message::Done) {
+                // Under the read lock: a sibling slot must not send a
+                // `Request` the draining coordinator will never answer.
+                ended.store(true, Ordering::SeqCst);
+            }
+            reply
+        };
         match reply {
             Message::Assign { digest, scenario } => {
                 // The digest is recomputed from the payload: a mismatch
@@ -316,7 +396,8 @@ fn shard_loop(
                         "shard digest does not match its scenario payload".into(),
                     )));
                 }
-                match plan.take_at(FaultPoint::Assigned, summary.shards_done) {
+                let fault = lock(tally).take_fault(FaultPoint::Assigned);
+                match fault {
                     Some(Fault::KillAfterShards(_)) => return Ok(SessionEnd::Killed),
                     Some(Fault::DelayHeartbeat { stall_ms, .. }) => {
                         pause.store(true, Ordering::SeqCst);
@@ -338,11 +419,11 @@ fn shard_loop(
                     .map_err(|e| FleetdError::Codec(e.to_string()))?;
                 let result = match cache.and_then(|c| c.lookup(&parsed).unwrap_or(None)) {
                     Some(report) => {
-                        summary.cache_hits += 1;
+                        lock(tally).summary.cache_hits += 1;
                         Ok(report)
                     }
                     None => {
-                        let r = run_scenario_bounded(&parsed, None, timeout);
+                        let r = run_scenario_bounded(&parsed, *inner_threads, *timeout);
                         if let (Ok(report), Some(c)) = (&r, cache) {
                             store_or_warn(c, &parsed, report);
                         }
@@ -367,26 +448,27 @@ fn shard_loop(
                         }
                     }
                 };
-                match plan.take_at(FaultPoint::Sending, summary.shards_done) {
+                if ended.load(Ordering::SeqCst) {
+                    // The fleet is done or the connection is gone: nobody
+                    // takes this result.
+                    return Ok(SessionEnd::Done);
+                }
+                let fault = lock(tally).take_fault(FaultPoint::Sending);
+                match fault {
                     Some(Fault::DropMidFrame(_)) => {
-                        let mut w = writer
-                            .lock()
-                            .unwrap_or_else(|poisoned| poisoned.into_inner());
+                        let mut w = lock(writer);
                         let _ = write_half_frame(&mut *w, &msg);
-                        let _ = w.shutdown(std::net::Shutdown::Both);
+                        let _ = w.shutdown(Shutdown::Both);
                         return Ok(SessionEnd::Lost);
                     }
                     Some(Fault::CorruptFrame(_)) => {
-                        let mut w = writer
-                            .lock()
-                            .unwrap_or_else(|poisoned| poisoned.into_inner());
-                        let _ = write_garbage_frame(&mut *w);
+                        let _ = write_garbage_frame(&mut *lock(writer));
                         return Ok(SessionEnd::Lost);
                     }
                     _ => {}
                 }
                 send(writer, &msg)?;
-                summary.shards_done += 1;
+                lock(tally).summary.shards_done += 1;
             }
             Message::NoWork { retry_ms } => {
                 std::thread::sleep(Duration::from_millis(retry_ms.clamp(10, 1000)));

@@ -214,9 +214,16 @@ fn fault_matrix_every_class_recovers_to_a_complete_identical_fleet() {
         .map(|r| normalized(r.as_ref().unwrap()))
         .collect();
 
-    for case in cases {
+    // One shard slot is the classic worker; two slots share the faulty
+    // connection, so the fault also cuts a sibling slot's lease or read.
+    for (threads, case) in [Some(1), Some(2)]
+        .into_iter()
+        .flat_map(|t| cases.iter().map(move |c| (t, c)))
+    {
+        let tag = format!("{} threads={threads:?}", case.tag);
         let faulty = WorkerOptions {
             fault_plan: FaultPlan::parse(case.plan).unwrap(),
+            threads,
             ..wopts("faulty")
         };
         // The faulty worker connects first so its fault is guaranteed to
@@ -225,47 +232,87 @@ fn fault_matrix_every_class_recovers_to_a_complete_identical_fleet() {
             &scenarios,
             &caches,
             CacheMode::Disabled,
-            case.opts,
+            case.opts.clone(),
             vec![(faulty, 0), (wopts("good"), 150)],
         );
 
         // Completion invariant: every scenario has exactly one Ok result,
         // no row missing, no row duplicated, numbers identical to local.
-        assert_eq!(outcome.results.len(), 6, "{}", case.tag);
+        assert_eq!(outcome.results.len(), 6, "{tag}");
         for (i, (got, want)) in outcome.results.iter().zip(&reference).enumerate() {
-            let got = got
-                .as_ref()
-                .unwrap_or_else(|e| panic!("{} [{i}]: {e}", case.tag));
-            assert_eq!(&normalized(got), want, "{} [{i}]", case.tag);
+            let got = got.as_ref().unwrap_or_else(|e| panic!("{tag} [{i}]: {e}"));
+            assert_eq!(&normalized(got), want, "{tag} [{i}]");
         }
-        assert_eq!(outcome.dist.shards_remote, 6, "{}", case.tag);
-        assert_eq!(outcome.dist.shards_local, 0, "{}", case.tag);
-        assert!(!outcome.dist.fell_back_local, "{}", case.tag);
+        assert_eq!(outcome.dist.shards_remote, 6, "{tag}");
+        assert_eq!(outcome.dist.shards_local, 0, "{tag}");
+        assert!(!outcome.dist.fell_back_local, "{tag}");
         if case.expect_reassigned {
             assert!(
                 outcome.dist.reassigned >= 1,
-                "{}: expected a lease reassignment, dist = {:?}",
-                case.tag,
+                "{tag}: expected a lease reassignment, dist = {:?}",
                 outcome.dist
             );
         }
         if case.expect_rejected {
             assert!(
                 outcome.dist.rejected_frames >= 1,
-                "{}: expected a rejected frame, dist = {:?}",
-                case.tag,
+                "{tag}: expected a rejected frame, dist = {:?}",
                 outcome.dist
             );
         }
         if case.tag == "kill" {
             let s = summaries[0]
                 .as_ref()
-                .unwrap_or_else(|e| panic!("kill: faulty worker errored: {e}"));
-            assert!(s.killed, "kill-after must terminate the worker: {s:?}");
+                .unwrap_or_else(|e| panic!("{tag}: faulty worker errored: {e}"));
+            assert!(
+                s.killed,
+                "{tag}: kill-after must terminate the worker: {s:?}"
+            );
         }
         // The faulty worker may legitimately finish with GaveUp if it was
         // still reconnecting when the fleet drained; the good worker's
         // summary plus the coordinator counters above prove completion.
+    }
+}
+
+#[test]
+fn one_worker_with_two_shard_slots_completes_a_fleet_identical_to_a_local_run() {
+    // DES as well as Markov: a two-slot worker runs each shard's
+    // replications on one thread, and the numbers must not notice.
+    let scenarios: Vec<Scenario> = quick_fleet(7)
+        .into_iter()
+        .map(|mut s| {
+            s.backends = vec![BackendId::Markov, BackendId::Des];
+            s
+        })
+        .collect();
+    let caches: Vec<Option<&ResultCache>> = scenarios.iter().map(|_| None).collect();
+    let worker = WorkerOptions {
+        threads: Some(2),
+        ..wopts("two-slot")
+    };
+    let (outcome, summaries) = run_distributed(
+        &scenarios,
+        &caches,
+        CacheMode::Disabled,
+        sopts(),
+        vec![(worker, 0)],
+    );
+    let s = summaries[0].as_ref().unwrap();
+    assert_eq!(s.shards_done, 7, "{s:?}");
+    assert_eq!(s.sessions, 1, "{s:?}");
+    assert_eq!(outcome.dist.workers_seen, 1);
+    assert_eq!(outcome.dist.shards_remote, 7);
+    assert_eq!(outcome.dist.reassigned, 0);
+    assert_eq!(outcome.dist.duplicate_results, 0);
+    assert_eq!(outcome.dist.rejected_frames, 0);
+
+    let (local, _, _) = run_cached(&scenarios, &caches, Some(1), CacheMode::Disabled, None);
+    for (d, l) in outcome.results.iter().zip(&local) {
+        assert_eq!(
+            normalized(d.as_ref().unwrap()),
+            normalized(l.as_ref().unwrap())
+        );
     }
 }
 

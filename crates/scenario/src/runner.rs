@@ -301,7 +301,7 @@ pub(crate) fn run_batch_hooked(
     // Across-scenario parallelism: pin each scenario's inner replication
     // fan-out to one thread so the batch does not oversubscribe cores; a
     // single worker leaves the inner fan-out at all cores.
-    let inner_threads = (threads > 1).then_some(1);
+    let inner_threads = par::inner_threads(threads);
     let batch_started = Instant::now();
     // Incremented and reported under one lock, so the callback observes
     // the completed counts in order whichever worker finishes. The count

@@ -39,6 +39,13 @@ pub fn workers(n: usize, threads: Option<usize>) -> usize {
         .clamp(1, n.max(1))
 }
 
+/// Threads for work nested under `outer` parallel workers: one each when
+/// the outer level already runs in parallel, so nesting does not multiply
+/// the thread count; all cores (`None`) under a single outer worker.
+pub fn inner_threads(outer: usize) -> Option<usize> {
+    (outer > 1).then_some(1)
+}
+
 /// Evaluate `f(i)` for every `i` in `0..n` on [`workers(n, threads)`]
 /// workers and return the results in index order.
 ///
@@ -140,6 +147,13 @@ mod tests {
         assert_eq!(workers(3, Some(8)), 3);
         assert_eq!(workers(3, Some(0)), 1);
         assert!(workers(100, None) >= 1);
+    }
+
+    #[test]
+    fn nested_work_is_pinned_only_under_parallel_workers() {
+        assert_eq!(inner_threads(1), None);
+        assert_eq!(inner_threads(2), Some(1));
+        assert_eq!(inner_threads(8), Some(1));
     }
 
     #[test]
