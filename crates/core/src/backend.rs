@@ -382,11 +382,21 @@ pub struct Capabilities {
 /// Implementing a new backend means one `impl CpuSolver` plus one
 /// [`BackendRegistry::register`] call — no more match-arm hunting across
 /// five files.
+///
+/// # Purity
+///
+/// [`CpuSolver::solve`] must be a pure function of `(params, opts)`: equal
+/// inputs give equal results (stochastic backends draw only from the seed
+/// in `opts`), and callers may skip calls whose result they already have.
+/// The SoA network core relies on this — it solves once per run of
+/// consecutive nodes with equal inputs and reuses the result for the rest
+/// of the run.
 pub trait CpuSolver: Send + Sync {
     /// The backend's capability descriptor (including its [`BackendId`]).
     fn capabilities(&self) -> Capabilities;
 
-    /// Evaluate the model.
+    /// Evaluate the model — a pure function of `(params, opts)` (see the
+    /// trait docs).
     fn solve(
         &self,
         params: &CpuModelParams,

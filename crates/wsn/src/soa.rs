@@ -26,6 +26,16 @@
 //! `tests/soa_topology.rs` pins `SoaNetwork` against the per-node oracle up
 //! to 10^5 nodes.
 //!
+//! Node evaluation ([`SoaNetwork::analyze_with`]) shares work across
+//! *runs*: maximal ranges of consecutive indices whose per-node inputs
+//! (event rate, packets per event, rx rate, forwarded load, radio) are
+//! bitwise equal. Each run is solved once and its power and lifetime fill
+//! every node in it, which is exact because [`wsnem_core::CpuSolver::solve`]
+//! is a pure function of its inputs. Breadth-first template trees have a
+//! handful of operating points (a 10^6-node fanout-4 tree has 20 runs), so
+//! they cost a handful of solves; a net with no repeats pays one comparison
+//! per node.
+//!
 //! [`SoaAnalysis`] keeps results as flat arrays too and answers the
 //! aggregate questions large-net reports need — lifetime histogram,
 //! hop-depth percentiles, the worst-lifetime cohort, the near-unstable
@@ -108,7 +118,8 @@ pub struct SoaNetwork {
     pub battery: Battery,
     /// Shared radio model.
     pub radio: RadioModel,
-    /// Sparse per-node radio overrides, sorted by node index.
+    /// Sparse per-node radio overrides, strictly ascending by node index
+    /// ([`SoaNetwork::validate`] checks it).
     pub radio_overrides: Vec<(u32, RadioModel)>,
 }
 
@@ -256,8 +267,9 @@ impl SoaNetwork {
         (0..self.len()).map(|i| self.own_tx_rate(i)).sum()
     }
 
-    /// Validate array lengths and the routing structure (parents in range,
-    /// no self-loops, every node reaches the sink).
+    /// Validate array lengths, the radio overrides (in range, strictly
+    /// ascending by index) and the routing structure (parents in range, no
+    /// self-loops, every node reaches the sink).
     pub fn validate(&self) -> Result<(), String> {
         let n = self.len();
         for (what, len) in [
@@ -275,6 +287,28 @@ impl SoaNetwork {
                     "name table has {} offsets for {n} nodes",
                     offsets.len()
                 ));
+            }
+        }
+        // `radio_for` binary-searches the overrides, so anything but a
+        // strictly ascending list of in-range indices applies wrong radios.
+        let mut prev = None;
+        for &(j, _) in &self.radio_overrides {
+            if j as usize >= n {
+                return Err(format!(
+                    "radio override for node index {j}, but there are only {n} nodes"
+                ));
+            }
+            match prev {
+                Some(p) if p == j => {
+                    return Err(format!("duplicate radio override for node index {j}"))
+                }
+                Some(p) if p > j => {
+                    return Err(format!(
+                        "radio override for node index {j} follows index {p} \
+                         (overrides must be sorted by node index)"
+                    ))
+                }
+                _ => prev = Some(j),
             }
         }
         for (i, &p) in self.parent.iter().enumerate() {
@@ -391,6 +425,13 @@ impl SoaNetwork {
     /// identical per-node recipe (CPU λ = event rate + forwarded load, CPU
     /// power from the profile, radio power from tx/rx rates, lifetime from
     /// the battery) without building per-node result structs.
+    ///
+    /// The recipe runs once per maximal run of consecutive nodes whose
+    /// inputs are bitwise equal ([`CpuSolver::solve`] is a pure function of
+    /// its inputs), and the run's result fills every node in it. A failing
+    /// run reports its first node, which is the lowest-index failing node.
+    ///
+    /// [`CpuSolver::solve`]: wsnem_core::CpuSolver::solve
     pub fn analyze_with(
         &self,
         registry: &BackendRegistry,
@@ -403,29 +444,40 @@ impl SoaNetwork {
             forwarded,
             subtree_sizes,
         } = self.routing().map_err(NetworkError::Routing)?;
-        let mean_service = opts.service.to_dist(self.cpu.mu).mean();
-        let results = par::map_indexed(self.len(), threads, |i| {
+        let n = self.len();
+        // Sized for the worst case (no repeats); untouched capacity costs
+        // no memory.
+        let mut run_starts = Vec::with_capacity(n);
+        for i in 0..n {
+            if i == 0 || !self.same_inputs(i - 1, i, &forwarded) {
+                run_starts.push(i);
+            }
+        }
+        let results = par::map_indexed(run_starts.len(), threads, |r| {
+            let i = run_starts[r];
             let params = self.cpu.with_forwarding(self.event_rate[i], forwarded[i]);
-            let eval = registry.solve(backend, &params, opts)?;
+            // The rare error is boxed to keep each run's result at 24 bytes.
+            let eval = registry.solve(backend, &params, opts).map_err(Box::new)?;
             let cpu_power = self.cpu_profile.mean_power_mw(&eval.fractions);
             let radio_power = self.radio_for(i).mean_power_mw(
                 self.own_tx_rate(i) + forwarded[i],
                 self.rx_rate[i] + forwarded[i],
             );
             let total = cpu_power + radio_power;
-            Ok::<(f64, f64), wsnem_core::CoreError>((total, self.battery.lifetime_days(total)))
+            Ok::<(f64, f64), Box<wsnem_core::CoreError>>((total, self.battery.lifetime_days(total)))
         });
-        let n = self.len();
         let mut total_power_mw = Vec::with_capacity(n);
         let mut lifetime_days = Vec::with_capacity(n);
-        for (i, r) in results.into_iter().enumerate() {
-            let (total, lifetime) = r.map_err(|e| NetworkError::Node {
-                node: self.name(i),
-                source: e,
+        for (r, result) in results.into_iter().enumerate() {
+            let (total, lifetime) = result.map_err(|e| NetworkError::Node {
+                node: self.name(run_starts[r]),
+                source: *e,
             })?;
-            total_power_mw.push(total);
-            lifetime_days.push(lifetime);
+            let len = run_starts.get(r + 1).copied().unwrap_or(n) - run_starts[r];
+            total_power_mw.extend(std::iter::repeat_n(total, len));
+            lifetime_days.extend(std::iter::repeat_n(lifetime, len));
         }
+        let mean_service = opts.service.to_dist(self.cpu.mu).mean();
         let rho = (0..n)
             .map(|i| (self.event_rate[i] + forwarded[i]) * mean_service)
             .collect();
@@ -439,6 +491,42 @@ impl SoaNetwork {
             sink_arrival_pkts_s: self.sink_arrival_pkts_s(),
         })
     }
+
+    /// True when nodes `a` and `b` have bitwise-equal evaluation inputs —
+    /// workload, forwarded load and radio — and so bit-identical results.
+    /// The forwarded load goes first: on nets without repeats it differs
+    /// and ends the comparison.
+    fn same_inputs(&self, a: usize, b: usize, forwarded: &[f64]) -> bool {
+        let eq = |x: f64, y: f64| x.to_bits() == y.to_bits();
+        eq(forwarded[a], forwarded[b])
+            && eq(self.event_rate[a], self.event_rate[b])
+            && eq(self.tx_per_event[a], self.tx_per_event[b])
+            && eq(self.rx_rate[a], self.rx_rate[b])
+            && radio_bits(self.radio_for(a)) == radio_bits(self.radio_for(b))
+    }
+}
+
+/// The bits of every field of a radio model.
+fn radio_bits(radio: RadioModel) -> [u64; 7] {
+    let RadioModel {
+        sleep_mw,
+        listen_mw,
+        tx_mw,
+        period_s,
+        listen_s,
+        tx_airtime_s,
+        rx_airtime_s,
+    } = radio;
+    [
+        sleep_mw,
+        listen_mw,
+        tx_mw,
+        period_s,
+        listen_s,
+        tx_airtime_s,
+        rx_airtime_s,
+    ]
+    .map(f64::to_bits)
 }
 
 /// Star parents over `n` nodes: everyone transmits to the sink.
@@ -787,6 +875,45 @@ mod tests {
         let mut soa = small_soa(3, 2, 10.0);
         soa.event_rate.pop();
         assert!(soa.validate().unwrap_err().contains("event_rate"));
+    }
+
+    fn with_overrides(indices: &[u32]) -> SoaNetwork {
+        let mut soa = small_soa(3, 2, 10.0);
+        let radio = crate::RadioSpec::Preset("cc2420-always-on".into())
+            .lower()
+            .unwrap();
+        soa.radio_overrides = indices.iter().map(|&j| (j, radio)).collect();
+        soa
+    }
+
+    #[test]
+    fn validate_accepts_sorted_in_range_radio_overrides() {
+        with_overrides(&[0, 2]).validate().unwrap();
+    }
+
+    #[test]
+    fn validate_rejects_an_out_of_range_radio_override() {
+        let err = with_overrides(&[1, 3]).validate().unwrap_err();
+        assert_eq!(
+            err,
+            "radio override for node index 3, but there are only 3 nodes"
+        );
+    }
+
+    #[test]
+    fn validate_rejects_a_duplicate_radio_override() {
+        let err = with_overrides(&[0, 1, 1]).validate().unwrap_err();
+        assert_eq!(err, "duplicate radio override for node index 1");
+    }
+
+    #[test]
+    fn validate_rejects_unsorted_radio_overrides() {
+        let err = with_overrides(&[2, 0]).validate().unwrap_err();
+        assert_eq!(
+            err,
+            "radio override for node index 0 follows index 2 \
+             (overrides must be sorted by node index)"
+        );
     }
 
     #[test]

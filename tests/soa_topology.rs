@@ -8,14 +8,24 @@
 //! forwarded-rate sums (the SoA pass replays the oracle's deepest-first
 //! stable order), identical subtree sizes and bottleneck ranking, and
 //! aggregate accessors that match a from-scratch recomputation over the
-//! oracle's per-node results.
+//! oracle's per-node results. The SoA core evaluates each run of
+//! consecutive nodes with bitwise-equal inputs once; the run-breaker
+//! forests below pin that sharing to the oracle too, and a call-counting
+//! solver pins how many evaluations it makes.
 
 #![allow(clippy::disallowed_methods)] // tests/examples may panic on broken invariants
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
 use wsnem::core::backend::global;
-use wsnem::core::{BackendId, EvalOptions};
+use wsnem::core::{
+    BackendId, BackendRegistry, Capabilities, CoreError, CpuModelParams, CpuSolver, EvalOptions,
+    Mg1Solver, ModelEvaluation,
+};
 use wsnem::stats::rng::{Rng64, Xoshiro256PlusPlus};
 use wsnem::wsn::{
-    chain_parents, star_parents, tree_parents, Network, NextHop, NodeConfig, SoaNetwork, SINK,
+    chain_parents, star_parents, tree_parents, Network, NetworkError, NextHop, NodeConfig,
+    RadioSpec, SoaNetwork, SINK,
 };
 
 /// A seeded random forest over `n` nodes: each node forwards either to the
@@ -294,4 +304,208 @@ fn soa_node_map_is_bit_identical_across_thread_counts() {
         one.sink_arrival_pkts_s.to_bits(),
         three.sink_arrival_pkts_s.to_bits()
     );
+}
+
+/// The built-in Mg1 solver behind a call counter.
+struct CountingMg1(Arc<AtomicUsize>);
+
+impl CpuSolver for CountingMg1 {
+    fn capabilities(&self) -> Capabilities {
+        Mg1Solver.capabilities()
+    }
+
+    fn solve(
+        &self,
+        params: &CpuModelParams,
+        opts: &EvalOptions,
+    ) -> Result<ModelEvaluation, CoreError> {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        Mg1Solver.solve(params, opts)
+    }
+}
+
+/// A registry holding only the counting Mg1 solver, and its counter.
+fn counting_registry() -> (BackendRegistry, Arc<AtomicUsize>) {
+    let calls = Arc::new(AtomicUsize::new(0));
+    let mut registry = BackendRegistry::new();
+    registry.register(Box::new(CountingMg1(Arc::clone(&calls))));
+    (registry, calls)
+}
+
+/// Analyze on the counting registry; returns the analysis and the number of
+/// solves it made.
+fn analyze_counted(
+    soa: &SoaNetwork,
+    threads: Option<usize>,
+) -> (Result<wsnem::wsn::SoaAnalysis, NetworkError>, usize) {
+    let (registry, calls) = counting_registry();
+    let result = soa.analyze_with(&registry, BackendId::Mg1, &EvalOptions::default(), threads);
+    (result, calls.load(Ordering::Relaxed))
+}
+
+#[test]
+fn analyze_with_solves_once_per_run_of_equal_inputs() {
+    // Period 10^4 s keeps the 10^4-node tree's root at rho = 0.1.
+    let proto = NodeConfig::monitoring("n1", 1e4);
+    let homogeneous = |parents: Vec<u32>| {
+        SoaNetwork::homogeneous(
+            parents,
+            "n",
+            proto.event_rate,
+            proto.tx_per_event,
+            proto.rx_rate,
+            proto.cpu,
+            proto.cpu_profile.clone(),
+            proto.radio,
+            proto.battery,
+        )
+    };
+    let tree = homogeneous(tree_parents(10_000, 4));
+    let forwarded = tree.routing().unwrap().forwarded;
+    let runs = 1 + forwarded
+        .windows(2)
+        .filter(|w| w[0].to_bits() != w[1].to_bits())
+        .count();
+    // A complete fanout-4 tree has a handful of operating points, not 10^4.
+    assert!(runs < 64, "{runs} runs");
+    let star = homogeneous(star_parents(10_000));
+    let chain = homogeneous(chain_parents(100));
+    for threads in [Some(1), Some(3)] {
+        assert_eq!(analyze_counted(&tree, threads).1, runs, "tree");
+        assert_eq!(analyze_counted(&star, threads).1, 1, "star");
+        assert_eq!(analyze_counted(&chain, threads).1, 100, "chain");
+    }
+}
+
+/// A seeded forest built to form and break runs of equal inputs. Event
+/// rates come from a three-value set and repeat the previous node's rate
+/// three times in four; only the first eighth of the nodes can be relays,
+/// so the rest are leaves (zero forwarded load) that line up into runs.
+/// An alternative radio overrides the first node of every fifth run from
+/// the fifth on (a run boundary; node 0 keeps the shared radio) and the
+/// middle node of every third run of three or more (mid-run).
+fn run_forest(n: usize, seed: u64) -> Network {
+    let mut rng = Xoshiro256PlusPlus::new(seed);
+    let rates = [0.5, 1.0, 2.0].map(|r| r / n as f64);
+    let relays = (n / 8).max(1);
+    let mut rate = rates[0];
+    let mut nodes = Vec::with_capacity(n);
+    let mut next_hop = Vec::with_capacity(n);
+    for i in 0..n {
+        if rng.next_u64().is_multiple_of(4) {
+            rate = rates[rng.next_u64() as usize % rates.len()];
+        }
+        let mut node = NodeConfig::monitoring(format!("n{}", i + 1), 60.0);
+        node.event_rate = rate;
+        nodes.push(node);
+        next_hop.push(if i == 0 || rng.next_u64().is_multiple_of(8) {
+            NextHop::Sink
+        } else {
+            NextHop::Node(rng.next_u64() as usize % i.min(relays))
+        });
+    }
+    let mut net = Network { nodes, next_hop };
+    let forwarded = net.routing().unwrap().forwarded;
+    let mut starts: Vec<usize> = (0..n)
+        .filter(|&i| {
+            i == 0
+                || net.nodes[i].event_rate.to_bits() != net.nodes[i - 1].event_rate.to_bits()
+                || forwarded[i].to_bits() != forwarded[i - 1].to_bits()
+        })
+        .collect();
+    starts.push(n);
+    let alt = RadioSpec::Preset("cc2420-always-on".into())
+        .lower()
+        .unwrap();
+    for (r, run) in starts.windows(2).enumerate() {
+        if r % 5 == 4 {
+            net.nodes[run[0]].radio = alt;
+        }
+        if r % 3 == 0 && run[1] - run[0] >= 3 {
+            net.nodes[(run[0] + run[1]) / 2].radio = alt;
+        }
+    }
+    net.validate().unwrap();
+    net
+}
+
+#[test]
+fn run_sharing_is_bit_identical_to_the_oracle_across_run_breakers() {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (n, seed) in [(40usize, 21u64), (2000, 22), (20_000, 23)] {
+        let net = run_forest(n, seed);
+        let soa = SoaNetwork::from_network(&net).unwrap();
+        soa.validate().unwrap();
+        let overrides = soa.radio_overrides.len();
+        assert!(
+            overrides > 0 && overrides < n / 4,
+            "n = {n}: {overrides} overrides"
+        );
+        let oracle = net.analyze_with_threads(BackendId::Mg1, Some(1)).unwrap();
+        let (one, solves_one) = analyze_counted(&soa, Some(1));
+        let (three, solves_three) = analyze_counted(&soa, Some(3));
+        let (one, three) = (one.unwrap(), three.unwrap());
+        // Runs formed, so most nodes took a shared result.
+        assert_eq!(solves_one, solves_three);
+        assert!(solves_one < n / 2, "n = {n}: {solves_one} solves");
+        for a in [&one, &three] {
+            for (i, routed) in oracle.per_node.iter().enumerate() {
+                assert_eq!(a.depths[i], routed.hop_depth, "n = {n}, node {i}");
+                assert_eq!(a.subtree_sizes[i] as usize, routed.subtree_size);
+                assert_eq!(
+                    a.forwarded[i].to_bits(),
+                    routed.forwarded_rx_pkts_s.to_bits(),
+                    "n = {n}, node {i}: forwarded"
+                );
+                assert_eq!(
+                    a.total_power_mw[i].to_bits(),
+                    routed.analysis.total_power_mw.to_bits(),
+                    "n = {n}, node {i}: total power"
+                );
+                assert_eq!(
+                    a.lifetime_days[i].to_bits(),
+                    routed.analysis.lifetime_days.to_bits(),
+                    "n = {n}, node {i}: lifetime"
+                );
+            }
+            assert_eq!(
+                a.sink_arrival_pkts_s.to_bits(),
+                oracle.sink_arrival_pkts_s.to_bits()
+            );
+        }
+        assert_eq!(bits(&one.rho), bits(&three.rho), "n = {n}: rho");
+    }
+}
+
+#[test]
+fn an_unstable_run_reports_its_lowest_index_node_with_the_oracle_error_text() {
+    // A star, so nothing forwards: nodes n4..=n8 form one run at an unstable
+    // rate (12 ev/s against mu = 10), n13..=n16 a second one.
+    let nodes = (0..16)
+        .map(|i| {
+            let mut node = NodeConfig::monitoring(format!("n{}", i + 1), 10.0);
+            if (3..8).contains(&i) || i >= 12 {
+                node.event_rate = 12.0;
+            }
+            node
+        })
+        .collect();
+    let net = Network::star(nodes);
+    let expected = net
+        .analyze_with_threads(BackendId::Mg1, Some(1))
+        .unwrap_err()
+        .to_string();
+    assert!(expected.starts_with("node `n4`: "), "{expected}");
+    let soa = SoaNetwork::from_network(&net).unwrap();
+    for threads in [Some(1), Some(3)] {
+        let (result, solves) = analyze_counted(&soa, threads);
+        let err = result.unwrap_err();
+        assert!(
+            matches!(&err, NetworkError::Node { node, .. } if node == "n4"),
+            "{err}"
+        );
+        assert_eq!(err.to_string(), expected);
+        // Four runs: n1..=n3, n4..=n8, n9..=n12, n13..=n16.
+        assert_eq!(solves, 4);
+    }
 }
