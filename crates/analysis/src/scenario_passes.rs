@@ -243,14 +243,18 @@ fn forwarded_rates(s: &Scenario) -> Vec<f64> {
         return Vec::new();
     };
     let zeros = vec![0.0; network.nodes.len()];
+    // A template has no node list to lint, so there is nothing to route.
+    if network.template.is_some() {
+        return zeros;
+    }
     let (Ok(profile), Ok(battery)) = (s.profile.build(), s.battery.build()) else {
         return zeros;
     };
     network
-        .build_network(s.cpu, &profile, &battery)
+        .build_soa(s.cpu, &profile, &battery)
         .ok()
-        .and_then(|n| n.forwarded_rates().ok())
-        .unwrap_or(zeros)
+        .and_then(|soa| soa.routing().ok())
+        .map_or(zeros, |routing| routing.forwarded)
 }
 
 /// Radio airtime saturation: a node whose packet airtime alone fills its

@@ -1895,119 +1895,29 @@ fn cmd_topology(args: &[String]) -> Result<(), String> {
         .ok_or_else(|| format!("scenario `{}` declares no network", scenario.name))?;
     let profile = scenario.profile.build().map_err(|e| e.to_string())?;
     let battery = scenario.battery.build().map_err(|e| e.to_string())?;
-    if spec.template.is_some() {
-        return topology_template(&scenario, spec, &profile, &battery, limit);
-    }
-    let net = spec
-        .build_network(scenario.cpu, &profile, &battery)
-        .map_err(|e| e.to_string())?;
-    net.validate()
-        .map_err(|e| format!("scenario `{}`: invalid topology: {e}", scenario.name))?;
-    let routing = net.routing().map_err(|e| e.to_string())?;
-    let (depths, forwarded, sizes) = (&routing.depths, &routing.forwarded, &routing.subtree_sizes);
-
-    let shape = spec.topology.as_ref().map(|t| t.label()).unwrap_or("star");
-    outln!(
-        "scenario `{}`: {shape} topology, {} node(s), max depth {}, sink inflow {:.3} pkt/s\n",
-        scenario.name,
-        net.nodes.len(),
-        depths.iter().max().copied().unwrap_or(0),
-        net.sink_arrival_pkts_s()
-    );
-    outln!(
-        "  {:<16} {:<16} {:>5} {:>8} {:>12} {:>12} {:>12}  {:<20}",
-        "node",
-        "next hop",
-        "depth",
-        "subtree",
-        "own tx/s",
-        "fwd rx/s",
-        "cpu load/s",
-        "radio (duty)"
-    );
-    for (i, node) in net.nodes.iter().take(limit).enumerate() {
-        let next = match net.next_hop[i] {
-            wsnem_scenario::NextHop::Sink => "(sink)".to_owned(),
-            wsnem_scenario::NextHop::Node(j) => net.nodes[j].name.clone(),
-        };
-        let radio = format!(
-            "{} ({:.2}%)",
-            spec.radio_spec_for(i).label(),
-            100.0 * node.radio.duty_cycle()
-        );
-        outln!(
-            "  {:<16} {:<16} {:>5} {:>8} {:>12.3} {:>12.3} {:>12.3}  {:<20}",
-            node.name,
-            next,
-            depths[i],
-            sizes[i],
-            node.own_tx_rate(),
-            forwarded[i],
-            node.event_rate + forwarded[i],
-            radio
-        );
-    }
-    if net.nodes.len() > limit {
-        outln!(
-            "  … and {} more node(s); use --limit to show more",
-            net.nodes.len() - limit
-        );
-    }
-    if let Some((i, _)) = forwarded
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| **f > 0.0)
-        .max_by(|a, b| a.1.total_cmp(b.1))
-    {
-        // This inspector runs no model, so it can only rank relays by
-        // load; the *lifetime* bottleneck relay (MAC-sensitive with
-        // per-node radio overrides) comes from `wsnem run`.
-        outln!(
-            "\n  heaviest relay: `{}` forwards {:.3} pkt/s for {} node(s) \
-             (lifetime bottleneck: see `wsnem run`)",
-            net.nodes[i].name,
-            forwarded[i],
-            sizes[i] - 1
-        );
-    }
-    Ok(())
-}
-
-/// `wsnem topology` for a template-declared network: routing comes off the
-/// structure-of-arrays core, so a million-node topology inspects without
-/// ever materializing per-node structs.
-fn topology_template(
-    scenario: &Scenario,
-    spec: &wsnem_scenario::NetworkSpec,
-    profile: &wsnem_scenario::PowerProfile,
-    battery: &wsnem_scenario::Battery,
-    limit: usize,
-) -> Result<(), String> {
+    // Routing comes off the structure-of-arrays core, so a million-node
+    // template inspects without ever materializing per-node structs.
     let soa = spec
-        .build_soa(scenario.cpu, profile, battery)
+        .build_soa(scenario.cpu, &profile, &battery)
         .map_err(|e| e.to_string())?;
-    let routing = soa.routing().map_err(|e| e.to_string())?;
+    let routing = soa
+        .routing()
+        .map_err(|e| format!("scenario `{}`: invalid topology: {e}", scenario.name))?;
     let (depths, forwarded, sizes) = (&routing.depths, &routing.forwarded, &routing.subtree_sizes);
-    let sink_inflow: f64 = (0..soa.len())
-        .filter(|&i| soa.parent[i] == wsnem_scenario::SINK)
-        .map(|i| soa.event_rate[i] * soa.tx_per_event[i] + forwarded[i])
-        .sum();
+
     let shape = spec.topology.as_ref().map(|t| t.label()).unwrap_or("star");
-    let radio = format!(
-        "{} ({:.2}%)",
-        spec.radio
-            .as_ref()
-            .map(|r| r.label().to_owned())
-            .unwrap_or_else(|| wsnem_scenario::DEFAULT_RADIO_PRESET.to_owned()),
-        100.0 * soa.radio.duty_cycle()
-    );
+    let template = if spec.template.is_some() {
+        " (template)"
+    } else {
+        ""
+    };
     outln!(
-        "scenario `{}`: {shape} topology (template), {} node(s), max depth {}, \
+        "scenario `{}`: {shape} topology{template}, {} node(s), max depth {}, \
          sink inflow {:.3} pkt/s\n",
         scenario.name,
         soa.len(),
         depths.iter().max().copied().unwrap_or(0),
-        sink_inflow
+        soa.sink_arrival_pkts_s()
     );
     outln!(
         "  {:<16} {:<16} {:>5} {:>8} {:>12} {:>12} {:>12}  {:<20}",
@@ -2021,18 +1931,22 @@ fn topology_template(
         "radio (duty)"
     );
     for i in 0..soa.len().min(limit) {
-        let next = if soa.parent[i] == wsnem_scenario::SINK {
-            "(sink)".to_owned()
-        } else {
-            soa.name(soa.parent[i] as usize)
+        let next = match soa.parent[i] {
+            wsnem_scenario::SINK => "(sink)".to_owned(),
+            j => soa.name(j as usize),
         };
+        let radio = format!(
+            "{} ({:.2}%)",
+            spec.radio_spec_for(i).label(),
+            100.0 * soa.radio_for(i).duty_cycle()
+        );
         outln!(
             "  {:<16} {:<16} {:>5} {:>8} {:>12.3} {:>12.3} {:>12.3}  {:<20}",
             soa.name(i),
             next,
             depths[i],
             sizes[i],
-            soa.event_rate[i] * soa.tx_per_event[i],
+            soa.own_tx_rate(i),
             forwarded[i],
             soa.event_rate[i] + forwarded[i],
             radio
@@ -2050,6 +1964,9 @@ fn topology_template(
         .filter(|(_, f)| **f > 0.0)
         .max_by(|a, b| a.1.total_cmp(b.1))
     {
+        // This inspector runs no model, so it can only rank relays by
+        // load; the *lifetime* bottleneck relay (MAC-sensitive with
+        // per-node radio overrides) comes from `wsnem run`.
         outln!(
             "\n  heaviest relay: `{}` forwards {:.3} pkt/s for {} node(s) \
              (lifetime bottleneck: see `wsnem run`)",

@@ -1104,3 +1104,40 @@ fn topology_inspector_handles_templates_and_limit() {
     );
     assert!(text.contains("heaviest relay: `n1`"), "{text}");
 }
+
+/// `wsnem topology` output recorded under `tests/golden/`, compared byte
+/// for byte: the inspector's columns, number formats and header are an
+/// interface that scripts read.
+fn assert_topology_golden(args: &[&str], golden: &str) {
+    let out = wsnem(args);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(golden);
+    let expected = std::fs::read_to_string(&path).expect("golden present");
+    assert_eq!(stdout(&out), expected, "{} drifted", path.display());
+}
+
+#[test]
+fn topology_inspector_matches_golden_for_explicit_builtins() {
+    for name in [
+        "tree-collection",
+        "chain-3hop",
+        "mesh-field",
+        "mac-heterogeneous-tree",
+    ] {
+        assert_topology_golden(
+            &["topology", "--builtin", name],
+            &format!("topology_{name}.txt"),
+        );
+    }
+}
+
+#[test]
+fn topology_inspector_matches_golden_for_template() {
+    let path = temp_file("template-tree-golden.toml", &template_scenario_toml());
+    assert_topology_golden(
+        &["topology", path.to_str().unwrap(), "--limit", "3"],
+        "topology_template_limit3.txt",
+    );
+}

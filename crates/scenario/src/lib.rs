@@ -83,8 +83,6 @@ pub use error::ScenarioError;
 pub use files::{load, FileFormat};
 pub use fleet::{run_cached, run_cached_with, store_or_warn, FleetRunOptions};
 pub use gen::{FieldSpec, GenField, GenMethod, GenSpec};
-// Re-exported so consumers of `TopologySpec::build_next_hops` /
-// `NetworkSpec::build_network` (e.g. the CLI) need no direct wsn dependency.
 pub use report::{
     AggregateNetworkReport, AgreementCheck, BackendReport, CohortNodeReport, EnergyReport,
     HopDepthPercentile, LifetimeHistogramBin, NetworkReport, NodeReport, PhaseSeconds,
@@ -102,6 +100,8 @@ pub use schema::{
 pub use wsnem_core::backend::global as global_registry;
 pub use wsnem_core::{BackendId, BackendRegistry, Capabilities, ServiceDist};
 pub use wsnem_energy::{Battery, PowerProfile};
-pub use wsnem_wsn::{
-    Network, NextHop, RadioModel, RadioSpec, SoaNetwork, SoaRouting, DEFAULT_RADIO_PRESET, SINK,
-};
+// Re-exported so consumers of `NetworkSpec::build_soa` (e.g. the CLI) need
+// no direct wsn dependency. Every scenario network evaluates on
+// `SoaNetwork`; the per-node `wsnem_wsn::Network` is the reference oracle
+// tests compare it against.
+pub use wsnem_wsn::{RadioModel, RadioSpec, SoaNetwork, SoaRouting, DEFAULT_RADIO_PRESET, SINK};

@@ -17,9 +17,10 @@ use crate::report::{
 };
 use crate::schema::Scenario;
 
-/// Networks larger than this (and all template-declared networks, whatever
-/// their size) take the structure-of-arrays fast path and report in
-/// aggregate form instead of per-node rows.
+/// Report shape only: networks larger than this (and all template-declared
+/// networks, whatever their size) report in aggregate form instead of
+/// per-node rows. Every network evaluates on the same structure-of-arrays
+/// core either way.
 pub const AGGREGATE_NODE_THRESHOLD: usize = 1000;
 
 /// Nodes named individually in an aggregate report's worst-lifetime cohort.
@@ -200,26 +201,7 @@ pub fn run_scenario_with_threads(
     let network_started = Instant::now();
     let (network, network_aggregate) = match &scenario.network {
         None => (None, None),
-        Some(spec) if spec.template.is_some() || spec.node_count() > AGGREGATE_NODE_THRESHOLD => (
-            None,
-            Some(analyze_network_aggregate(
-                scenario,
-                spec,
-                &profile,
-                &battery,
-                inner_threads,
-            )?),
-        ),
-        Some(spec) => (
-            Some(analyze_network(
-                scenario,
-                spec,
-                &profile,
-                &battery,
-                inner_threads,
-            )?),
-            None,
-        ),
+        Some(spec) => analyze_network(scenario, spec, &profile, &battery, inner_threads)?,
     };
     phase_seconds.network_seconds = network_started.elapsed().as_secs_f64();
 
@@ -459,94 +441,69 @@ fn cheapest_backend(scenario: &Scenario, registry: &wsnem_core::BackendRegistry)
     backend
 }
 
+/// Analyze a network on the structure-of-arrays core and report it: per
+/// node for an explicit list of at most [`AGGREGATE_NODE_THRESHOLD`] nodes,
+/// else as streaming aggregates that never materialize per-node rows, so a
+/// 10^6-node report stays a few hundred bytes. Stars and routed topologies
+/// share the one core: a star is a routed network whose forwarding loads
+/// are all zero.
 fn analyze_network(
     scenario: &Scenario,
     spec: &crate::schema::NetworkSpec,
     profile: &PowerProfile,
     battery: &Battery,
     inner_threads: Option<usize>,
-) -> Result<NetworkReport, ScenarioError> {
-    // The network layer evaluates one node at a time.
-    let registry = backend::global();
-    let backend = cheapest_backend(scenario, registry);
-    // Stars and routed topologies share one code path: a star is a routed
-    // network whose forwarding loads are all zero, so the per-node numbers
-    // are bit-identical to the v1 star analysis.
-    let net = spec.build_network(scenario.cpu, profile, battery)?;
-    let analysis = net
-        .analyze_with_threads(backend, inner_threads)
-        .map_err(|e| ScenarioError::Invalid(format!("scenario `{}`: {e}", scenario.name)))?;
-    let bottleneck = analysis
-        .bottleneck()
-        .map(|n| n.analysis.name.clone())
-        .unwrap_or_default();
-    let bottleneck_relay = analysis
-        .bottleneck_relay()
-        .map(|n| n.analysis.name.clone())
-        .unwrap_or_default();
-    Ok(NetworkReport {
-        backend,
-        topology: spec
-            .topology
-            .as_ref()
-            .map(|t| t.label())
-            .unwrap_or("star")
-            .to_owned(),
-        nodes: analysis
-            .per_node
-            .iter()
-            .enumerate()
-            .map(|(i, n)| NodeReport {
-                name: n.analysis.name.clone(),
-                cpu_fractions: n.analysis.cpu_fractions,
-                cpu_power_mw: n.analysis.cpu_power_mw,
-                radio_power_mw: n.analysis.radio_power_mw,
-                total_power_mw: n.analysis.total_power_mw,
-                lifetime_days: n.analysis.lifetime_days,
-                hop_depth: n.hop_depth,
-                forwarded_rx_pkts_s: n.forwarded_rx_pkts_s,
-                radio_spec: spec.radio_spec_for(i).label().to_owned(),
-                radio_duty_cycle: n.analysis.radio_duty_cycle,
-            })
-            .collect(),
-        first_death_days: analysis.first_death_days(),
-        mean_lifetime_days: analysis.mean_lifetime_days(),
-        bottleneck,
-        max_hop_depth: analysis.max_hop_depth(),
-        bottleneck_relay,
-        sink_arrival_pkts_s: analysis.sink_arrival_pkts_s,
-        radio: spec
-            .radio
-            .as_ref()
-            .map(|r| r.label().to_owned())
-            .unwrap_or_else(|| wsnem_wsn::DEFAULT_RADIO_PRESET.to_owned()),
-    })
-}
-
-/// Analyze a large or template-declared network on the structure-of-arrays
-/// fast path and reduce it to streaming aggregates — never materializing
-/// per-node report rows, so a 10^6-node report stays a few hundred bytes.
-fn analyze_network_aggregate(
-    scenario: &Scenario,
-    spec: &crate::schema::NetworkSpec,
-    profile: &PowerProfile,
-    battery: &Battery,
-    inner_threads: Option<usize>,
-) -> Result<AggregateNetworkReport, ScenarioError> {
+) -> Result<(Option<NetworkReport>, Option<AggregateNetworkReport>), ScenarioError> {
+    // The network layer evaluates one node (run) at a time.
     let registry = backend::global();
     let backend = cheapest_backend(scenario, registry);
     let soa = spec.build_soa(scenario.cpu, profile, battery)?;
     let analysis = soa
         .analyze_with(registry, backend, &EvalOptions::default(), inner_threads)
         .map_err(|e| ScenarioError::Invalid(format!("scenario `{}`: {e}", scenario.name)))?;
-    let bottleneck = analysis
-        .bottleneck()
-        .map(|i| soa.name(i))
-        .unwrap_or_default();
-    let bottleneck_relay = analysis
-        .bottleneck_relay()
-        .map(|i| soa.name(i))
-        .unwrap_or_default();
+    let name = |i: Option<usize>| i.map(|i| soa.name(i)).unwrap_or_default();
+    let topology = spec
+        .topology
+        .as_ref()
+        .map_or("star", |t| t.label())
+        .to_owned();
+    let radio = spec
+        .radio
+        .as_ref()
+        .map_or(wsnem_wsn::DEFAULT_RADIO_PRESET, |r| r.label())
+        .to_owned();
+    if spec.template.is_none() && soa.len() <= AGGREGATE_NODE_THRESHOLD {
+        let nodes = (0..soa.len())
+            .map(|i| {
+                let run = analysis.run_for(i);
+                NodeReport {
+                    name: soa.name(i),
+                    cpu_fractions: run.cpu_fractions,
+                    cpu_power_mw: run.cpu_power_mw,
+                    radio_power_mw: run.radio_power_mw,
+                    total_power_mw: analysis.total_power_mw[i],
+                    lifetime_days: analysis.lifetime_days[i],
+                    hop_depth: analysis.depths[i],
+                    forwarded_rx_pkts_s: analysis.forwarded[i],
+                    radio_spec: spec.radio_spec_for(i).label().to_owned(),
+                    radio_duty_cycle: soa.radio_for(i).duty_cycle().min(1.0),
+                }
+            })
+            .collect();
+        let report = NetworkReport {
+            backend,
+            topology,
+            nodes,
+            first_death_days: analysis.first_death_days(),
+            mean_lifetime_days: analysis.mean_lifetime_days(),
+            bottleneck: name(analysis.bottleneck()),
+            max_hop_depth: analysis.max_hop_depth(),
+            bottleneck_relay: name(analysis.bottleneck_relay()),
+            sink_arrival_pkts_s: analysis.sink_arrival_pkts_s,
+            radio,
+        };
+        return Ok((Some(report), None));
+    }
     let worst_lifetime_cohort = analysis
         .worst_lifetime_cohort(AGGREGATE_COHORT_SIZE)
         .into_iter()
@@ -559,22 +516,17 @@ fn analyze_network_aggregate(
             lifetime_days: analysis.lifetime_days[i],
         })
         .collect();
-    Ok(AggregateNetworkReport {
+    let report = AggregateNetworkReport {
         backend,
-        topology: spec
-            .topology
-            .as_ref()
-            .map(|t| t.label())
-            .unwrap_or("star")
-            .to_owned(),
+        topology,
         node_count: soa.len() as u64,
         first_death_days: analysis.first_death_days(),
         mean_lifetime_days: analysis.mean_lifetime_days(),
         total_power_mw: analysis.total_power_mw(),
         sink_arrival_pkts_s: analysis.sink_arrival_pkts_s,
         max_hop_depth: analysis.max_hop_depth(),
-        bottleneck,
-        bottleneck_relay,
+        bottleneck: name(analysis.bottleneck()),
+        bottleneck_relay: name(analysis.bottleneck_relay()),
         hop_depth_percentiles: analysis
             .hop_depth_percentiles(&AGGREGATE_HOP_PERCENTILES)
             .into_iter()
@@ -595,12 +547,9 @@ fn analyze_network_aggregate(
         worst_lifetime_cohort,
         near_unstable_count: analysis.near_unstable_count(AGGREGATE_NEAR_UNSTABLE_RHO) as u64,
         near_unstable_rho: AGGREGATE_NEAR_UNSTABLE_RHO,
-        radio: spec
-            .radio
-            .as_ref()
-            .map(|r| r.label().to_owned())
-            .unwrap_or_else(|| wsnem_wsn::DEFAULT_RADIO_PRESET.to_owned()),
-    })
+        radio,
+    };
+    Ok((None, Some(report)))
 }
 
 #[cfg(test)]
@@ -819,8 +768,8 @@ mod tests {
     #[test]
     fn aggregate_path_matches_per_node_path_on_equivalent_network() {
         // The same homogeneous chain, declared twice: once as an explicit
-        // node list (per-node path) and once as a template (SoA aggregate
-        // path). Every shared aggregate must agree to f64 round-off.
+        // node list (per-node report) and once as a template (aggregate
+        // report). Both run on one core, so every shared figure is equal.
         let mut explicit = quick_scenario();
         explicit.backends = vec![BackendId::Mg1];
         explicit.network = Some(NetworkSpec {
@@ -857,18 +806,63 @@ mod tests {
         assert_eq!(agg.bottleneck_relay, per_node.bottleneck_relay);
         assert_eq!(agg.max_hop_depth, per_node.max_hop_depth);
         assert_eq!(agg.sink_arrival_pkts_s, per_node.sink_arrival_pkts_s);
-        assert!((agg.first_death_days - per_node.first_death_days).abs() < 1e-9);
-        assert!((agg.mean_lifetime_days - per_node.mean_lifetime_days).abs() < 1e-9);
+        assert_eq!(agg.first_death_days, per_node.first_death_days);
+        assert_eq!(agg.mean_lifetime_days, per_node.mean_lifetime_days);
         let per_node_total: f64 = per_node.nodes.iter().map(|n| n.total_power_mw).sum();
-        assert!((agg.total_power_mw - per_node_total).abs() < 1e-9);
+        assert_eq!(agg.total_power_mw, per_node_total);
         // The cohort covers all five nodes and mirrors the per-node rows.
         assert_eq!(agg.worst_lifetime_cohort.len(), 5);
         for c in &agg.worst_lifetime_cohort {
             let row = per_node.nodes.iter().find(|n| n.name == c.name).unwrap();
             assert_eq!(c.hop_depth, row.hop_depth);
             assert_eq!(c.forwarded_rx_pkts_s, row.forwarded_rx_pkts_s);
-            assert!((c.lifetime_days - row.lifetime_days).abs() < 1e-9);
+            assert_eq!(c.total_power_mw, row.total_power_mw);
+            assert_eq!(c.lifetime_days, row.lifetime_days);
         }
+    }
+
+    /// A homogeneous fanout-4 template tree of `count` nodes, light enough
+    /// that its root relay stays stable at a thousand nodes.
+    fn tree_template_scenario(count: usize) -> Scenario {
+        let mut s = template_scenario(count as u64);
+        let net = s.network.as_mut().unwrap();
+        net.topology = Some(TopologySpec::Tree { fanout: 4 });
+        net.template.as_mut().unwrap().event_rate = 1e-4;
+        s
+    }
+
+    /// The same tree as an explicit node list named `n1…`.
+    fn explicit_tree_scenario(count: usize) -> Scenario {
+        let mut s = tree_template_scenario(count);
+        let net = s.network.as_mut().unwrap();
+        let t = net.template.take().unwrap();
+        net.nodes = (1..=count)
+            .map(|i| NodeSpec {
+                name: format!("{}{i}", t.prefix),
+                event_rate: t.event_rate,
+                tx_per_event: t.tx_per_event,
+                rx_rate: t.rx_rate,
+                radio: None,
+            })
+            .collect();
+        s
+    }
+
+    #[test]
+    fn node_threshold_chooses_only_the_report_shape() {
+        // At the threshold an explicit list still reports per node...
+        let at = run_scenario(&explicit_tree_scenario(AGGREGATE_NODE_THRESHOLD)).unwrap();
+        assert!(at.network_aggregate.is_none());
+        assert_eq!(at.network.unwrap().nodes.len(), AGGREGATE_NODE_THRESHOLD);
+        // ...one node more and it reports in aggregate form...
+        let above = run_scenario(&explicit_tree_scenario(AGGREGATE_NODE_THRESHOLD + 1)).unwrap();
+        assert!(above.network.is_none());
+        let explicit = above.network_aggregate.unwrap();
+        assert_eq!(explicit.node_count as usize, AGGREGATE_NODE_THRESHOLD + 1);
+        // ...equal to the aggregate of the same tree as a template.
+        let templated = tree_template_scenario(AGGREGATE_NODE_THRESHOLD + 1);
+        let template = run_scenario(&templated).unwrap().network_aggregate.unwrap();
+        assert_eq!(explicit, template);
     }
 
     #[test]

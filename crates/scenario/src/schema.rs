@@ -407,29 +407,26 @@ pub struct RouteSpec {
 }
 
 impl TopologySpec {
-    /// Resolve this topology into per-node next hops over `nodes`. Fails on
-    /// unknown/duplicate/missing route endpoints; cycle detection happens in
-    /// `wsnem_wsn::Network::validate`.
-    pub fn build_next_hops(
-        &self,
-        nodes: &[NodeSpec],
-    ) -> Result<Vec<wsnem_wsn::NextHop>, ScenarioError> {
-        use wsnem_wsn::NextHop;
-        let n = nodes.len();
+    /// Resolve this topology into a structure-of-arrays parent array over
+    /// `n` nodes ([`wsnem_wsn::SINK`] for sink-adjacent nodes). Mesh routes
+    /// name their endpoints, so a mesh covers exactly `nodes` and fails on
+    /// unknown/duplicate/missing route endpoints. Cycle detection happens in
+    /// `wsnem_wsn::SoaNetwork::validate`.
+    pub fn build_parents(&self, n: usize, nodes: &[NodeSpec]) -> Result<Vec<u32>, ScenarioError> {
         match self {
-            TopologySpec::Star => Ok(wsnem_wsn::topology::star_next_hops(n)),
-            TopologySpec::Chain => Ok(wsnem_wsn::topology::chain_next_hops(n)),
+            TopologySpec::Star => Ok(wsnem_wsn::star_parents(n)),
+            TopologySpec::Chain => Ok(wsnem_wsn::chain_parents(n)),
             TopologySpec::Tree { fanout } => {
                 if *fanout == 0 {
                     return Err(ScenarioError::Invalid(
                         "topology: tree fanout must be >= 1".into(),
                     ));
                 }
-                Ok(wsnem_wsn::topology::tree_next_hops(n, *fanout))
+                Ok(wsnem_wsn::tree_parents(n, *fanout))
             }
             TopologySpec::Mesh { routes } => {
                 let index_of = |name: &str| nodes.iter().position(|node| node.name == name);
-                let mut next: Vec<Option<NextHop>> = vec![None; n];
+                let mut next: Vec<Option<u32>> = vec![None; nodes.len()];
                 for r in routes {
                     let from = index_of(&r.from).ok_or_else(|| {
                         ScenarioError::Invalid(format!(
@@ -444,14 +441,14 @@ impl TopologySpec {
                         )));
                     }
                     let hop = if r.to == "sink" {
-                        NextHop::Sink
+                        wsnem_wsn::SINK
                     } else {
-                        NextHop::Node(index_of(&r.to).ok_or_else(|| {
+                        index_of(&r.to).ok_or_else(|| {
                             ScenarioError::Invalid(format!(
                                 "topology: route from `{}` to unknown node `{}`",
                                 r.from, r.to
                             ))
-                        })?)
+                        })? as u32
                     };
                     next[from] = Some(hop);
                 }
@@ -512,43 +509,6 @@ impl NetworkSpec {
             .unwrap_or_default()
     }
 
-    /// Materialize the routed `wsnem_wsn::Network` this spec describes
-    /// (shared by validation, the runner and the CLI `topology` / `radio`
-    /// commands). A missing topology builds as a star; missing radio
-    /// sections lower to the `cc2420-class` preset.
-    pub fn build_network(
-        &self,
-        cpu: CpuModelParams,
-        profile: &PowerProfile,
-        battery: &Battery,
-    ) -> Result<wsnem_wsn::Network, ScenarioError> {
-        let nodes: Vec<wsnem_wsn::NodeConfig> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| {
-                let radio = self.radio_spec_for(i).lower().map_err(|e| {
-                    ScenarioError::Invalid(format!("node `{}`: radio: {e}", n.name))
-                })?;
-                Ok(wsnem_wsn::NodeConfig {
-                    name: n.name.clone(),
-                    event_rate: n.event_rate,
-                    cpu,
-                    cpu_profile: profile.clone(),
-                    radio,
-                    tx_per_event: n.tx_per_event,
-                    rx_rate: n.rx_rate,
-                    battery: *battery,
-                })
-            })
-            .collect::<Result<_, ScenarioError>>()?;
-        let next_hop = match &self.topology {
-            None => vec![wsnem_wsn::NextHop::Sink; nodes.len()],
-            Some(t) => t.build_next_hops(&self.nodes)?,
-        };
-        Ok(wsnem_wsn::Network { nodes, next_hop })
-    }
-
     /// Number of nodes this spec describes, without materializing them.
     pub fn node_count(&self) -> usize {
         match &self.template {
@@ -558,64 +518,78 @@ impl NetworkSpec {
     }
 
     /// Materialize the structure-of-arrays network this spec describes —
-    /// the large-net counterpart of [`NetworkSpec::build_network`].
+    /// the one form every network is evaluated in (shared by validation,
+    /// the runner, the linter and the CLI `topology` command).
     ///
-    /// A template spec lowers directly to flat arrays with generated names
-    /// (no per-node structs at any point); an explicit node list builds the
-    /// per-node network first and converts it, which fails for
-    /// heterogeneous CPU/profile/battery configurations (those stay on the
-    /// per-node path).
+    /// A template lowers to flat arrays with generated names; an explicit
+    /// node list lowers column by column with interned names. Both take
+    /// their parents from [`TopologySpec::build_parents`] (a missing
+    /// topology is a star), share the network radio (the `cc2420-class`
+    /// preset when absent) and turn per-node `radio` specs into sparse
+    /// overrides. No per-node structs are built at any point.
     pub fn build_soa(
         &self,
         cpu: CpuModelParams,
         profile: &PowerProfile,
         battery: &Battery,
     ) -> Result<wsnem_wsn::SoaNetwork, ScenarioError> {
-        match &self.template {
-            Some(t) => {
-                let n = t.count as usize;
-                let parent = match &self.topology {
-                    None | Some(TopologySpec::Star) => wsnem_wsn::star_parents(n),
-                    Some(TopologySpec::Chain) => wsnem_wsn::chain_parents(n),
-                    Some(TopologySpec::Tree { fanout }) => {
-                        if *fanout == 0 {
-                            return Err(ScenarioError::Invalid(
-                                "topology: tree fanout must be >= 1".into(),
-                            ));
-                        }
-                        wsnem_wsn::tree_parents(n, *fanout)
-                    }
-                    Some(TopologySpec::Mesh { .. }) => {
-                        return Err(ScenarioError::Invalid(
-                            "network.template cannot be combined with a mesh topology \
-                             (its static routes name specific nodes)"
-                                .into(),
-                        ))
-                    }
-                };
-                let radio = self
-                    .radio
-                    .clone()
-                    .unwrap_or_default()
-                    .lower()
-                    .map_err(|e| ScenarioError::Invalid(format!("network.radio: {e}")))?;
-                Ok(wsnem_wsn::SoaNetwork::homogeneous(
-                    parent,
-                    t.prefix.clone(),
-                    t.event_rate,
-                    t.tx_per_event,
-                    t.rx_rate,
-                    cpu,
-                    profile.clone(),
-                    radio,
-                    *battery,
+        let radio_overrides = self
+            .nodes
+            .iter()
+            .enumerate()
+            .filter_map(|(i, node)| {
+                let spec = node.radio.as_ref()?;
+                Some(spec.lower().map(|radio| (i as u32, radio)).map_err(|e| {
+                    ScenarioError::Invalid(format!("node `{}`: radio: {e}", node.name))
+                }))
+            })
+            .collect::<Result<_, _>>()?;
+        let n = self.node_count();
+        let parent = match &self.topology {
+            None => wsnem_wsn::star_parents(n),
+            Some(TopologySpec::Mesh { .. }) if self.template.is_some() => {
+                return Err(ScenarioError::Invalid(
+                    "network.template cannot be combined with a mesh topology \
+                     (its static routes name specific nodes)"
+                        .into(),
                 ))
             }
-            None => {
-                let net = self.build_network(cpu, profile, battery)?;
-                wsnem_wsn::SoaNetwork::from_network(&net).map_err(ScenarioError::Invalid)
-            }
-        }
+            Some(t) => t.build_parents(n, &self.nodes)?,
+        };
+        let radio = self
+            .radio
+            .clone()
+            .unwrap_or_default()
+            .lower()
+            .map_err(|e| ScenarioError::Invalid(format!("network.radio: {e}")))?;
+        let column = |f: fn(&NodeSpec) -> f64| self.nodes.iter().map(f).collect();
+        Ok(match &self.template {
+            Some(t) => wsnem_wsn::SoaNetwork::homogeneous(
+                parent,
+                t.prefix.clone(),
+                t.event_rate,
+                t.tx_per_event,
+                t.rx_rate,
+                cpu,
+                profile.clone(),
+                radio,
+                *battery,
+            ),
+            None => wsnem_wsn::SoaNetwork {
+                parent,
+                event_rate: column(|node| node.event_rate),
+                tx_per_event: column(|node| node.tx_per_event),
+                rx_rate: column(|node| node.rx_rate),
+                names: wsnem_wsn::NodeNames::intern(
+                    self.nodes.iter().map(|node| node.name.as_str()),
+                ),
+                cpu,
+                cpu_profile: profile.clone(),
+                battery: *battery,
+                radio,
+                radio_overrides,
+            },
+        })
     }
 }
 
@@ -807,15 +781,16 @@ impl Scenario {
                 }
                 let profile = self.profile.build()?;
                 let battery = self.battery.build()?;
-                let network = net.build_network(self.cpu, &profile, &battery)?;
-                network.validate().map_err(|e| {
+                let soa = net.build_soa(self.cpu, &profile, &battery)?;
+                soa.validate().map_err(|e| {
                     ScenarioError::Invalid(format!("scenario `{}`: {e}", self.name))
                 })?;
                 // Forwarding load raises relay arrival rates: check every
                 // node's *effective* λ still describes a stable queue.
-                let forwarded = network.forwarded_rates().map_err(|e| {
-                    ScenarioError::Invalid(format!("scenario `{}`: {e}", self.name))
-                })?;
+                let forwarded = soa
+                    .routing()
+                    .map_err(|e| ScenarioError::Invalid(format!("scenario `{}`: {e}", self.name)))?
+                    .forwarded;
                 for (n, &fwd) in net.nodes.iter().zip(&forwarded) {
                     self.cpu
                         .with_forwarding(n.event_rate, fwd)
@@ -1176,21 +1151,21 @@ mod tests {
 
     #[test]
     fn topology_specs_resolve_next_hops() {
-        use wsnem_wsn::NextHop;
+        use wsnem_wsn::SINK;
         let nodes = vec![node("a", 0.5), node("b", 0.5), node("c", 0.5)];
         assert_eq!(
-            TopologySpec::Star.build_next_hops(&nodes).unwrap(),
-            vec![NextHop::Sink; 3]
+            TopologySpec::Star.build_parents(3, &nodes).unwrap(),
+            vec![SINK; 3]
         );
         assert_eq!(
-            TopologySpec::Chain.build_next_hops(&nodes).unwrap(),
-            vec![NextHop::Sink, NextHop::Node(0), NextHop::Node(1)]
+            TopologySpec::Chain.build_parents(3, &nodes).unwrap(),
+            vec![SINK, 0, 1]
         );
         assert_eq!(
             TopologySpec::Tree { fanout: 2 }
-                .build_next_hops(&nodes)
+                .build_parents(3, &nodes)
                 .unwrap(),
-            vec![NextHop::Sink, NextHop::Node(0), NextHop::Node(0)]
+            vec![SINK, 0, 0]
         );
         let mesh = TopologySpec::Mesh {
             routes: vec![
@@ -1208,10 +1183,7 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(
-            mesh.build_next_hops(&nodes).unwrap(),
-            vec![NextHop::Sink, NextHop::Node(0), NextHop::Node(0)]
-        );
+        assert_eq!(mesh.build_parents(3, &nodes).unwrap(), vec![SINK, 0, 0]);
         assert_eq!(mesh.label(), "mesh");
         assert_eq!(TopologySpec::Tree { fanout: 3 }.label(), "tree");
     }
@@ -1428,14 +1400,14 @@ mod tests {
         };
         assert_eq!(spec.radio_spec_for(0), RadioSpec::default());
         // And the built network carries the lowered models.
-        let net = spec
-            .build_network(
+        let soa = spec
+            .build_soa(
                 CpuModelParams::paper_defaults(),
                 &PowerProfile::pxa271(),
                 &Battery::two_aa(),
             )
             .unwrap();
-        assert_eq!(net.nodes[0].radio, wsnem_wsn::RadioModel::cc2420_class());
+        assert_eq!(soa.radio_for(0), wsnem_wsn::RadioModel::cc2420_class());
     }
 
     #[test]
@@ -1571,16 +1543,34 @@ mod tests {
         assert_eq!(soa.len(), 7);
         assert_eq!(soa.name(0), "n1");
         assert_eq!(soa.name(6), "n7");
-        // Explicit homogeneous nodes convert through the per-node network.
+        // Explicit nodes lower column by column: interned names, the
+        // network radio shared, per-node radio specs as sparse overrides.
+        let mut relay = node("b", 0.25);
+        relay.radio = Some(RadioSpec::Preset("cc2420-always-on".into()));
         let spec = NetworkSpec {
-            nodes: vec![node("a", 0.5), node("b", 0.5)],
+            nodes: vec![node("a", 0.5), relay, node("c", 0.5)],
             topology: Some(TopologySpec::Chain),
-            radio: None,
+            radio: Some(RadioSpec::Lpl {
+                period_s: 0.2,
+                listen_s: 0.004,
+            }),
             template: None,
         };
         let soa = spec.build_soa(cpu, &profile, &battery).unwrap();
-        assert_eq!(soa.len(), 2);
+        soa.validate().unwrap();
+        assert_eq!(soa.len(), 3);
         assert_eq!(soa.name(0), "a");
+        assert_eq!(soa.name(1), "b");
+        assert_eq!(soa.parent, vec![wsnem_wsn::SINK, 0, 1]);
+        assert_eq!(soa.event_rate, vec![0.5, 0.25, 0.5]);
+        assert_eq!(soa.radio, spec.radio_spec_for(0).lower().unwrap());
+        assert_eq!(soa.radio_overrides.len(), 1);
+        assert_eq!(soa.radio_for(1), spec.radio_spec_for(1).lower().unwrap());
+        // A template cannot take mesh routes: they name specific nodes.
+        let mut mesh = template_net(3, 0.01, None);
+        mesh.topology = Some(TopologySpec::Mesh { routes: Vec::new() });
+        let err = mesh.build_soa(cpu, &profile, &battery).unwrap_err();
+        assert!(err.to_string().contains("mesh topology"), "{err}");
     }
 
     #[test]

@@ -17,12 +17,14 @@
 //!   tree or mesh with static routes): per-node forwarding load propagated
 //!   sink-ward, hop depths, first-node death, mean lifetime and
 //!   relay-bottleneck identification (lifetime-ranked, so per-node radio
-//!   overrides shift the hot spot).
+//!   overrides shift the hot spot). Scenarios do not run on it: it is the
+//!   per-node reference oracle the [`soa`] core is tested against.
 //! * [`soa`] — the same routed model in structure-of-arrays form (flat
-//!   `u32` parent array, shared CPU/battery, generated or interned names)
-//!   for million-node networks, with aggregate accessors (lifetime
-//!   histogram, hop-depth percentiles, worst-lifetime cohort) instead of
-//!   per-node rows; bit-identical to [`topology`] on the common subset.
+//!   `u32` parent array, shared CPU/battery, generated or interned names),
+//!   the one evaluator every scenario network runs on, from a handful of
+//!   nodes to millions, with aggregate accessors (lifetime histogram,
+//!   hop-depth percentiles, worst-lifetime cohort); bit-identical to
+//!   [`topology`] on the common subset.
 //! * [`tuning`] — pick the energy-optimal Power Down Threshold for a
 //!   workload (the design question the paper's Fig. 5 poses).
 //!
@@ -66,7 +68,7 @@ pub use node::{NodeAnalysis, NodeConfig};
 pub use radio::{RadioModel, RadioSpec, RadioTimeSplit, DEFAULT_RADIO_PRESET};
 pub use soa::{
     chain_parents, star_parents, tree_parents, HistBin, NodeNames, SoaAnalysis, SoaNetwork,
-    SoaRouting, SINK,
+    SoaRouting, SoaRun, SINK,
 };
 pub use topology::{
     Network, NetworkError, NextHop, RoutedAnalysis, RoutedNodeAnalysis, RoutingTable,

@@ -1,19 +1,20 @@
-//! Structure-of-arrays topology core — the million-node fast path.
+//! Structure-of-arrays topology core — the one network evaluator.
 //!
-//! The routed [`crate::Network`] stores one [`crate::NodeConfig`] struct per
-//! node (name `String`, CPU params, power profile, radio, battery — several
-//! hundred bytes each) and returns one [`crate::NodeAnalysis`] per node.
-//! That representation is sized for tens of nodes; at 10^6 nodes the
-//! per-node structs, name allocations and result rows dominate both memory
-//! and time. [`SoaNetwork`] is the same model in flat arrays:
+//! Every scenario network, from a three-node chain to a million-node
+//! template tree, evaluates here. The routed [`crate::Network`] stores one
+//! [`crate::NodeConfig`] struct per node (name `String`, CPU params, power
+//! profile, radio, battery — several hundred bytes each) and returns one
+//! [`crate::NodeAnalysis`] per node; it is kept as the reference oracle the
+//! tests compare this module against. [`SoaNetwork`] is the same model in
+//! flat arrays:
 //!
 //! * topology is one `u32` parent array ([`SINK`] marks sink-adjacent
 //!   nodes), so a million-node collection tree is 4 MB instead of hundreds;
 //! * per-node workload is three `f64` arrays (event rate, packets per
 //!   event, exogenous rx rate);
-//! * CPU parameters, power profile and battery are shared (the
-//!   heterogeneous cases stay on the small-net path), and radios are a
-//!   shared model plus a sparse override list;
+//! * CPU parameters, power profile and battery are shared (a scenario's
+//!   nodes share them by construction), and radios are a shared model plus
+//!   a sparse override list;
 //! * names are either generated on demand (`prefix` + 1-based index — zero
 //!   bytes per node) or interned into a single arena.
 //!
@@ -39,10 +40,12 @@
 //! [`SoaAnalysis`] keeps results as flat arrays too and answers the
 //! aggregate questions large-net reports need — lifetime histogram,
 //! hop-depth percentiles, the worst-lifetime cohort, the near-unstable
-//! cohort — without ever materializing per-node rows.
+//! cohort — without ever materializing per-node rows. Small nets that do
+//! report per node read each node's CPU split from its run
+//! ([`SoaAnalysis::run_for`]).
 
 use wsnem_core::{BackendId, BackendRegistry, CpuModelParams, EvalOptions};
-use wsnem_energy::{Battery, PowerProfile};
+use wsnem_energy::{Battery, PowerProfile, StateFractions};
 use wsnem_stats::dist::Sample;
 use wsnem_stats::par;
 
@@ -168,9 +171,9 @@ impl SoaNetwork {
         }
     }
 
-    /// Convert a per-node [`Network`] (the small-net oracle). Fails when the
-    /// nodes disagree on CPU parameters, power profile or battery — those
-    /// are shared here; heterogeneous nets stay on the per-node path. Radio
+    /// Convert a per-node [`Network`] (the reference oracle), so tests can
+    /// run both evaluators on one net. Fails when the nodes disagree on CPU
+    /// parameters, power profile or battery — those are shared here. Radio
     /// differences become sparse overrides against node 0's radio.
     pub fn from_network(net: &Network) -> Result<Self, String> {
         let first = net
@@ -271,6 +274,31 @@ impl SoaNetwork {
     /// ascending by index) and the routing structure (parents in range, no
     /// self-loops, every node reaches the sink).
     pub fn validate(&self) -> Result<(), String> {
+        self.check_columns()?;
+        let n = self.len();
+        for (i, &p) in self.parent.iter().enumerate() {
+            if p == SINK {
+                continue;
+            }
+            if p as usize >= n {
+                return Err(format!(
+                    "node `{}` forwards to index {p}, but there are only {n} nodes",
+                    self.name(i)
+                ));
+            }
+            if p as usize == i {
+                return Err(format!("node `{}` forwards to itself", self.name(i)));
+            }
+        }
+        self.hop_depths().map(|_| ())
+    }
+
+    /// Check that every per-node column and the name table match the parent
+    /// array's length, and that the radio overrides are in range and
+    /// strictly ascending by index. [`SoaNetwork::routing`] runs this too,
+    /// so a hand-built net with a short column or unsorted overrides errors
+    /// instead of panicking or applying the wrong radios.
+    fn check_columns(&self) -> Result<(), String> {
         let n = self.len();
         for (what, len) in [
             ("event_rate", self.event_rate.len()),
@@ -311,21 +339,7 @@ impl SoaNetwork {
                 _ => prev = Some(j),
             }
         }
-        for (i, &p) in self.parent.iter().enumerate() {
-            if p == SINK {
-                continue;
-            }
-            if p as usize >= n {
-                return Err(format!(
-                    "node `{}` forwards to index {p}, but there are only {n} nodes",
-                    self.name(i)
-                ));
-            }
-            if p as usize == i {
-                return Err(format!("node `{}` forwards to itself", self.name(i)));
-            }
-        }
-        self.hop_depths().map(|_| ())
+        Ok(())
     }
 
     /// Hops to the sink per node (sink-adjacent = 1), failing on cycles with
@@ -378,11 +392,13 @@ impl SoaNetwork {
     }
 
     /// Depths, forwarded rates and subtree sizes in one deepest-first
-    /// sink-ward pass. The processing order — deepest first, ascending index
-    /// within a depth — is produced by a stable counting sort and is exactly
-    /// the order of the oracle's stable `sort_by`, so the floating-point
-    /// forwarding sums are bit-identical to [`Network::routing`].
+    /// sink-ward pass, after the column checks of [`SoaNetwork::validate`].
+    /// The processing order — deepest first, ascending index within a depth
+    /// — is produced by a stable counting sort and is exactly the order of
+    /// the oracle's stable `sort_by`, so the floating-point forwarding sums
+    /// are bit-identical to [`Network::routing`].
     pub fn routing(&self) -> Result<SoaRouting, String> {
+        self.check_columns()?;
         let depths = self.hop_depths()?;
         let n = self.len();
         let max_depth = depths.iter().copied().max().unwrap_or(0) as usize;
@@ -421,15 +437,17 @@ impl SoaNetwork {
     }
 
     /// Analyze every node with forwarding loads applied — the flat-array
-    /// counterpart of [`Network::analyze_with_threads`], evaluating the
-    /// identical per-node recipe (CPU λ = event rate + forwarded load, CPU
-    /// power from the profile, radio power from tx/rx rates, lifetime from
-    /// the battery) without building per-node result structs.
+    /// counterpart of the oracle's [`Network::analyze_with_threads`],
+    /// evaluating the identical per-node recipe (CPU λ = event rate +
+    /// forwarded load, CPU power from the profile, radio power from tx/rx
+    /// rates, lifetime from the battery) without building per-node result
+    /// structs.
     ///
     /// The recipe runs once per maximal run of consecutive nodes whose
     /// inputs are bitwise equal ([`CpuSolver::solve`] is a pure function of
-    /// its inputs), and the run's result fills every node in it. A failing
-    /// run reports its first node, which is the lowest-index failing node.
+    /// its inputs): the run's power and lifetime fill every node in it, and
+    /// its CPU split is kept once in [`SoaAnalysis::runs`]. A failing run
+    /// reports its first node, which is the lowest-index failing node.
     ///
     /// [`CpuSolver::solve`]: wsnem_core::CpuSolver::solve
     pub fn analyze_with(
@@ -456,26 +474,31 @@ impl SoaNetwork {
         let results = par::map_indexed(run_starts.len(), threads, |r| {
             let i = run_starts[r];
             let params = self.cpu.with_forwarding(self.event_rate[i], forwarded[i]);
-            // The rare error is boxed to keep each run's result at 24 bytes.
+            // The rare error is boxed to keep each run's result small.
             let eval = registry.solve(backend, &params, opts).map_err(Box::new)?;
-            let cpu_power = self.cpu_profile.mean_power_mw(&eval.fractions);
-            let radio_power = self.radio_for(i).mean_power_mw(
-                self.own_tx_rate(i) + forwarded[i],
-                self.rx_rate[i] + forwarded[i],
-            );
-            let total = cpu_power + radio_power;
-            Ok::<(f64, f64), Box<wsnem_core::CoreError>>((total, self.battery.lifetime_days(total)))
+            Ok::<SoaRun, Box<wsnem_core::CoreError>>(SoaRun {
+                start: i,
+                cpu_fractions: eval.fractions,
+                cpu_power_mw: self.cpu_profile.mean_power_mw(&eval.fractions),
+                radio_power_mw: self.radio_for(i).mean_power_mw(
+                    self.own_tx_rate(i) + forwarded[i],
+                    self.rx_rate[i] + forwarded[i],
+                ),
+            })
         });
+        let mut runs = Vec::with_capacity(results.len());
         let mut total_power_mw = Vec::with_capacity(n);
         let mut lifetime_days = Vec::with_capacity(n);
         for (r, result) in results.into_iter().enumerate() {
-            let (total, lifetime) = result.map_err(|e| NetworkError::Node {
+            let run = result.map_err(|e| NetworkError::Node {
                 node: self.name(run_starts[r]),
                 source: *e,
             })?;
-            let len = run_starts.get(r + 1).copied().unwrap_or(n) - run_starts[r];
+            let total = run.cpu_power_mw + run.radio_power_mw;
+            let len = run_starts.get(r + 1).copied().unwrap_or(n) - run.start;
             total_power_mw.extend(std::iter::repeat_n(total, len));
-            lifetime_days.extend(std::iter::repeat_n(lifetime, len));
+            lifetime_days.extend(std::iter::repeat_n(self.battery.lifetime_days(total), len));
+            runs.push(run);
         }
         let mean_service = opts.service.to_dist(self.cpu.mu).mean();
         let rho = (0..n)
@@ -489,6 +512,7 @@ impl SoaNetwork {
             lifetime_days,
             rho,
             sink_arrival_pkts_s: self.sink_arrival_pkts_s(),
+            runs,
         })
     }
 
@@ -569,6 +593,20 @@ pub struct HistBin {
     pub count: u64,
 }
 
+/// One run of identical nodes, evaluated once: the CPU split and the power
+/// every node in the run shares.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SoaRun {
+    /// Index of the run's first node.
+    pub start: usize,
+    /// CPU steady-state occupancy.
+    pub cpu_fractions: StateFractions,
+    /// Mean CPU power (mW).
+    pub cpu_power_mw: f64,
+    /// Mean radio power (mW).
+    pub radio_power_mw: f64,
+}
+
 /// Flat-array analysis results plus the aggregate accessors large-net
 /// reports are built from.
 #[derive(Debug, Clone, PartialEq)]
@@ -588,6 +626,9 @@ pub struct SoaAnalysis {
     pub rho: Vec<f64>,
     /// Total packet rate entering the sink (packets/s).
     pub sink_arrival_pkts_s: f64,
+    /// The runs of identical nodes, ascending by start; the first starts at
+    /// node 0.
+    pub runs: Vec<SoaRun>,
 }
 
 /// Heap entry for the worst-lifetime cohort selection (max-heap over the
@@ -625,6 +666,11 @@ impl SoaAnalysis {
     /// True for the empty network.
     pub fn is_empty(&self) -> bool {
         self.lifetime_days.is_empty()
+    }
+
+    /// The run node `i` belongs to.
+    pub fn run_for(&self, i: usize) -> &SoaRun {
+        &self.runs[self.runs.partition_point(|run| run.start <= i) - 1]
     }
 
     /// Lifetime until the first node dies (days).
@@ -914,6 +960,97 @@ mod tests {
             "radio override for node index 0 follows index 2 \
              (overrides must be sorted by node index)"
         );
+    }
+
+    #[test]
+    fn routing_rejects_short_columns() {
+        for column in ["event_rate", "tx_per_event", "rx_rate"] {
+            let mut soa = small_soa(3, 2, 10.0);
+            match column {
+                "event_rate" => soa.event_rate.pop(),
+                "tx_per_event" => soa.tx_per_event.pop(),
+                _ => soa.rx_rate.pop(),
+            };
+            let expected = format!("{column} has 2 entries for 3 nodes");
+            assert_eq!(soa.routing().unwrap_err(), expected);
+            let err = soa
+                .analyze_with(
+                    wsnem_core::backend::global(),
+                    BackendId::Markov,
+                    &EvalOptions::default(),
+                    Some(1),
+                )
+                .unwrap_err();
+            assert!(
+                matches!(&err, NetworkError::Routing(msg) if *msg == expected),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn routing_rejects_unsorted_radio_overrides() {
+        let soa = with_overrides(&[2, 0]);
+        let expected = "radio override for node index 0 follows index 2 \
+                        (overrides must be sorted by node index)";
+        assert_eq!(soa.routing().unwrap_err(), expected);
+        let err = soa
+            .analyze_with(
+                wsnem_core::backend::global(),
+                BackendId::Markov,
+                &EvalOptions::default(),
+                Some(1),
+            )
+            .unwrap_err();
+        assert!(
+            matches!(&err, NetworkError::Routing(msg) if msg == expected),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn runs_carry_each_nodes_cpu_split() {
+        // A chain: every node forwards a different load, so each is its
+        // own run, and the runs match the oracle's per-node rows.
+        let nodes: Vec<NodeConfig> = (0..4)
+            .map(|i| NodeConfig::monitoring(format!("n{}", i + 1), 5.0))
+            .collect();
+        let oracle = Network::chain(nodes.clone())
+            .analyze(BackendId::Markov)
+            .unwrap();
+        let soa = SoaNetwork::from_network(&Network::chain(nodes)).unwrap();
+        let a = soa
+            .analyze_with(
+                wsnem_core::backend::global(),
+                BackendId::Markov,
+                &EvalOptions::default(),
+                Some(1),
+            )
+            .unwrap();
+        assert_eq!(a.runs.len(), 4);
+        for (i, o) in oracle.per_node.iter().enumerate() {
+            let run = a.run_for(i);
+            assert_eq!(run.start, i);
+            assert_eq!(run.cpu_fractions, o.analysis.cpu_fractions, "node {i}");
+            assert_eq!(run.cpu_power_mw, o.analysis.cpu_power_mw, "node {i}");
+            assert_eq!(run.radio_power_mw, o.analysis.radio_power_mw, "node {i}");
+        }
+        // A star of identical nodes is one run covering everyone.
+        let a = small_soa(5, 5, 10.0);
+        let star = SoaNetwork {
+            parent: star_parents(5),
+            ..a
+        };
+        let a = star
+            .analyze_with(
+                wsnem_core::backend::global(),
+                BackendId::Markov,
+                &EvalOptions::default(),
+                Some(1),
+            )
+            .unwrap();
+        assert_eq!(a.runs.len(), 1);
+        assert_eq!(a.run_for(4), &a.runs[0]);
     }
 
     #[test]

@@ -21,6 +21,12 @@
 //! *lifetime* rather than raw forwarded load — the energy price of carrying
 //! a subtree depends on the MAC carrying it.
 //!
+//! Scenario networks do not evaluate here: every one of them, whatever its
+//! size, runs on the structure-of-arrays core ([`crate::SoaNetwork`]). This
+//! per-node model is the reference oracle that core is tested against
+//! (`tests/soa_topology.rs` pins the two bit-identical), and the readable
+//! form for library users and examples.
+//!
 //! # Examples
 //!
 //! ```

@@ -1,4 +1,6 @@
-//! Golden-file tests pinning the aggregate report format.
+//! Golden-file tests pinning the aggregate report format, and the per-node
+//! network reports of the explicit-network built-ins
+//! (`tests/golden/report_network_nodes.txt`).
 //!
 //! Large-network (template or >1000-node) scenarios report in aggregate
 //! form — no per-node rows, a histogram/percentile/cohort digest instead.
@@ -126,4 +128,66 @@ fn aggregate_summary_matches_golden() {
     ] {
         assert!(golden.contains(marker), "summary golden lost `{marker}`");
     }
+}
+
+const GOLDEN_NETWORK_PATH: &str = "tests/golden/report_network_nodes.txt";
+
+/// Every built-in with an explicit node list: stars, chains, trees and
+/// meshes, with and without per-node radio overrides.
+const EXPLICIT_NETWORK_BUILTINS: [&str; 6] = [
+    "heterogeneous-star",
+    "tree-collection",
+    "chain-3hop",
+    "mesh-field",
+    "lpl-period-sweep",
+    "mac-heterogeneous-tree",
+];
+
+/// The `network` section (pretty JSON) and the CSV node rows of each
+/// explicit-network built-in, one block per scenario.
+///
+/// The network section runs on the cheapest requested backend, which is
+/// Markov in every one of these built-ins, so the scenario is cut down to
+/// Markov alone: the per-node numbers are unchanged and no simulator runs.
+fn network_nodes_text() -> String {
+    let mut text = String::new();
+    for name in EXPLICIT_NETWORK_BUILTINS {
+        let mut s = wsnem_scenario::builtin::find(name).unwrap();
+        assert!(s.backends.contains(&BackendId::Markov), "{name}");
+        s.backends = vec![BackendId::Markov];
+        let mut report = runner::run_scenario(&s).unwrap();
+        report.elapsed_seconds = 0.0;
+        let network = report
+            .network
+            .as_ref()
+            .expect("explicit networks report per node");
+        assert_eq!(network.backend, BackendId::Markov, "{name}");
+        text.push_str(&format!("## {name}\n"));
+        text.push_str(&serde_json::to_string_pretty(network).unwrap());
+        text.push('\n');
+        let rows = report.csv_rows();
+        for row in &rows[report.backends.len()..] {
+            text.push_str(row);
+            text.push('\n');
+        }
+    }
+    text
+}
+
+#[test]
+fn explicit_network_reports_match_golden() {
+    let text = network_nodes_text();
+
+    if std::env::var_os("WSNEM_BLESS").is_some() {
+        std::fs::create_dir_all("tests/golden").unwrap();
+        std::fs::write(GOLDEN_NETWORK_PATH, &text).unwrap();
+        return;
+    }
+
+    let golden = std::fs::read_to_string(GOLDEN_NETWORK_PATH)
+        .expect("golden file missing — run with WSNEM_BLESS=1 to create it");
+    assert_eq!(
+        text, golden,
+        "per-node network report drifted from the golden file"
+    );
 }
