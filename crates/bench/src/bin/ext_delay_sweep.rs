@@ -1,6 +1,6 @@
 //! E9 — extension: fine-grained Power-Up-Delay sweep locating the validity
 //! boundary of the paper's supplementary-variable approximation, with the
-//! Erlang-phase chain and the Petri net as accurate references.
+//! exact `Mg1` closed form and the Petri net as accurate references.
 //!
 //! Usage: `cargo run --release -p wsnem-bench --bin ext_delay_sweep [--quick]`
 
@@ -35,7 +35,7 @@ fn main() {
                 f(r.d, 3),
                 f(r.lambda_d, 3),
                 f(r.markov_err, 3),
-                f(r.phase_err, 3),
+                f(r.mg1_err, 3),
                 f(r.petri_err, 3),
             ]
         })
@@ -47,7 +47,7 @@ fn main() {
                 "D (s)",
                 "lambda*D",
                 "Markov (SV) err",
-                "Erlang-16 err",
+                "Mg1 (exact) err",
                 "Petri net err"
             ],
             &printable

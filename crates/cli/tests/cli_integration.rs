@@ -270,7 +270,7 @@ fn compare_emits_full_backend_matrix_within_tolerance() {
     ]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     let text = stdout(&out);
-    for backend in ["Markov", "ErlangPhase", "PetriNet", "Des"] {
+    for backend in ["Markov", "Mg1", "PetriNet", "Des"] {
         assert!(text.contains(backend), "matrix missing `{backend}`: {text}");
     }
     assert!(text.contains("reference Des"), "{text}");
@@ -303,7 +303,7 @@ fn compare_csv_and_json_formats() {
     );
     assert!(header.iter().any(|h| h == "d_active_pp"), "{header:?}");
     let rows: Vec<Vec<String>> = lines.map(csv_fields).collect();
-    assert_eq!(rows.len(), 5, "one row per backend: {text}");
+    assert_eq!(rows.len(), 4, "one row per backend: {text}");
     for row in &rows {
         assert_eq!(row.len(), header.len(), "{row:?}");
     }
@@ -959,15 +959,15 @@ fn compare_merges_directory_matrices_into_one_document() {
         .position(|h| h.trim() == "scenario")
         .unwrap_or_else(|| panic!("missing scenario column in {header:?}"));
     let rows: Vec<Vec<String>> = lines.map(csv_fields).collect();
-    // One merged document: a single header, then 5 backend rows per
+    // One merged document: a single header, then 4 backend rows per
     // scenario, in sorted file order.
-    assert_eq!(rows.len(), 10, "{text}");
+    assert_eq!(rows.len(), 8, "{text}");
     assert!(
-        rows[..5].iter().all(|r| r[scenario_col] == "fleet-1"),
+        rows[..4].iter().all(|r| r[scenario_col] == "fleet-1"),
         "{text}"
     );
     assert!(
-        rows[5..].iter().all(|r| r[scenario_col] == "fleet-2"),
+        rows[4..].iter().all(|r| r[scenario_col] == "fleet-2"),
         "{text}"
     );
     assert!(

@@ -31,8 +31,10 @@ use crate::params::CpuModelParams;
 /// core models, the node/network layer and the scenario schema.
 ///
 /// Serialized as its canonical variant name (`"Markov"`, `"Mg1"`,
-/// `"ErlangPhase"`, `"PetriNet"`, `"Des"`), so scenario files written
-/// against earlier schema versions keep loading unchanged.
+/// `"PetriNet"`, `"Des"`), so scenario files written against earlier
+/// schema versions keep loading unchanged. The retired Erlang-phase CTMC
+/// backend's names parse as [`BackendId::Mg1`], the exact closed form it
+/// approximated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BackendId {
     /// Supplementary-variable closed forms (paper §4.1, Eqs. 1–24).
@@ -40,9 +42,6 @@ pub enum BackendId {
     /// Exact M/G/1 Pollaczek–Khinchine closed form — analytic occupancy and
     /// wait for any service-time law; the million-node fast path.
     Mg1,
-    /// Erlang-phase CTMC expansion of the deterministic delays — analytic
-    /// *and* accurate for large `D`.
-    ErlangPhase,
     /// EDSPN token-game simulation (paper Fig. 3 / §4.2).
     PetriNet,
     /// Discrete-event simulation — the ground truth (the paper's Matlab
@@ -52,10 +51,9 @@ pub enum BackendId {
 
 impl BackendId {
     /// Every backend, in canonical (cheapest-first) order.
-    pub const ALL: [BackendId; 5] = [
+    pub const ALL: [BackendId; 4] = [
         BackendId::Markov,
         BackendId::Mg1,
-        BackendId::ErlangPhase,
         BackendId::PetriNet,
         BackendId::Des,
     ];
@@ -66,7 +64,6 @@ impl BackendId {
         match self {
             BackendId::Markov => "Markov",
             BackendId::Mg1 => "Mg1",
-            BackendId::ErlangPhase => "ErlangPhase",
             BackendId::PetriNet => "PetriNet",
             BackendId::Des => "Des",
         }
@@ -77,7 +74,6 @@ impl BackendId {
         match self {
             BackendId::Markov => "Markov",
             BackendId::Mg1 => "M/G/1",
-            BackendId::ErlangPhase => "Erlang Phase",
             BackendId::PetriNet => "Petri Net",
             BackendId::Des => "Simulation",
         }
@@ -99,8 +95,11 @@ impl BackendId {
         }
         match folded.as_str() {
             // "M/G/1", "m-g-1" etc. already fold onto the canonical "mg1".
-            "pk" | "pollaczekkhinchine" => return Ok(BackendId::Mg1),
-            "phase" | "erlang" => return Ok(BackendId::ErlangPhase),
+            // The retired Erlang-phase backend approximated the Mg1 closed
+            // form; its names keep v1/v2 scenario files loading.
+            "pk" | "pollaczekkhinchine" | "erlangphase" | "phase" | "erlang" => {
+                return Ok(BackendId::Mg1)
+            }
             "petri" | "pn" | "edspn" => return Ok(BackendId::PetriNet),
             "sim" | "simulation" => return Ok(BackendId::Des),
             _ => {}
@@ -368,9 +367,6 @@ pub struct Capabilities {
     pub provides_latency: bool,
     /// Consumes the seed/replication parameters (stochastic backends).
     pub uses_seed: bool,
-    /// Needs strictly positive `T` and `D` (the Erlang-phase expansion
-    /// cannot represent zero-length delays).
-    pub requires_positive_delays: bool,
     /// Relative evaluation cost rank (0 = cheapest); callers picking "the
     /// cheapest requested backend" order by this instead of matching.
     pub cost_rank: u8,
@@ -411,7 +407,7 @@ pub trait CpuSolver: Send + Sync {
 
 /// The solver registry — the workspace's single backend-dispatch site.
 ///
-/// [`BackendRegistry::builtin`] registers the five in-tree solvers; custom
+/// [`BackendRegistry::builtin`] registers the four in-tree solvers; custom
 /// registries can register additional (or replacement) [`CpuSolver`]s.
 #[derive(Default)]
 pub struct BackendRegistry {
@@ -432,14 +428,13 @@ impl BackendRegistry {
         Self::default()
     }
 
-    /// The five in-tree solvers, in canonical order. **This is the one
+    /// The four in-tree solvers, in canonical order. **This is the one
     /// backend-dispatch site in the workspace** — a new backend is wired in
     /// by registering it here (or into a custom registry).
     pub fn builtin() -> Self {
         let mut r = Self::new();
         r.register(Box::new(crate::models::markov_model::MarkovSolver));
         r.register(Box::new(crate::models::mg1_model::Mg1Solver));
-        r.register(Box::new(crate::models::phase_model::ErlangPhaseSolver));
         r.register(Box::new(crate::models::petri_model::PetriSolver));
         r.register(Box::new(crate::models::des_model::DesSolver));
         r
@@ -557,8 +552,10 @@ mod tests {
             ("m/g/1", BackendId::Mg1),
             ("MG1", BackendId::Mg1),
             ("pk", BackendId::Mg1),
-            ("erlang-phase", BackendId::ErlangPhase),
-            ("phase", BackendId::ErlangPhase),
+            ("ErlangPhase", BackendId::Mg1),
+            ("erlang-phase", BackendId::Mg1),
+            ("phase", BackendId::Mg1),
+            ("erlang", BackendId::Mg1),
             ("petri", BackendId::PetriNet),
             ("petri_net", BackendId::PetriNet),
             ("pn", BackendId::PetriNet),
@@ -661,7 +658,7 @@ mod tests {
     fn builtin_registry_covers_all_backends() {
         let r = BackendRegistry::builtin();
         assert_eq!(r.ids(), BackendId::ALL.to_vec());
-        assert_eq!(r.len(), 5);
+        assert_eq!(r.len(), 4);
         assert!(!r.is_empty());
         for caps in r.capabilities() {
             assert_eq!(r.capabilities_of(caps.id).unwrap(), caps);
@@ -673,7 +670,7 @@ mod tests {
         let mut ranks: Vec<u8> = r.capabilities().iter().map(|c| c.cost_rank).collect();
         ranks.sort_unstable();
         ranks.dedup();
-        assert_eq!(ranks.len(), 5);
+        assert_eq!(ranks.len(), 4);
         assert_eq!(format!("{r:?}").matches("Markov").count(), 1);
     }
 
@@ -691,7 +688,6 @@ mod tests {
                     provides_mean_jobs: false,
                     provides_latency: false,
                     uses_seed: false,
-                    requires_positive_delays: false,
                     cost_rank: 9,
                 }
             }
@@ -708,7 +704,7 @@ mod tests {
         }
         let mut r = BackendRegistry::builtin();
         r.register(Box::new(FakeDes));
-        assert_eq!(r.len(), 5, "replacement, not duplication");
+        assert_eq!(r.len(), 4, "replacement, not duplication");
         assert_eq!(r.capabilities_of(BackendId::Des).unwrap().cost_rank, 9);
         let err = r
             .solve(

@@ -1,71 +1,12 @@
-//! DESIGN.md ablations E7 (Erlang phases) and E8 (simulation convergence).
+//! DESIGN.md ablation E8 (simulation convergence).
 
 use wsnem_energy::StateFractions;
-use wsnem_markov::PhaseCpuChain;
 
 use crate::error::CoreError;
 use crate::evaluation::CpuModel;
 use crate::models::des_model::DesCpuModel;
 use crate::models::petri_model::PetriCpuModel;
 use crate::params::CpuModelParams;
-
-/// One row of the Erlang-phase ablation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ErlangRow {
-    /// Number of Erlang phases used for both delays.
-    pub phases: u32,
-    /// CTMC size.
-    pub n_states: usize,
-    /// The phase-chain prediction.
-    pub fractions: StateFractions,
-    /// Mean absolute delta vs the DES reference (percentage points).
-    pub delta_vs_des: f64,
-    /// Wall-clock seconds to build + solve the chain.
-    pub eval_seconds: f64,
-}
-
-/// E7: replace the deterministic `T` and `D` by Erlang-k phases and measure
-/// convergence toward the DES ground truth as `k` grows.
-///
-/// This quantifies the paper's closing remark — "if an effective method of
-/// modeling constant delays in Markov chains can be derived, the Markov
-/// model may well become the modeling method of choice".
-pub fn erlang_ablation(
-    params: CpuModelParams,
-    phase_counts: &[u32],
-) -> Result<(StateFractions, Vec<ErlangRow>), CoreError> {
-    params.validate()?;
-    if params.power_down_threshold <= 0.0 || params.power_up_delay <= 0.0 {
-        return Err(CoreError::InvalidParameter {
-            what: "erlang_ablation",
-            constraint: "T > 0 and D > 0 (phase expansion needs positive delays)",
-            value: params.power_down_threshold.min(params.power_up_delay),
-        });
-    }
-    let des = DesCpuModel::new(params).evaluate()?;
-    let mut rows = Vec::with_capacity(phase_counts.len());
-    for &k in phase_counts {
-        let start = std::time::Instant::now();
-        let chain = PhaseCpuChain::new(
-            params.lambda,
-            params.mu,
-            params.power_down_threshold,
-            params.power_up_delay,
-            k,
-            k,
-            0,
-        )?;
-        let fractions = chain.fractions()?;
-        rows.push(ErlangRow {
-            phases: k,
-            n_states: chain.n_states(),
-            fractions,
-            delta_vs_des: fractions.mean_abs_delta_pct(&des.fractions),
-            eval_seconds: start.elapsed().as_secs_f64(),
-        });
-    }
-    Ok((des.fractions, rows))
-}
 
 /// One row of the convergence ablation.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,33 +58,6 @@ pub fn convergence_ablation(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn erlang_error_shrinks_with_phases() {
-        let params = CpuModelParams::paper_defaults()
-            .with_power_up_delay(0.3)
-            .with_replications(8)
-            .with_horizon(4000.0)
-            .with_warmup(200.0);
-        let (_des, rows) = erlang_ablation(params, &[1, 8]).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert!(
-            rows[1].delta_vs_des < rows[0].delta_vs_des,
-            "k=8 ({}) should beat k=1 ({})",
-            rows[1].delta_vs_des,
-            rows[0].delta_vs_des
-        );
-        assert!(rows[1].n_states > rows[0].n_states, "phase cost grows");
-        for r in &rows {
-            assert!(r.fractions.is_normalized(1e-6));
-        }
-    }
-
-    #[test]
-    fn erlang_rejects_zero_delays() {
-        let params = CpuModelParams::paper_defaults().with_power_up_delay(0.0);
-        assert!(erlang_ablation(params, &[1]).is_err());
-    }
 
     #[test]
     fn convergence_improves_with_budget() {

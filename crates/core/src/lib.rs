@@ -1,6 +1,6 @@
 //! # wsnem-core
 //!
-//! The paper's contribution, as a library: three interchangeable models of a
+//! The paper's contribution, as a library: four interchangeable models of a
 //! wireless-sensor-node processor with power management —
 //!
 //! * [`MarkovCpuModel`] — the supplementary-variable closed forms
@@ -14,8 +14,8 @@
 //!
 //! all behind the [`CpuModel`] trait, plus the [`experiments`] harness that
 //! regenerates every table and figure of the evaluation section (Fig. 4,
-//! Fig. 5, Table 4, Table 5) and the ablations DESIGN.md adds (Erlang-phase
-//! Markov chains, convergence studies).
+//! Fig. 5, Table 4, Table 5) and the DESIGN.md convergence ablation and
+//! Power-Up-Delay sweep.
 //!
 //! The [`backend`] module is the unified solver API: one [`BackendId`]
 //! shared by every layer, an object-safe [`CpuSolver`] trait with a
@@ -47,5 +47,4 @@ pub use models::petri_model::{
     build_cpu_edspn, build_cpu_edspn_with_service, state_rewards, CpuNetHandles, PetriCpuModel,
     PetriSolver,
 };
-pub use models::phase_model::{ErlangPhaseSolver, PhaseCpuModel};
 pub use params::CpuModelParams;

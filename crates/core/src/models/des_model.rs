@@ -122,8 +122,7 @@ impl CpuSolver for DesSolver {
             provides_mean_jobs: true,
             provides_latency: true,
             uses_seed: true,
-            requires_positive_delays: false,
-            cost_rank: 4,
+            cost_rank: 3,
         }
     }
 

@@ -74,7 +74,6 @@ impl CpuSolver for MarkovSolver {
             provides_mean_jobs: true,
             provides_latency: true,
             uses_seed: false,
-            requires_positive_delays: false,
             cost_rank: 0,
         }
     }

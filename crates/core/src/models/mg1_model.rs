@@ -183,7 +183,6 @@ impl CpuSolver for Mg1Solver {
             provides_mean_jobs: true,
             provides_latency: true,
             uses_seed: false,
-            requires_positive_delays: false,
             cost_rank: 1,
         }
     }

@@ -4,4 +4,3 @@ pub mod des_model;
 pub mod markov_model;
 pub mod mg1_model;
 pub mod petri_model;
-pub mod phase_model;

@@ -295,8 +295,7 @@ impl CpuSolver for PetriSolver {
             provides_mean_jobs: true,
             provides_latency: true,
             uses_seed: true,
-            requires_positive_delays: false,
-            cost_rank: 3,
+            cost_rank: 2,
         }
     }
 

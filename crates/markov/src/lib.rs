@@ -11,9 +11,10 @@
 //! * [`supplementary`] — the paper's Markov model of the CPU (Eqs. 11–24):
 //!   Cox's method of supplementary variables approximating the two
 //!   deterministic delays (Power Down Threshold `T`, Power Up Delay `D`).
-//! * [`phase`] — Erlang-phase CTMC approximations of those deterministic
-//!   delays (the paper §6 wish: "an effective method of modeling constant
-//!   delays in Markov chains"); used by the ablation experiments.
+//!
+//! The exact answer for those constant delays is the renewal-reward closed
+//! form of `wsnem-core`'s `Mg1` backend; no CTMC approximation of it is
+//! kept here.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::disallowed_methods))]
@@ -25,11 +26,9 @@
 pub mod birthdeath;
 pub mod ctmc;
 pub mod error;
-pub mod phase;
 pub mod supplementary;
 
 pub use birthdeath::{mm1, mm1k, BirthDeath};
 pub use ctmc::{Ctmc, CtmcBuilder, SteadyStateMethod};
 pub use error::MarkovError;
-pub use phase::PhaseCpuChain;
 pub use supplementary::SupplementaryVariableModel;

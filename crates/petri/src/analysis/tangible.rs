@@ -172,8 +172,9 @@ fn resolve(
 /// Build the tangible CTMC of `net`.
 ///
 /// Errors with [`PetriError::NonExponentialTimed`] if any timed transition
-/// has a non-exponential distribution (deterministic transitions need either
-/// simulation or phase-type approximation — see `wsnem-markov::phase`).
+/// has a non-exponential distribution (deterministic transitions need
+/// simulation, or a closed form such as `wsnem-core`'s `Mg1` backend for the
+/// paper's CPU net).
 pub fn tangible_chain(net: &PetriNet, opts: ReachOptions) -> Result<TangibleChain, PetriError> {
     // Precondition: exponential timed transitions only.
     let mut rates: Vec<Option<f64>> = vec![None; net.n_transitions()];

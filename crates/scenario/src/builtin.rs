@@ -211,7 +211,7 @@ pub fn chain_3hop() -> Scenario {
     s.cpu = s.cpu.with_lambda(0.8).with_replications(8);
     s.backends = vec![
         BackendId::Markov,
-        BackendId::ErlangPhase,
+        BackendId::Mg1,
         BackendId::PetriNet,
         BackendId::Des,
     ];
@@ -284,14 +284,14 @@ pub fn mesh_field() -> Scenario {
 }
 
 /// Table 4/5's stress axis: a large Power Up Delay breaks the
-/// supplementary-variable approximation; the Erlang-phase chain and the
+/// supplementary-variable approximation; the exact Mg1 closed form and the
 /// simulators stay accurate.
 pub fn powerup_delay_stress() -> Scenario {
     let mut s = Scenario::paper_template("powerup-delay-stress");
     s.description = "The failure mode the paper's Tables 4/5 quantify: at D = 10 s the \
                      supplementary-variable Markov model overestimates utilization \
-                     several-fold while the Erlang-phase chain, the Petri net and the \
-                     DES agree. No tolerance gate — the disagreement is the result."
+                     several-fold while the exact Mg1 closed form, the Petri net and \
+                     the DES agree. No tolerance gate — the disagreement is the result."
         .into();
     s.cpu = s
         .cpu
@@ -301,7 +301,7 @@ pub fn powerup_delay_stress() -> Scenario {
         .with_warmup(500.0);
     s.backends = vec![
         BackendId::Markov,
-        BackendId::ErlangPhase,
+        BackendId::Mg1,
         BackendId::PetriNet,
         BackendId::Des,
     ];
@@ -494,8 +494,8 @@ mod tests {
         assert!(
             scenarios
                 .iter()
-                .any(|s| s.backends.contains(&BackendId::ErlangPhase)),
-            "an Erlang-phase scenario"
+                .any(|s| s.backends.contains(&BackendId::Mg1)),
+            "an exact Mg1 scenario"
         );
         assert!(
             scenarios

@@ -433,7 +433,7 @@ mod tests {
         assert_eq!(report.rows.len(), 1, "no sweep → base row only");
         assert!(report.axis.is_none());
         let row = &report.rows[0];
-        assert_eq!(row.cells.len(), 5);
+        assert_eq!(row.cells.len(), 4);
         for c in &row.cells {
             assert!(c.error.is_none(), "{:?}", c);
             assert!(c.fractions.unwrap().is_normalized(1e-6));
@@ -476,12 +476,12 @@ mod tests {
         assert_eq!(report.rows[1].value, Some(0.2));
         assert_eq!(report.rows[2].value, Some(0.8));
         let csv = report.csv_rows();
-        assert_eq!(csv.len(), 3 * 5);
+        assert_eq!(csv.len(), 3 * 4);
         let cols = CompareReport::CSV_HEADER.split(',').count();
         for row in &csv {
             assert_eq!(row.split(',').count(), cols, "{row}");
         }
-        assert!(csv[5].contains(",power_down_threshold,0.2,"), "{}", csv[5]);
+        assert!(csv[4].contains(",power_down_threshold,0.2,"), "{}", csv[4]);
     }
 
     #[test]
@@ -529,24 +529,23 @@ mod tests {
 
     #[test]
     fn incapable_backends_become_error_cells_not_failures() {
-        // Erlang-phase cannot expand a zero Power Up Delay — its cell must
-        // carry the error while the rest of the matrix survives.
+        // The closed-form Markov model cannot take deterministic service —
+        // its cell must carry the error while the rest of the matrix
+        // survives. (The scenario's own backend list must be capable, or
+        // validation rejects it before the matrix runs.)
         let mut s = quick_scenario();
-        s.cpu = s.cpu.with_power_up_delay(0.0);
+        s.service = Some(wsnem_core::ServiceDist::Deterministic);
+        s.backends = vec![BackendId::Mg1, BackendId::Des];
         let report = compare_scenario(&s).unwrap();
         let row = &report.rows[0];
-        let phase = row
+        let markov = row
             .cells
             .iter()
-            .find(|c| c.backend == BackendId::ErlangPhase)
+            .find(|c| c.backend == BackendId::Markov)
             .unwrap();
-        assert!(phase.error.is_some(), "{phase:?}");
-        assert!(phase.fractions.is_none());
-        for c in row
-            .cells
-            .iter()
-            .filter(|c| c.backend != BackendId::ErlangPhase)
-        {
+        assert!(markov.error.is_some(), "{markov:?}");
+        assert!(markov.fractions.is_none());
+        for c in row.cells.iter().filter(|c| c.backend != BackendId::Markov) {
             assert!(c.error.is_none(), "{c:?}");
         }
         assert!(report.summary().contains("unavailable"));

@@ -47,15 +47,23 @@ impl FileFormat {
 /// analyzer's entry point: a syntactically valid but semantically broken
 /// scenario must still parse so every validation failure can be reported as
 /// a coded diagnostic instead of one hard error.
+///
+/// A backend named twice in `backends`, under any spelling that
+/// [`BackendId::parse`](crate::BackendId::parse) accepts, is kept once at
+/// its first position, so it is never solved and reported twice.
 pub fn parse_str(content: &str, format: FileFormat) -> Result<Scenario, ScenarioError> {
-    match format {
-        FileFormat::Json => {
-            serde_json::from_str(content).map_err(|e| ScenarioError::Parse(e.to_string()))
-        }
-        FileFormat::Toml => {
-            toml::from_str(content).map_err(|e| ScenarioError::Parse(e.to_string()))
-        }
-    }
+    let parsed = match format {
+        FileFormat::Json => serde_json::from_str(content).map_err(|e| e.to_string()),
+        FileFormat::Toml => toml::from_str(content).map_err(|e| e.to_string()),
+    };
+    let mut scenario: Scenario = parsed.map_err(ScenarioError::Parse)?;
+    let mut seen = Vec::with_capacity(scenario.backends.len());
+    scenario.backends.retain(|&b| {
+        let first = !seen.contains(&b);
+        seen.push(b);
+        first
+    });
+    Ok(scenario)
 }
 
 /// Parse a scenario from a string in the given format and validate it.
@@ -166,6 +174,27 @@ mod tests {
             load(dir.join("missing.toml")),
             Err(ScenarioError::Io(_))
         ));
+    }
+
+    #[test]
+    fn repeated_backends_are_solved_once() {
+        use crate::BackendId;
+        let mut s = builtin::paper_defaults();
+        s.backends = vec![BackendId::Mg1, BackendId::Markov, BackendId::PetriNet];
+        for format in [FileFormat::Json, FileFormat::Toml] {
+            let text = to_string(&s, format).unwrap();
+            // The canonical name twice, and the retired alias onto it.
+            for repeat in ["\"Mg1\"", "\"ErlangPhase\""] {
+                let dup = text.replace("\"PetriNet\"", repeat);
+                assert_ne!(dup, text, "{format:?}");
+                let loaded = from_str(&dup, format).unwrap();
+                assert_eq!(
+                    loaded.backends,
+                    vec![BackendId::Mg1, BackendId::Markov],
+                    "{format:?} {repeat}"
+                );
+            }
+        }
     }
 
     #[test]

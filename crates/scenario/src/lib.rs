@@ -4,7 +4,7 @@
 //! the layer that turns the paper's hard-coded experiment functions into
 //! data: a [`Scenario`] file (JSON or TOML) names the CPU parameters, power
 //! profile, battery, arrival workload, the model backends to compare
-//! (Markov / Erlang-phase / Petri net / DES), optional sweep axes and an
+//! (Markov / Mg1 / Petri net / DES), optional sweep axes and an
 //! optional star network; the [`runner`] evaluates it — in parallel across
 //! scenarios for batches — into a structured [`ScenarioReport`] with
 //! per-state energy breakdowns, battery lifetimes and cross-backend

@@ -1066,7 +1066,7 @@ mod tests {
         assert!(caps(BackendId::Markov).assumes_poisson);
         assert!(caps(BackendId::PetriNet).assumes_poisson);
         assert!(!caps(BackendId::Des).assumes_poisson);
-        assert_eq!(BackendId::ErlangPhase.to_string(), "ErlangPhase");
+        assert_eq!(BackendId::Mg1.to_string(), "Mg1");
     }
 
     #[test]

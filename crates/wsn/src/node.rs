@@ -184,7 +184,7 @@ mod tests {
             .with_horizon(3000.0)
             .with_warmup(100.0);
         let m = node.analyze(BackendId::Markov).unwrap();
-        let e = node.analyze(BackendId::ErlangPhase).unwrap();
+        let e = node.analyze(BackendId::Mg1).unwrap();
         let p = node.analyze(BackendId::PetriNet).unwrap();
         let d = node.analyze(BackendId::Des).unwrap();
         assert!(
@@ -197,7 +197,7 @@ mod tests {
         );
         assert!(
             m.cpu_fractions.mean_abs_delta_pct(&e.cpu_fractions) < 2.0,
-            "markov vs erlang-phase"
+            "markov vs mg1"
         );
     }
 

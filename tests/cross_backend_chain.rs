@@ -28,11 +28,7 @@ fn three_hop_chain() -> Network {
 fn all_backends_agree_per_node_on_the_chain() {
     let net = three_hop_chain();
     let reference = net.analyze(BackendId::Des).unwrap();
-    for backend in [
-        BackendId::Markov,
-        BackendId::ErlangPhase,
-        BackendId::PetriNet,
-    ] {
+    for backend in [BackendId::Markov, BackendId::Mg1, BackendId::PetriNet] {
         let result = net.analyze(backend).unwrap();
         for (r, d) in result.per_node.iter().zip(&reference.per_node) {
             let delta = r
@@ -62,12 +58,7 @@ fn all_backends_agree_per_node_on_the_chain() {
 #[test]
 fn structure_is_backend_invariant_and_relay_dies_first() {
     let net = three_hop_chain();
-    for backend in [
-        BackendId::Markov,
-        BackendId::ErlangPhase,
-        BackendId::PetriNet,
-        BackendId::Des,
-    ] {
+    for backend in BackendId::ALL {
         let a = net.analyze(backend).unwrap();
         let depths: Vec<u32> = a.per_node.iter().map(|n| n.hop_depth).collect();
         assert_eq!(depths, vec![1, 2, 3], "{backend:?}");

@@ -149,10 +149,17 @@ fn general_exponential_service_cannot_split_the_backends() {
     let slow_exp = EvalOptions::default().with_service(ServiceDist::General {
         dist: Dist::Exponential { rate: 3.0 },
     });
-    for id in [BackendId::Markov, BackendId::ErlangPhase] {
-        let err = registry.solve(id, &params, &slow_exp).unwrap_err();
-        assert!(matches!(err, CoreError::Unsupported { .. }), "{id}: {err}");
-    }
+    let err = registry
+        .solve(BackendId::Markov, &params, &slow_exp)
+        .unwrap_err();
+    assert!(matches!(err, CoreError::Unsupported { .. }), "{err}");
+    // The exact closed form honours the requested rate: ρ = λ/3 exactly.
+    let mg1 = registry.solve(BackendId::Mg1, &params, &slow_exp).unwrap();
+    assert!(
+        (mg1.fractions.active - 1.0 / 3.0).abs() < 1e-12,
+        "active = {}",
+        mg1.fractions.active
+    );
     let pn = registry
         .solve(BackendId::PetriNet, &params, &slow_exp)
         .unwrap();

@@ -2,7 +2,7 @@
 //! DES, spanning four crates.
 
 #![allow(clippy::disallowed_methods)] // tests/examples may panic on broken invariants
-use wsnem::markov::{mm1, mm1k, PhaseCpuChain, SteadyStateMethod};
+use wsnem::markov::{mm1, mm1k, CtmcBuilder, SteadyStateMethod};
 use wsnem::petri::analysis::{tangible_chain, ReachOptions};
 use wsnem::petri::models::{mm1_net, mm1k_net, producer_consumer_net};
 use wsnem::petri::{simulate, SimConfig};
@@ -71,45 +71,40 @@ fn producer_consumer_is_a_birth_death_chain() {
     assert!((l - closed.mean_jobs()).abs() < 1e-9);
 }
 
-/// The Erlang-phase CPU chain converges to the DES truth as phases grow —
-/// and with enough phases it beats the paper's supplementary-variable
-/// approximation at a moderately large D.
-#[test]
-fn phase_chain_converges_to_des() {
-    use wsnem::core::{CpuModel, CpuModelParams, DesCpuModel, MarkovCpuModel};
-    let params = CpuModelParams::paper_defaults()
-        .with_power_up_delay(1.0)
-        .with_replications(8)
-        .with_horizon(6000.0)
-        .with_warmup(300.0);
-    let des = DesCpuModel::new(params).evaluate().unwrap();
-    let sv = MarkovCpuModel::new(params).evaluate().unwrap();
-    let sv_err = des.fractions.mean_abs_delta_pct(&sv.fractions);
-
-    let mut last_err = f64::INFINITY;
-    for k in [1u32, 4, 16] {
-        let chain = PhaseCpuChain::new(1.0, 10.0, 0.5, 1.0, k, k, 0).unwrap();
-        let err = des
-            .fractions
-            .mean_abs_delta_pct(&chain.fractions().unwrap());
-        assert!(
-            err < last_err + 0.3,
-            "k={k}: error {err} should not regress from {last_err}"
-        );
-        last_err = err;
-    }
-    assert!(
-        last_err < sv_err,
-        "16 phases ({last_err} pp) must beat the supplementary-variable \
-         approximation ({sv_err} pp) at D = 1 s"
-    );
-}
-
-/// The CTMC solvers agree with each other on the phase chain.
+/// The CTMC solvers agree with each other on a phase-type chain that is not
+/// birth–death: an M/M/1/Q queue whose server, once it empties, switches
+/// off and needs an Erlang-`k` setup before serving again. Arrivals queue
+/// during the setup; its last phase jumps straight to `Busy(q)`.
 #[test]
 fn solvers_agree_on_phase_chain() {
-    let chain = PhaseCpuChain::new(1.0, 10.0, 0.5, 0.3, 4, 4, 0).unwrap();
-    let ctmc = chain.build().unwrap();
+    let (lam, mu, setup, k, q_max) = (2.0, 3.0, 0.5, 4usize, 12usize);
+    let nu = k as f64 / setup;
+    // 0: Off, then Setup(j, q) for j < k, 1 <= q <= Q, then Busy(q).
+    let setup_idx = |j: usize, q: usize| 1 + j * q_max + (q - 1);
+    let busy_idx = |q: usize| 1 + k * q_max + (q - 1);
+    let mut b = CtmcBuilder::new(1 + k * q_max + q_max);
+    b.rate(0, setup_idx(0, 1), lam).unwrap();
+    for q in 1..=q_max {
+        for j in 0..k {
+            if q < q_max {
+                b.rate(setup_idx(j, q), setup_idx(j, q + 1), lam).unwrap();
+            }
+            let next = if j + 1 < k {
+                setup_idx(j + 1, q)
+            } else {
+                busy_idx(q)
+            };
+            b.rate(setup_idx(j, q), next, nu).unwrap();
+        }
+        if q < q_max {
+            b.rate(busy_idx(q), busy_idx(q + 1), lam).unwrap();
+        }
+        let done = if q > 1 { busy_idx(q - 1) } else { 0 };
+        b.rate(busy_idx(q), done, mu).unwrap();
+    }
+    let ctmc = b.build().unwrap();
+    assert!(ctmc.n_states() >= 50, "{}", ctmc.n_states());
+
     let dense = ctmc.steady_state(SteadyStateMethod::Dense).unwrap();
     let gs = ctmc
         .steady_state(SteadyStateMethod::GaussSeidel {

@@ -55,9 +55,11 @@ fn pinned_scenario_v1() -> Scenario {
         off: Dist::Exponential { rate: 0.1 },
         rate_on: 5.0,
     });
+    // The file names the retired `ErlangPhase` backend in this slot; it
+    // loads as its exact replacement, `Mg1`.
     s.backends = vec![
         BackendId::Markov,
-        BackendId::ErlangPhase,
+        BackendId::Mg1,
         BackendId::PetriNet,
         BackendId::Des,
     ];
@@ -332,6 +334,32 @@ fn golden_v1_file_still_loads_unchanged() {
     let net = report.network.unwrap();
     assert_eq!(net.topology, "star");
     assert_eq!(net.max_hop_depth, 1);
+}
+
+/// The frozen v1/v2 files name the retired Erlang-phase backend; it loads
+/// as `Mg1`, and the report row carries the exact closed form bit for bit.
+#[test]
+fn golden_v1_v2_erlang_slot_analyzes_as_exact_mg1() {
+    use wsnem::core::EvalOptions;
+    use wsnem_scenario::{global_registry, BackendId};
+
+    for path in [GOLDEN_V1_PATH, GOLDEN_V2_PATH] {
+        let golden = std::fs::read_to_string(path).expect("golden file present");
+        let mut quick = files::from_str(&golden, FileFormat::Json).unwrap();
+        assert_eq!(quick.backends[1], BackendId::Mg1, "{path}");
+        quick.cpu = quick.cpu.with_replications(2).with_horizon(300.0);
+        quick.sweep = None;
+        let report = runner::run_scenario(&quick).unwrap();
+        let row = report
+            .backends
+            .iter()
+            .find(|b| b.backend == BackendId::Mg1)
+            .expect("an Mg1 row");
+        let exact = global_registry()
+            .solve(BackendId::Mg1, &quick.cpu, &EvalOptions::default())
+            .unwrap();
+        assert_eq!(row.fractions, exact.fractions, "{path}");
+    }
 }
 
 #[test]
