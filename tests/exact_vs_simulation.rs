@@ -2,6 +2,7 @@
 //! DES, spanning four crates.
 
 #![allow(clippy::disallowed_methods)] // tests/examples may panic on broken invariants
+use wsnem::energy::StateFractions;
 use wsnem::markov::{mm1, mm1k, CtmcBuilder, SteadyStateMethod};
 use wsnem::petri::analysis::{tangible_chain, ReachOptions};
 use wsnem::petri::models::{mm1_net, mm1k_net, producer_consumer_net};
@@ -69,6 +70,99 @@ fn producer_consumer_is_a_birth_death_chain() {
     let closed = mm1k(1.5, 2.0, 4).unwrap();
     let l = chain.expected_tokens(&pi, buffer);
     assert!((l - closed.mean_jobs()).abs() < 1e-9);
+}
+
+/// Occupancy fractions of the paper's CPU with its two constant delays
+/// replaced by Erlang stages: the power-up delay `d` by `k` phases and the
+/// idle timeout `t` by `m` phases, the queue truncated at `q_max` jobs.
+/// States: 0 is Standby, then PowerUp(j, q) for j < k, 1 <= q <= Q, then
+/// Active(q), then Idle(i) for i < m.
+fn erlang_cpu_fractions(
+    lam: f64,
+    mu: f64,
+    t: f64,
+    d: f64,
+    k: usize,
+    m: usize,
+    q_max: usize,
+) -> StateFractions {
+    let (nu_up, nu_dn) = (k as f64 / d, m as f64 / t);
+    let powerup = |j: usize, q: usize| 1 + j * q_max + (q - 1);
+    let active = |q: usize| 1 + k * q_max + (q - 1);
+    let idle = |i: usize| 1 + k * q_max + q_max + i;
+    let mut b = CtmcBuilder::new(1 + k * q_max + q_max + m);
+    b.rate(0, powerup(0, 1), lam).unwrap();
+    for q in 1..=q_max {
+        for j in 0..k {
+            if q < q_max {
+                b.rate(powerup(j, q), powerup(j, q + 1), lam).unwrap();
+            }
+            let next = if j + 1 < k {
+                powerup(j + 1, q)
+            } else {
+                active(q)
+            };
+            b.rate(powerup(j, q), next, nu_up).unwrap();
+        }
+        if q < q_max {
+            b.rate(active(q), active(q + 1), lam).unwrap();
+        }
+        let done = if q > 1 { active(q - 1) } else { idle(0) };
+        b.rate(active(q), done, mu).unwrap();
+    }
+    for i in 0..m {
+        // An arrival aborts the idle timer and starts service at once.
+        b.rate(idle(i), active(1), lam).unwrap();
+        let next = if i + 1 < m { idle(i + 1) } else { 0 };
+        b.rate(idle(i), next, nu_dn).unwrap();
+    }
+    let pi = b
+        .build()
+        .unwrap()
+        .steady_state(SteadyStateMethod::Auto)
+        .unwrap();
+    let sum = |r: std::ops::Range<usize>| pi[r].iter().sum::<f64>();
+    let total: f64 = pi.iter().sum();
+    StateFractions::new(
+        pi[0] / total,
+        sum(1..active(1)) / total,
+        sum(idle(0)..idle(0) + m) / total,
+        sum(active(1)..idle(0)) / total,
+    )
+}
+
+/// The Erlang-phase CPU chain converges to the DES truth as phases grow —
+/// and with enough phases it beats the paper's supplementary-variable
+/// approximation at a moderately large D.
+#[test]
+fn phase_chain_converges_to_des() {
+    use wsnem::core::{CpuModel, CpuModelParams, DesCpuModel, MarkovCpuModel};
+    let params = CpuModelParams::paper_defaults()
+        .with_power_up_delay(1.0)
+        .with_replications(8)
+        .with_horizon(6000.0)
+        .with_warmup(300.0);
+    let des = DesCpuModel::new(params).evaluate().unwrap();
+    let sv = MarkovCpuModel::new(params).evaluate().unwrap();
+    let sv_err = des.fractions.mean_abs_delta_pct(&sv.fractions);
+
+    let mut last_err = f64::INFINITY;
+    for k in [1usize, 4, 16] {
+        // Q = ⌈20 + 6λD + 10ρ⌉ covers the power-up backlog with headroom.
+        let fractions = erlang_cpu_fractions(1.0, 10.0, 0.5, 1.0, k, k, 27);
+        assert!(fractions.is_normalized(1e-9), "{fractions:?}");
+        let err = des.fractions.mean_abs_delta_pct(&fractions);
+        assert!(
+            err < last_err + 0.3,
+            "k={k}: error {err} should not regress from {last_err}"
+        );
+        last_err = err;
+    }
+    assert!(
+        last_err < sv_err,
+        "16 phases ({last_err} pp) must beat the supplementary-variable \
+         approximation ({sv_err} pp) at D = 1 s"
+    );
 }
 
 /// The CTMC solvers agree with each other on a phase-type chain that is not
