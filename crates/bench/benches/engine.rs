@@ -8,7 +8,7 @@ use std::hint::black_box;
 use wsnem_bench::harness::{BenchmarkId, Criterion, Throughput};
 use wsnem_bench::{criterion_group, criterion_main};
 
-use wsnem_bench::nets::{relay_ring_net, vanishing_pipeline_net};
+use wsnem_bench::nets::{open_arrivals_net, relay_ring_net, vanishing_pipeline_net};
 use wsnem_core::build_cpu_edspn;
 use wsnem_des::cpu::{CpuDes, CpuSimParams};
 use wsnem_des::workload::Workload;
@@ -67,6 +67,31 @@ fn bench_petri_engine(c: &mut Criterion) {
     g.throughput(Throughput::Elements(6_000));
     g.bench_function("paper_cpu_edspn_1000s", |b| {
         let cfg = SimConfig::for_horizon(1000.0);
+        let mut seed = 0u64;
+        b.iter(|| {
+            seed += 1;
+            let mut rng = Xoshiro256PlusPlus::new(seed);
+            black_box(simulate(&net, &cfg, &[], &mut rng).expect("simulates"))
+        });
+    });
+    // The same net at ρ = 0.9, T = 0.1 s, D = 5 s: ~18k tangible firings
+    // over ~1300 distinct markings per run.
+    let (net, _) = build_cpu_edspn(9.0, 10.0, 0.1, 5.0).expect("paper net builds");
+    g.throughput(Throughput::Elements(45_000));
+    g.bench_function("paper_cpu_edspn_rho09_1000s", |b| {
+        let cfg = SimConfig::for_horizon(1000.0);
+        let mut seed = 0u64;
+        b.iter(|| {
+            seed += 1;
+            let mut rng = Xoshiro256PlusPlus::new(seed);
+            black_box(simulate(&net, &cfg, &[], &mut rng).expect("simulates"))
+        });
+    });
+    // Markings that never repeat: the marking memo's worst case.
+    let net = open_arrivals_net();
+    g.throughput(Throughput::Elements(40_000));
+    g.bench_function("open_arrivals_sim_2000s", |b| {
+        let cfg = SimConfig::for_horizon(2000.0);
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;

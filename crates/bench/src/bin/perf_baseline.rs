@@ -12,9 +12,12 @@
 //!
 //! Numbers are per-iteration nanoseconds (min and mean over a wall-clock
 //! budget, min being the noise-robust figure). The bench set mirrors
-//! `benches/engine.rs`: the paper's CPU EDSPN, the vanishing-resolution
-//! pipeline (simulation and GSPN→CTMC elimination), the M/M/1/K token game
-//! and the many-timed relay rings that exercise the event-driven engine.
+//! `benches/engine.rs`: the paper's CPU EDSPN at its default point and at
+//! ρ = 0.9 (few versus ~1300 distinct markings per run), an open arrival
+//! stream whose markings never repeat (the marking memo's worst case), the
+//! vanishing-resolution pipeline (simulation and GSPN→CTMC elimination),
+//! the M/M/1/K token game and the many-timed relay rings that exercise the
+//! event-driven engine.
 //!
 //! `--check <baseline.json>` turns the run into a regression gate: every
 //! bench present in both runs must keep its min time within `--tolerance`
@@ -25,7 +28,7 @@
 #![allow(clippy::disallowed_methods)] // tests/examples may panic on broken invariants
 use std::time::{Duration, Instant};
 
-use wsnem_bench::nets::{relay_ring_net, vanishing_pipeline_net};
+use wsnem_bench::nets::{open_arrivals_net, relay_ring_net, vanishing_pipeline_net};
 use wsnem_bench::{quick_mode, render_table};
 use wsnem_core::backend::{global, EvalOptions};
 use wsnem_core::{build_cpu_edspn, BackendId, CpuModelParams};
@@ -185,6 +188,8 @@ fn main() {
     };
 
     let (paper_net, _) = build_cpu_edspn(1.0, 10.0, 0.5, 0.001).expect("paper net builds");
+    let (paper_rho09, _) = build_cpu_edspn(9.0, 10.0, 0.1, 5.0).expect("paper net builds");
+    let open = open_arrivals_net();
     let (mm1k, _) = mm1k_net(1.0, 2.0, 10).expect("mm1k builds");
     let pipeline = vanishing_pipeline_net(8);
     let ring32 = relay_ring_net(32);
@@ -196,6 +201,16 @@ fn main() {
         "paper_cpu_edspn_1000s",
         budget,
         sim_bench(&paper_net, 1000.0),
+    ));
+    results.push(measure(
+        "paper_cpu_edspn_rho09_1000s",
+        budget,
+        sim_bench(&paper_rho09, 1000.0),
+    ));
+    results.push(measure(
+        "open_arrivals_sim_2000s",
+        budget,
+        sim_bench(&open, 2000.0),
     ));
     results.push(measure("mm1k_10000s", budget, sim_bench(&mm1k, 10_000.0)));
     results.push(measure(

@@ -48,6 +48,22 @@ pub fn relay_ring_net(n: usize) -> PetriNet {
     b.build().expect("ring builds")
 }
 
+/// An open arrival stream that never leaves: an exponential source (rate
+/// 10) into `Arrived`, and an immediate that moves each arrival on to a
+/// `Served` sink. Every tangible marking is new, so a memo of visited
+/// markings only costs here; this is the worst case for it.
+pub fn open_arrivals_net() -> PetriNet {
+    let mut b = NetBuilder::new();
+    let arrived = b.place("Arrived", 0);
+    let served = b.place("Served", 0);
+    let src = b.exponential("src", 10.0);
+    b.output_arc(src, arrived, 1);
+    let take = b.immediate("take", 1, 1.0);
+    b.input_arc(arrived, take, 1);
+    b.output_arc(take, served, 1);
+    b.build().expect("open arrivals net builds")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,6 +74,13 @@ mod tests {
         // src + serve + 8 immediates.
         assert_eq!(net.n_transitions(), 10);
         assert!(net.find_transition("t8").is_some());
+    }
+
+    #[test]
+    fn open_arrivals_net_shape() {
+        let net = open_arrivals_net();
+        assert_eq!(net.n_transitions(), 2);
+        assert_eq!(net.initial_marking().as_slice(), &[0, 0]);
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Bounded reachability exploration.
 
-use std::collections::HashMap;
-
 use crate::error::PetriError;
-use crate::marking::Marking;
+use crate::marking::{Interned, Marking, MarkingIndex};
 use crate::net::{PetriNet, TransitionId, TransitionKind};
 
 /// Budget limits for exploration.
@@ -103,55 +101,55 @@ pub(crate) fn is_vanishing(net: &PetriNet, m: &Marking) -> bool {
         .any(|t| net.kind(t).is_immediate() && net.is_enabled(m, t))
 }
 
+/// Intern `m`, returning its ID and whether it is new. A marking with more
+/// than `opts.max_tokens` in some place reports the net as unbounded; a new
+/// marking beyond `opts.max_markings` distinct ones exhausts the budget. (A
+/// known marking passed the token check on its first visit.)
+pub(crate) fn intern_bounded(
+    net: &PetriNet,
+    opts: ReachOptions,
+    index: &mut MarkingIndex,
+    m: &Marking,
+) -> Result<(u32, bool), PetriError> {
+    if let Some(p) = net.places().find(|&p| m.tokens(p) > opts.max_tokens) {
+        return Err(PetriError::Unbounded {
+            place: net.place_name(p).to_owned(),
+            bound: opts.max_tokens,
+        });
+    }
+    match index.intern(m.as_slice()) {
+        Interned::Known(i) => Ok((i, false)),
+        Interned::New(i) => Ok((i, true)),
+        Interned::Full => Err(PetriError::TooManyMarkings {
+            limit: opts.max_markings,
+        }),
+    }
+}
+
 /// Breadth-first exploration from the initial marking.
 pub fn explore(net: &PetriNet, opts: ReachOptions) -> Result<ReachabilityGraph, PetriError> {
-    let mut markings: Vec<Marking> = Vec::new();
-    let mut index: HashMap<Marking, u32> = HashMap::new();
+    let mut index = MarkingIndex::new(net.n_places(), opts.max_markings);
     let mut edges: Vec<(u32, u32, u32)> = Vec::new();
     let mut vanishing: Vec<bool> = Vec::new();
 
-    let intern = |m: Marking,
-                  markings: &mut Vec<Marking>,
-                  vanishing: &mut Vec<bool>,
-                  index: &mut HashMap<Marking, u32>|
-     -> Result<u32, PetriError> {
-        if let Some(&i) = index.get(&m) {
-            return Ok(i);
-        }
-        for p in net.places() {
-            if m.tokens(p) > opts.max_tokens {
-                return Err(PetriError::Unbounded {
-                    place: net.place_name(p).to_owned(),
-                    bound: opts.max_tokens,
-                });
-            }
-        }
-        if markings.len() >= opts.max_markings {
-            return Err(PetriError::TooManyMarkings {
-                limit: opts.max_markings,
-            });
-        }
-        let i = markings.len() as u32;
-        vanishing.push(is_vanishing(net, &m));
-        index.insert(m.clone(), i);
-        markings.push(m);
-        Ok(i)
-    };
-
-    let initial = net.initial_marking();
-    intern(initial, &mut markings, &mut vanishing, &mut index)?;
+    let mut m = net.initial_marking();
+    intern_bounded(net, opts, &mut index, &m)?;
+    vanishing.push(is_vanishing(net, &m));
     let mut frontier = 0usize;
-    while frontier < markings.len() {
-        let m = markings[frontier].clone();
+    while frontier < index.len() {
+        m.0.copy_from_slice(index.marking(frontier as u32));
         for t in fireable(net, &m) {
             let next = net.fire(&m, t);
-            let j = intern(next, &mut markings, &mut vanishing, &mut index)?;
+            let (j, new) = intern_bounded(net, opts, &mut index, &next)?;
+            if new {
+                vanishing.push(is_vanishing(net, &next));
+            }
             edges.push((frontier as u32, t.index() as u32, j));
         }
         frontier += 1;
     }
     Ok(ReachabilityGraph {
-        markings,
+        markings: index.into_markings(),
         edges,
         vanishing,
     })

@@ -11,9 +11,9 @@ use std::collections::HashMap;
 
 use wsnem_markov::{Ctmc, CtmcBuilder, SteadyStateMethod};
 
-use crate::analysis::reachability::{is_vanishing, ReachOptions};
+use crate::analysis::reachability::{intern_bounded, is_vanishing, ReachOptions};
 use crate::error::PetriError;
-use crate::marking::Marking;
+use crate::marking::{Marking, MarkingIndex};
 use crate::net::{PetriNet, TransitionKind};
 
 use wsnem_stats::dist::Dist;
@@ -196,33 +196,7 @@ pub fn tangible_chain(net: &PetriNet, opts: ReachOptions) -> Result<TangibleChai
     let mut stack: Vec<Marking> = Vec::new();
     let mut bufs = VanishingBufs::default();
 
-    let mut markings: Vec<Marking> = Vec::new();
-    let mut index: HashMap<Marking, u32> = HashMap::new();
-    let intern = |m: Marking,
-                  markings: &mut Vec<Marking>,
-                  index: &mut HashMap<Marking, u32>|
-     -> Result<u32, PetriError> {
-        if let Some(&i) = index.get(&m) {
-            return Ok(i);
-        }
-        for p in net.places() {
-            if m.tokens(p) > opts.max_tokens {
-                return Err(PetriError::Unbounded {
-                    place: net.place_name(p).to_owned(),
-                    bound: opts.max_tokens,
-                });
-            }
-        }
-        if markings.len() >= opts.max_markings {
-            return Err(PetriError::TooManyMarkings {
-                limit: opts.max_markings,
-            });
-        }
-        let i = markings.len() as u32;
-        index.insert(m.clone(), i);
-        markings.push(m);
-        Ok(i)
-    };
+    let mut index = MarkingIndex::new(net.n_places(), opts.max_markings);
 
     // Initial distribution over tangible states.
     let init_branches = resolve(
@@ -234,15 +208,16 @@ pub fn tangible_chain(net: &PetriNet, opts: ReachOptions) -> Result<TangibleChai
     )?;
     let mut init_pairs: Vec<(u32, f64)> = Vec::new();
     for (m, p) in init_branches {
-        let i = intern(m, &mut markings, &mut index)?;
+        let (i, _) = intern_bounded(net, opts, &mut index, &m)?;
         init_pairs.push((i, p));
     }
 
     // BFS over tangible markings, accumulating rate triplets.
     let mut triplets: Vec<(u32, u32, f64)> = Vec::new();
     let mut frontier = 0usize;
-    while frontier < markings.len() {
-        let m = markings[frontier].clone();
+    let mut m = net.initial_marking();
+    while frontier < index.len() {
+        m.0.copy_from_slice(index.marking(frontier as u32));
         for t in net.transitions() {
             let Some(rate) = rates[t.index()] else {
                 continue;
@@ -253,7 +228,7 @@ pub fn tangible_chain(net: &PetriNet, opts: ReachOptions) -> Result<TangibleChai
             let mut next = m.clone();
             net.fire_into(&mut next, t.index() as u32);
             for (tang, p) in resolve(net, &next, &mut cache, &mut stack, &mut bufs)? {
-                let j = intern(tang, &mut markings, &mut index)?;
+                let (j, _) = intern_bounded(net, opts, &mut index, &tang)?;
                 if j != frontier as u32 {
                     triplets.push((frontier as u32, j, rate * p));
                 }
@@ -262,6 +237,7 @@ pub fn tangible_chain(net: &PetriNet, opts: ReachOptions) -> Result<TangibleChai
         frontier += 1;
     }
 
+    let markings = index.into_markings();
     let mut builder = CtmcBuilder::new(markings.len());
     for (i, j, r) in triplets {
         builder.rate(i as usize, j as usize, r)?;

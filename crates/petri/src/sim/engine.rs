@@ -60,6 +60,45 @@
 //! A scan-driven reference implementation is retained under `#[cfg(test)]`
 //! (`sim::reference`) and a randomized battery (covering nets on both
 //! sides of the threshold) asserts bit-identical outputs against it.
+//!
+//! # Marking memo
+//!
+//! The paper's net revisits few tangible markings: dozens per 1000 s
+//! replication at its defaults, ~1300 at ρ = 0.9, against thousands of
+//! firings. So the unobserved direct path keeps a memo of its marking
+//! graph, built fresh for each replication and dropped with it:
+//!
+//! * **What is cached.** Each tangible marking gets a dense ID on its
+//!   first visit (a `MarkingIndex` in `crate::marking`), with its reward
+//!   values, so each reward closure runs once per distinct marking. Per
+//!   `(ID, fired timed transition)` the memo records an *edge*: the
+//!   successor ID after the vanishing closure, and the step's log, that is,
+//!   the immediate transitions that fired and every enabling flip of a
+//!   timed transition, in the order the live step made them.
+//! * **Replay.** When a step's edge is recorded, the engine skips the arcs,
+//!   the recheck walks, the immediate scan and the reward closures. It adds
+//!   the firing counts, runs the timer work of each logged flip (sample,
+//!   thaw, cancel or freeze) against the live timer state, and copies in
+//!   the successor's marking and reward values.
+//! * **Why the trajectory is unchanged.** Between tangible markings the
+//!   only random numbers are the logged flips' timer samples and the
+//!   weighted choices among tied immediates. Every enabling bit is a
+//!   function of the marking, so the same marking and fired transition
+//!   always yield the same flips in the same order; replaying them draws
+//!   the same numbers in the same order. An edge whose closure made a
+//!   weighted choice is never recorded, so that choice is always drawn
+//!   live. Statistics still accrue from the same marking and reward values
+//!   in the same order, so outputs are bit-identical with the memo or
+//!   without it.
+//! * **When it is bypassed.** An attached observer runs the live path
+//!   unchanged, because it must see every firing and marking update.
+//!   The memo switches itself off for the rest of the replication when it
+//!   holds `MEMO_CAP` markings, when its log grows past `MEMO_LOG_CAP`
+//!   entries, or when its misses outnumber its hits by `MEMO_MISS_LEAD`
+//!   steps (markings that never repeat, as in an open queue that only
+//!   grows). Nets on the event-driven path do not use it: their runs (the
+//!   relay rings, say) rarely repeat a marking, and a replay would also
+//!   have to restore the unsatisfied-condition counts and the timer heap.
 
 use wsnem_obs::{NoopObserver, Observer};
 use wsnem_stats::dist::Sample;
@@ -67,6 +106,7 @@ use wsnem_stats::pq::{EventId, EventQueue};
 use wsnem_stats::rng::Rng64;
 
 use crate::error::PetriError;
+use crate::marking::{Interned, MarkingIndex};
 use crate::net::{PetriNet, TimedPolicy, TransitionKind};
 use crate::sim::{Reward, SimConfig, SimOutput};
 
@@ -82,6 +122,26 @@ const SCAN_THRESHOLD: usize = 16;
 /// lies beyond every (finite) horizon, so the earliest-timer scan needs no
 /// separate "scheduled" flag: an unscheduled slot simply never wins.
 const UNSCHEDULED: f64 = f64::INFINITY;
+
+/// Most tangible markings one replication's memo interns; the first
+/// marking past it switches the memo off.
+pub(crate) const MEMO_CAP: usize = 4096;
+
+/// Most entries of the memo's step log; past it the memo switches off
+/// (long vanishing chains could otherwise grow it without bound).
+const MEMO_LOG_CAP: usize = 1 << 18;
+
+/// The memo switches off once its misses outnumber its hits by more than
+/// this many tangible steps: after 257 steps on a net whose markings never
+/// repeat, but not while the first backlog of a queue that later cycles
+/// fills (at λ = 9 and a 20 s power-up, ~200 new markings in a row).
+const MEMO_MISS_LEAD: u32 = 256;
+
+/// Step-log entry flags: an immediate firing, or an enabling flip of a
+/// timed transition (with [`LOG_ON`] when it became enabled). The low bits
+/// hold the transition index.
+const LOG_FIRED: u32 = 1 << 31;
+const LOG_ON: u32 = 1 << 30;
 
 /// Run one replication of the token game.
 pub fn simulate<R: Rng64 + ?Sized>(
@@ -113,9 +173,106 @@ pub fn simulate_observed<R: Rng64 + ?Sized, O: Observer>(
     cfg.validate()?;
     // Monomorphized per mode: zero runtime dispatch inside the hot loop.
     if net.n_transitions() > SCAN_THRESHOLD {
-        Engine::<R, O, true>::new(net, cfg, rewards, rng, obs).run()
+        let mut engine = Engine::<R, O, true>::new(net, cfg, rewards, rng, obs);
+        engine.run()?;
+        Ok(engine.into_output())
     } else {
-        Engine::<R, O, false>::new(net, cfg, rewards, rng, obs).run()
+        let mut engine = Engine::<R, O, false>::new(net, cfg, rewards, rng, obs);
+        engine.run()?;
+        Ok(engine.into_output())
+    }
+}
+
+/// How one unobserved small-net run used its marking memo.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct MemoCounts {
+    /// Tangible steps replayed from the memo.
+    pub hits: u32,
+    /// Tangible steps fired live while the memo was on.
+    pub misses: u32,
+    /// Whether the memo was still on at the horizon.
+    pub on: bool,
+}
+
+/// [`simulate`] on the direct path, also reporting the memo's counts.
+#[cfg(test)]
+pub(crate) fn simulate_counting_memo<R: Rng64 + ?Sized>(
+    net: &PetriNet,
+    cfg: &SimConfig,
+    rewards: &[Reward],
+    rng: &mut R,
+) -> (Result<SimOutput, PetriError>, MemoCounts) {
+    assert!(net.n_transitions() <= SCAN_THRESHOLD, "direct-path net");
+    cfg.validate().expect("valid config");
+    let mut obs = NoopObserver;
+    let mut engine = Engine::<R, NoopObserver, false>::new(net, cfg, rewards, rng, &mut obs);
+    let ran = engine.run();
+    let counts = MemoCounts {
+        hits: engine.memo.hits,
+        misses: engine.memo.misses,
+        on: engine.memo.on,
+    };
+    (ran.map(|()| engine.into_output()), counts)
+}
+
+/// The direct path's marking memo, built fresh for each replication (see
+/// "Marking memo" in the module doc).
+struct Memo {
+    /// Whether the memo is in use; once off, it stays off.
+    on: bool,
+    /// Tangible markings visited so far, by ID.
+    index: MarkingIndex,
+    /// Reward values of each ID, `rewards.len()` per ID.
+    rewards: Vec<f64>,
+    /// Per `(ID, transition)`, at `id * n_transitions + t`: one plus the
+    /// index of its recorded [`Edge`], or 0 while none is recorded.
+    edge_of: Vec<u32>,
+    edges: Vec<Edge>,
+    /// The step logs of all edges, back to back: immediate firings and
+    /// timed enabling flips in the order the live step made them.
+    log: Vec<u32>,
+    /// ID of the current tangible marking.
+    cur: u32,
+    /// Whether the live step being logged drew no random number for an
+    /// immediate conflict, so that it may be replayed.
+    cacheable: bool,
+    hits: u32,
+    misses: u32,
+}
+
+/// A recorded tangible step: firing `t` from marking `ID` leads to marking
+/// `succ` after the vanishing closure, through `log[start..end]`.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    succ: u32,
+    start: u32,
+    end: u32,
+}
+
+impl Memo {
+    fn new(on: bool, n_places: usize) -> Self {
+        Self {
+            on,
+            index: MarkingIndex::new(n_places, MEMO_CAP),
+            rewards: Vec::new(),
+            edge_of: Vec::new(),
+            edges: Vec::new(),
+            log: Vec::new(),
+            cur: 0,
+            cacheable: true,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// Switch off for the rest of the replication and free the tables.
+    fn switch_off(&mut self) {
+        *self = Self {
+            hits: self.hits,
+            misses: self.misses,
+            ..Self::new(false, 0)
+        };
     }
 }
 
@@ -158,6 +315,9 @@ struct Engine<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> {
 
     // Scratch buffer (no allocation in the hot loop).
     candidates: Vec<u32>,
+
+    /// Marking memo (direct path without an observer only).
+    memo: Memo,
 }
 
 impl<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> Engine<'a, R, O, ED> {
@@ -196,6 +356,7 @@ impl<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> Engine<'a, R, O, ED> {
             firings: vec![0; nt],
             warmup_done: cfg.warmup == 0.0,
             candidates: Vec::with_capacity(8),
+            memo: Memo::new(!ED && !O::ENABLED, net.n_places()),
         }
     }
 
@@ -239,46 +400,53 @@ impl<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> Engine<'a, R, O, ED> {
             return;
         }
         self.enabled[t as usize] = is;
-        match self.net.kind_ref(t) {
-            TransitionKind::Immediate { .. } => {}
-            TransitionKind::Timed { dist, policy } => {
-                if is {
-                    let delay = match policy {
-                        TimedPolicy::RaceResample => {
-                            if O::ENABLED {
-                                self.obs.rng_draw();
-                            }
-                            dist.sample(self.rng).max(0.0)
-                        }
-                        TimedPolicy::AgeMemory => match self.age_left[t as usize].take() {
-                            Some(left) => left,
-                            None => {
-                                if O::ENABLED {
-                                    self.obs.rng_draw();
-                                }
-                                dist.sample(self.rng).max(0.0)
-                            }
-                        },
-                    };
-                    let at = self.now + delay;
-                    self.timers[t as usize] = at;
-                    if ED {
-                        self.timer_ids[t as usize] =
-                            Some(self.queue.schedule_keyed(at, t as u64, t));
+        if !ED && !O::ENABLED && self.memo.on && !self.net.kind_ref(t).is_immediate() {
+            self.memo.log.push(t | if is { LOG_ON } else { 0 });
+        }
+        self.timer_flip(t, is);
+    }
+
+    /// Maintain the timer of transition `t` whose enabling just flipped to
+    /// `is`, according to its race policy (immediates hold no timer).
+    #[inline(always)]
+    fn timer_flip(&mut self, t: u32, is: bool) {
+        let TransitionKind::Timed { dist, policy } = self.net.kind_ref(t) else {
+            return;
+        };
+        if is {
+            let delay = match policy {
+                TimedPolicy::RaceResample => {
+                    if O::ENABLED {
+                        self.obs.rng_draw();
                     }
-                } else {
-                    // An enabled timed transition always holds a timer, so
-                    // `at` is its scheduled firing time.
-                    let at = std::mem::replace(&mut self.timers[t as usize], UNSCHEDULED);
-                    if ED {
-                        if let Some(id) = self.timer_ids[t as usize].take() {
-                            self.queue.cancel(id);
-                        }
-                    }
-                    if *policy == TimedPolicy::AgeMemory {
-                        self.age_left[t as usize] = Some((at - self.now).max(0.0));
-                    }
+                    dist.sample(self.rng).max(0.0)
                 }
+                TimedPolicy::AgeMemory => match self.age_left[t as usize].take() {
+                    Some(left) => left,
+                    None => {
+                        if O::ENABLED {
+                            self.obs.rng_draw();
+                        }
+                        dist.sample(self.rng).max(0.0)
+                    }
+                },
+            };
+            let at = self.now + delay;
+            self.timers[t as usize] = at;
+            if ED {
+                self.timer_ids[t as usize] = Some(self.queue.schedule_keyed(at, t as u64, t));
+            }
+        } else {
+            // An enabled timed transition always holds a timer, so `at` is
+            // its scheduled firing time.
+            let at = std::mem::replace(&mut self.timers[t as usize], UNSCHEDULED);
+            if ED {
+                if let Some(id) = self.timer_ids[t as usize].take() {
+                    self.queue.cancel(id);
+                }
+            }
+            if *policy == TimedPolicy::AgeMemory {
+                self.age_left[t as usize] = Some((at - self.now).max(0.0));
             }
         }
     }
@@ -379,6 +547,8 @@ impl<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> Engine<'a, R, O, ED> {
                 if O::ENABLED {
                     self.obs.rng_draw();
                 }
+                // A drawn conflict resolution cannot be replayed.
+                self.memo.cacheable = false;
                 let mut u = self.rng.next_f64() * total;
                 let mut pick = self.candidates[self.candidates.len() - 1];
                 for &t in &self.candidates {
@@ -392,6 +562,9 @@ impl<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> Engine<'a, R, O, ED> {
                 pick
             }
         };
+        if !ED && !O::ENABLED && self.memo.on {
+            self.memo.log.push(chosen | LOG_FIRED);
+        }
         self.fire_transition(chosen);
         self.propagate(chosen);
         true
@@ -450,13 +623,120 @@ impl<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> Engine<'a, R, O, ED> {
         self.now = t;
     }
 
-    fn run(mut self) -> Result<SimOutput, PetriError> {
+    /// Fire timed transition `t` from the current tangible marking with the
+    /// memo on: replay its recorded edge if the memo holds one, else fire
+    /// it live and record the step.
+    fn memo_step(&mut self, t: u32) -> Result<(), PetriError> {
+        let slot = self.memo.cur as usize * self.net.n_transitions() + t as usize;
+        match self.memo.edge_of[slot] {
+            0 => self.record_step(t, slot),
+            e => {
+                self.memo.hits += 1;
+                self.replay(t, self.memo.edges[e as usize - 1]);
+                Ok(())
+            }
+        }
+    }
+
+    /// Fire `t` live with the memo on (which logs the step's immediate
+    /// firings and timed flips); store it as the edge at `slot` if it drew
+    /// no conflict resolution.
+    fn record_step(&mut self, t: u32, slot: usize) -> Result<(), PetriError> {
+        self.memo.misses += 1;
+        let start = self.memo.log.len();
+        self.memo.cacheable = true;
+        self.fire_transition(t);
+        self.propagate(t);
+        self.settle()?;
+        let Some(succ) = self.intern_tangible() else {
+            return Ok(());
+        };
+        let memo = &mut self.memo;
+        if memo.cacheable {
+            memo.edges.push(Edge {
+                succ,
+                start: start as u32,
+                end: memo.log.len() as u32,
+            });
+            memo.edge_of[slot] = memo.edges.len() as u32;
+        } else {
+            memo.log.truncate(start);
+        }
+        memo.cur = succ;
+        if memo.log.len() > MEMO_LOG_CAP || memo.misses > memo.hits + MEMO_MISS_LEAD {
+            memo.switch_off();
+        }
+        Ok(())
+    }
+
+    /// The memo ID of the current (tangible, settled) marking, cached with
+    /// its reward values on a first visit; `None` switches the memo off
+    /// when its table is full.
+    fn intern_tangible(&mut self) -> Option<u32> {
+        let memo = &mut self.memo;
+        match memo.index.intern(self.marking.as_slice()) {
+            Interned::Known(id) => Some(id),
+            Interned::New(id) => {
+                memo.rewards.extend_from_slice(&self.reward_value);
+                let width = memo.edge_of.len() + self.net.n_transitions();
+                memo.edge_of.resize(width, 0);
+                Some(id)
+            }
+            Interned::Full => {
+                memo.switch_off();
+                None
+            }
+        }
+    }
+
+    /// Replay the recorded firing of timed transition `t`: the firing
+    /// counts, the timer work of each logged flip in its logged order (so
+    /// RNG draws keep their order), then the successor's marking and reward
+    /// values.
+    fn replay(&mut self, t: u32, edge: Edge) {
+        if self.warmup_done {
+            self.firings[t as usize] += 1;
+        }
+        // `propagate`'s reset of the fired transition (the main loop has
+        // already unscheduled its timer).
+        self.enabled[t as usize] = false;
+        for i in edge.start..edge.end {
+            let entry = self.memo.log[i as usize];
+            let u = entry & !(LOG_FIRED | LOG_ON);
+            if entry & LOG_FIRED != 0 {
+                if self.warmup_done {
+                    self.firings[u as usize] += 1;
+                }
+            } else {
+                let is = entry & LOG_ON != 0;
+                self.enabled[u as usize] = is;
+                self.timer_flip(u, is);
+            }
+        }
+        let memo = &mut self.memo;
+        memo.cur = edge.succ;
+        self.marking
+            .0
+            .copy_from_slice(memo.index.marking(edge.succ));
+        let n = self.reward_value.len();
+        let at = edge.succ as usize * n;
+        self.reward_value.copy_from_slice(&memo.rewards[at..at + n]);
+    }
+
+    fn run(&mut self) -> Result<(), PetriError> {
         // Start-up flip pass in transition-index order (the order the old
         // full refresh sampled initial timers in).
         for t in 0..self.net.n_transitions() as u32 {
             self.flip_check(t);
         }
         self.settle()?;
+        if self.memo.on {
+            // The start-up pass logged its flips too; they belong to no edge.
+            self.memo.log.clear();
+            if let Some(id) = self.intern_tangible() {
+                self.memo.cur = id;
+            }
+        }
 
         let horizon = self.cfg.horizon;
         let mut zeno_streak = 0usize;
@@ -519,21 +799,28 @@ impl<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> Engine<'a, R, O, ED> {
                 };
                 self.obs.timer_depth(at, depth);
             }
-            self.fire_transition(t);
-            self.propagate(t);
-            self.settle()?;
+            if !ED && !O::ENABLED && self.memo.on {
+                self.memo_step(t)?;
+            } else {
+                self.fire_transition(t);
+                self.propagate(t);
+                self.settle()?;
+            }
         }
         self.advance_to(horizon);
+        Ok(())
+    }
 
-        let observed = horizon - self.stats_start;
+    fn into_output(self) -> SimOutput {
+        let observed = self.cfg.horizon - self.stats_start;
         let inv = if observed > 0.0 { 1.0 / observed } else { 0.0 };
-        Ok(SimOutput {
+        SimOutput {
             time_observed: observed,
             place_means: self.place_integral.iter().map(|x| x * inv).collect(),
             reward_means: self.reward_integral.iter().map(|x| x * inv).collect(),
             firings: self.firings,
             final_marking: self.marking,
-        })
+        }
     }
 }
 

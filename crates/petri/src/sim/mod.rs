@@ -82,6 +82,9 @@ impl SimConfig {
 /// A reward: an arbitrary function of the marking whose time average the
 /// simulator reports. The paper's "steady state percentage of time in state
 /// X" measures are indicator rewards over the tangible marking.
+///
+/// It must depend on the marking alone: the simulator evaluates it once
+/// per distinct tangible marking of a replication and reuses the value.
 #[derive(Clone)]
 pub struct Reward {
     /// Display name.

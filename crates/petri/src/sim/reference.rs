@@ -329,7 +329,7 @@ impl<'a, R: Rng64 + ?Sized> RefEngine<'a, R> {
 mod tests {
     use super::*;
     use crate::net::{NetBuilder, PlaceId, TimedPolicy, TransitionKind};
-    use crate::sim::engine::simulate;
+    use crate::sim::engine::{simulate, simulate_counting_memo, MemoCounts, MEMO_CAP};
     use wsnem_stats::dist::Dist;
     use wsnem_stats::rng::{Rng64, Xoshiro256PlusPlus};
 
@@ -782,6 +782,265 @@ mod tests {
             let mut rng_ref = Xoshiro256PlusPlus::new(seed);
             let r = simulate_reference(&net, &cfg, &[], &mut rng_ref).unwrap();
             assert_eq!(out, r);
+        }
+    }
+
+    /// Run `net` on the memoized engine and on the reference engine from
+    /// the same seed; assert bit-identical outputs and RNG stream
+    /// positions, and return the memoized run with its memo counts.
+    fn memo_vs_reference(
+        net: &PetriNet,
+        cfg: &SimConfig,
+        rewards: &[Reward],
+        seed: u64,
+    ) -> (SimOutput, MemoCounts) {
+        let mut rng = Xoshiro256PlusPlus::new(seed);
+        let mut rng_ref = Xoshiro256PlusPlus::new(seed);
+        let (out, counts) = simulate_counting_memo(net, cfg, rewards, &mut rng);
+        let out_ref = simulate_reference(net, cfg, rewards, &mut rng_ref);
+        assert_eq!(
+            out, out_ref,
+            "seed {seed}: memo diverged from the reference"
+        );
+        assert_eq!(rng, rng_ref, "seed {seed}: RNG streams desynchronized");
+        (out.unwrap(), counts)
+    }
+
+    /// The paper's Fig. 3 EDSPN (the net `wsnem-core` builds for the
+    /// `PetriNet` backend), with its four state rewards.
+    fn fig3_net(lambda: f64, mu: f64, threshold: f64, delay: f64) -> (PetriNet, Vec<Reward>) {
+        let mut b = NetBuilder::new();
+        let p0 = b.place("P0", 1);
+        let p1 = b.place("P1", 0);
+        let buffer = b.place("CPU_Buffer", 0);
+        let p6 = b.place("P6", 0);
+        let stand_by = b.place("Stand_By", 1);
+        let power_up = b.place("Power_Up", 0);
+        let cpu_on = b.place("CPU_ON", 0);
+        let idle = b.place("Idle", 1);
+        let active = b.place("Active", 0);
+        let ar = b.exponential("AR", lambda);
+        b.input_arc(p0, ar, 1);
+        b.output_arc(ar, p1, 1);
+        let t1 = b.immediate("T1", 4, 1.0);
+        b.input_arc(p1, t1, 1);
+        b.output_arc(t1, p0, 1);
+        b.output_arc(t1, p6, 1);
+        b.output_arc(t1, buffer, 1);
+        let t6 = b.immediate("T6", 3, 1.0);
+        b.input_arc(p6, t6, 1);
+        b.input_arc(stand_by, t6, 1);
+        b.output_arc(t6, power_up, 1);
+        b.output_arc(t6, p6, 1);
+        let put = b.deterministic("PUT", delay);
+        b.input_arc(power_up, put, 1);
+        b.input_arc(p6, put, 1);
+        b.output_arc(put, cpu_on, 1);
+        let t5 = b.immediate("T5", 2, 1.0);
+        b.input_arc(p6, t5, 1);
+        b.input_arc(cpu_on, t5, 1);
+        b.output_arc(t5, cpu_on, 1);
+        let t2 = b.immediate("T2", 1, 1.0);
+        b.input_arc(buffer, t2, 1);
+        b.input_arc(cpu_on, t2, 1);
+        b.input_arc(idle, t2, 1);
+        b.output_arc(t2, cpu_on, 1);
+        b.output_arc(t2, active, 1);
+        let sr = b.exponential("SR", mu);
+        b.input_arc(active, sr, 1);
+        b.output_arc(sr, idle, 1);
+        let pdt = b.deterministic("PDT", threshold);
+        b.input_arc(cpu_on, pdt, 1);
+        b.inhibitor_arc(active, pdt, 1);
+        b.inhibitor_arc(buffer, pdt, 1);
+        b.output_arc(pdt, stand_by, 1);
+        let net = b.build().unwrap();
+        let rewards = vec![
+            Reward::indicator("standby", move |m| m.tokens(stand_by) >= 1),
+            Reward::indicator("powerup", move |m| m.tokens(power_up) >= 1),
+            Reward::indicator("idle", move |m| {
+                m.tokens(cpu_on) >= 1 && m.tokens(active) == 0
+            }),
+            Reward::indicator("active", move |m| m.tokens(active) >= 1),
+        ];
+        (net, rewards)
+    }
+
+    /// On the paper-default net nearly every tangible step replays from
+    /// the memo. A memo that silently stops serving (keyed wrong, switched
+    /// off too eagerly) fails here, not only in a timing gate.
+    #[test]
+    fn memo_replays_paper_default_steps() {
+        let (net, rewards) = fig3_net(1.0, 10.0, 0.5, 0.001);
+        let cfg = SimConfig::for_horizon(1000.0);
+        for seed in [1u64, 2, 3] {
+            let (_, c) = memo_vs_reference(&net, &cfg, &rewards, seed);
+            let share = c.hits as f64 / (c.hits + c.misses) as f64;
+            assert!(c.on, "seed {seed}: memo switched off: {c:?}");
+            assert!(share >= 0.95, "seed {seed}: replayed share {share}: {c:?}");
+        }
+    }
+
+    /// The high-load point (ρ = 0.9, T = 0.1 s, D = 5 s) visits ~1300
+    /// markings per run; the memo must stay on and replay most steps. With
+    /// a 20 s power-up the first backlog alone is ~180 new markings in a
+    /// row, which must not read as markings that never repeat.
+    #[test]
+    fn memo_keeps_serving_at_high_load() {
+        for delay in [5.0, 20.0] {
+            let (net, rewards) = fig3_net(9.0, 10.0, 0.1, delay);
+            let cfg = SimConfig::for_horizon(300.0);
+            for seed in [4u64, 5] {
+                let (_, c) = memo_vs_reference(&net, &cfg, &rewards, seed);
+                assert!(
+                    c.on && c.hits > 4 * c.misses,
+                    "D {delay}, seed {seed}: {c:?}"
+                );
+            }
+        }
+    }
+
+    /// An open queue drifting upwards (λ = 1.1 > μ = 1) revisits each
+    /// level ~20 times, so hits dominate, yet its length passes the memo's
+    /// cap: the memo switches off mid-run, and the rest must run on
+    /// unchanged.
+    #[test]
+    fn memo_cap_overflow_matches_reference() {
+        let mut b = NetBuilder::new();
+        let q = b.place("Queue", 0);
+        let arrive = b.exponential("arrive", 1.1);
+        b.output_arc(arrive, q, 1);
+        let serve = b.exponential("serve", 1.0);
+        b.input_arc(q, serve, 1);
+        let net = b.build().unwrap();
+        let rewards = [Reward::tokens("queue", q)];
+        let cfg = SimConfig::for_horizon(60_000.0);
+        let (out, c) = memo_vs_reference(&net, &cfg, &rewards, 11);
+        assert!(
+            out.final_marking.tokens(q) as usize > MEMO_CAP,
+            "queue {} never passed the cap",
+            out.final_marking.tokens(q)
+        );
+        assert!(!c.on, "the cap must switch the memo off: {c:?}");
+        assert!(
+            c.hits > c.misses,
+            "switched off by misses, not the cap: {c:?}"
+        );
+    }
+
+    /// Each arrival picks one of two queues by weight, so every step that
+    /// fires `arrive` draws a random number in its vanishing closure and
+    /// must never be cached. A fast on/off cycle keeps the memo busy with
+    /// cacheable steps in between.
+    #[test]
+    fn memo_never_caches_weighted_choices() {
+        let mut b = NetBuilder::new();
+        let router = b.place("Router", 0);
+        let qa = b.place("QA", 0);
+        let qb = b.place("QB", 0);
+        let on = b.place("On", 1);
+        let off = b.place("Off", 0);
+        let arrive = b.exponential("arrive", 1.0);
+        b.output_arc(arrive, router, 1);
+        b.inhibitor_arc(qa, arrive, 4);
+        b.inhibitor_arc(qb, arrive, 4);
+        let to_a = b.immediate("to_a", 1, 1.0);
+        b.input_arc(router, to_a, 1);
+        b.output_arc(to_a, qa, 1);
+        let to_b = b.immediate("to_b", 1, 3.0);
+        b.input_arc(router, to_b, 1);
+        b.output_arc(to_b, qb, 1);
+        for (name, place) in [("serve_a", qa), ("serve_b", qb)] {
+            let t = b.exponential(name, 1.5);
+            b.input_arc(place, t, 1);
+        }
+        let down = b.exponential("down", 20.0);
+        b.input_arc(on, down, 1);
+        b.output_arc(down, off, 1);
+        let up = b.exponential("up", 20.0);
+        b.input_arc(off, up, 1);
+        b.output_arc(up, on, 1);
+        let net = b.build().unwrap();
+        let rewards = [Reward::tokens("qa", qa), Reward::tokens("qb", qb)];
+        let cfg = SimConfig::for_horizon(500.0);
+        for seed in [21u64, 22] {
+            let (out, c) = memo_vs_reference(&net, &cfg, &rewards, seed);
+            let arrivals = out.firings[arrive.index()];
+            assert!(arrivals > 300, "seed {seed}: {arrivals} arrivals");
+            assert!(c.on && c.hits > 0, "seed {seed}: {c:?}");
+            assert!(
+                c.misses as u64 >= arrivals,
+                "seed {seed}: a weighted choice was replayed: {c:?}"
+            );
+        }
+    }
+
+    /// AgeMemory timers freeze while `Busy` is marked and thaw when it
+    /// drains, over and over, on a four-marking cycle: nearly every freeze
+    /// and thaw happens in a replayed step, reading the frozen remaining
+    /// time from the live engine state.
+    #[test]
+    fn memo_replays_age_memory_freeze_thaw() {
+        let mut b = NetBuilder::new();
+        let p = b.place("P", 1);
+        let done = b.place("Done", 0);
+        let busy = b.place("Busy", 0);
+        let gen = b.place("Gen", 1);
+        for (name, dist) in [
+            ("timer", Dist::Deterministic(1.0)),
+            ("timer_exp", Dist::Exponential { rate: 0.8 }),
+        ] {
+            let t = b.transition(
+                name,
+                TransitionKind::Timed {
+                    dist,
+                    policy: TimedPolicy::AgeMemory,
+                },
+            );
+            b.input_arc(p, t, 1);
+            b.output_arc(t, done, 1);
+            b.inhibitor_arc(busy, t, 1);
+        }
+        let back = b.deterministic("back", 0.2);
+        b.input_arc(done, back, 1);
+        b.output_arc(back, p, 1);
+        let poke = b.exponential("poke", 1.5);
+        b.input_arc(gen, poke, 1);
+        b.output_arc(poke, busy, 1);
+        let drain = b.exponential("drain", 2.0);
+        b.input_arc(busy, drain, 1);
+        b.output_arc(drain, gen, 1);
+        let net = b.build().unwrap();
+        let rewards = [Reward::tokens("done", done)];
+        let cfg = SimConfig::for_horizon(2000.0);
+        for seed in [31u64, 32, 33] {
+            let (out, c) = memo_vs_reference(&net, &cfg, &rewards, seed);
+            assert!(out.firings[0] + out.firings[1] > 300, "seed {seed}");
+            assert!(c.on && c.hits > 20 * c.misses, "seed {seed}: {c:?}");
+        }
+    }
+
+    /// A warm-up boundary that falls between replayed steps: the run
+    /// replays from early on, the warm-up at an odd time resets firing
+    /// counts and integrals mid-replay, and both must match the reference.
+    #[test]
+    fn memo_warmup_boundary_between_replays() {
+        let (net, rewards) = fig3_net(1.0, 10.0, 0.5, 0.001);
+        let warmup = 123.456;
+        let cfg = SimConfig {
+            horizon: 700.0,
+            warmup,
+            ..SimConfig::default()
+        };
+        for seed in [41u64, 42] {
+            let (_, c) = memo_vs_reference(&net, &cfg, &rewards, seed);
+            assert!(c.on, "seed {seed}: {c:?}");
+            // The same stream cut at the warm-up time has already replayed
+            // most of its steps: the boundary lands between replays.
+            let mut rng = Xoshiro256PlusPlus::new(seed);
+            let (_, before) =
+                simulate_counting_memo(&net, &SimConfig::for_horizon(warmup), &rewards, &mut rng);
+            assert!(before.hits > before.misses, "seed {seed}: {before:?}");
         }
     }
 }

@@ -121,3 +121,32 @@ fn paper_edspn_trajectory_pinned() {
         ]
     );
 }
+
+/// Pinned high-load trajectory: ρ = 0.9 (λ = 9, μ = 10), T = 0.1 s and
+/// D = 5 s. The queue builds up during every 5 s power-up, so one
+/// replication visits over a thousand distinct markings instead of the
+/// paper default's few dozen. Pins the same raw-stream figures as
+/// `paper_edspn_trajectory_pinned`.
+#[test]
+fn high_load_edspn_trajectory_pinned() {
+    use wsnem::core::{build_cpu_edspn, state_rewards};
+    use wsnem::petri::{simulate, SimConfig};
+    use wsnem::stats::rng::StreamFactory;
+
+    let (net, handles) = build_cpu_edspn(9.0, 10.0, 0.1, 5.0).unwrap();
+    let rewards = state_rewards(&handles);
+    let mut rng = StreamFactory::new(2008).stream(0);
+    let out = simulate(&net, &SimConfig::for_horizon(300.0), &rewards, &mut rng).unwrap();
+    // (AR, T1, T6, PUT, T5, T2, SR, PDT); nine 5 s power-ups in 300 s.
+    assert_eq!(out.firings, [2649, 2649, 9, 9, 2640, 2594, 2593, 8]);
+    let reward_bits: Vec<u64> = out.reward_means.iter().map(|x| x.to_bits()).collect();
+    assert_eq!(
+        reward_bits,
+        [
+            0x3f71_e002_e138_3e29,
+            0x3fc3_3333_3333_3334,
+            0x3f6a_c092_b843_3800,
+            0x3fea_f4b2_9ab8_7f80,
+        ]
+    );
+}
