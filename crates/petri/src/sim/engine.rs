@@ -678,8 +678,8 @@ impl<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> Engine<'a, R, O, ED> {
             Interned::Known(id) => Some(id),
             Interned::New(id) => {
                 memo.rewards.extend_from_slice(&self.reward_value);
-                let width = memo.edge_of.len() + self.net.n_transitions();
-                memo.edge_of.resize(width, 0);
+                let len = memo.edge_of.len() + self.net.n_transitions();
+                memo.edge_of.resize(len, 0);
                 Some(id)
             }
             Interned::Full => {
