@@ -37,12 +37,16 @@
 //! they cost a handful of solves; a net with no repeats pays one comparison
 //! per node.
 //!
-//! [`SoaAnalysis`] keeps results as flat arrays too and answers the
-//! aggregate questions large-net reports need — lifetime histogram,
-//! hop-depth percentiles, the worst-lifetime cohort, the near-unstable
-//! cohort — without ever materializing per-node rows. Small nets that do
-//! report per node read each node's CPU split from its run
-//! ([`SoaAnalysis::run_for`]).
+//! [`SoaAnalysis`] keeps per-node power, lifetime and utilization as flat
+//! columns, so any node can be indexed, but never builds per-node rows.
+//! Its aggregates — first death, bottlenecks, lifetime histogram, the
+//! worst-lifetime cohort, the near-unstable count — read one value per
+//! run, since forwarded load, power, lifetime and utilization are constant
+//! on a run; the hop-depth percentiles read the per-depth counts of the
+//! routing pass. On the 10^6-node tree that is 20 values, not 10^6. Only
+//! the mean lifetime and the total power still sum every node, in node
+//! order. Small nets that report per node read each node's CPU split from
+//! its run ([`SoaAnalysis::run_for`]).
 
 use wsnem_core::{BackendId, BackendRegistry, CpuModelParams, EvalOptions};
 use wsnem_energy::{Battery, PowerProfile, StateFractions};
@@ -136,6 +140,9 @@ pub struct SoaRouting {
     pub forwarded: Vec<f64>,
     /// Subtree size per node (each node counts itself).
     pub subtree_sizes: Vec<u32>,
+    /// `depth_counts[d]` nodes sit `d` hops from the sink; the length is
+    /// the deepest hop count plus one (index 0 counts no node).
+    pub(crate) depth_counts: Vec<usize>,
 }
 
 impl SoaNetwork {
@@ -344,23 +351,32 @@ impl SoaNetwork {
 
     /// Hops to the sink per node (sink-adjacent = 1), failing on cycles with
     /// the same node-naming error as the oracle. Linear time: each walk
-    /// stops at the first already-resolved node, and membership in the
-    /// current path is tracked with an epoch array instead of a scan.
+    /// stops at the first already-resolved node, and the nodes of the
+    /// current walk hold an on-path sentinel in `depths` until the walk
+    /// resolves, so reaching one again is a cycle. No depth reaches the
+    /// sentinel (`u32::MAX`): a depth counts distinct nodes, and a net of
+    /// that many nodes is rejected up front.
     pub fn hop_depths(&self) -> Result<Vec<u32>, String> {
+        const UNRESOLVED: u32 = 0;
+        const ON_PATH: u32 = u32::MAX;
         let n = self.len();
-        let mut depths: Vec<u32> = vec![0; n]; // 0 = not yet computed
-        let mut on_path: Vec<u32> = vec![0; n]; // epoch marker: start + 1
+        if n >= ON_PATH as usize {
+            return Err(format!(
+                "{n} nodes, but `u32` node indices allow at most {}",
+                ON_PATH - 1
+            ));
+        }
+        let mut depths = vec![UNRESOLVED; n];
         let mut path = Vec::new();
         for start in 0..n {
-            if depths[start] != 0 {
+            if depths[start] != UNRESOLVED {
                 continue;
             }
             path.clear();
             let mut cur = start;
-            let epoch = start as u32 + 1;
             let base = loop {
                 path.push(cur);
-                on_path[cur] = epoch;
+                depths[cur] = ON_PATH;
                 match self.parent[cur] {
                     SINK => break 0,
                     j => {
@@ -371,16 +387,16 @@ impl SoaNetwork {
                                 self.name(cur)
                             ));
                         }
-                        if depths[j] != 0 {
-                            break depths[j];
+                        match depths[j] {
+                            UNRESOLVED => cur = j,
+                            ON_PATH => {
+                                return Err(format!(
+                                    "node `{}` cannot reach the sink (routing cycle)",
+                                    self.name(start)
+                                ))
+                            }
+                            depth => break depth,
                         }
-                        if on_path[j] == epoch {
-                            return Err(format!(
-                                "node `{}` cannot reach the sink (routing cycle)",
-                                self.name(start)
-                            ));
-                        }
-                        cur = j;
                     }
                 }
             };
@@ -396,32 +412,37 @@ impl SoaNetwork {
     /// The processing order — deepest first, ascending index within a depth
     /// — is produced by a stable counting sort and is exactly the order of
     /// the oracle's stable `sort_by`, so the floating-point forwarding sums
-    /// are bit-identical to [`Network::routing`].
+    /// are bit-identical to [`Network::routing`]. The sort's per-depth
+    /// counts are kept for the hop-depth accessors of [`SoaAnalysis`].
     pub fn routing(&self) -> Result<SoaRouting, String> {
         self.check_columns()?;
         let depths = self.hop_depths()?;
         let n = self.len();
-        let max_depth = depths.iter().copied().max().unwrap_or(0) as usize;
         // Stable counting sort, deepest first.
-        let mut counts = vec![0usize; max_depth + 1];
+        let mut depth_counts = vec![0usize];
         for &d in &depths {
-            counts[d as usize] += 1;
+            let d = d as usize;
+            if d >= depth_counts.len() {
+                depth_counts.resize(d + 1, 0);
+            }
+            depth_counts[d] += 1;
         }
-        let mut starts = vec![0usize; max_depth + 1];
+        let mut starts = vec![0usize; depth_counts.len()];
         let mut acc = 0usize;
-        for d in (0..=max_depth).rev() {
-            starts[d] = acc;
-            acc += counts[d];
+        for (start, &count) in starts.iter_mut().zip(&depth_counts).rev() {
+            *start = acc;
+            acc += count;
         }
-        let mut order = vec![0usize; n];
-        for i in 0..n {
-            let slot = &mut starts[depths[i] as usize];
-            order[*slot] = i;
+        let mut order = vec![0u32; n];
+        for (i, &d) in depths.iter().enumerate() {
+            let slot = &mut starts[d as usize];
+            order[*slot] = i as u32;
             *slot += 1;
         }
         let mut forwarded = vec![0.0f64; n];
         let mut subtree_sizes = vec![1u32; n];
         for &i in &order {
+            let i = i as usize;
             let out = self.own_tx_rate(i) + forwarded[i];
             let p = self.parent[i];
             if p != SINK {
@@ -433,6 +454,7 @@ impl SoaNetwork {
             depths,
             forwarded,
             subtree_sizes,
+            depth_counts,
         })
     }
 
@@ -461,16 +483,10 @@ impl SoaNetwork {
             depths,
             forwarded,
             subtree_sizes,
+            depth_counts,
         } = self.routing().map_err(NetworkError::Routing)?;
         let n = self.len();
-        // Sized for the worst case (no repeats); untouched capacity costs
-        // no memory.
-        let mut run_starts = Vec::with_capacity(n);
-        for i in 0..n {
-            if i == 0 || !self.same_inputs(i - 1, i, &forwarded) {
-                run_starts.push(i);
-            }
-        }
+        let run_starts = self.run_starts(&forwarded);
         let results = par::map_indexed(run_starts.len(), threads, |r| {
             let i = run_starts[r];
             let params = self.cpu.with_forwarding(self.event_rate[i], forwarded[i]);
@@ -486,24 +502,26 @@ impl SoaNetwork {
                 ),
             })
         });
+        let mean_service = opts.service.to_dist(self.cpu.mu).mean();
         let mut runs = Vec::with_capacity(results.len());
         let mut total_power_mw = Vec::with_capacity(n);
         let mut lifetime_days = Vec::with_capacity(n);
+        let mut rho = Vec::with_capacity(n);
         for (r, result) in results.into_iter().enumerate() {
             let run = result.map_err(|e| NetworkError::Node {
                 node: self.name(run_starts[r]),
                 source: *e,
             })?;
-            let total = run.cpu_power_mw + run.radio_power_mw;
-            let len = run_starts.get(r + 1).copied().unwrap_or(n) - run.start;
+            let (i, total) = (run.start, run.cpu_power_mw + run.radio_power_mw);
+            let len = run_starts.get(r + 1).copied().unwrap_or(n) - i;
             total_power_mw.extend(std::iter::repeat_n(total, len));
             lifetime_days.extend(std::iter::repeat_n(self.battery.lifetime_days(total), len));
+            // The event rate and the forwarded load are bitwise equal on a
+            // run, so its utilization is too.
+            let run_rho = (self.event_rate[i] + forwarded[i]) * mean_service;
+            rho.extend(std::iter::repeat_n(run_rho, len));
             runs.push(run);
         }
-        let mean_service = opts.service.to_dist(self.cpu.mu).mean();
-        let rho = (0..n)
-            .map(|i| (self.event_rate[i] + forwarded[i]) * mean_service)
-            .collect();
         Ok(SoaAnalysis {
             depths,
             forwarded,
@@ -513,20 +531,53 @@ impl SoaNetwork {
             rho,
             sink_arrival_pkts_s: self.sink_arrival_pkts_s(),
             runs,
+            depth_counts,
         })
     }
 
-    /// True when nodes `a` and `b` have bitwise-equal evaluation inputs —
-    /// workload, forwarded load and radio — and so bit-identical results.
-    /// The forwarded load goes first: on nets without repeats it differs
-    /// and ends the comparison.
-    fn same_inputs(&self, a: usize, b: usize, forwarded: &[f64]) -> bool {
+    /// Starts of the maximal runs of consecutive nodes with bitwise-equal
+    /// evaluation inputs (see [`SoaNetwork::same_inputs`]). Each node's
+    /// radio comes from a cursor over the ascending overrides.
+    fn run_starts(&self, forwarded: &[f64]) -> Vec<usize> {
+        let n = self.len();
+        // Sized for the worst case (no repeats); untouched capacity costs
+        // no memory.
+        let mut starts = Vec::with_capacity(n);
+        let mut overrides = self.radio_overrides.iter().peekable();
+        let mut prev_radio = &self.radio;
+        for i in 0..n {
+            let radio = match overrides.next_if(|&&(j, _)| j as usize == i) {
+                Some((_, radio)) => radio,
+                None => &self.radio,
+            };
+            if i == 0 || !self.same_inputs(i - 1, i, forwarded, prev_radio, radio) {
+                starts.push(i);
+            }
+            prev_radio = radio;
+        }
+        starts
+    }
+
+    /// True when nodes `a` and `b`, with radios `radio_a` and `radio_b`,
+    /// have bitwise-equal evaluation inputs — workload, forwarded load and
+    /// radio — and so bit-identical results. The forwarded load goes first:
+    /// on nets without repeats it differs and ends the comparison. Two
+    /// nodes on the shared radio skip the radio comparison, so a net
+    /// without overrides never makes one.
+    fn same_inputs(
+        &self,
+        a: usize,
+        b: usize,
+        forwarded: &[f64],
+        radio_a: &RadioModel,
+        radio_b: &RadioModel,
+    ) -> bool {
         let eq = |x: f64, y: f64| x.to_bits() == y.to_bits();
         eq(forwarded[a], forwarded[b])
             && eq(self.event_rate[a], self.event_rate[b])
             && eq(self.tx_per_event[a], self.tx_per_event[b])
             && eq(self.rx_rate[a], self.rx_rate[b])
-            && radio_bits(self.radio_for(a)) == radio_bits(self.radio_for(b))
+            && (std::ptr::eq(radio_a, radio_b) || radio_bits(*radio_a) == radio_bits(*radio_b))
     }
 }
 
@@ -609,6 +660,14 @@ pub struct SoaRun {
 
 /// Flat-array analysis results plus the aggregate accessors large-net
 /// reports are built from.
+///
+/// The columns are public, and the aggregates rely on one invariant that
+/// [`SoaNetwork::analyze_with`] establishes: `runs` partitions `0..len()`
+/// into consecutive ranges (run `r` covers `runs[r].start` up to the next
+/// run's start), and `forwarded`, `total_power_mw`, `lifetime_days` and
+/// `rho` are bitwise constant on each range. So each aggregate except the
+/// mean lifetime and the total power reads one node per run. The hop-depth
+/// accessors read the per-depth counts of the routing pass, not `depths`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SoaAnalysis {
     /// Hops to the sink per node (sink-adjacent = 1).
@@ -629,6 +688,9 @@ pub struct SoaAnalysis {
     /// The runs of identical nodes, ascending by start; the first starts at
     /// node 0.
     pub runs: Vec<SoaRun>,
+    /// `depth_counts[d]` nodes sit `d` hops from the sink
+    /// (as in [`SoaRouting`]).
+    pub(crate) depth_counts: Vec<usize>,
 }
 
 /// Heap entry for the worst-lifetime cohort selection (max-heap over the
@@ -673,15 +735,24 @@ impl SoaAnalysis {
         &self.runs[self.runs.partition_point(|run| run.start <= i) - 1]
     }
 
+    /// Each run as its first node and its node count.
+    fn run_spans(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.runs.iter().enumerate().map(|(r, run)| {
+            let end = self.runs.get(r + 1).map_or(self.len(), |next| next.start);
+            (run.start, end - run.start)
+        })
+    }
+
     /// Lifetime until the first node dies (days).
     pub fn first_death_days(&self) -> f64 {
-        self.lifetime_days
+        self.runs
             .iter()
-            .copied()
+            .map(|run| self.lifetime_days[run.start])
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// Mean node lifetime (days).
+    /// Mean node lifetime (days). Sums every node in index order, so the
+    /// result does not depend on how the nodes group into runs.
     pub fn mean_lifetime_days(&self) -> f64 {
         if self.is_empty() {
             return 0.0;
@@ -689,42 +760,62 @@ impl SoaAnalysis {
         self.lifetime_days.iter().sum::<f64>() / self.len() as f64
     }
 
-    /// Total network power (mW).
+    /// Total network power (mW), summed in node order like the mean.
     pub fn total_power_mw(&self) -> f64 {
         self.total_power_mw.iter().sum()
     }
 
     /// The deepest hop count (0 for an empty network).
     pub fn max_hop_depth(&self) -> u32 {
-        self.depths.iter().copied().max().unwrap_or(0)
+        self.depth_counts.len().saturating_sub(1) as u32
     }
 
     /// Index of the shortest-lived node (ties: lowest index, like the
     /// oracle's `min_by`).
     pub fn bottleneck(&self) -> Option<usize> {
-        (0..self.len()).min_by(|&a, &b| self.lifetime_days[a].total_cmp(&self.lifetime_days[b]))
+        self.first_shortest_lived(|_| true)
     }
 
     /// Index of the shortest-lived *forwarding* node (`None` when nothing
     /// forwards, e.g. a star) — same ranking as
     /// [`crate::RoutedAnalysis::bottleneck_relay`].
     pub fn bottleneck_relay(&self) -> Option<usize> {
-        (0..self.len())
-            .filter(|&i| self.forwarded[i] > 0.0)
+        self.first_shortest_lived(|i| self.forwarded[i] > 0.0)
+    }
+
+    /// The first node of the first shortest-lived run whose first node
+    /// passes `keep`: the lowest-index shortest-lived node that passes it,
+    /// since lifetime and forwarded load are constant on a run.
+    fn first_shortest_lived(&self, keep: impl Fn(usize) -> bool) -> Option<usize> {
+        self.runs
+            .iter()
+            .map(|run| run.start)
+            .filter(|&i| keep(i))
             .min_by(|&a, &b| self.lifetime_days[a].total_cmp(&self.lifetime_days[b]))
     }
 
     /// The `k` shortest-lived nodes, ordered by (lifetime, index) ascending
-    /// — selected with a bounded heap, O(n log k).
+    /// — selected with a bounded heap over at most the first `k` nodes of
+    /// each run.
     pub fn worst_lifetime_cohort(&self, k: usize) -> Vec<usize> {
-        let mut heap = std::collections::BinaryHeap::with_capacity(k + 1);
         if k == 0 {
             return Vec::new();
         }
-        for (index, &lifetime) in self.lifetime_days.iter().enumerate() {
-            heap.push(CohortEntry { lifetime, index });
-            if heap.len() > k {
-                heap.pop();
+        let mut heap = std::collections::BinaryHeap::<CohortEntry>::with_capacity(k + 1);
+        for (start, len) in self.run_spans() {
+            let lifetime = self.lifetime_days[start];
+            // Nodes arrive in index order, so a node that ties the kept
+            // maximum's lifetime ranks after it and stays out; so do the
+            // rest of its run.
+            for index in start..start + len.min(k) {
+                if heap.len() == k {
+                    match heap.peek() {
+                        Some(max) if lifetime.total_cmp(&max.lifetime).is_lt() => {}
+                        _ => break,
+                    }
+                    heap.pop();
+                }
+                heap.push(CohortEntry { lifetime, index });
             }
         }
         let mut cohort: Vec<CohortEntry> = heap.into_vec();
@@ -735,43 +826,33 @@ impl SoaAnalysis {
     /// Count of nodes whose utilization is at or above `rho_threshold` —
     /// the cohort worth re-checking with a simulation backend.
     pub fn near_unstable_count(&self, rho_threshold: f64) -> usize {
-        self.rho.iter().filter(|&&r| r >= rho_threshold).count()
-    }
-
-    /// Indices of the near-unstable cohort, capped at `limit`.
-    pub fn near_unstable_cohort(&self, rho_threshold: f64, limit: usize) -> Vec<usize> {
-        (0..self.len())
-            .filter(|&i| self.rho[i] >= rho_threshold)
-            .take(limit)
-            .collect()
+        self.run_spans()
+            .filter(|&(start, _)| self.rho[start] >= rho_threshold)
+            .map(|(_, len)| len)
+            .sum()
     }
 
     /// Hop-depth value at each requested percentile (nearest-rank over the
-    /// depth counting histogram: the depth of the node at 1-based rank
-    /// `ceil(p/100 · n)` in depth-sorted order).
+    /// depth counts: the depth of the node at 1-based rank `ceil(p/100 ·
+    /// n)` in depth-sorted order).
     pub fn hop_depth_percentiles(&self, percentiles: &[f64]) -> Vec<(f64, u32)> {
         let n = self.len();
         if n == 0 {
             return percentiles.iter().map(|&p| (p, 0)).collect();
-        }
-        let max_depth = self.max_hop_depth() as usize;
-        let mut counts = vec![0u64; max_depth + 1];
-        for &d in &self.depths {
-            counts[d as usize] += 1;
         }
         percentiles
             .iter()
             .map(|&p| {
                 let rank = ((p / 100.0) * n as f64).ceil().max(1.0) as u64;
                 let mut acc = 0u64;
-                let mut value = max_depth as u32;
-                for (d, &c) in counts.iter().enumerate() {
-                    acc += c;
-                    if acc >= rank {
-                        value = d as u32;
-                        break;
-                    }
-                }
+                let value = self
+                    .depth_counts
+                    .iter()
+                    .position(|&c| {
+                        acc += c as u64;
+                        acc >= rank
+                    })
+                    .map_or(self.max_hop_depth(), |d| d as u32);
                 (p, value)
             })
             .collect()
@@ -784,25 +865,21 @@ impl SoaAnalysis {
         if bins == 0 || self.is_empty() {
             return Vec::new();
         }
-        let min = self
-            .lifetime_days
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min);
-        let max = self
-            .lifetime_days
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
+        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+        for run in &self.runs {
+            let x = self.lifetime_days[run.start];
+            min = min.min(x);
+            max = max.max(x);
+        }
         let width = if max > min {
             (max - min) / bins as f64
         } else {
             1.0
         };
         let mut counts = vec![0u64; bins];
-        for &x in &self.lifetime_days {
-            let idx = (((x - min) / width) as usize).min(bins - 1);
-            counts[idx] += 1;
+        for (start, len) in self.run_spans() {
+            let idx = (((self.lifetime_days[start] - min) / width) as usize).min(bins - 1);
+            counts[idx] += len as u64;
         }
         counts
             .into_iter()
@@ -1138,7 +1215,6 @@ mod tests {
         assert_eq!(pcts.last().unwrap().1, a.max_hop_depth());
         // Low event rates → nothing near-unstable.
         assert_eq!(a.near_unstable_count(0.95), 0);
-        assert!(a.near_unstable_cohort(0.0, 3).len() == 3);
         assert!(a.near_unstable_count(0.0) == 30);
     }
 

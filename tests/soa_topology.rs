@@ -25,7 +25,7 @@ use wsnem::core::{
 use wsnem::stats::rng::{Rng64, Xoshiro256PlusPlus};
 use wsnem::wsn::{
     chain_parents, star_parents, tree_parents, Network, NetworkError, NextHop, NodeConfig,
-    RadioSpec, SoaNetwork, SINK,
+    RadioSpec, SoaAnalysis, SoaNetwork, SINK,
 };
 
 /// A seeded random forest over `n` nodes: each node forwards either to the
@@ -343,23 +343,25 @@ fn analyze_counted(
     (result, calls.load(Ordering::Relaxed))
 }
 
+/// A homogeneous net of monitoring nodes on `parents`. Period 10^4 s keeps
+/// the root of a 10^4-node tree at rho = 0.1.
+fn homogeneous(parents: Vec<u32>) -> SoaNetwork {
+    let proto = NodeConfig::monitoring("n1", 1e4);
+    SoaNetwork::homogeneous(
+        parents,
+        "n",
+        proto.event_rate,
+        proto.tx_per_event,
+        proto.rx_rate,
+        proto.cpu,
+        proto.cpu_profile,
+        proto.radio,
+        proto.battery,
+    )
+}
+
 #[test]
 fn analyze_with_solves_once_per_run_of_equal_inputs() {
-    // Period 10^4 s keeps the 10^4-node tree's root at rho = 0.1.
-    let proto = NodeConfig::monitoring("n1", 1e4);
-    let homogeneous = |parents: Vec<u32>| {
-        SoaNetwork::homogeneous(
-            parents,
-            "n",
-            proto.event_rate,
-            proto.tx_per_event,
-            proto.rx_rate,
-            proto.cpu,
-            proto.cpu_profile.clone(),
-            proto.radio,
-            proto.battery,
-        )
-    };
     let tree = homogeneous(tree_parents(10_000, 4));
     let forwarded = tree.routing().unwrap().forwarded;
     let runs = 1 + forwarded
@@ -507,5 +509,203 @@ fn an_unstable_run_reports_its_lowest_index_node_with_the_oracle_error_text() {
         assert_eq!(err.to_string(), expected);
         // Four runs: n1..=n3, n4..=n8, n9..=n12, n13..=n16.
         assert_eq!(solves, 4);
+    }
+}
+
+/// Holds every aggregate accessor to a per-node recomputation over the
+/// analysis's own columns, exactly (f64 results by their bits). The
+/// accessors read one node per run; these references read every node.
+fn assert_aggregates_match_per_node(a: &SoaAnalysis, label: &str) {
+    let n = a.len();
+    let lifetimes = &a.lifetime_days;
+    let by_lifetime = |x: &usize, y: &usize| lifetimes[*x].total_cmp(&lifetimes[*y]);
+    let min = lifetimes.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = lifetimes.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    assert_eq!(a.first_death_days().to_bits(), min.to_bits(), "{label}");
+    assert_eq!(a.bottleneck(), (0..n).min_by(by_lifetime), "{label}");
+    assert_eq!(
+        a.bottleneck_relay(),
+        (0..n).filter(|&i| a.forwarded[i] > 0.0).min_by(by_lifetime),
+        "{label}: relay"
+    );
+
+    for bins in [1usize, 7, 16] {
+        let width = if max > min {
+            (max - min) / bins as f64
+        } else {
+            1.0
+        };
+        let mut counts = vec![0u64; bins];
+        for &x in lifetimes {
+            counts[(((x - min) / width) as usize).min(bins - 1)] += 1;
+        }
+        let hist = a.lifetime_histogram(bins);
+        assert_eq!(hist.len(), bins, "{label}");
+        for (b, bin) in hist.iter().enumerate() {
+            assert_eq!(bin.count, counts[b], "{label}: bin {b} of {bins}");
+            assert_eq!(bin.lo.to_bits(), (min + b as f64 * width).to_bits());
+            assert_eq!(bin.hi.to_bits(), (min + (b + 1) as f64 * width).to_bits());
+        }
+    }
+
+    let mut ranked: Vec<usize> = (0..n).collect();
+    ranked.sort_by(|x, y| by_lifetime(x, y).then(x.cmp(y)));
+    let (longest_start, longest) = a
+        .runs
+        .iter()
+        .enumerate()
+        .map(|(r, run)| {
+            let end = a.runs.get(r + 1).map_or(n, |next| next.start);
+            (run.start, end - run.start)
+        })
+        .max_by_key(|&(_, len)| len)
+        .unwrap();
+    for k in [0, 1, longest - 1, longest, longest + 1, 137] {
+        assert_eq!(
+            a.worst_lifetime_cohort(k),
+            ranked[..k.min(n)].to_vec(),
+            "{label}: worst-{k} cohort"
+        );
+    }
+
+    let rho_min = a.rho.iter().copied().fold(f64::INFINITY, f64::min);
+    let rho_max = a.rho.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    for threshold in [a.rho[longest_start], rho_min, rho_max, 0.0, 0.9] {
+        assert_eq!(
+            a.near_unstable_count(threshold),
+            a.rho.iter().filter(|&&r| r >= threshold).count(),
+            "{label}: near-unstable at rho {threshold}"
+        );
+    }
+
+    let mut sorted_depths = a.depths.clone();
+    sorted_depths.sort_unstable();
+    let max_depth = sorted_depths.last().copied().unwrap_or(0);
+    assert_eq!(a.max_hop_depth(), max_depth, "{label}");
+    let percentiles = [0.0, 0.001, 25.0, 50.0, 90.0, 99.0, 99.99, 100.0];
+    for (p, depth) in a.hop_depth_percentiles(&percentiles) {
+        let rank = ((p / 100.0) * n as f64).ceil().max(1.0) as usize;
+        assert_eq!(depth, sorted_depths[rank - 1], "{label}: p{p}");
+    }
+}
+
+fn analyze_mg1(soa: &SoaNetwork) -> SoaAnalysis {
+    soa.analyze_with(global(), BackendId::Mg1, &EvalOptions::default(), Some(1))
+        .unwrap()
+}
+
+#[test]
+fn run_level_aggregates_match_per_node_recomputation_on_nets_with_long_runs() {
+    let nets = [
+        (
+            "run forest 2000",
+            SoaNetwork::from_network(&run_forest(2000, 22)).unwrap(),
+        ),
+        (
+            "run forest 20000",
+            SoaNetwork::from_network(&run_forest(20_000, 23)).unwrap(),
+        ),
+        ("tree 10^4 fanout 4", homogeneous(tree_parents(10_000, 4))),
+        ("tree 3000 fanout 7", homogeneous(tree_parents(3000, 7))),
+        ("chain 100", homogeneous(chain_parents(100))),
+        ("star 5000", homogeneous(star_parents(5000))),
+    ];
+    for (label, soa) in &nets {
+        let a = analyze_mg1(soa);
+        // Every net but the chain has runs of several nodes.
+        let repeats = a.runs.len() < a.len();
+        assert_eq!(
+            repeats,
+            !label.starts_with("chain"),
+            "{label}: {} runs",
+            a.runs.len()
+        );
+        assert_aggregates_match_per_node(&a, label);
+    }
+}
+
+#[test]
+fn ties_across_non_adjacent_runs_resolve_to_the_lower_index() {
+    // Nodes 1 and 4 relay one leaf each (nodes 6 and 7), so they forward
+    // bitwise-equal loads, share the shortest lifetime, and sit in two
+    // runs that other runs separate: [0] [1] [2, 3] [4] [5] [6, 7].
+    let mut nodes: Vec<NodeConfig> = (0..8)
+        .map(|i| NodeConfig::monitoring(format!("n{}", i + 1), 60.0))
+        .collect();
+    nodes[0].event_rate *= 0.5;
+    nodes[5].event_rate *= 0.5;
+    let next_hop = [
+        NextHop::Sink,
+        NextHop::Sink,
+        NextHop::Sink,
+        NextHop::Sink,
+        NextHop::Sink,
+        NextHop::Sink,
+        NextHop::Node(1),
+        NextHop::Node(4),
+    ]
+    .to_vec();
+    let net = Network { nodes, next_hop };
+    let soa = SoaNetwork::from_network(&net).unwrap();
+    let a = analyze_mg1(&soa);
+    let starts: Vec<usize> = a.runs.iter().map(|run| run.start).collect();
+    assert_eq!(starts, vec![0, 1, 2, 4, 5, 6]);
+    assert_eq!(a.lifetime_days[1].to_bits(), a.lifetime_days[4].to_bits());
+    assert_eq!(a.bottleneck(), Some(1));
+    assert_eq!(a.bottleneck_relay(), Some(1));
+    assert_eq!(a.worst_lifetime_cohort(1), vec![1]);
+    assert_eq!(a.worst_lifetime_cohort(2), vec![1, 4]);
+    let oracle = net.analyze_with_threads(BackendId::Mg1, Some(1)).unwrap();
+    assert_eq!(oracle.bottleneck().unwrap().analysis.name, "n2");
+    assert_eq!(oracle.bottleneck_relay().unwrap().analysis.name, "n2");
+    assert_aggregates_match_per_node(&a, "tie net");
+}
+
+#[test]
+fn soa_routing_errors_match_the_oracle_text() {
+    // Each case: a next-hop table over n nodes (`None` = sink), and the
+    // node the error must name.
+    let cycle = |n: usize, from: usize, to: usize| {
+        let mut hops: Vec<Option<usize>> = (0..n).map(|i| i.checked_sub(1)).collect();
+        hops[from] = Some(to);
+        hops
+    };
+    let cases: [(&str, Vec<Option<usize>>, &str); 5] = [
+        ("self-loop", vec![None, Some(0), Some(2), Some(1)], "n3"),
+        ("2-cycle", vec![None, Some(2), Some(1), Some(0)], "n2"),
+        // Nodes 10..=40 forward down the chain, and node 10 back to 40.
+        ("long cycle", cycle(50, 10, 40), "n11"),
+        // Node 1 starts a branch into the cycle 2 -> 3 -> 4 -> 2.
+        (
+            "cycle behind a branch",
+            vec![None, Some(2), Some(3), Some(4), Some(2), Some(0)],
+            "n2",
+        ),
+        ("out of range", vec![None, Some(0), Some(9)], "n3"),
+    ];
+    for (label, hops, named) in cases {
+        let n = hops.len();
+        let net = Network {
+            nodes: (0..n)
+                .map(|i| NodeConfig::monitoring(format!("n{}", i + 1), 60.0))
+                .collect(),
+            next_hop: hops
+                .iter()
+                .map(|h| h.map_or(NextHop::Sink, NextHop::Node))
+                .collect(),
+        };
+        let soa = SoaNetwork::from_network(&net).unwrap();
+        let expected = net.routing().unwrap_err();
+        assert!(
+            expected.contains(&format!("`{named}`")),
+            "{label}: {expected}"
+        );
+        assert_eq!(soa.routing().unwrap_err(), expected, "{label}: routing");
+        assert_eq!(soa.hop_depths().unwrap_err(), expected, "{label}: depths");
+        assert_eq!(
+            soa.validate().unwrap_err(),
+            net.validate().unwrap_err(),
+            "{label}: validate"
+        );
     }
 }
