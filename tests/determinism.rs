@@ -150,3 +150,159 @@ fn high_load_edspn_trajectory_pinned() {
         ]
     );
 }
+
+/// Every registry backend's numbers at a fixed seed, to the bit: the
+/// paper-default point on all four backends, plus an Erlang-3 and a
+/// deterministic-service point on the three that accept a service law.
+/// Columns: backend, service, fractions `[standby, powerup, idle, active]`,
+/// `mean_jobs`, `mean_latency`. The `PetriNet` paper-default row is the
+/// evaluation pinned by `paper_edspn_trajectory_pinned`.
+#[test]
+fn every_backend_pinned() {
+    use wsnem::core::{backend, BackendId, EvalOptions, ServiceDist};
+
+    let p = CpuModelParams::paper_defaults()
+        .with_replications(4)
+        .with_horizon(300.0)
+        .with_seed(2008);
+    let pins: [(BackendId, ServiceDist, [u64; 4], u64, u64); 10] = [
+        (
+            BackendId::Markov,
+            ServiceDist::Exponential,
+            [
+                0x3fe1_751e_abcf_b33c,
+                0x3f41_de17_5caa_f650,
+                0x3fd6_a66d_1904_6cfa,
+                0x3fb9_999a_0eb7_5c50,
+            ],
+            0x3fbc_75c1_19d8_3bc4,
+            0x3fbc_75c1_19d8_3bc4,
+        ),
+        (
+            BackendId::Mg1,
+            ServiceDist::Exponential,
+            [
+                0x3fe1_751e_5bf2_2307,
+                0x3f41_e060_9fb0_44a3,
+                0x3fd6_a66c_b165_7b69,
+                0x3fb9_9999_9999_999a,
+            ],
+            0x3fbc_9985_ec71_d4fd,
+            0x3fbc_9985_ec71_d4fd,
+        ),
+        (
+            BackendId::PetriNet,
+            ServiceDist::Exponential,
+            [
+                0x3fe0_f30b_5814_dd74,
+                0x3f42_8390_42d8_bbd9,
+                0x3fd7_2f75_17a9_ce0c,
+                0x3fbb_84c9_c02c_2abc,
+            ],
+            0x3fbf_49c3_01d3_5a89,
+            0x3fbf_49c3_01d3_5a89,
+        ),
+        (
+            BackendId::Des,
+            ServiceDist::Exponential,
+            [
+                0x3fe1_3029_9a6c_f193,
+                0x3f42_599e_d7c6_f966,
+                0x3fd6_eca7_3e30_a910,
+                0x3fba_a762_f626_413b,
+            ],
+            0x3fbd_f69e_dce6_87d0,
+            0x3fbd_2594_2676_58aa,
+        ),
+        (
+            BackendId::Mg1,
+            ServiceDist::Erlang { k: 3 },
+            [
+                0x3fe1_751e_5bf2_2307,
+                0x3f41_e060_9fb0_44a3,
+                0x3fd6_a66c_b165_7b69,
+                0x3fb9_9999_9999_999a,
+            ],
+            0x3fbb_a6cc_1629_c5d2,
+            0x3fbb_a6cc_1629_c5d2,
+        ),
+        (
+            BackendId::PetriNet,
+            ServiceDist::Erlang { k: 3 },
+            [
+                0x3fe1_06c3_e9df_7330,
+                0x3f41_febe_6fcb_196c,
+                0x3fd7_2161_31f7_4334,
+                0x3fbb_205e_6c47_c385,
+            ],
+            0x3fbd_73c6_1c9c_7a61,
+            0x3fbd_73c6_1c9c_7a61,
+        ),
+        (
+            BackendId::Des,
+            ServiceDist::Erlang { k: 3 },
+            [
+                0x3fe1_5eb5_4a84_0768,
+                0x3f41_dbca_9691_97ea,
+                0x3fd6_a9ba_232f_c72e,
+                0x3fba_3fb5_89f3_84dc,
+            ],
+            0x3fbc_99b1_67b6_99f5,
+            0x3fbb_c5fc_550f_1e1a,
+        ),
+        (
+            BackendId::Mg1,
+            ServiceDist::Deterministic,
+            [
+                0x3fe1_751e_5bf2_2307,
+                0x3f41_e060_9fb0_44a3,
+                0x3fd6_a66c_b165_7b69,
+                0x3fb9_9999_9999_999a,
+            ],
+            0x3fbb_2d6f_2b05_be3c,
+            0x3fbb_2d6f_2b05_be3c,
+        ),
+        (
+            BackendId::PetriNet,
+            ServiceDist::Deterministic,
+            [
+                0x3fe1_a222_779b_8256,
+                0x3f42_13b7_2553_f7b7,
+                0x3fd6_3ea3_8df5_76ea,
+                0x3fb9_d036_9d03_69c2,
+            ],
+            0x3fbb_912a_9684_9427,
+            0x3fbb_912a_9684_9427,
+        ),
+        (
+            BackendId::Des,
+            ServiceDist::Deterministic,
+            [
+                0x3fe1_a222_779b_8256,
+                0x3f42_13b7_2553_f7b7,
+                0x3fd6_3ea3_8df5_76ea,
+                0x3fb9_d036_9d03_69c2,
+            ],
+            0x3fbb_912a_9684_9427,
+            0x3fbb_5455_ca58_d6a4,
+        ),
+    ];
+    for (id, service, fractions, jobs, latency) in pins {
+        let opts = EvalOptions::default()
+            .with_threads(Some(1))
+            .with_service(service);
+        let eval = backend::global().solve(id, &p, &opts).unwrap();
+        let bits = eval.fractions.as_array().map(f64::to_bits);
+        assert_eq!(bits, fractions, "{id} {service:?} fractions");
+        assert_eq!(
+            eval.mean_jobs.unwrap().to_bits(),
+            jobs,
+            "{id} {service:?} mean_jobs"
+        );
+        assert_eq!(
+            eval.mean_latency.unwrap().to_bits(),
+            latency,
+            "{id} {service:?} mean_latency"
+        );
+    }
+}
