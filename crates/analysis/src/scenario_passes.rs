@@ -21,8 +21,9 @@ pub const HIGH_RHO_THRESHOLD: f64 = 0.95;
 pub fn run(s: &Scenario, registry: &BackendRegistry) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     schema_pass(s, registry, &mut out);
-    stability_pass(s, &mut out);
-    radio_pass(s, &mut out);
+    let forwarded = forwarded_rates(s);
+    stability_pass(s, &forwarded, &mut out);
+    radio_pass(s, &forwarded, &mut out);
     sweep_pass(s, &mut out);
     catch_all_pass(s, registry, &mut out);
     out
@@ -188,8 +189,9 @@ fn check_rho(lambda_eff: f64, mean_s: f64, loc: Location, out: &mut Vec<Diagnost
 }
 
 /// Queue stability: base point, every λ-sweep value, and every network node
-/// at its forwarding-inflated arrival rate.
-fn stability_pass(s: &Scenario, out: &mut Vec<Diagnostic>) {
+/// at its forwarding-inflated arrival rate (`forwarded`, from
+/// [`forwarded_rates`]).
+fn stability_pass(s: &Scenario, forwarded: &[f64], out: &mut Vec<Diagnostic>) {
     let mean_s = mean_service_s(s);
     if !mean_s.is_finite() || mean_s <= 0.0 {
         return;
@@ -214,7 +216,7 @@ fn stability_pass(s: &Scenario, out: &mut Vec<Diagnostic>) {
         }
     }
     if let Some(network) = &s.network {
-        for (node, fwd) in network.nodes.iter().zip(forwarded_rates(s)) {
+        for (node, &fwd) in network.nodes.iter().zip(forwarded) {
             if fwd > 0.0 {
                 check_rho(
                     node.event_rate + fwd,
@@ -238,6 +240,7 @@ fn stability_pass(s: &Scenario, out: &mut Vec<Diagnostic>) {
 
 /// Per-node sink-ward forwarding load (pkt/s), zeros when the network (or
 /// its routing) cannot be built — those failures belong to the catch-all.
+/// Routing builds the whole network, so [`run`] calls this once.
 fn forwarded_rates(s: &Scenario) -> Vec<f64> {
     let Some(network) = &s.network else {
         return Vec::new();
@@ -259,11 +262,10 @@ fn forwarded_rates(s: &Scenario) -> Vec<f64> {
 
 /// Radio airtime saturation: a node whose packet airtime alone fills its
 /// schedule cannot also listen, back off, or sleep.
-fn radio_pass(s: &Scenario, out: &mut Vec<Diagnostic>) {
+fn radio_pass(s: &Scenario, forwarded: &[f64], out: &mut Vec<Diagnostic>) {
     let Some(network) = &s.network else {
         return;
     };
-    let forwarded = forwarded_rates(s);
     for (i, node) in network.nodes.iter().enumerate() {
         let Ok(radio) = network.radio_spec_for(i).lower() else {
             continue; // the catch-all reports unlooweable radio specs

@@ -10,7 +10,7 @@ use wsnem_bench::harness::Criterion;
 use wsnem_bench::{criterion_group, criterion_main};
 
 use wsnem_core::experiments::{table4, table5, ThresholdSweep};
-use wsnem_core::{CpuModel, CpuModelParams, DesCpuModel, MarkovCpuModel, PetriCpuModel};
+use wsnem_core::{backend, BackendId, CpuModelParams, EvalOptions};
 use wsnem_energy::PowerProfile;
 
 fn reduced_params() -> CpuModelParams {
@@ -84,18 +84,21 @@ fn bench_model_eval_cost(c: &mut Criterion) {
     let params = CpuModelParams::paper_defaults()
         .with_replications(4)
         .with_horizon(1000.0);
+    let opts = EvalOptions::default().with_threads(Some(1));
+    let solve = |id| {
+        backend::global()
+            .solve(id, &params, &opts)
+            .expect("evaluates")
+    };
     g.bench_function("markov_closed_form", |b| {
-        let m = MarkovCpuModel::new(params);
-        b.iter(|| black_box(m.evaluate().expect("evaluates")));
+        b.iter(|| black_box(solve(BackendId::Markov)));
     });
     g.sample_size(10);
     g.bench_function("petri_simulation_4x1000s", |b| {
-        let m = PetriCpuModel::new(params).with_threads(Some(1));
-        b.iter(|| black_box(m.evaluate().expect("evaluates")));
+        b.iter(|| black_box(solve(BackendId::PetriNet)));
     });
     g.bench_function("des_simulation_4x1000s", |b| {
-        let m = DesCpuModel::new(params).with_threads(Some(1));
-        b.iter(|| black_box(m.evaluate().expect("evaluates")));
+        b.iter(|| black_box(solve(BackendId::Des)));
     });
     g.finish();
 }

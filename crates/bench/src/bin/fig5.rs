@@ -9,8 +9,9 @@
 #![allow(clippy::disallowed_methods)] // tests/examples may panic on broken invariants
 use wsnem_bench::{f, quick_mode, render_table};
 use wsnem_core::experiments::ThresholdSweep;
-use wsnem_core::{BackendId, CpuModelParams, MarkovCpuModel};
+use wsnem_core::{BackendId, CpuModelParams};
 use wsnem_energy::PowerProfile;
+use wsnem_markov::SupplementaryVariableModel;
 
 fn main() {
     let quick = quick_mode();
@@ -38,15 +39,10 @@ fn main() {
         .iter()
         .enumerate()
         .map(|(i, t)| {
-            let eq24 = MarkovCpuModel::new(
-                params
-                    .with_power_down_threshold(*t)
-                    .with_power_up_delay(0.001),
-            )
-            .inner()
-            .expect("valid params")
-            .energy_eq24(&profile, n_jobs)
-            .total_joules();
+            let eq24 = SupplementaryVariableModel::new(params.lambda, params.mu, *t, 0.001)
+                .expect("valid params")
+                .energy_eq24(&profile, n_jobs)
+                .total_joules();
             vec![
                 f(*t, 1),
                 f(sim[i], 3),

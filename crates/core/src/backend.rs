@@ -253,20 +253,12 @@ impl ServiceDist {
     }
 }
 
-/// Per-evaluation options shared by every backend: overrides for the
-/// stochastic-run parameters plus the service-time distribution. `None`
-/// fields fall back to the corresponding [`CpuModelParams`] values, so
-/// `EvalOptions::default()` reproduces the historical behaviour exactly.
+/// Per-evaluation options shared by every backend: how to run a solve, as
+/// opposed to what to solve. The model, its simulation budget and its seed
+/// live on [`CpuModelParams`]; `EvalOptions::default()` is the paper's
+/// model on all available cores.
 #[derive(Debug, Clone, Default)]
 pub struct EvalOptions {
-    /// Master-seed override for the replication RNG streams.
-    pub seed: Option<u64>,
-    /// Replication-count override (simulation backends).
-    pub replications: Option<usize>,
-    /// Horizon override (s).
-    pub horizon: Option<f64>,
-    /// Warm-up override (s).
-    pub warmup: Option<f64>,
     /// Worker-thread pin for replication fan-out (`None` = available
     /// parallelism; outer-parallel callers pass `Some(1)`).
     pub threads: Option<usize>,
@@ -282,30 +274,6 @@ pub struct EvalOptions {
 }
 
 impl EvalOptions {
-    /// Override the master seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
-        self
-    }
-
-    /// Override the replication count.
-    pub fn with_replications(mut self, replications: usize) -> Self {
-        self.replications = Some(replications);
-        self
-    }
-
-    /// Override the horizon.
-    pub fn with_horizon(mut self, horizon: f64) -> Self {
-        self.horizon = Some(horizon);
-        self
-    }
-
-    /// Override the warm-up truncation.
-    pub fn with_warmup(mut self, warmup: f64) -> Self {
-        self.warmup = Some(warmup);
-        self
-    }
-
     /// Pin the replication worker-thread count.
     pub fn with_threads(mut self, threads: Option<usize>) -> Self {
         self.threads = threads;
@@ -322,24 +290,6 @@ impl EvalOptions {
     pub fn with_workload(mut self, workload: Option<wsnem_des::Workload>) -> Self {
         self.workload = workload;
         self
-    }
-
-    /// Apply the overrides to a parameter set.
-    pub fn apply(&self, params: CpuModelParams) -> CpuModelParams {
-        let mut p = params;
-        if let Some(seed) = self.seed {
-            p.master_seed = seed;
-        }
-        if let Some(replications) = self.replications {
-            p.replications = replications;
-        }
-        if let Some(horizon) = self.horizon {
-            p.horizon = horizon;
-        }
-        if let Some(warmup) = self.warmup {
-            p.warmup = warmup;
-        }
-        p
     }
 }
 
@@ -382,8 +332,9 @@ pub struct Capabilities {
 /// # Purity
 ///
 /// [`CpuSolver::solve`] must be a pure function of `(params, opts)`: equal
-/// inputs give equal results (stochastic backends draw only from the seed
-/// in `opts`), and callers may skip calls whose result they already have.
+/// inputs give equal results (stochastic backends draw only from
+/// [`CpuModelParams::master_seed`]), and callers may skip calls whose result
+/// they already have.
 /// The SoA network core relies on this — it solves once per run of
 /// consecutive nodes with equal inputs and reuses the result for the rest
 /// of the run.
@@ -484,6 +435,17 @@ impl BackendRegistry {
     /// True when nothing is registered.
     pub fn is_empty(&self) -> bool {
         self.solvers.is_empty()
+    }
+
+    /// The agreement reference among `ids`: the first one whose registered
+    /// capabilities mark it the ground truth, else the first id (`None` only
+    /// for an empty slice). Every cross-backend agreement figure is measured
+    /// against this backend.
+    pub fn agreement_reference(&self, ids: &[BackendId]) -> Option<BackendId> {
+        ids.iter()
+            .copied()
+            .find(|&id| self.capabilities_of(id).is_some_and(|c| c.ground_truth))
+            .or_else(|| ids.first().copied())
     }
 
     /// Evaluate `params` with the given backend.
@@ -637,24 +599,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_options_apply_overrides() {
-        let p = CpuModelParams::paper_defaults();
-        let opts = EvalOptions::default()
-            .with_seed(7)
-            .with_replications(3)
-            .with_horizon(500.0)
-            .with_warmup(50.0)
-            .with_threads(Some(1));
-        let q = opts.apply(p);
-        assert_eq!(q.master_seed, 7);
-        assert_eq!(q.replications, 3);
-        assert_eq!(q.horizon, 500.0);
-        assert_eq!(q.warmup, 50.0);
-        // Defaults change nothing.
-        assert_eq!(EvalOptions::default().apply(p), p);
-    }
-
-    #[test]
     fn builtin_registry_covers_all_backends() {
         let r = BackendRegistry::builtin();
         assert_eq!(r.ids(), BackendId::ALL.to_vec());
@@ -672,6 +616,33 @@ mod tests {
         ranks.dedup();
         assert_eq!(ranks.len(), 4);
         assert_eq!(format!("{r:?}").matches("Markov").count(), 1);
+    }
+
+    #[test]
+    fn builtin_solvers_return_normalized_evaluations() {
+        let params = CpuModelParams::paper_defaults()
+            .with_replications(4)
+            .with_horizon(400.0);
+        let r = BackendRegistry::builtin();
+        for id in r.ids() {
+            let e = r.solve(id, &params, &EvalOptions::default()).unwrap();
+            assert!(e.fractions.is_normalized(1e-6), "{id}");
+            assert_eq!(e.kind, id);
+        }
+    }
+
+    #[test]
+    fn agreement_reference_prefers_ground_truth() {
+        let r = BackendRegistry::builtin();
+        let (markov, mg1, des) = (BackendId::Markov, BackendId::Mg1, BackendId::Des);
+        assert_eq!(r.agreement_reference(&[markov, des, mg1]), Some(des));
+        assert_eq!(r.agreement_reference(&[mg1, markov]), Some(mg1));
+        assert_eq!(r.agreement_reference(&[]), None);
+        // Only registered capabilities count.
+        assert_eq!(
+            BackendRegistry::new().agreement_reference(&[markov, des]),
+            Some(markov)
+        );
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! The common evaluation interface of the CPU models.
+//! The common evaluation result of the CPU backends.
 
 use wsnem_energy::{EnergyBreakdown, PowerProfile, StateFractions};
 
 use crate::backend::BackendId;
-use crate::error::CoreError;
 
 /// A model's steady-state verdict on the CPU.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,18 +35,6 @@ impl ModelEvaluation {
     pub fn mean_power_mw(&self, profile: &PowerProfile) -> f64 {
         profile.mean_power_mw(&self.fractions)
     }
-}
-
-/// A CPU model that can be evaluated to steady-state fractions.
-///
-/// This is the typed, by-value API; the object-safe registry counterpart is
-/// [`crate::backend::CpuSolver`].
-pub trait CpuModel {
-    /// The backend this model implements.
-    fn kind(&self) -> BackendId;
-
-    /// Evaluate the model.
-    fn evaluate(&self) -> Result<ModelEvaluation, CoreError>;
 }
 
 #[cfg(test)]

@@ -2,10 +2,8 @@
 
 use wsnem_energy::StateFractions;
 
+use crate::backend::{self, BackendId, EvalOptions};
 use crate::error::CoreError;
-use crate::evaluation::CpuModel;
-use crate::models::des_model::DesCpuModel;
-use crate::models::petri_model::PetriCpuModel;
 use crate::params::CpuModelParams;
 
 /// One row of the convergence ablation.
@@ -29,21 +27,22 @@ pub fn convergence_ablation(
     params: CpuModelParams,
     budgets: &[(f64, usize)],
 ) -> Result<(StateFractions, Vec<ConvergenceRow>), CoreError> {
+    let solve = |id, p| backend::global().solve(id, &p, &EvalOptions::default());
     // High-budget DES reference.
-    let reference = DesCpuModel::new(
+    let reference = solve(
+        BackendId::Des,
         params
             .with_horizon(20_000.0)
             .with_warmup(1000.0)
             .with_replications(16),
-    )
-    .evaluate()?;
+    )?;
     let mut rows = Vec::with_capacity(budgets.len());
     for &(horizon, replications) in budgets {
         let p = params
             .with_horizon(horizon)
             .with_replications(replications)
             .with_warmup((horizon * 0.05).min(100.0));
-        let eval = PetriCpuModel::new(p).evaluate()?;
+        let eval = solve(BackendId::PetriNet, p)?;
         rows.push(ConvergenceRow {
             horizon,
             replications,

@@ -9,12 +9,8 @@
 use wsnem_energy::StateFractions;
 use wsnem_stats::par;
 
+use crate::backend::{self, BackendId, EvalOptions};
 use crate::error::CoreError;
-use crate::evaluation::CpuModel;
-use crate::models::des_model::DesCpuModel;
-use crate::models::markov_model::MarkovCpuModel;
-use crate::models::mg1_model::Mg1CpuModel;
-use crate::models::petri_model::PetriCpuModel;
 use crate::params::CpuModelParams;
 
 /// One row of the delay sweep.
@@ -49,12 +45,12 @@ pub fn delay_sweep(
 
 fn sweep_point(base: CpuModelParams, d: f64) -> Result<DelaySweepRow, CoreError> {
     let params = base.with_power_up_delay(d);
-    let des = DesCpuModel::new(params).with_threads(Some(1)).evaluate()?;
-    let markov = MarkovCpuModel::new(params).evaluate()?;
-    let petri = PetriCpuModel::new(params)
-        .with_threads(Some(1))
-        .evaluate()?;
-    let mg1 = Mg1CpuModel::new(params).evaluate()?;
+    let opts = EvalOptions::default().with_threads(Some(1));
+    let solve = |id| backend::global().solve(id, &params, &opts);
+    let des = solve(BackendId::Des)?;
+    let markov = solve(BackendId::Markov)?;
+    let petri = solve(BackendId::PetriNet)?;
+    let mg1 = solve(BackendId::Mg1)?;
     Ok(DelaySweepRow {
         d,
         lambda_d: params.lambda * d,

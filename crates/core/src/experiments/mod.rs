@@ -19,40 +19,3 @@ pub use ablation::{convergence_ablation, ConvergenceRow};
 pub use delay_sweep::{delay_sweep, markov_validity_boundary, DelaySweepRow};
 pub use sweep::{SweepPoint, SweepResult, ThresholdSweep};
 pub use tables::{table4, table5, DeltaRow};
-
-use crate::error::CoreError;
-use crate::evaluation::{CpuModel, ModelEvaluation};
-use crate::models::des_model::DesCpuModel;
-use crate::models::markov_model::MarkovCpuModel;
-use crate::models::petri_model::PetriCpuModel;
-use crate::params::CpuModelParams;
-
-/// Evaluate all three models on the same parameters
-/// (order: Markov, Petri net, DES).
-pub fn compare_all(
-    params: CpuModelParams,
-) -> Result<(ModelEvaluation, ModelEvaluation, ModelEvaluation), CoreError> {
-    let markov = MarkovCpuModel::new(params).evaluate()?;
-    let petri = PetriCpuModel::new(params).evaluate()?;
-    let des = DesCpuModel::new(params).evaluate()?;
-    Ok((markov, petri, des))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn compare_all_returns_three_normalized_evaluations() {
-        let params = CpuModelParams::paper_defaults()
-            .with_replications(4)
-            .with_horizon(400.0);
-        let (m, p, d) = compare_all(params).unwrap();
-        for e in [&m, &p, &d] {
-            assert!(e.fractions.is_normalized(1e-6));
-        }
-        assert_eq!(m.kind, crate::BackendId::Markov);
-        assert_eq!(p.kind, crate::BackendId::PetriNet);
-        assert_eq!(d.kind, crate::BackendId::Des);
-    }
-}

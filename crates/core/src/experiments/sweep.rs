@@ -3,12 +3,9 @@
 use wsnem_energy::PowerProfile;
 use wsnem_stats::par;
 
-use crate::backend::BackendId;
+use crate::backend::{self, BackendId, EvalOptions};
 use crate::error::CoreError;
-use crate::evaluation::{CpuModel, ModelEvaluation};
-use crate::models::des_model::DesCpuModel;
-use crate::models::markov_model::MarkovCpuModel;
-use crate::models::petri_model::PetriCpuModel;
+use crate::evaluation::ModelEvaluation;
 use crate::params::CpuModelParams;
 
 /// One sweep point: the three models evaluated at the same `T`.
@@ -106,11 +103,11 @@ impl ThresholdSweep {
 
 fn evaluate_point(base: CpuModelParams, t: f64) -> Result<SweepPoint, CoreError> {
     let params = base.with_power_down_threshold(t);
-    let markov = MarkovCpuModel::new(params).evaluate()?;
-    let petri = PetriCpuModel::new(params)
-        .with_threads(Some(1))
-        .evaluate()?;
-    let des = DesCpuModel::new(params).with_threads(Some(1)).evaluate()?;
+    let opts = EvalOptions::default().with_threads(Some(1));
+    let solve = |id| backend::global().solve(id, &params, &opts);
+    let markov = solve(BackendId::Markov)?;
+    let petri = solve(BackendId::PetriNet)?;
+    let des = solve(BackendId::Des)?;
     Ok(SweepPoint {
         t,
         markov,

@@ -1,113 +1,21 @@
-//! The discrete-event ground-truth simulator behind the [`CpuModel`] trait.
+//! The discrete-event ground-truth simulator (paper §5's benchmark).
 
 use std::time::Instant;
 
 use wsnem_des::cpu::{CpuDes, CpuSimParams};
 use wsnem_des::replication::run_replications;
 use wsnem_des::workload::Workload;
-use wsnem_stats::dist::Dist;
 use wsnem_stats::online::Welford;
 
 use crate::backend::{BackendId, Capabilities, CpuSolver, EvalOptions};
 use crate::error::CoreError;
-use crate::evaluation::{CpuModel, ModelEvaluation};
+use crate::evaluation::ModelEvaluation;
 use crate::params::CpuModelParams;
 
-/// Paper §5's benchmark: the event simulator (Matlab in the paper, Rust
-/// here), run as parallel independent replications.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DesCpuModel {
-    params: CpuModelParams,
-    threads: Option<usize>,
-}
-
-impl DesCpuModel {
-    /// Wrap the shared parameters (replications spread over all cores).
-    pub fn new(params: CpuModelParams) -> Self {
-        Self {
-            params,
-            threads: None,
-        }
-    }
-
-    /// Pin the number of worker threads (e.g. `Some(1)` inside an outer
-    /// parallel sweep).
-    pub fn with_threads(mut self, threads: Option<usize>) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// The parameters.
-    pub fn params(&self) -> CpuModelParams {
-        self.params
-    }
-
-    fn sim(&self) -> Result<CpuDes, CoreError> {
-        self.params.validate()?;
-        Ok(CpuDes::new(
-            cpu_sim_params(
-                &self.params,
-                Dist::Exponential {
-                    rate: self.params.mu,
-                },
-            ),
-            Workload::open_poisson(self.params.lambda),
-        )?)
-    }
-}
-
-/// The single place the shared model parameters are wired into the DES
-/// kernel's [`CpuSimParams`] (used by both the typed model and the registry
-/// solver).
-fn cpu_sim_params(params: &CpuModelParams, service: Dist) -> CpuSimParams {
-    CpuSimParams {
-        service,
-        power_down_threshold: params.power_down_threshold,
-        power_up_delay: params.power_up_delay,
-        horizon: params.horizon,
-        warmup: params.warmup,
-        max_queue: None,
-    }
-}
-
-impl CpuModel for DesCpuModel {
-    fn kind(&self) -> BackendId {
-        BackendId::Des
-    }
-
-    fn evaluate(&self) -> Result<ModelEvaluation, CoreError> {
-        let sim = self.sim()?;
-        evaluate_sim(&sim, self.params, self.threads)
-    }
-}
-
-/// Run a configured simulator's replications and reduce them into the
-/// shared evaluation shape.
-fn evaluate_sim(
-    sim: &CpuDes,
-    params: CpuModelParams,
-    threads: Option<usize>,
-) -> Result<ModelEvaluation, CoreError> {
-    let start = Instant::now();
-    let summary = run_replications(sim, params.replications, params.master_seed, threads);
-    let mut jobs = Welford::new();
-    let mut latency = Welford::new();
-    for r in &summary.reports {
-        jobs.push(r.mean_jobs_in_system);
-        latency.push(r.mean_latency);
-    }
-    Ok(ModelEvaluation {
-        kind: BackendId::Des,
-        fractions: summary.mean_fractions(),
-        mean_jobs: Some(jobs.mean()),
-        mean_latency: Some(latency.mean()),
-        eval_seconds: start.elapsed().as_secs_f64(),
-    })
-}
-
-/// The registry solver for [`BackendId::Des`] — the ground truth. Unlike
-/// the typed [`DesCpuModel`], it honors both [`EvalOptions::service`] and
-/// [`EvalOptions::workload`] (the capabilities the analytic backends lack).
+/// The registry solver for [`BackendId::Des`] — the ground truth: the event
+/// simulator (Matlab in the paper, Rust here), run as parallel independent
+/// replications. It honors both [`EvalOptions::service`] and
+/// [`EvalOptions::workload`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DesSolver;
 
@@ -131,7 +39,6 @@ impl CpuSolver for DesSolver {
         params: &CpuModelParams,
         opts: &EvalOptions,
     ) -> Result<ModelEvaluation, CoreError> {
-        let params = opts.apply(*params);
         params.validate()?;
         opts.service.validate(params.mu)?;
         let workload = opts
@@ -139,29 +46,53 @@ impl CpuSolver for DesSolver {
             .clone()
             .unwrap_or_else(|| Workload::open_poisson(params.lambda));
         let sim = CpuDes::new(
-            cpu_sim_params(&params, opts.service.to_dist(params.mu)),
+            CpuSimParams {
+                service: opts.service.to_dist(params.mu),
+                power_down_threshold: params.power_down_threshold,
+                power_up_delay: params.power_up_delay,
+                horizon: params.horizon,
+                warmup: params.warmup,
+                max_queue: None,
+            },
             workload,
         )?;
-        evaluate_sim(&sim, params, opts.threads)
+        let start = Instant::now();
+        let summary = run_replications(&sim, params.replications, params.master_seed, opts.threads);
+        let mut jobs = Welford::new();
+        let mut latency = Welford::new();
+        for r in &summary.reports {
+            jobs.push(r.mean_jobs_in_system);
+            latency.push(r.mean_latency);
+        }
+        Ok(ModelEvaluation {
+            kind: BackendId::Des,
+            fractions: summary.mean_fractions(),
+            mean_jobs: Some(jobs.mean()),
+            mean_latency: Some(latency.mean()),
+            eval_seconds: start.elapsed().as_secs_f64(),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::models::markov_model::MarkovSolver;
+
+    fn solve(params: CpuModelParams, threads: Option<usize>) -> Result<ModelEvaluation, CoreError> {
+        DesSolver.solve(&params, &EvalOptions::default().with_threads(threads))
+    }
 
     #[test]
     fn evaluates_and_normalizes() {
         let params = CpuModelParams::paper_defaults()
             .with_replications(4)
             .with_horizon(500.0);
-        let m = DesCpuModel::new(params);
-        let eval = m.evaluate().unwrap();
+        let eval = solve(params, None).unwrap();
         assert_eq!(eval.kind, BackendId::Des);
         assert!(eval.fractions.is_normalized(1e-6));
         assert!(eval.mean_jobs.unwrap() >= 0.0);
         assert!(eval.mean_latency.unwrap() > 0.0);
-        assert_eq!(m.params().replications, 4);
     }
 
     #[test]
@@ -169,14 +100,8 @@ mod tests {
         let params = CpuModelParams::paper_defaults()
             .with_replications(6)
             .with_horizon(300.0);
-        let a = DesCpuModel::new(params)
-            .with_threads(Some(1))
-            .evaluate()
-            .unwrap();
-        let b = DesCpuModel::new(params)
-            .with_threads(Some(3))
-            .evaluate()
-            .unwrap();
+        let a = solve(params, Some(1)).unwrap();
+        let b = solve(params, Some(3)).unwrap();
         assert_eq!(a.fractions, b.fractions);
     }
 
@@ -190,15 +115,17 @@ mod tests {
             .with_replications(8)
             .with_horizon(4000.0)
             .with_warmup(200.0);
-        let des = DesCpuModel::new(params).evaluate().unwrap();
-        let markov = crate::MarkovCpuModel::new(params).evaluate().unwrap();
+        let des = solve(params, None).unwrap();
+        let markov = MarkovSolver
+            .solve(&params, &EvalOptions::default())
+            .unwrap();
         let delta = des.fractions.mean_abs_delta_pct(&markov.fractions);
         assert!(delta < 1.5, "Δ = {delta} percentage points");
     }
 
     #[test]
     fn invalid_params_propagate() {
-        let m = DesCpuModel::new(CpuModelParams::paper_defaults().with_mu(0.5));
-        assert!(m.evaluate().is_err(), "rho > 1 rejected");
+        let params = CpuModelParams::paper_defaults().with_mu(0.5);
+        assert!(solve(params, None).is_err(), "rho > 1 rejected");
     }
 }

@@ -1,4 +1,4 @@
-//! The supplementary-variable Markov model behind the [`CpuModel`] trait.
+//! The supplementary-variable Markov model (paper §4.1, Eqs. 11–24).
 
 use std::time::Instant;
 
@@ -8,58 +8,10 @@ use crate::backend::{
     require_exponential_service, BackendId, Capabilities, CpuSolver, EvalOptions,
 };
 use crate::error::CoreError;
-use crate::evaluation::{CpuModel, ModelEvaluation};
+use crate::evaluation::ModelEvaluation;
 use crate::params::CpuModelParams;
 
-/// Paper §4.1: the closed-form Markov model (Eqs. 11–24).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MarkovCpuModel {
-    params: CpuModelParams,
-}
-
-impl MarkovCpuModel {
-    /// Wrap the shared parameters.
-    pub fn new(params: CpuModelParams) -> Self {
-        Self { params }
-    }
-
-    /// Access the underlying closed-form model.
-    pub fn inner(&self) -> Result<SupplementaryVariableModel, CoreError> {
-        self.params.validate()?;
-        Ok(SupplementaryVariableModel::new(
-            self.params.lambda,
-            self.params.mu,
-            self.params.power_down_threshold,
-            self.params.power_up_delay,
-        )?)
-    }
-
-    /// The parameters.
-    pub fn params(&self) -> CpuModelParams {
-        self.params
-    }
-}
-
-impl CpuModel for MarkovCpuModel {
-    fn kind(&self) -> BackendId {
-        BackendId::Markov
-    }
-
-    fn evaluate(&self) -> Result<ModelEvaluation, CoreError> {
-        let start = Instant::now();
-        let m = self.inner()?;
-        let fractions = m.fractions();
-        Ok(ModelEvaluation {
-            kind: BackendId::Markov,
-            fractions,
-            mean_jobs: Some(m.mean_jobs()),
-            mean_latency: Some(m.mean_latency()),
-            eval_seconds: start.elapsed().as_secs_f64(),
-        })
-    }
-}
-
-/// The registry solver for [`BackendId::Markov`].
+/// The registry solver for [`BackendId::Markov`]: the paper's closed form.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MarkovSolver;
 
@@ -84,7 +36,21 @@ impl CpuSolver for MarkovSolver {
         opts: &EvalOptions,
     ) -> Result<ModelEvaluation, CoreError> {
         require_exponential_service(BackendId::Markov, opts)?;
-        MarkovCpuModel::new(opts.apply(*params)).evaluate()
+        let start = Instant::now();
+        params.validate()?;
+        let m = SupplementaryVariableModel::new(
+            params.lambda,
+            params.mu,
+            params.power_down_threshold,
+            params.power_up_delay,
+        )?;
+        Ok(ModelEvaluation {
+            kind: BackendId::Markov,
+            fractions: m.fractions(),
+            mean_jobs: Some(m.mean_jobs()),
+            mean_latency: Some(m.mean_latency()),
+            eval_seconds: start.elapsed().as_secs_f64(),
+        })
     }
 }
 
@@ -92,22 +58,31 @@ impl CpuSolver for MarkovSolver {
 mod tests {
     use super::*;
 
+    fn eval(params: CpuModelParams) -> Result<ModelEvaluation, CoreError> {
+        MarkovSolver.solve(&params, &EvalOptions::default())
+    }
+
     #[test]
     fn evaluates_paper_defaults() {
-        let m = MarkovCpuModel::new(CpuModelParams::paper_defaults());
-        let eval = m.evaluate().unwrap();
+        let eval = eval(CpuModelParams::paper_defaults()).unwrap();
         assert_eq!(eval.kind, BackendId::Markov);
         assert!(eval.fractions.is_normalized(1e-9));
         assert!(eval.mean_jobs.unwrap() > 0.0);
         assert!(eval.mean_latency.unwrap() > 0.0);
         assert!(eval.eval_seconds < 0.1, "closed form must be instant");
-        assert_eq!(m.params().lambda, 1.0);
     }
 
     #[test]
     fn invalid_params_propagate() {
-        let m = MarkovCpuModel::new(CpuModelParams::paper_defaults().with_lambda(-1.0));
-        assert!(m.evaluate().is_err());
-        assert!(m.inner().is_err());
+        let p = CpuModelParams::paper_defaults().with_lambda(-1.0);
+        assert!(eval(p).is_err());
+        // The closed form rejects them on its own, too.
+        assert!(SupplementaryVariableModel::new(
+            p.lambda,
+            p.mu,
+            p.power_down_threshold,
+            p.power_up_delay
+        )
+        .is_err());
     }
 }

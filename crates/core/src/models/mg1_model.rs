@@ -47,93 +47,71 @@ use wsnem_stats::dist::Sample;
 
 use crate::backend::{BackendId, Capabilities, CpuSolver, EvalOptions, ServiceDist};
 use crate::error::CoreError;
-use crate::evaluation::{CpuModel, ModelEvaluation};
+use crate::evaluation::ModelEvaluation;
 use crate::params::CpuModelParams;
 
-/// The exact M/G/1 closed form (module docs) behind the [`CpuModel`] trait.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Mg1CpuModel {
-    params: CpuModelParams,
-    service: ServiceDist,
+/// Validate the fields the closed form consumes. Deliberately *not*
+/// [`CpuModelParams::validate`]: that checks stability as λ/μ < 1, which is
+/// wrong under a [`ServiceDist::General`] service law, and the
+/// simulation-only fields (horizon, warm-up, replications) are irrelevant
+/// here. Instability is reported separately as [`CoreError::Unsupported`].
+fn validate(p: &CpuModelParams, service: &ServiceDist) -> Result<(), CoreError> {
+    let check = |what: &'static str, ok: bool, constraint: &'static str, value: f64| {
+        if ok {
+            Ok(())
+        } else {
+            Err(CoreError::InvalidParameter {
+                what,
+                constraint,
+                value,
+            })
+        }
+    };
+    check(
+        "lambda",
+        p.lambda > 0.0 && p.lambda.is_finite(),
+        "> 0 and finite",
+        p.lambda,
+    )?;
+    check(
+        "power_down_threshold",
+        p.power_down_threshold >= 0.0 && p.power_down_threshold.is_finite(),
+        ">= 0 and finite",
+        p.power_down_threshold,
+    )?;
+    check(
+        "power_up_delay",
+        p.power_up_delay >= 0.0 && p.power_up_delay.is_finite(),
+        ">= 0 and finite",
+        p.power_up_delay,
+    )?;
+    service.validate(p.mu)
 }
 
-impl Mg1CpuModel {
-    /// Wrap the shared parameters with the built-in exponential service.
-    pub fn new(params: CpuModelParams) -> Self {
-        Self {
-            params,
-            service: ServiceDist::Exponential,
+/// The registry solver for [`BackendId::Mg1`]: the exact M/G/1 closed form
+/// of the module docs, for any [`EvalOptions::service`] law.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Mg1Solver;
+
+impl CpuSolver for Mg1Solver {
+    fn capabilities(&self) -> Capabilities {
+        Capabilities {
+            id: BackendId::Mg1,
+            analytic: true,
+            ground_truth: false,
+            assumes_poisson: true,
+            supports_service_dist: true,
+            provides_mean_jobs: true,
+            provides_latency: true,
+            uses_seed: false,
+            cost_rank: 1,
         }
     }
 
-    /// Choose the service-time distribution.
-    pub fn with_service(mut self, service: ServiceDist) -> Self {
-        self.service = service;
-        self
-    }
-
-    /// The parameters.
-    pub fn params(&self) -> CpuModelParams {
-        self.params
-    }
-
-    /// Utilization ρ = λ·E\[S\] under the configured service law (for
-    /// [`ServiceDist::General`] the mean need not be `1/μ`).
-    pub fn rho(&self) -> f64 {
-        self.params.lambda * self.service.to_dist(self.params.mu).mean()
-    }
-
-    /// Validate fields the closed form consumes. Deliberately *not*
-    /// [`CpuModelParams::validate`]: that checks stability as λ/μ < 1,
-    /// which is wrong under a [`ServiceDist::General`] service law, and the
-    /// simulation-only fields (horizon, warm-up, replications) are
-    /// irrelevant here. Instability is reported separately as
-    /// [`CoreError::Unsupported`] by [`Mg1CpuModel::evaluate`].
-    fn validate(&self) -> Result<(), CoreError> {
-        let p = &self.params;
-        let check = |what: &'static str, ok: bool, constraint: &'static str, value: f64| {
-            if ok {
-                Ok(())
-            } else {
-                Err(CoreError::InvalidParameter {
-                    what,
-                    constraint,
-                    value,
-                })
-            }
-        };
-        check(
-            "lambda",
-            p.lambda > 0.0 && p.lambda.is_finite(),
-            "> 0 and finite",
-            p.lambda,
-        )?;
-        check(
-            "power_down_threshold",
-            p.power_down_threshold >= 0.0 && p.power_down_threshold.is_finite(),
-            ">= 0 and finite",
-            p.power_down_threshold,
-        )?;
-        check(
-            "power_up_delay",
-            p.power_up_delay >= 0.0 && p.power_up_delay.is_finite(),
-            ">= 0 and finite",
-            p.power_up_delay,
-        )?;
-        self.service.validate(p.mu)
-    }
-}
-
-impl CpuModel for Mg1CpuModel {
-    fn kind(&self) -> BackendId {
-        BackendId::Mg1
-    }
-
-    fn evaluate(&self) -> Result<ModelEvaluation, CoreError> {
+    fn solve(&self, p: &CpuModelParams, opts: &EvalOptions) -> Result<ModelEvaluation, CoreError> {
         let start = Instant::now();
-        self.validate()?;
-        let p = &self.params;
-        let dist = self.service.to_dist(p.mu);
+        validate(p, &opts.service)?;
+        let dist = opts.service.to_dist(p.mu);
         let mean_s = dist.mean();
         let rho = p.lambda * mean_s;
         // The only genuinely unsupported input: an unstable queue has no
@@ -168,47 +146,21 @@ impl CpuModel for Mg1CpuModel {
     }
 }
 
-/// The registry solver for [`BackendId::Mg1`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Mg1Solver;
-
-impl CpuSolver for Mg1Solver {
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            id: BackendId::Mg1,
-            analytic: true,
-            ground_truth: false,
-            assumes_poisson: true,
-            supports_service_dist: true,
-            provides_mean_jobs: true,
-            provides_latency: true,
-            uses_seed: false,
-            cost_rank: 1,
-        }
-    }
-
-    fn solve(
-        &self,
-        params: &CpuModelParams,
-        opts: &EvalOptions,
-    ) -> Result<ModelEvaluation, CoreError> {
-        Mg1CpuModel::new(opts.apply(*params))
-            .with_service(opts.service)
-            .evaluate()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::markov_model::MarkovCpuModel;
+    use crate::models::markov_model::MarkovSolver;
     use wsnem_stats::dist::Dist;
 
+    fn try_eval(
+        params: CpuModelParams,
+        service: ServiceDist,
+    ) -> Result<ModelEvaluation, CoreError> {
+        Mg1Solver.solve(&params, &EvalOptions::default().with_service(service))
+    }
+
     fn eval(params: CpuModelParams, service: ServiceDist) -> ModelEvaluation {
-        Mg1CpuModel::new(params)
-            .with_service(service)
-            .evaluate()
-            .unwrap()
+        try_eval(params, service).unwrap()
     }
 
     #[test]
@@ -222,11 +174,10 @@ mod tests {
         );
         // D = 0.001 is deep in the supplementary-variable model's accurate
         // regime, so the paper's closed form and the exact one agree.
-        let markov = MarkovCpuModel::new(p).evaluate().unwrap();
+        let markov = MarkovSolver.solve(&p, &EvalOptions::default()).unwrap();
         assert!(exact.fractions.mean_abs_delta_pct(&markov.fractions) < 0.1);
         assert!(exact.eval_seconds < 0.1);
-        assert_eq!(Mg1CpuModel::new(p).kind(), BackendId::Mg1);
-        assert_eq!(Mg1CpuModel::new(p).params(), p);
+        assert_eq!(exact.kind, BackendId::Mg1);
     }
 
     #[test]
@@ -278,16 +229,14 @@ mod tests {
             },
         );
         assert!((e.fractions.active - 1.0 / 3.0).abs() < 1e-12);
-        let m = Mg1CpuModel::new(p).with_service(ServiceDist::General {
-            dist: Dist::Exponential { rate: 3.0 },
-        });
-        assert!((m.rho() - 1.0 / 3.0).abs() < 1e-12);
+        // So does the latency: M/M/1 at rate 3, not at mu.
+        assert!((e.mean_latency.unwrap() - 1.0 / (3.0 - p.lambda)).abs() < 1e-12);
     }
 
     #[test]
     fn unstable_points_are_unsupported() {
         let p = CpuModelParams::paper_defaults().with_lambda(10.0); // rho = 1
-        let err = Mg1CpuModel::new(p).evaluate().unwrap_err();
+        let err = try_eval(p, ServiceDist::Exponential).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -300,12 +249,13 @@ mod tests {
         );
         assert!(err.to_string().contains("unstable"), "{err}");
         // A General law can destabilize a point that is stable at mu.
-        let err = Mg1CpuModel::new(CpuModelParams::paper_defaults())
-            .with_service(ServiceDist::General {
+        let err = try_eval(
+            CpuModelParams::paper_defaults(),
+            ServiceDist::General {
                 dist: Dist::Deterministic(2.0),
-            })
-            .evaluate()
-            .unwrap_err();
+            },
+        )
+        .unwrap_err();
         assert!(matches!(err, CoreError::Unsupported { .. }), "{err}");
     }
 
@@ -319,13 +269,10 @@ mod tests {
             base.with_power_down_threshold(-0.1),
             base.with_power_up_delay(f64::INFINITY),
         ] {
-            let err = Mg1CpuModel::new(bad).evaluate().unwrap_err();
+            let err = try_eval(bad, ServiceDist::Exponential).unwrap_err();
             assert!(matches!(err, CoreError::InvalidParameter { .. }), "{err}");
         }
-        let err = Mg1CpuModel::new(base)
-            .with_service(ServiceDist::Erlang { k: 0 })
-            .evaluate()
-            .unwrap_err();
+        let err = try_eval(base, ServiceDist::Erlang { k: 0 }).unwrap_err();
         assert!(matches!(err, CoreError::InvalidService { .. }), "{err}");
     }
 
@@ -335,12 +282,12 @@ mod tests {
         assert!(caps.analytic && caps.supports_service_dist && !caps.uses_seed);
         let p = CpuModelParams::paper_defaults();
         let a = Mg1Solver
-            .solve(&p, &EvalOptions::default().with_seed(1))
+            .solve(&p.with_seed(1), &EvalOptions::default())
             .unwrap();
         let b = Mg1Solver
             .solve(
-                &p,
-                &EvalOptions::default().with_seed(999).with_replications(2),
+                &p.with_seed(999).with_replications(2),
+                &EvalOptions::default(),
             )
             .unwrap();
         assert_eq!(a.fractions, b.fractions);

@@ -1,4 +1,4 @@
-//! The CPU model implementations.
+//! The four registry solvers, one module per backend.
 
 pub mod des_model;
 pub mod markov_model;

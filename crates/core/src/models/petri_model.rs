@@ -35,7 +35,7 @@ use wsnem_stats::dist::Dist;
 
 use crate::backend::{BackendId, Capabilities, CpuSolver, EvalOptions};
 use crate::error::CoreError;
-use crate::evaluation::{CpuModel, ModelEvaluation};
+use crate::evaluation::ModelEvaluation;
 use crate::params::CpuModelParams;
 
 /// Handles to the places (and transition names) of the Fig. 3 net.
@@ -185,102 +185,9 @@ pub fn state_rewards(h: &CpuNetHandles) -> Vec<Reward> {
     ]
 }
 
-/// Paper §4.2: the EDSPN model evaluated by replicated token-game
-/// simulation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PetriCpuModel {
-    params: CpuModelParams,
-    threads: Option<usize>,
-    /// `None` = exponential service at `params.mu` (the paper's net).
-    service: Option<Dist>,
-}
-
-impl PetriCpuModel {
-    /// Wrap the shared parameters (replications spread over all cores).
-    pub fn new(params: CpuModelParams) -> Self {
-        Self {
-            params,
-            threads: None,
-            service: None,
-        }
-    }
-
-    /// Pin the number of worker threads (e.g. `Some(1)` inside an outer
-    /// parallel sweep).
-    pub fn with_threads(mut self, threads: Option<usize>) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Replace the service-time distribution of the `SR` transition
-    /// (`None` = exponential at `params.mu`).
-    pub fn with_service(mut self, service: Option<Dist>) -> Self {
-        self.service = service;
-        self
-    }
-
-    /// The parameters.
-    pub fn params(&self) -> CpuModelParams {
-        self.params
-    }
-
-    /// Build the underlying net.
-    pub fn net(&self) -> Result<(PetriNet, CpuNetHandles), CoreError> {
-        self.params.validate()?;
-        build_cpu_edspn_with_service(
-            self.params.lambda,
-            self.service.unwrap_or(Dist::Exponential {
-                rate: self.params.mu,
-            }),
-            self.params.power_down_threshold,
-            self.params.power_up_delay,
-        )
-    }
-}
-
-impl CpuModel for PetriCpuModel {
-    fn kind(&self) -> BackendId {
-        BackendId::PetriNet
-    }
-
-    fn evaluate(&self) -> Result<ModelEvaluation, CoreError> {
-        let start = Instant::now();
-        let (net, handles) = self.net()?;
-        let rewards = state_rewards(&handles);
-        let cfg = SimConfig {
-            horizon: self.params.horizon,
-            warmup: self.params.warmup,
-            ..SimConfig::default()
-        };
-        let summary = simulate_replications(
-            &net,
-            &cfg,
-            &rewards,
-            self.params.replications,
-            self.params.master_seed,
-            self.threads,
-        )?;
-        let fractions = StateFractions::new(
-            summary.reward_mean(0),
-            summary.reward_mean(1),
-            summary.reward_mean(2),
-            summary.reward_mean(3),
-        );
-        // Mean jobs in system = buffered + in service.
-        let buffer_idx = handles.cpu_buffer.index();
-        let active_idx = handles.active.index();
-        let mean_jobs = summary.place_mean(buffer_idx) + summary.place_mean(active_idx);
-        Ok(ModelEvaluation {
-            kind: BackendId::PetriNet,
-            fractions,
-            mean_jobs: Some(mean_jobs),
-            mean_latency: Some(mean_jobs / self.params.lambda), // Little's law
-            eval_seconds: start.elapsed().as_secs_f64(),
-        })
-    }
-}
-
-/// The registry solver for [`BackendId::PetriNet`].
+/// The registry solver for [`BackendId::PetriNet`]: paper §4.2's EDSPN
+/// evaluated by replicated token-game simulation, with
+/// [`EvalOptions::service`] on the `SR` transition.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PetriSolver;
 
@@ -304,21 +211,61 @@ impl CpuSolver for PetriSolver {
         params: &CpuModelParams,
         opts: &EvalOptions,
     ) -> Result<ModelEvaluation, CoreError> {
-        let params = opts.apply(*params);
         opts.service.validate(params.mu)?;
-        let service = (!opts.service.is_exponential()).then(|| opts.service.to_dist(params.mu));
-        PetriCpuModel::new(params)
-            .with_threads(opts.threads)
-            .with_service(service)
-            .evaluate()
+        let start = Instant::now();
+        params.validate()?;
+        let (net, handles) = build_cpu_edspn_with_service(
+            params.lambda,
+            opts.service.to_dist(params.mu),
+            params.power_down_threshold,
+            params.power_up_delay,
+        )?;
+        let rewards = state_rewards(&handles);
+        let cfg = SimConfig {
+            horizon: params.horizon,
+            warmup: params.warmup,
+            ..SimConfig::default()
+        };
+        let summary = simulate_replications(
+            &net,
+            &cfg,
+            &rewards,
+            params.replications,
+            params.master_seed,
+            opts.threads,
+        )?;
+        let fractions = StateFractions::new(
+            summary.reward_mean(0),
+            summary.reward_mean(1),
+            summary.reward_mean(2),
+            summary.reward_mean(3),
+        );
+        // Mean jobs in system = buffered + in service.
+        let buffer_idx = handles.cpu_buffer.index();
+        let active_idx = handles.active.index();
+        let mean_jobs = summary.place_mean(buffer_idx) + summary.place_mean(active_idx);
+        Ok(ModelEvaluation {
+            kind: BackendId::PetriNet,
+            fractions,
+            mean_jobs: Some(mean_jobs),
+            mean_latency: Some(mean_jobs / params.lambda), // Little's law
+            eval_seconds: start.elapsed().as_secs_f64(),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::models::markov_model::MarkovSolver;
     use wsnem_petri::analysis::p_semiflows;
     use wsnem_petri::TransitionKind;
+
+    fn solve(params: CpuModelParams, threads: Option<usize>) -> ModelEvaluation {
+        PetriSolver
+            .solve(&params, &EvalOptions::default().with_threads(threads))
+            .unwrap()
+    }
 
     fn paper_net() -> (PetriNet, CpuNetHandles) {
         build_cpu_edspn(1.0, 10.0, 0.5, 0.001).unwrap()
@@ -408,10 +355,12 @@ mod tests {
             .with_replications(8)
             .with_horizon(3000.0)
             .with_warmup(100.0);
-        let pn = PetriCpuModel::new(params).evaluate().unwrap();
+        let pn = solve(params, None);
         assert_eq!(pn.kind, BackendId::PetriNet);
         assert!(pn.fractions.is_normalized(1e-6), "{:?}", pn.fractions);
-        let markov = crate::MarkovCpuModel::new(params).evaluate().unwrap();
+        let markov = MarkovSolver
+            .solve(&params, &EvalOptions::default())
+            .unwrap();
         let delta = pn.fractions.mean_abs_delta_pct(&markov.fractions);
         assert!(delta < 1.5, "Δ = {delta} percentage points");
         assert!(pn.mean_jobs.unwrap() > 0.0);
@@ -426,7 +375,7 @@ mod tests {
             .with_replications(6)
             .with_horizon(5000.0)
             .with_warmup(500.0);
-        let pn = PetriCpuModel::new(params).evaluate().unwrap();
+        let pn = solve(params, None);
         assert!(
             (pn.fractions.active - 0.1).abs() < 0.02,
             "active = {}",
@@ -444,14 +393,8 @@ mod tests {
         let params = CpuModelParams::paper_defaults()
             .with_replications(6)
             .with_horizon(300.0);
-        let a = PetriCpuModel::new(params)
-            .with_threads(Some(1))
-            .evaluate()
-            .unwrap();
-        let b = PetriCpuModel::new(params)
-            .with_threads(Some(3))
-            .evaluate()
-            .unwrap();
+        let a = solve(params, Some(1));
+        let b = solve(params, Some(3));
         assert_eq!(a.fractions, b.fractions);
     }
 

@@ -5,7 +5,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
 
-/// Parameters shared by all three CPU models.
+/// Parameters shared by all four CPU backends: the model and, for the
+/// simulators, its budget and seed.
 ///
 /// Defaults follow the paper's Table 2 with the service-rate ambiguity
 /// resolved as documented in DESIGN.md §2: *"Service Rate .1 per sec"* is

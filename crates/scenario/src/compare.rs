@@ -168,12 +168,9 @@ fn compare_impl(
     }
     let started = Instant::now();
     let backends = registry.ids();
-    let reference = registry
-        .capabilities()
-        .iter()
-        .find(|c| c.ground_truth)
-        .map(|c| c.id)
-        .unwrap_or(backends[0]);
+    let Some(reference) = registry.agreement_reference(&backends) else {
+        unreachable!("the registry was checked to be non-empty")
+    };
 
     let mut points: Vec<(Option<f64>, CpuModelParams)> = vec![(None, scenario.cpu)];
     if let Some(sweep) = &scenario.sweep {

@@ -382,26 +382,18 @@ fn eval_backend(
     ))
 }
 
-/// The agreement reference: the registered ground-truth backend when the
-/// scenario ran it, else the first backend (capability-driven — no enum
-/// match).
-pub(crate) fn reference_backend(backends: &[BackendReport]) -> &BackendReport {
-    let registry = backend::global();
-    backends
-        .iter()
-        .find(|b| {
-            registry
-                .capabilities_of(b.backend)
-                .is_some_and(|c| c.ground_truth)
-        })
-        .unwrap_or(&backends[0])
-}
-
+/// Each backend's agreement with the registry's agreement reference among
+/// the backends that ran.
 fn agreement_checks(scenario: &Scenario, backends: &[BackendReport]) -> Vec<AgreementCheck> {
     if backends.len() < 2 {
         return Vec::new();
     }
-    let reference = reference_backend(backends);
+    let ids: Vec<BackendId> = backends.iter().map(|b| b.backend).collect();
+    let reference_id = backend::global().agreement_reference(&ids);
+    let reference = backends
+        .iter()
+        .find(|b| Some(b.backend) == reference_id)
+        .unwrap_or(&backends[0]);
     backends
         .iter()
         .filter(|b| b.backend != reference.backend)

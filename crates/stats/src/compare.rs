@@ -29,21 +29,6 @@ pub fn mean_abs_error(a: &[f64], b: &[f64]) -> Result<f64, StatsError> {
     Ok(a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum::<f64>() / a.len() as f64)
 }
 
-/// Root-mean-square error between two equal-length series.
-pub fn rmse(a: &[f64], b: &[f64]) -> Result<f64, StatsError> {
-    check_lengths(a, b)?;
-    Ok((a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>() / a.len() as f64).sqrt())
-}
-
-/// Maximum absolute error between two equal-length series.
-pub fn max_abs_error(a: &[f64], b: &[f64]) -> Result<f64, StatsError> {
-    check_lengths(a, b)?;
-    Ok(a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max))
-}
-
 /// Mean absolute *percentage* error (skips points where the reference is 0).
 ///
 /// Returns `None` when every reference point is zero.
@@ -68,8 +53,6 @@ mod tests {
     fn identical_series_zero_error() {
         let a = [1.0, 2.0, 3.0];
         assert_eq!(mean_abs_error(&a, &a).unwrap(), 0.0);
-        assert_eq!(rmse(&a, &a).unwrap(), 0.0);
-        assert_eq!(max_abs_error(&a, &a).unwrap(), 0.0);
         assert_eq!(mape(&a, &a).unwrap(), Some(0.0));
     }
 
@@ -78,15 +61,6 @@ mod tests {
         let a = [0.0, 0.0, 0.0, 0.0];
         let b = [1.0, -1.0, 3.0, -3.0];
         assert_eq!(mean_abs_error(&a, &b).unwrap(), 2.0);
-        assert_eq!(max_abs_error(&a, &b).unwrap(), 3.0);
-        assert!((rmse(&a, &b).unwrap() - (5.0f64).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rmse_at_least_mae() {
-        let a = [1.0, 5.0, 2.0, 8.0];
-        let b = [2.0, 3.0, 2.5, 4.0];
-        assert!(rmse(&a, &b).unwrap() >= mean_abs_error(&a, &b).unwrap());
     }
 
     #[test]
@@ -100,8 +74,8 @@ mod tests {
     #[test]
     fn mismatched_lengths_rejected() {
         assert!(mean_abs_error(&[1.0], &[1.0, 2.0]).is_err());
-        assert!(rmse(&[], &[]).is_err());
-        assert!(max_abs_error(&[1.0, 2.0], &[1.0]).is_err());
+        assert!(mean_abs_error(&[], &[]).is_err());
+        assert!(mean_abs_error(&[1.0, 2.0], &[1.0]).is_err());
         assert!(mape(&[1.0], &[]).is_err());
     }
 }

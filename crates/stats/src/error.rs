@@ -67,11 +67,11 @@ mod tests {
         assert!(e.to_string().contains("rate > 0"));
 
         let e = StatsError::InsufficientData {
-            what: "BatchMeans",
+            what: "confidence interval",
             needed: 2,
             got: 0,
         };
-        assert!(e.to_string().contains("BatchMeans"));
+        assert!(e.to_string().contains("confidence interval"));
 
         let e = StatsError::LengthMismatch { left: 3, right: 4 };
         assert!(e.to_string().contains('3'));

@@ -17,11 +17,9 @@
 //! * [`online`] — Welford mean/variance, extremes, covariance.
 //! * [`timeweighted`] — time-integrals of piecewise-constant signals (the
 //!   backbone of "percentage of time in state X" measures).
-//! * [`batch`] — batch-means steady-state estimation with lag-1 diagnostics.
 //! * [`ci`] — normal / Student-t quantiles and confidence intervals.
 //! * [`histogram`] — fixed-width histograms with summary statistics.
-//! * [`mser`] — MSER-style warm-up (initial transient) truncation.
-//! * [`compare`] — series-comparison metrics (MAE, RMSE, max-abs) used to
+//! * [`compare`] — series-comparison metrics (MAE, MAPE) used to
 //!   regenerate the paper's Δ tables.
 //! * [`hash`] — stable 128-bit FNV-1a content fingerprints (the scenario
 //!   result cache's key function; `std::hash` is randomized per process).
@@ -37,23 +35,20 @@
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod ci;
 pub mod compare;
 pub mod dist;
 pub mod error;
 pub mod hash;
 pub mod histogram;
-pub mod mser;
 pub mod online;
 pub mod par;
 pub mod pq;
 pub mod rng;
 pub mod timeweighted;
 
-pub use batch::BatchMeans;
 pub use ci::{normal_quantile, t_quantile, ConfidenceInterval};
-pub use compare::{max_abs_error, mean_abs_error, rmse};
+pub use compare::mean_abs_error;
 pub use dist::{Dist, Sample};
 pub use error::StatsError;
 pub use hash::{fnv1a128, StableHasher};

@@ -129,8 +129,8 @@ impl NodeConfig {
 
     /// Full-control evaluation: an explicit solver registry (e.g. one with
     /// custom backends registered) and per-evaluation [`EvalOptions`]
-    /// (seed/replication overrides, a non-exponential service distribution
-    /// for the backends whose capabilities allow it).
+    /// (a worker-thread pin, a non-exponential service distribution for the
+    /// backends whose capabilities allow it).
     pub fn analyze_with(
         &self,
         registry: &BackendRegistry,
@@ -221,32 +221,21 @@ mod tests {
     #[test]
     fn explicit_registry_and_options() {
         use wsnem_core::ServiceDist;
-        let node = NodeConfig::monitoring("opt", 5.0);
+        let mut node = NodeConfig::monitoring("opt", 5.0);
         let registry = wsnem_core::BackendRegistry::builtin();
-        // Seed/replication overrides flow through.
-        let a = node
-            .analyze_with(
-                &registry,
-                BackendId::Des,
-                &EvalOptions::default()
-                    .with_replications(2)
-                    .with_horizon(300.0)
-                    .with_seed(1),
-                0.0,
-            )
-            .unwrap();
-        let b = node
-            .analyze_with(
-                &registry,
-                BackendId::Des,
-                &EvalOptions::default()
-                    .with_replications(2)
-                    .with_horizon(300.0)
-                    .with_seed(2),
-                0.0,
-            )
-            .unwrap();
-        assert_ne!(a.cpu_fractions, b.cpu_fractions, "seed override applies");
+        // The node's seed and replication budget flow through.
+        let mut analyze_seed = |seed| {
+            node.cpu = node
+                .cpu
+                .with_replications(2)
+                .with_horizon(300.0)
+                .with_seed(seed);
+            node.analyze_with(&registry, BackendId::Des, &EvalOptions::default(), 0.0)
+                .unwrap()
+        };
+        let a = analyze_seed(1);
+        let b = analyze_seed(2);
+        assert_ne!(a.cpu_fractions, b.cpu_fractions, "seed applies");
         // Capability gate: non-exponential service on an analytic backend
         // errors instead of silently computing exponential numbers.
         let err = node

@@ -7,7 +7,7 @@
 //! or a high arrival rate the trade-off inverts — waking costs more than
 //! idling — and the optimizer finds an interior or `T → ∞`-ish optimum.
 
-use wsnem_core::{CpuModel, CpuModelParams, MarkovCpuModel, PetriCpuModel};
+use wsnem_core::{backend, BackendId, CpuModelParams, EvalOptions};
 use wsnem_energy::PowerProfile;
 
 /// The outcome of a threshold search.
@@ -44,15 +44,15 @@ pub fn optimize_threshold(
     candidates: &[f64],
 ) -> Result<ThresholdChoice, wsnem_core::CoreError> {
     assert!(!candidates.is_empty(), "need at least one candidate");
-    let analytic_ok = params.lambda * params.power_up_delay <= 0.05;
+    let id = if params.lambda * params.power_up_delay <= 0.05 {
+        BackendId::Markov
+    } else {
+        BackendId::PetriNet
+    };
     let mut powers = Vec::with_capacity(candidates.len());
     for &t in candidates {
         let p = params.with_power_down_threshold(t);
-        let eval = if analytic_ok {
-            MarkovCpuModel::new(p).evaluate()?
-        } else {
-            PetriCpuModel::new(p).evaluate()?
-        };
+        let eval = backend::global().solve(id, &p, &EvalOptions::default())?;
         powers.push(eval.mean_power_mw(profile));
     }
     // `candidates` is asserted non-empty above, so a minimum always exists.

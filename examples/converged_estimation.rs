@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example converged_estimation`
 
 #![allow(clippy::disallowed_methods)] // tests/examples may panic on broken invariants
-use wsnem::core::{build_cpu_edspn, CpuModel, CpuModelParams, MarkovCpuModel};
+use wsnem::core::{backend, build_cpu_edspn, BackendId, CpuModelParams, EvalOptions};
 use wsnem::petri::analysis::{conflict_sets, is_free_choice};
 use wsnem::petri::sim::{simulate_until_precise, PrecisionTarget};
 use wsnem::petri::{to_dot, Reward, SimConfig};
@@ -71,8 +71,8 @@ fn main() {
     }
 
     // Cross-check against the closed form the paper derives.
-    let exact = MarkovCpuModel::new(params)
-        .evaluate()
+    let exact = backend::global()
+        .solve(BackendId::Markov, &params, &EvalOptions::default())
         .expect("markov evaluates");
     println!(
         "\nClosed-form (supplementary variables): {}",

@@ -1,10 +1,10 @@
-//! Quickstart: evaluate the same processor with all three models and turn
-//! the result into energy and battery lifetime.
+//! Quickstart: evaluate the same processor with every registered backend
+//! and turn the result into energy and battery lifetime.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 #![allow(clippy::disallowed_methods)] // tests/examples may panic on broken invariants
-use wsnem::core::{CpuModel, CpuModelParams, DesCpuModel, MarkovCpuModel, PetriCpuModel};
+use wsnem::core::{backend, BackendId, CpuModelParams, EvalOptions};
 use wsnem::energy::{Battery, PowerProfile};
 
 fn main() {
@@ -16,16 +16,19 @@ fn main() {
         .with_horizon(2000.0)
         .with_warmup(100.0);
 
-    let markov = MarkovCpuModel::new(params)
-        .evaluate()
-        .expect("markov evaluates");
-    let petri = PetriCpuModel::new(params)
-        .evaluate()
-        .expect("petri evaluates");
-    let des = DesCpuModel::new(params).evaluate().expect("des evaluates");
+    let registry = backend::global();
+    let evals: Vec<_> = registry
+        .ids()
+        .into_iter()
+        .map(|id| {
+            registry
+                .solve(id, &params, &EvalOptions::default())
+                .unwrap_or_else(|e| panic!("{id} evaluates: {e}"))
+        })
+        .collect();
 
     println!("Steady-state occupancy (λ=1/s, μ=10/s, T=0.5 s, D=1 ms):\n");
-    for eval in [&des, &markov, &petri] {
+    for eval in &evals {
         println!(
             "  {:<10} {}   [evaluated in {:.3} ms]",
             eval.kind.to_string(),
@@ -36,7 +39,7 @@ fn main() {
 
     let pxa = PowerProfile::pxa271();
     println!("\nEnergy over 1000 s on an Intel PXA271 (paper Table 3 rates):");
-    for eval in [&des, &markov, &petri] {
+    for eval in &evals {
         println!(
             "  {:<10} {:>8.2} J  (mean draw {:>6.2} mW)",
             eval.kind.to_string(),
@@ -47,13 +50,18 @@ fn main() {
 
     let battery = Battery::two_aa();
     println!("\nBattery lifetime on 2×AA cells at that draw:");
-    for eval in [&des, &markov, &petri] {
+    for eval in &evals {
         let days = battery.lifetime_days(eval.mean_power_mw(&pxa));
         println!("  {:<10} {days:>7.1} days", eval.kind.to_string());
     }
 
     println!("\nQueueing view (Markov closed forms, Eqs. 21–22):");
-    let m = MarkovCpuModel::new(params).inner().expect("valid params");
-    println!("  mean jobs in system L(1) = {:.4}", m.mean_jobs());
-    println!("  mean latency     τ = L/λ = {:.4} s", m.mean_latency());
+    let markov = evals
+        .iter()
+        .find(|e| e.kind == BackendId::Markov)
+        .expect("Markov is registered");
+    let jobs = markov.mean_jobs.expect("Markov reports mean jobs");
+    let latency = markov.mean_latency.expect("Markov reports latency");
+    println!("  mean jobs in system L(1) = {jobs:.4}");
+    println!("  mean latency     τ = L/λ = {latency:.4} s");
 }

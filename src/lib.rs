@@ -17,24 +17,26 @@
 //!   simulator used as ground truth (the paper used a Matlab simulator).
 //! * [`energy`] — power profiles (PXA271 and friends), energy accounting and
 //!   battery lifetime models.
-//! * [`core`] — the paper's contribution: the three CPU models behind one
-//!   trait plus the experiment harness regenerating every table and figure.
+//! * [`core`] — the paper's contribution: four solvers for one CPU model
+//!   (Markov, exact M/G/1, Petri net, discrete-event simulation) behind one
+//!   backend registry, plus the experiment harness regenerating every table
+//!   and figure.
 //! * [`wsn`] — sensor-node and network-level studies built on the CPU models.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use wsnem::core::{CpuModelParams, MarkovCpuModel, DesCpuModel, PetriCpuModel, CpuModel};
+//! use wsnem::core::{backend, BackendId, CpuModelParams, EvalOptions};
 //! use wsnem::energy::PowerProfile;
 //!
 //! let params = CpuModelParams::paper_defaults().with_power_down_threshold(0.5);
-//! let markov = MarkovCpuModel::new(params).evaluate().unwrap();
-//! let des = DesCpuModel::new(params).evaluate().unwrap();
-//! let pn = PetriCpuModel::new(params).evaluate().unwrap();
 //! let pxa = PowerProfile::pxa271();
-//! println!("Markov energy: {:.2} J", markov.energy_joules(&pxa, 1000.0));
-//! println!("DES energy:    {:.2} J", des.energy_joules(&pxa, 1000.0));
-//! println!("Petri energy:  {:.2} J", pn.energy_joules(&pxa, 1000.0));
+//! for id in [BackendId::Markov, BackendId::Des, BackendId::PetriNet] {
+//!     let eval = backend::global()
+//!         .solve(id, &params, &EvalOptions::default())
+//!         .unwrap();
+//!     println!("{id} energy: {:.2} J", eval.energy_joules(&pxa, 1000.0));
+//! }
 //! ```
 
 #![forbid(unsafe_code)]

@@ -177,6 +177,7 @@ fn general_exponential_service_cannot_split_the_backends() {
     }
 }
 
+/// A different master seed moves the stochastic backends and nothing else.
 #[test]
 fn eval_option_overrides_change_stochastic_backends_only() {
     let registry = global();
@@ -186,10 +187,10 @@ fn eval_option_overrides_change_stochastic_backends_only() {
     for solver in registry.iter() {
         let caps = solver.capabilities();
         let a = solver
-            .solve(&params, &EvalOptions::default().with_seed(11))
+            .solve(&params.with_seed(11), &EvalOptions::default())
             .unwrap();
         let b = solver
-            .solve(&params, &EvalOptions::default().with_seed(12))
+            .solve(&params.with_seed(12), &EvalOptions::default())
             .unwrap();
         if caps.uses_seed {
             assert_ne!(

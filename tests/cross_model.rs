@@ -3,10 +3,15 @@
 
 #![allow(clippy::disallowed_methods)] // tests/examples may panic on broken invariants
 use wsnem::core::experiments::{table4, ThresholdSweep};
-use wsnem::core::{
-    BackendId, CpuModel, CpuModelParams, DesCpuModel, MarkovCpuModel, PetriCpuModel,
-};
+use wsnem::core::{backend, BackendId, CpuModelParams, EvalOptions, ModelEvaluation};
 use wsnem::energy::PowerProfile;
+
+/// Solve `params` on one backend through the global registry.
+fn solve(id: BackendId, params: CpuModelParams) -> ModelEvaluation {
+    backend::global()
+        .solve(id, &params, &EvalOptions::default())
+        .unwrap()
+}
 
 fn budget_params() -> CpuModelParams {
     CpuModelParams::paper_defaults()
@@ -20,9 +25,9 @@ fn budget_params() -> CpuModelParams {
 #[test]
 fn three_models_agree_at_small_powerup_delay() {
     let params = budget_params();
-    let markov = MarkovCpuModel::new(params).evaluate().unwrap();
-    let petri = PetriCpuModel::new(params).evaluate().unwrap();
-    let des = DesCpuModel::new(params).evaluate().unwrap();
+    let markov = solve(BackendId::Markov, params);
+    let petri = solve(BackendId::PetriNet, params);
+    let des = solve(BackendId::Des, params);
     assert!(des.fractions.mean_abs_delta_pct(&markov.fractions) < 1.0);
     assert!(des.fractions.mean_abs_delta_pct(&petri.fractions) < 1.0);
     assert!(petri.fractions.mean_abs_delta_pct(&markov.fractions) < 1.0);
@@ -33,9 +38,9 @@ fn three_models_agree_at_small_powerup_delay() {
 #[test]
 fn petri_net_beats_markov_at_large_powerup_delay() {
     let params = budget_params().with_power_up_delay(10.0);
-    let markov = MarkovCpuModel::new(params).evaluate().unwrap();
-    let petri = PetriCpuModel::new(params).evaluate().unwrap();
-    let des = DesCpuModel::new(params).evaluate().unwrap();
+    let markov = solve(BackendId::Markov, params);
+    let petri = solve(BackendId::PetriNet, params);
+    let des = solve(BackendId::Des, params);
     let markov_err = des.fractions.mean_abs_delta_pct(&markov.fractions);
     let petri_err = des.fractions.mean_abs_delta_pct(&petri.fractions);
     assert!(
@@ -88,8 +93,8 @@ fn energy_curves_consistent() {
 #[test]
 fn markov_evaluation_is_orders_of_magnitude_faster() {
     let params = budget_params();
-    let markov = MarkovCpuModel::new(params).evaluate().unwrap();
-    let petri = PetriCpuModel::new(params).evaluate().unwrap();
+    let markov = solve(BackendId::Markov, params);
+    let petri = solve(BackendId::PetriNet, params);
     assert!(
         markov.eval_seconds * 100.0 < petri.eval_seconds,
         "markov {} s vs petri {} s",
@@ -103,9 +108,9 @@ fn markov_evaluation_is_orders_of_magnitude_faster() {
 #[test]
 fn queueing_quantities_consistent() {
     let params = budget_params();
-    let markov = MarkovCpuModel::new(params).evaluate().unwrap();
-    let des = DesCpuModel::new(params).evaluate().unwrap();
-    let petri = PetriCpuModel::new(params).evaluate().unwrap();
+    let markov = solve(BackendId::Markov, params);
+    let des = solve(BackendId::Des, params);
+    let petri = solve(BackendId::PetriNet, params);
     let l_markov = markov.mean_jobs.unwrap();
     let l_des = des.mean_jobs.unwrap();
     let l_petri = petri.mean_jobs.unwrap();

@@ -3,10 +3,16 @@
 
 #![allow(clippy::disallowed_methods)] // tests/examples may panic on broken invariants
 use wsnem::core::experiments::ThresholdSweep;
-use wsnem::core::{CpuModel, CpuModelParams, DesCpuModel, PetriCpuModel};
+use wsnem::core::{backend, BackendId, CpuModelParams, EvalOptions, ModelEvaluation};
 use wsnem::des::cpu::{CpuDes, CpuSimParams};
 use wsnem::des::replication::run_replications;
 use wsnem::des::workload::Workload;
+
+/// Solve `params` on one backend through the global registry.
+fn solve(id: BackendId, params: CpuModelParams, threads: Option<usize>) -> ModelEvaluation {
+    let opts = EvalOptions::default().with_threads(threads);
+    backend::global().solve(id, &params, &opts).unwrap()
+}
 
 fn params() -> CpuModelParams {
     CpuModelParams::paper_defaults()
@@ -31,22 +37,10 @@ fn des_layer_thread_invariant() {
 #[test]
 fn model_layer_thread_invariant() {
     for threads in [Some(1), Some(2), None] {
-        let pn = PetriCpuModel::new(params())
-            .with_threads(threads)
-            .evaluate()
-            .unwrap();
-        let des = DesCpuModel::new(params())
-            .with_threads(threads)
-            .evaluate()
-            .unwrap();
-        let pn1 = PetriCpuModel::new(params())
-            .with_threads(Some(1))
-            .evaluate()
-            .unwrap();
-        let des1 = DesCpuModel::new(params())
-            .with_threads(Some(1))
-            .evaluate()
-            .unwrap();
+        let pn = solve(BackendId::PetriNet, params(), threads);
+        let des = solve(BackendId::Des, params(), threads);
+        let pn1 = solve(BackendId::PetriNet, params(), Some(1));
+        let des1 = solve(BackendId::Des, params(), Some(1));
         assert_eq!(pn.fractions, pn1.fractions, "threads = {threads:?}");
         assert_eq!(des.fractions, des1.fractions, "threads = {threads:?}");
     }
@@ -70,8 +64,8 @@ fn sweep_layer_reproducible() {
 
 #[test]
 fn different_seeds_differ() {
-    let a = DesCpuModel::new(params().with_seed(1)).evaluate().unwrap();
-    let b = DesCpuModel::new(params().with_seed(2)).evaluate().unwrap();
+    let a = solve(BackendId::Des, params().with_seed(1), None);
+    let b = solve(BackendId::Des, params().with_seed(2), None);
     assert_ne!(a.fractions, b.fractions);
 }
 
@@ -88,10 +82,7 @@ fn paper_edspn_trajectory_pinned() {
         .with_replications(4)
         .with_horizon(300.0)
         .with_seed(2008);
-    let eval = PetriCpuModel::new(p)
-        .with_threads(Some(1))
-        .evaluate()
-        .unwrap();
+    let eval = solve(BackendId::PetriNet, p, Some(1));
     let f = eval.fractions;
     assert_eq!(f.standby.to_bits(), 0x3fe0_f30b_5814_dd74, "standby");
     assert_eq!(f.powerup.to_bits(), 0x3f42_8390_42d8_bbd9, "powerup");
@@ -159,7 +150,7 @@ fn high_load_edspn_trajectory_pinned() {
 /// evaluation pinned by `paper_edspn_trajectory_pinned`.
 #[test]
 fn every_backend_pinned() {
-    use wsnem::core::{backend, BackendId, EvalOptions, ServiceDist};
+    use wsnem::core::ServiceDist;
 
     let p = CpuModelParams::paper_defaults()
         .with_replications(4)

@@ -136,14 +136,19 @@ fn erlang_cpu_fractions(
 /// approximation at a moderately large D.
 #[test]
 fn phase_chain_converges_to_des() {
-    use wsnem::core::{CpuModel, CpuModelParams, DesCpuModel, MarkovCpuModel};
+    use wsnem::core::{backend, BackendId, CpuModelParams, EvalOptions};
     let params = CpuModelParams::paper_defaults()
         .with_power_up_delay(1.0)
         .with_replications(8)
         .with_horizon(6000.0)
         .with_warmup(300.0);
-    let des = DesCpuModel::new(params).evaluate().unwrap();
-    let sv = MarkovCpuModel::new(params).evaluate().unwrap();
+    let solve = |id| {
+        backend::global()
+            .solve(id, &params, &EvalOptions::default())
+            .unwrap()
+    };
+    let des = solve(BackendId::Des);
+    let sv = solve(BackendId::Markov);
     let sv_err = des.fractions.mean_abs_delta_pct(&sv.fractions);
 
     let mut last_err = f64::INFINITY;

@@ -5,10 +5,16 @@
 //! is offline, without proptest); each case is reproducible from its index.
 
 #![allow(clippy::disallowed_methods)] // tests/examples may panic on broken invariants
-use wsnem::core::{CpuModel, CpuModelParams, DesCpuModel, MarkovCpuModel, PetriCpuModel};
+use wsnem::core::{backend, BackendId, CpuModelParams, EvalOptions, ModelEvaluation};
 use wsnem::energy::{energy_eq25, PowerProfile, StateFractions};
 use wsnem::petri::analysis::{incidence_matrix, p_semiflows};
 use wsnem::stats::rng::{Rng64, StreamFactory};
+
+/// Solve `params` on one backend through the global registry.
+fn solve(id: BackendId, params: CpuModelParams, threads: Option<usize>) -> ModelEvaluation {
+    let opts = EvalOptions::default().with_threads(threads);
+    backend::global().solve(id, &params, &opts).unwrap()
+}
 
 mod helpers {
     pub use wsnem::core::build_cpu_edspn;
@@ -47,25 +53,19 @@ fn cases(stream: u64, n: u64) -> impl Iterator<Item = (u64, CpuModelParams)> {
 #[test]
 fn all_models_normalize() {
     for (i, params) in cases(1, 24) {
-        let m = MarkovCpuModel::new(params).evaluate().unwrap();
+        let m = solve(BackendId::Markov, params, None);
         assert!(
             m.fractions.is_normalized(1e-9),
             "case {i} markov: {:?}",
             m.fractions
         );
-        let d = DesCpuModel::new(params)
-            .with_threads(Some(1))
-            .evaluate()
-            .unwrap();
+        let d = solve(BackendId::Des, params, Some(1));
         assert!(
             d.fractions.is_normalized(1e-6),
             "case {i} des: {:?}",
             d.fractions
         );
-        let p = PetriCpuModel::new(params)
-            .with_threads(Some(1))
-            .evaluate()
-            .unwrap();
+        let p = solve(BackendId::PetriNet, params, Some(1));
         assert!(
             p.fractions.is_normalized(1e-6),
             "case {i} petri: {:?}",
@@ -83,7 +83,7 @@ fn energy_physically_bounded() {
         let params = arb_params(&mut rng);
         let horizon = uniform(&mut rng, 1.0, 5000.0);
         let profile = PowerProfile::pxa271();
-        let eval = MarkovCpuModel::new(params).evaluate().unwrap();
+        let eval = solve(BackendId::Markov, params, None);
         let e = eval.energy_joules(&profile, horizon);
         let lo = 17.0 * horizon / 1000.0;
         let hi = 193.0 * horizon / 1000.0;
@@ -100,10 +100,7 @@ fn energy_physically_bounded() {
 fn des_utilization_tracks_rho() {
     for (i, params) in cases(3, 24) {
         let params = params.with_horizon(2000.0).with_replications(3);
-        let d = DesCpuModel::new(params)
-            .with_threads(Some(1))
-            .evaluate()
-            .unwrap();
+        let d = solve(BackendId::Des, params, Some(1));
         let rho = params.rho();
         assert!(
             (d.fractions.active - rho).abs() < 0.05 + 0.1 * rho,
@@ -144,14 +141,8 @@ fn cpu_net_invariants_parameter_free() {
 fn petri_and_des_statistically_equivalent() {
     for (i, params) in cases(5, 24) {
         let params = params.with_horizon(1500.0).with_replications(3);
-        let pn = PetriCpuModel::new(params)
-            .with_threads(Some(1))
-            .evaluate()
-            .unwrap();
-        let des = DesCpuModel::new(params)
-            .with_threads(Some(1))
-            .evaluate()
-            .unwrap();
+        let pn = solve(BackendId::PetriNet, params, Some(1));
+        let des = solve(BackendId::Des, params, Some(1));
         let delta = pn.fractions.mean_abs_delta_pct(&des.fractions);
         assert!(
             delta < 4.0,
