@@ -11,12 +11,23 @@
 //!   power-up phase of `D` seconds before service can start; jobs arriving
 //!   meanwhile queue up.
 //!
-//! Tie-breaking: an arrival and a power-down timeout at the same instant are
-//! processed in schedule order, which lets the earlier-scheduled arrival
-//! cancel the timer — i.e. the arrival wins, matching the Petri-net
-//! semantics where the enabling check sees the new token.
+//! The future-event list is a fixed-slot agenda. Every kind of event but
+//! one has at most one pending instance (the next open arrival, the
+//! departure of the job in service, the power-down timer, the end of a
+//! power-up, the end of the warm-up), so each kind owns one slot that holds
+//! its `(time, seq)` or `+∞` when empty. Closed-workload submissions, the
+//! one kind with many pending copies, wait in a small binary heap.
+//! Cancelling the power-down timer empties its slot; nothing is left behind.
+//!
+//! Tie-breaking: every schedule draws `seq` from one monotone counter, and
+//! the agenda pops the least `(time, seq)`, so events at the same instant
+//! are processed in schedule order. An arrival and a power-down timeout at
+//! the same instant therefore let the earlier-scheduled arrival cancel the
+//! timer — i.e. the arrival wins, matching the Petri-net semantics where
+//! the enabling check sees the new token.
 
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, VecDeque};
 
 use wsnem_energy::{CpuState, EnergyBreakdown, PowerProfile, StateFractions};
 use wsnem_obs::{NoopObserver, Observer};
@@ -26,7 +37,6 @@ use wsnem_stats::rng::{Rng64, Xoshiro256PlusPlus};
 use wsnem_stats::timeweighted::TimeWeighted;
 
 use crate::error::DesError;
-use crate::event::{EventId, EventQueue};
 use crate::workload::{Workload, WorkloadGen};
 
 /// Simulation parameters for one CPU run.
@@ -155,16 +165,137 @@ enum Power {
     On,
 }
 
+/// An event kind. The first five have at most one pending instance each
+/// and index the agenda's slots; closed submissions go to its heap.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Ev {
     /// Open-workload arrival (schedules its successor).
     Arrival,
-    /// Closed-workload submission (successor scheduled at departure).
-    ClosedArrival,
     Departure,
     PowerDownTimeout,
     PowerUpDone,
     WarmupEnd,
+    /// Closed-workload submission (successor scheduled at departure).
+    ClosedArrival,
+}
+
+/// The slot kinds, in slot order.
+const SLOT_KINDS: [Ev; 5] = [
+    Ev::Arrival,
+    Ev::Departure,
+    Ev::PowerDownTimeout,
+    Ev::PowerUpDone,
+    Ev::WarmupEnd,
+];
+
+/// `(time, seq)` of an empty slot: later than any scheduled event.
+const EMPTY: (f64, u64) = (f64::INFINITY, u64::MAX);
+
+/// Strict `(time, seq)` order; times compare by `total_cmp`, as closed
+/// think times drawn at start-up are not clamped and may be negative.
+#[inline]
+fn earlier(a: (f64, u64), b: (f64, u64)) -> bool {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_lt()
+}
+
+/// A pending closed-workload submission. Ordered in reverse, so the top of
+/// the max-heap is the least `(time, seq)`.
+#[derive(Debug, Clone, Copy)]
+struct Submission(f64, u64);
+
+impl PartialEq for Submission {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for Submission {}
+
+impl PartialOrd for Submission {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Submission {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.0.total_cmp(&self.0).then(other.1.cmp(&self.1))
+    }
+}
+
+/// The fixed-slot future-event list (see the module docs).
+#[derive(Debug)]
+struct Agenda {
+    /// `(time, seq)` of each slot kind's pending event, or [`EMPTY`].
+    slots: [(f64, u64); 5],
+    /// Pending closed-workload submissions.
+    closed: BinaryHeap<Submission>,
+    /// The last value handed out to a schedule.
+    seq: u64,
+    /// Time of the last pop; the agenda never goes backwards.
+    last_popped: f64,
+}
+
+impl Agenda {
+    fn new(closed_capacity: usize) -> Self {
+        Self {
+            slots: [EMPTY; 5],
+            closed: BinaryHeap::with_capacity(closed_capacity),
+            seq: 0,
+            last_popped: f64::NEG_INFINITY,
+        }
+    }
+
+    /// Schedule `ev` at absolute `time`. A slot kind must not be pending.
+    #[inline]
+    fn schedule(&mut self, time: f64, ev: Ev) {
+        debug_assert!(!time.is_nan(), "event time must not be NaN");
+        self.seq += 1;
+        if ev == Ev::ClosedArrival {
+            self.closed.push(Submission(time, self.seq));
+        } else {
+            let slot = &mut self.slots[ev as usize];
+            debug_assert!(slot.1 == u64::MAX, "{ev:?} is already pending");
+            *slot = (time, self.seq);
+        }
+    }
+
+    /// Drop the pending event of slot kind `ev`, if any.
+    #[inline]
+    fn cancel(&mut self, ev: Ev) {
+        self.slots[ev as usize] = EMPTY;
+    }
+
+    /// Remove and return the least `(time, seq)` pending event.
+    #[inline]
+    fn pop(&mut self) -> Option<(f64, Ev)> {
+        let mut best = self.closed.peek().map_or(EMPTY, |s| (s.0, s.1));
+        let mut from_slot = None;
+        for (i, &key) in self.slots.iter().enumerate() {
+            if earlier(key, best) {
+                best = key;
+                from_slot = Some(i);
+            }
+        }
+        let ev = match from_slot {
+            Some(i) => {
+                self.slots[i] = EMPTY;
+                SLOT_KINDS[i]
+            }
+            None => {
+                self.closed.pop()?;
+                Ev::ClosedArrival
+            }
+        };
+        debug_assert!(best.0 >= self.last_popped, "agenda went backwards in time");
+        self.last_popped = best.0;
+        Some((best.0, ev))
+    }
+
+    /// Number of pending events.
+    fn len(&self) -> usize {
+        let slots = self.slots.iter().filter(|s| s.1 != u64::MAX).count();
+        slots + self.closed.len()
+    }
 }
 
 /// The discrete-event CPU simulator.
@@ -234,14 +365,13 @@ struct Runner<'a, R: Rng64 + ?Sized, O: Observer> {
     obs_state: CpuState,
     /// When `obs_state` was entered.
     obs_entered: f64,
-    queue: EventQueue<Ev>,
+    agenda: Agenda,
     open_gen: Option<WorkloadGen>,
     think: Option<Dist>,
     now: f64,
     power: Power,
     serving: Option<f64>,
     buffer: VecDeque<f64>,
-    pd_timer: Option<EventId>,
     durations: [f64; 4],
     last_change: f64,
     window_start: f64,
@@ -256,7 +386,11 @@ struct Runner<'a, R: Rng64 + ?Sized, O: Observer> {
 
 impl<'a, R: Rng64 + ?Sized, O: Observer> Runner<'a, R, O> {
     fn new(params: &'a CpuSimParams, workload: &Workload, rng: &'a mut R, obs: &'a mut O) -> Self {
-        let mut queue = EventQueue::with_capacity(64);
+        let closed_capacity = match workload {
+            Workload::Open(_) => 0,
+            Workload::Closed(c) => c.population as usize,
+        };
+        let mut agenda = Agenda::new(closed_capacity);
         let mut open_gen = None;
         let mut think = None;
         match workload {
@@ -268,7 +402,7 @@ impl<'a, R: Rng64 + ?Sized, O: Observer> Runner<'a, R, O> {
                     obs.rng_draw();
                 }
                 let first = g.next_gap(rng);
-                queue.schedule(first, Ev::Arrival);
+                agenda.schedule(first, Ev::Arrival);
                 open_gen = Some(g);
             }
             Workload::Closed(c) => {
@@ -277,13 +411,13 @@ impl<'a, R: Rng64 + ?Sized, O: Observer> Runner<'a, R, O> {
                         obs.rng_draw();
                     }
                     let t = c.think.sample(rng);
-                    queue.schedule(t, Ev::ClosedArrival);
+                    agenda.schedule(t, Ev::ClosedArrival);
                 }
                 think = Some(c.think);
             }
         }
         if params.warmup > 0.0 {
-            queue.schedule(params.warmup, Ev::WarmupEnd);
+            agenda.schedule(params.warmup, Ev::WarmupEnd);
         }
         Self {
             params,
@@ -291,14 +425,13 @@ impl<'a, R: Rng64 + ?Sized, O: Observer> Runner<'a, R, O> {
             obs,
             obs_state: CpuState::Standby,
             obs_entered: 0.0,
-            queue,
+            agenda,
             open_gen,
             think,
             now: 0.0,
             power: Power::Standby,
             serving: None,
             buffer: VecDeque::new(),
-            pd_timer: None,
             durations: [0.0; 4],
             last_change: 0.0,
             window_start: 0.0,
@@ -370,21 +503,14 @@ impl<'a, R: Rng64 + ?Sized, O: Observer> Runner<'a, R, O> {
                 self.obs.rng_draw();
             }
             let s = self.params.service.sample(self.rng).max(0.0);
-            self.queue.schedule(self.now + s, Ev::Departure);
+            self.agenda.schedule(self.now + s, Ev::Departure);
         }
     }
 
     fn arm_power_down_timer(&mut self) {
-        debug_assert!(self.pd_timer.is_none());
         let t = self.params.power_down_threshold;
         if t.is_finite() {
-            self.pd_timer = Some(self.queue.schedule(self.now + t, Ev::PowerDownTimeout));
-        }
-    }
-
-    fn disarm_power_down_timer(&mut self) {
-        if let Some(id) = self.pd_timer.take() {
-            self.queue.cancel(id);
+            self.agenda.schedule(self.now + t, Ev::PowerDownTimeout);
         }
     }
 
@@ -400,7 +526,7 @@ impl<'a, R: Rng64 + ?Sized, O: Observer> Runner<'a, R, O> {
                         self.obs.rng_draw();
                     }
                     let gap = think.sample(self.rng).max(0.0);
-                    self.queue.schedule(self.now + gap, Ev::ClosedArrival);
+                    self.agenda.schedule(self.now + gap, Ev::ClosedArrival);
                 }
                 return;
             }
@@ -411,12 +537,12 @@ impl<'a, R: Rng64 + ?Sized, O: Observer> Runner<'a, R, O> {
             Power::Standby => {
                 self.power = Power::PoweringUp;
                 self.power_ups += 1;
-                self.queue
+                self.agenda
                     .schedule(self.now + self.params.power_up_delay, Ev::PowerUpDone);
             }
             Power::PoweringUp => {}
             Power::On => {
-                self.disarm_power_down_timer();
+                self.agenda.cancel(Ev::PowerDownTimeout);
                 if self.serving.is_none() {
                     self.start_service();
                 }
@@ -442,7 +568,7 @@ impl<'a, R: Rng64 + ?Sized, O: Observer> Runner<'a, R, O> {
                 self.obs.rng_draw();
             }
             let gap = think.sample(self.rng).max(0.0);
-            self.queue.schedule(self.now + gap, Ev::ClosedArrival);
+            self.agenda.schedule(self.now + gap, Ev::ClosedArrival);
         }
         if self.buffer.is_empty() {
             self.arm_power_down_timer();
@@ -456,7 +582,6 @@ impl<'a, R: Rng64 + ?Sized, O: Observer> Runner<'a, R, O> {
         // a genuinely idle system.
         debug_assert!(self.power == Power::On);
         debug_assert!(self.serving.is_none() && self.buffer.is_empty());
-        self.pd_timer = None;
         self.power = Power::Standby;
         self.power_downs += 1;
     }
@@ -491,7 +616,7 @@ impl<'a, R: Rng64 + ?Sized, O: Observer> Runner<'a, R, O> {
         if O::ENABLED {
             self.obs.state_enter(0.0, self.obs_state.index() as u8);
         }
-        while let Some((t, ev)) = self.queue.pop() {
+        while let Some((t, ev)) = self.agenda.pop() {
             if t > horizon {
                 break;
             }
@@ -507,7 +632,7 @@ impl<'a, R: Rng64 + ?Sized, O: Observer> Runner<'a, R, O> {
                     Ev::WarmupEnd => "warmup_end",
                 };
                 self.obs.event(t, kind);
-                self.obs.queue_depth(t, self.queue.len());
+                self.obs.queue_depth(t, self.agenda.len());
             }
             match ev {
                 Ev::Arrival => {
@@ -521,7 +646,7 @@ impl<'a, R: Rng64 + ?Sized, O: Observer> Runner<'a, R, O> {
                         unreachable!("open arrival without generator")
                     };
                     let gap = gen.next_gap(self.rng);
-                    self.queue.schedule(self.now + gap, Ev::Arrival);
+                    self.agenda.schedule(self.now + gap, Ev::Arrival);
                 }
                 Ev::ClosedArrival => self.handle_job_arrival(),
                 Ev::Departure => self.handle_departure(&mut histogram),
@@ -888,6 +1013,82 @@ mod tests {
                 "state {state}: timeline {got} vs report {want}"
             );
         }
+    }
+
+    #[test]
+    fn agenda_pops_ties_in_schedule_order() {
+        let mut agenda = Agenda::new(4);
+        agenda.schedule(2.0, Ev::ClosedArrival);
+        agenda.schedule(1.0, Ev::PowerDownTimeout);
+        agenda.schedule(1.0, Ev::ClosedArrival);
+        agenda.schedule(1.0, Ev::Departure);
+        agenda.schedule(1.0, Ev::ClosedArrival);
+        agenda.schedule(2.0, Ev::Arrival);
+        agenda.schedule(0.5, Ev::WarmupEnd);
+        agenda.cancel(Ev::WarmupEnd);
+        // Unclamped start-up think times may be negative.
+        agenda.schedule(-1.0, Ev::ClosedArrival);
+        assert_eq!(agenda.len(), 7);
+        let order: Vec<(f64, Ev)> = std::iter::from_fn(|| agenda.pop()).collect();
+        assert_eq!(
+            order,
+            [
+                (-1.0, Ev::ClosedArrival),
+                (1.0, Ev::PowerDownTimeout),
+                (1.0, Ev::ClosedArrival),
+                (1.0, Ev::Departure),
+                (1.0, Ev::ClosedArrival),
+                (2.0, Ev::ClosedArrival),
+                (2.0, Ev::Arrival),
+            ]
+        );
+        assert_eq!(agenda.len(), 0);
+    }
+
+    /// Assert that after the first power-up the CPU never powered down:
+    /// the only standby time is the `first_arrival` seconds before it.
+    fn assert_arrival_always_wins(r: &CpuRunReport, horizon: f64, first_arrival: f64) {
+        assert_eq!(r.power_up_cycles, 1, "{r:?}");
+        assert_eq!(r.power_down_cycles, 0, "{r:?}");
+        assert!(
+            (r.fractions.standby * horizon - first_arrival).abs() < 1e-9,
+            "standby = {}",
+            r.fractions.standby
+        );
+        assert!(r.completions > 100);
+    }
+
+    #[test]
+    fn closed_submission_beats_a_tied_power_down_timer() {
+        // Think time T: every departure schedules the next submission and
+        // then arms a timer due at the same instant.
+        let params = CpuSimParams {
+            horizon: 1000.0,
+            ..CpuSimParams::exponential_service(10.0, 0.5, 0.01)
+        };
+        let wl = Workload::Closed(ClosedWorkload {
+            population: 1,
+            think: Dist::Deterministic(0.5),
+        });
+        let r = CpuDes::new(params, wl).unwrap().run_with_seed(5);
+        assert_arrival_always_wins(&r, 1000.0, 0.5);
+    }
+
+    #[test]
+    fn open_arrival_beats_a_tied_power_down_timer() {
+        // Arrivals every T + S: each job's timer falls due exactly when
+        // the next job arrives, and that arrival was scheduled first.
+        let params = CpuSimParams {
+            service: Dist::Deterministic(0.25),
+            power_down_threshold: 0.5,
+            power_up_delay: 0.125,
+            horizon: 1000.0,
+            warmup: 0.0,
+            max_queue: None,
+        };
+        let wl = Workload::Open(OpenWorkload::Renewal(Dist::Deterministic(0.75)));
+        let r = CpuDes::new(params, wl).unwrap().run_with_seed(5);
+        assert_arrival_always_wins(&r, 1000.0, 0.75);
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! # wsnem-des
 //!
-//! A discrete-event simulation (DES) kernel plus the CPU power-state
-//! simulator the paper uses as ground truth (the authors used a Matlab event
-//! simulator; this is the faithful Rust substitute).
+//! The discrete-event simulator (DES) of the CPU's power states that the
+//! paper uses as ground truth (the authors used a Matlab event simulator;
+//! this is the faithful Rust substitute), with its workloads and
+//! replications.
 //!
-//! * [`event`] — a cancellable future-event list: binary heap + slab with
-//!   generation-checked [`event::EventId`]s, stable (time, seq) ordering.
 //! * [`workload`] — open workload generators (renewal/Poisson, 2-state MMPP,
 //!   bursty on-off, trace replay) and closed (finite-population) workloads.
 //! * [`cpu`] — the M/M/1-with-setup-and-timeout processor model: Poisson (or
 //!   general) arrivals, one server, constant Power-Down Threshold `T` and
-//!   Power-Up Delay `D`, with exact time-in-state accounting.
+//!   Power-Up Delay `D`, with exact time-in-state accounting. Its
+//!   future-event list is a fixed-slot agenda: one slot per event kind with
+//!   at most one pending instance, a small heap for closed submissions, and
+//!   FIFO order among events at the same instant.
 //! * [`replication`] — embarrassingly-parallel independent replications with
 //!   per-replication RNG streams and order-deterministic reduction.
 
@@ -23,12 +25,10 @@
 
 pub mod cpu;
 pub mod error;
-pub mod event;
 pub mod replication;
 pub mod workload;
 
 pub use cpu::{CpuDes, CpuRunReport, CpuSimParams};
 pub use error::DesError;
-pub use event::{EventId, EventQueue};
 pub use replication::{run_replications, ReplicationSummary};
 pub use workload::{ClosedWorkload, OpenWorkload, Workload, WorkloadGen};

@@ -32,7 +32,7 @@
 //!   full-recheck visits (fired first, then neighbours of changed places
 //!   in order), so the RNG draw order — and therefore every trajectory —
 //!   is preserved seed-for-seed.
-//! * **Tombstone timer heap** — pending timed firings live in the shared
+//! * **Tombstone timer heap** — pending timed firings live in a
 //!   [`wsnem_stats::pq::EventQueue`] (O(log T) schedule/pop, O(1) cancel),
 //!   keyed by transition index so equal-time ties resolve exactly like a
 //!   linear scan's "lowest index wins" rule.

@@ -1,29 +1,20 @@
-//! Cancellable future-event list (tombstone timer heap).
+//! Cancellable future-event list (tombstone timer heap) of the Petri
+//! token game's event-driven path (`wsnem_petri`, nets above 16
+//! transitions).
 //!
-//! A binary heap keyed by `(time, tie_break)` gives O(log n) scheduling and
+//! A binary heap keyed by `(time, key)` gives O(log n) scheduling and
 //! deterministic ordering among simultaneous events. Payloads live in a slab
 //! so cancellation is O(1): the heap entry becomes a tombstone that `pop`
 //! skips. [`EventId`]s carry a generation counter, so a stale id (slot
 //! already reused) can never cancel someone else's event.
 //!
-//! The tie-break key comes in two flavours:
-//!
-//! * [`EventQueue::schedule`] assigns an internal monotone sequence number,
-//!   so events at equal times pop in scheduling (FIFO) order — the classic
-//!   future-event-list contract the DES kernel relies on.
-//! * [`EventQueue::schedule_keyed`] lets the caller supply the key, so
-//!   equal-time events pop in *key* order regardless of scheduling order.
-//!   The EDSPN token game uses the transition index here, reproducing the
-//!   "lowest transition index wins ties" rule of a linear minimum scan —
-//!   which is what keeps heap-driven trajectories bit-identical to
-//!   scan-driven ones.
-//!
-//! A queue should stick to one flavour: mixing both at the same timestamp
-//! would interleave caller keys with internal sequence numbers.
+//! The caller supplies the tie-break key to [`EventQueue::schedule_keyed`],
+//! so equal-time events pop in *key* order regardless of scheduling order.
+//! The token game uses the transition index here, reproducing the "lowest
+//! transition index wins ties" rule of a linear minimum scan — which is
+//! what keeps heap-driven trajectories bit-identical to scan-driven ones.
 //!
 //! The hot loop allocates only when the heap/slab grow; entries are `Copy`.
-//! This module is the shared home of the queue used by both the DES kernel
-//! (`wsnem_des::event` re-exports it) and the Petri token-game engine.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -78,7 +69,6 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<HeapEntry>,
     slots: Vec<Slot<E>>,
     free: Vec<u32>,
-    seq: u64,
     live: usize,
     last_popped: f64,
 }
@@ -96,7 +86,6 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::new(),
             slots: Vec::new(),
             free: Vec::new(),
-            seq: 0,
             live: 0,
             last_popped: f64::NEG_INFINITY,
         }
@@ -108,27 +97,14 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::with_capacity(cap),
             slots: Vec::with_capacity(cap),
             free: Vec::new(),
-            seq: 0,
             live: 0,
             last_popped: f64::NEG_INFINITY,
         }
     }
 
-    /// Schedule `payload` at absolute `time`. Events at equal times pop in
-    /// scheduling (FIFO) order.
-    ///
-    /// # Panics
-    /// Panics if `time` is NaN.
-    pub fn schedule(&mut self, time: f64, payload: E) -> EventId {
-        self.seq += 1;
-        let key = self.seq;
-        self.schedule_keyed(time, key, payload)
-    }
-
     /// Schedule `payload` at absolute `time` with an explicit tie-break
     /// `key`: among events at the same time, the smallest key pops first
-    /// (irrespective of scheduling order). Do not mix with [`Self::schedule`]
-    /// on one queue — the internal FIFO sequence shares the key space.
+    /// (irrespective of scheduling order).
     ///
     /// # Panics
     /// Panics if `time` is NaN.
@@ -237,7 +213,7 @@ impl<E> EventQueue<E> {
         self.slots.clear();
         self.free.clear();
         self.live = 0;
-        // `seq` and `last_popped` intentionally keep monotone history.
+        // `last_popped` intentionally keeps monotone history.
     }
 }
 
@@ -248,24 +224,13 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.schedule(3.0, "c");
-        q.schedule(1.0, "a");
-        q.schedule(2.0, "b");
+        q.schedule_keyed(3.0, 0, "c");
+        q.schedule_keyed(1.0, 0, "a");
+        q.schedule_keyed(2.0, 0, "b");
         assert_eq!(q.pop(), Some((1.0, "a")));
         assert_eq!(q.pop(), Some((2.0, "b")));
         assert_eq!(q.pop(), Some((3.0, "c")));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn simultaneous_events_fifo() {
-        let mut q = EventQueue::new();
-        for i in 0..10 {
-            q.schedule(5.0, i);
-        }
-        for i in 0..10 {
-            assert_eq!(q.pop(), Some((5.0, i)));
-        }
     }
 
     #[test]
@@ -299,8 +264,8 @@ mod tests {
     #[test]
     fn cancel_removes_event() {
         let mut q = EventQueue::new();
-        let a = q.schedule(1.0, "a");
-        q.schedule(2.0, "b");
+        let a = q.schedule_keyed(1.0, 0, "a");
+        q.schedule_keyed(2.0, 0, "b");
         assert!(q.cancel(a));
         assert!(!q.cancel(a), "double cancel is a no-op");
         assert_eq!(q.len(), 1);
@@ -310,10 +275,10 @@ mod tests {
     #[test]
     fn stale_id_cannot_cancel_reused_slot() {
         let mut q = EventQueue::new();
-        let a = q.schedule(1.0, "a");
+        let a = q.schedule_keyed(1.0, 0, "a");
         assert_eq!(q.pop(), Some((1.0, "a")));
         // Slot reused by a new event.
-        let b = q.schedule(2.0, "b");
+        let b = q.schedule_keyed(2.0, 0, "b");
         assert!(!q.cancel(a), "stale id must not cancel the new event");
         assert!(q.cancel(b));
         assert!(q.is_empty());
@@ -322,8 +287,8 @@ mod tests {
     #[test]
     fn peek_time_skips_tombstones() {
         let mut q = EventQueue::new();
-        let a = q.schedule(1.0, "a");
-        q.schedule(2.0, "b");
+        let a = q.schedule_keyed(1.0, 0, "a");
+        q.schedule_keyed(2.0, 0, "b");
         assert_eq!(q.peek_time(), Some(1.0));
         q.cancel(a);
         assert_eq!(q.peek_time(), Some(2.0));
@@ -334,7 +299,7 @@ mod tests {
     fn len_and_clear() {
         let mut q = EventQueue::new();
         for i in 0..100 {
-            q.schedule(i as f64, i);
+            q.schedule_keyed(i as f64, 0, i);
         }
         assert_eq!(q.len(), 100);
         assert!(!q.is_empty());
@@ -342,7 +307,7 @@ mod tests {
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
         // Still usable after clear.
-        q.schedule(1.0, 7);
+        q.schedule_keyed(1.0, 0, 7);
         assert_eq!(q.pop(), Some((1.0, 7)));
     }
 
@@ -352,7 +317,7 @@ mod tests {
         let mut ids = Vec::new();
         for round in 0..50u32 {
             for i in 0..20u32 {
-                ids.push(q.schedule((round * 20 + i) as f64, (round, i)));
+                ids.push(q.schedule_keyed((round * 20 + i) as f64, 0, (round, i)));
             }
             // Cancel every third id from this round.
             for (k, id) in ids.iter().rev().take(20).enumerate() {
@@ -378,14 +343,14 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn nan_time_rejected() {
         let mut q = EventQueue::new();
-        q.schedule(f64::NAN, ());
+        q.schedule_keyed(f64::NAN, 0, ());
     }
 
     #[test]
     fn negative_and_zero_times_allowed() {
         let mut q = EventQueue::new();
-        q.schedule(0.0, "zero");
-        q.schedule(-1.0, "neg");
+        q.schedule_keyed(0.0, 0, "zero");
+        q.schedule_keyed(-1.0, 0, "neg");
         assert_eq!(q.pop(), Some((-1.0, "neg")));
         assert_eq!(q.pop(), Some((0.0, "zero")));
     }
