@@ -29,22 +29,6 @@ pub fn mean_abs_error(a: &[f64], b: &[f64]) -> Result<f64, StatsError> {
     Ok(a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum::<f64>() / a.len() as f64)
 }
 
-/// Mean absolute *percentage* error (skips points where the reference is 0).
-///
-/// Returns `None` when every reference point is zero.
-pub fn mape(reference: &[f64], other: &[f64]) -> Result<Option<f64>, StatsError> {
-    check_lengths(reference, other)?;
-    let mut total = 0.0;
-    let mut n = 0usize;
-    for (r, o) in reference.iter().zip(other) {
-        if *r != 0.0 {
-            total += ((r - o) / r).abs();
-            n += 1;
-        }
-    }
-    Ok((n > 0).then(|| 100.0 * total / n as f64))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -53,7 +37,6 @@ mod tests {
     fn identical_series_zero_error() {
         let a = [1.0, 2.0, 3.0];
         assert_eq!(mean_abs_error(&a, &a).unwrap(), 0.0);
-        assert_eq!(mape(&a, &a).unwrap(), Some(0.0));
     }
 
     #[test]
@@ -64,18 +47,10 @@ mod tests {
     }
 
     #[test]
-    fn mape_skips_zero_reference() {
-        let r = [0.0, 2.0];
-        let o = [5.0, 3.0];
-        assert_eq!(mape(&r, &o).unwrap(), Some(50.0));
-        assert_eq!(mape(&[0.0], &[1.0]).unwrap(), None);
-    }
-
-    #[test]
     fn mismatched_lengths_rejected() {
         assert!(mean_abs_error(&[1.0], &[1.0, 2.0]).is_err());
         assert!(mean_abs_error(&[], &[]).is_err());
         assert!(mean_abs_error(&[1.0, 2.0], &[1.0]).is_err());
-        assert!(mape(&[1.0], &[]).is_err());
+        assert!(mean_abs_error(&[1.0], &[]).is_err());
     }
 }

@@ -19,12 +19,12 @@
 //!   backbone of "percentage of time in state X" measures).
 //! * [`ci`] — normal / Student-t quantiles and confidence intervals.
 //! * [`histogram`] — fixed-width histograms with summary statistics.
-//! * [`compare`] — series-comparison metrics (MAE, MAPE) used to
+//! * [`compare`] — the series-comparison metric (MAE) used to
 //!   regenerate the paper's Δ tables.
 //! * [`hash`] — stable 128-bit FNV-1a content fingerprints (the scenario
 //!   result cache's key function; `std::hash` is randomized per process).
-//! * [`pq`] — the cancellable tombstone timer heap shared by the DES kernel
-//!   and the EDSPN token-game engine (O(log n) schedule/pop, O(1) cancel).
+//! * [`pq`] — the cancellable tombstone timer heap of the EDSPN token
+//!   game's event-driven path (O(log n) schedule/pop, O(1) cancel).
 //! * [`par`] — the order-preserving parallel executor every compute pool
 //!   (replications, sweeps, node maps, scenario batches) runs on.
 
