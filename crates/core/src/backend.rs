@@ -21,7 +21,7 @@
 
 use std::sync::OnceLock;
 
-use wsnem_stats::dist::Dist;
+use wsnem_stats::dist::{Dist, Sample};
 
 use crate::error::CoreError;
 use crate::evaluation::ModelEvaluation;
@@ -492,10 +492,26 @@ pub(crate) fn require_exponential_service(
     }
 }
 
+/// Shared stability gate of the backends that honour a service law (`Mg1`,
+/// `PetriNet`, `Des`): the queue is stable when `ρ = λ·E[S] < 1`, where
+/// `E[S]` is the mean of `service`, the law the backend solves. Under
+/// [`ServiceDist::General`] that mean need not be `1/μ`, so λ/μ is the
+/// wrong test there. Returns ρ.
+pub(crate) fn require_stable(id: BackendId, lambda: f64, service: &Dist) -> Result<f64, CoreError> {
+    let rho = lambda * service.mean();
+    if rho < 1.0 {
+        Ok(rho)
+    } else {
+        Err(CoreError::Unsupported {
+            backend: id,
+            what: format!("an unstable operating point (rho = lambda*E[S] = {rho:.6} >= 1)"),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsnem_stats::dist::Sample;
 
     #[test]
     fn canonical_names_round_trip() {

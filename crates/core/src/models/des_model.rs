@@ -7,7 +7,7 @@ use wsnem_des::replication::run_replications;
 use wsnem_des::workload::Workload;
 use wsnem_stats::online::Welford;
 
-use crate::backend::{BackendId, Capabilities, CpuSolver, EvalOptions};
+use crate::backend::{require_stable, BackendId, Capabilities, CpuSolver, EvalOptions};
 use crate::error::CoreError;
 use crate::evaluation::ModelEvaluation;
 use crate::params::CpuModelParams;
@@ -39,15 +39,17 @@ impl CpuSolver for DesSolver {
         params: &CpuModelParams,
         opts: &EvalOptions,
     ) -> Result<ModelEvaluation, CoreError> {
-        params.validate()?;
+        params.validate_fields()?;
         opts.service.validate(params.mu)?;
+        let service = opts.service.to_dist(params.mu);
+        require_stable(BackendId::Des, params.lambda, &service)?;
         let workload = opts
             .workload
             .clone()
             .unwrap_or_else(|| Workload::open_poisson(params.lambda));
         let sim = CpuDes::new(
             CpuSimParams {
-                service: opts.service.to_dist(params.mu),
+                service,
                 power_down_threshold: params.power_down_threshold,
                 power_up_delay: params.power_up_delay,
                 horizon: params.horizon,

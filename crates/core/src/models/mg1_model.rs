@@ -45,7 +45,9 @@ use std::time::Instant;
 use wsnem_energy::StateFractions;
 use wsnem_stats::dist::Sample;
 
-use crate::backend::{BackendId, Capabilities, CpuSolver, EvalOptions, ServiceDist};
+use crate::backend::{
+    require_stable, BackendId, Capabilities, CpuSolver, EvalOptions, ServiceDist,
+};
 use crate::error::CoreError;
 use crate::evaluation::ModelEvaluation;
 use crate::params::CpuModelParams;
@@ -112,16 +114,10 @@ impl CpuSolver for Mg1Solver {
         let start = Instant::now();
         validate(p, &opts.service)?;
         let dist = opts.service.to_dist(p.mu);
-        let mean_s = dist.mean();
-        let rho = p.lambda * mean_s;
         // The only genuinely unsupported input: an unstable queue has no
         // steady state for a closed form to report.
-        if !(rho < 1.0) {
-            return Err(CoreError::Unsupported {
-                backend: BackendId::Mg1,
-                what: format!("an unstable operating point (rho = lambda*E[S] = {rho:.6} >= 1)"),
-            });
-        }
+        let rho = require_stable(BackendId::Mg1, p.lambda, &dist)?;
+        let mean_s = dist.mean();
         let lambda = p.lambda;
         let d = p.power_up_delay;
         let p_standby = (-lambda * p.power_down_threshold).exp();

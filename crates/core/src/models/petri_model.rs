@@ -33,7 +33,7 @@ use wsnem_energy::StateFractions;
 use wsnem_petri::{simulate_replications, NetBuilder, PetriNet, PlaceId, Reward, SimConfig};
 use wsnem_stats::dist::Dist;
 
-use crate::backend::{BackendId, Capabilities, CpuSolver, EvalOptions};
+use crate::backend::{require_stable, BackendId, Capabilities, CpuSolver, EvalOptions};
 use crate::error::CoreError;
 use crate::evaluation::ModelEvaluation;
 use crate::params::CpuModelParams;
@@ -213,10 +213,12 @@ impl CpuSolver for PetriSolver {
     ) -> Result<ModelEvaluation, CoreError> {
         opts.service.validate(params.mu)?;
         let start = Instant::now();
-        params.validate()?;
+        params.validate_fields()?;
+        let service = opts.service.to_dist(params.mu);
+        require_stable(BackendId::PetriNet, params.lambda, &service)?;
         let (net, handles) = build_cpu_edspn_with_service(
             params.lambda,
-            opts.service.to_dist(params.mu),
+            service,
             params.power_down_threshold,
             params.power_up_delay,
         )?;

@@ -120,24 +120,17 @@ impl CpuModelParams {
         self.lambda / self.mu
     }
 
-    /// Validate the full parameter set.
+    /// Validate the full parameter set, with stability judged as
+    /// ρ = λ/μ < 1: the rule for every law whose mean service time is
+    /// `1/μ`. The solvers that honour a service law check
+    /// [`Self::validate_fields`] and then `λ·E[S] < 1` instead.
     pub fn validate(&self) -> Result<(), CoreError> {
-        fn check(
-            what: &'static str,
-            ok: bool,
-            constraint: &'static str,
-            value: f64,
-        ) -> Result<(), CoreError> {
-            if ok {
-                Ok(())
-            } else {
-                Err(CoreError::InvalidParameter {
-                    what,
-                    constraint,
-                    value,
-                })
-            }
-        }
+        self.validate_fields()?;
+        check("rho", self.rho() < 1.0, "< 1 (stable queue)", self.rho())
+    }
+
+    /// Validate every field on its own; stability is left to the caller.
+    pub fn validate_fields(&self) -> Result<(), CoreError> {
         check(
             "lambda",
             self.lambda > 0.0 && self.lambda.is_finite(),
@@ -150,7 +143,6 @@ impl CpuModelParams {
             "> 0 and finite",
             self.mu,
         )?;
-        check("rho", self.rho() < 1.0, "< 1 (stable queue)", self.rho())?;
         check(
             "power_down_threshold",
             self.power_down_threshold >= 0.0 && self.power_down_threshold.is_finite(),
@@ -182,6 +174,23 @@ impl CpuModelParams {
             self.replications as f64,
         )?;
         Ok(())
+    }
+}
+
+fn check(
+    what: &'static str,
+    ok: bool,
+    constraint: &'static str,
+    value: f64,
+) -> Result<(), CoreError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(CoreError::InvalidParameter {
+            what,
+            constraint,
+            value,
+        })
     }
 }
 

@@ -207,3 +207,45 @@ fn eval_option_overrides_change_stochastic_backends_only() {
         }
     }
 }
+
+/// The backends that honour a service law judge stability on λ·E[S] < 1,
+/// the mean of the law they solve, not on λ/μ. A `General` law carries its
+/// own mean, so λ/μ can be far from the load either way.
+#[test]
+fn service_law_backends_gate_stability_on_the_laws_mean() {
+    use wsnem::stats::dist::Dist;
+    let capable = [BackendId::Mg1, BackendId::PetriNet, BackendId::Des];
+
+    // λ/μ = 0.1, but λ·E[S] = 2: unstable.
+    let p = CpuModelParams::paper_defaults()
+        .with_replications(2)
+        .with_horizon(100.0);
+    let slow = EvalOptions::default().with_service(ServiceDist::General {
+        dist: Dist::Deterministic(2.0),
+    });
+    for id in capable {
+        match global().solve(id, &p, &slow) {
+            Err(CoreError::Unsupported { backend, what }) => {
+                assert_eq!(backend, id);
+                assert!(what.contains("unstable"), "{id}: {what}");
+            }
+            other => panic!("{id}: expected an unstable rejection, got {other:?}"),
+        }
+    }
+
+    // λ/μ = 1.2, but λ·E[S] = 0.12: stable.
+    let p = p.with_lambda(12.0).with_mu(10.0);
+    let fast = EvalOptions::default().with_service(ServiceDist::General {
+        dist: Dist::Exponential { rate: 100.0 },
+    });
+    for id in capable {
+        let eval = global()
+            .solve(id, &p, &fast)
+            .unwrap_or_else(|e| panic!("{id}: {e}"));
+        assert!(
+            (eval.fractions.active - 0.12).abs() < 0.02,
+            "{id}: active {}",
+            eval.fractions.active
+        );
+    }
+}
