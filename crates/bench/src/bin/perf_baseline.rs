@@ -16,8 +16,9 @@
 //! ρ = 0.9 (few versus ~1300 distinct markings per run), an open arrival
 //! stream whose markings never repeat (the marking memo's worst case), the
 //! vanishing-resolution pipeline (simulation and GSPN→CTMC elimination),
-//! the M/M/1/K token game and the many-timed relay rings that exercise the
-//! event-driven engine.
+//! the M/M/1/K token game, the many-timed relay rings that exercise the
+//! event-driven engine, and one replication of the DES ground truth under an
+//! open Poisson and a closed workload.
 //!
 //! `--check <baseline.json>` turns the run into a regression gate: every
 //! bench present in both runs must keep its min time within `--tolerance`
@@ -32,9 +33,11 @@ use wsnem_bench::nets::{open_arrivals_net, relay_ring_net, vanishing_pipeline_ne
 use wsnem_bench::{quick_mode, render_table};
 use wsnem_core::backend::{global, EvalOptions};
 use wsnem_core::{build_cpu_edspn, BackendId, CpuModelParams};
+use wsnem_des::{ClosedWorkload, CpuDes, CpuRunReport, CpuSimParams, Workload};
 use wsnem_petri::analysis::{tangible_chain, ReachOptions};
 use wsnem_petri::models::mm1k_net;
 use wsnem_petri::{simulate, SimConfig};
+use wsnem_stats::dist::Dist;
 use wsnem_stats::rng::Xoshiro256PlusPlus;
 
 struct Measurement {
@@ -80,6 +83,14 @@ fn sim_bench<'a>(
         seed += 1;
         let mut rng = Xoshiro256PlusPlus::new(seed);
         simulate(net, &cfg, &[], &mut rng).expect("simulates")
+    }
+}
+
+fn des_bench(sim: &CpuDes) -> impl FnMut() -> CpuRunReport + '_ {
+    let mut seed = 0u64;
+    move || {
+        seed += 1;
+        sim.run_with_seed(seed)
     }
 }
 
@@ -195,6 +206,17 @@ fn main() {
     let ring32 = relay_ring_net(32);
     let ring128 = relay_ring_net(128);
     let ring256 = relay_ring_net(256);
+    // The paper's CPU at its default point; horizon 1000 s.
+    let des_params = CpuSimParams::exponential_service(10.0, 0.5, 0.001);
+    let des_open = CpuDes::new(des_params.clone(), Workload::open_poisson(1.0)).expect("valid");
+    let des_closed = CpuDes::new(
+        des_params,
+        Workload::Closed(ClosedWorkload {
+            population: 5,
+            think: Dist::Exponential { rate: 0.2 },
+        }),
+    )
+    .expect("valid");
 
     let mut results = Vec::new();
     results.push(measure(
@@ -225,6 +247,12 @@ fn main() {
     results.push(measure("relay_ring_32", budget, sim_bench(&ring32, 256.0)));
     results.push(measure("relay_ring_128", budget, sim_bench(&ring128, 64.0)));
     results.push(measure("relay_ring_256", budget, sim_bench(&ring256, 32.0)));
+    results.push(measure("des_cpu_paper_1000s", budget, des_bench(&des_open)));
+    results.push(measure(
+        "des_cpu_closed_1000s",
+        budget,
+        des_bench(&des_closed),
+    ));
     // One closed-form M/G/1 node evaluation — the per-node cost that bounds
     // the million-node analytic fast path (target: well under 10 µs/node).
     let mg1_params = CpuModelParams::paper_defaults();
