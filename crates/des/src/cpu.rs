@@ -26,7 +26,7 @@
 //! timer — i.e. the arrival wins, matching the Petri-net semantics where
 //! the enabling check sees the new token.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use wsnem_energy::{CpuState, EnergyBreakdown, PowerProfile, StateFractions};
@@ -188,47 +188,30 @@ const SLOT_KINDS: [Ev; 5] = [
     Ev::WarmupEnd,
 ];
 
-/// `(time, seq)` of an empty slot: later than any scheduled event.
-const EMPTY: (f64, u64) = (f64::INFINITY, u64::MAX);
+/// An event's place in the agenda: its time as an integer that sorts as
+/// `f64::total_cmp` sorts times, then its schedule sequence number. The
+/// tuple order is the pop order.
+type Key = (i64, u64);
 
-/// Strict `(time, seq)` order; times compare by `total_cmp`, as closed
-/// think times drawn at start-up are not clamped and may be negative.
+/// The map `f64::total_cmp` compares through: a time's bits as an `i64`,
+/// with the magnitude bits flipped for negative times. It is its own
+/// inverse. Closed think times drawn at start-up are not clamped, so
+/// negative times do occur.
 #[inline]
-fn earlier(a: (f64, u64), b: (f64, u64)) -> bool {
-    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_lt()
+const fn flip(bits: i64) -> i64 {
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
-/// A pending closed-workload submission. Ordered in reverse, so the top of
-/// the max-heap is the least `(time, seq)`.
-#[derive(Debug, Clone, Copy)]
-struct Submission(f64, u64);
-
-impl PartialEq for Submission {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for Submission {}
-
-impl PartialOrd for Submission {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Submission {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.0.total_cmp(&self.0).then(other.1.cmp(&self.1))
-    }
-}
+/// The key of an empty slot: time `+∞`, after every scheduled event.
+const EMPTY: Key = (flip(f64::INFINITY.to_bits() as i64), u64::MAX);
 
 /// The fixed-slot future-event list (see the module docs).
 #[derive(Debug)]
 struct Agenda {
-    /// `(time, seq)` of each slot kind's pending event, or [`EMPTY`].
-    slots: [(f64, u64); 5],
-    /// Pending closed-workload submissions.
-    closed: BinaryHeap<Submission>,
+    /// The key of each slot kind's pending event, or [`EMPTY`].
+    slots: [Key; 5],
+    /// Pending closed-workload submissions, least key on top.
+    closed: BinaryHeap<Reverse<Key>>,
     /// The last value handed out to a schedule.
     seq: u64,
     /// Time of the last pop; the agenda never goes backwards.
@@ -248,14 +231,15 @@ impl Agenda {
     /// Schedule `ev` at absolute `time`. A slot kind must not be pending.
     #[inline]
     fn schedule(&mut self, time: f64, ev: Ev) {
-        debug_assert!(!time.is_nan(), "event time must not be NaN");
+        assert!(!time.is_nan(), "event time must not be NaN");
         self.seq += 1;
+        let key = (flip(time.to_bits() as i64), self.seq);
         if ev == Ev::ClosedArrival {
-            self.closed.push(Submission(time, self.seq));
+            self.closed.push(Reverse(key));
         } else {
             let slot = &mut self.slots[ev as usize];
-            debug_assert!(slot.1 == u64::MAX, "{ev:?} is already pending");
-            *slot = (time, self.seq);
+            debug_assert!(*slot == EMPTY, "{ev:?} is already pending");
+            *slot = key;
         }
     }
 
@@ -265,13 +249,13 @@ impl Agenda {
         self.slots[ev as usize] = EMPTY;
     }
 
-    /// Remove and return the least `(time, seq)` pending event.
+    /// Remove and return the least-key pending event.
     #[inline]
     fn pop(&mut self) -> Option<(f64, Ev)> {
-        let mut best = self.closed.peek().map_or(EMPTY, |s| (s.0, s.1));
+        let mut best = self.closed.peek().map_or(EMPTY, |r| r.0);
         let mut from_slot = None;
         for (i, &key) in self.slots.iter().enumerate() {
-            if earlier(key, best) {
+            if key < best {
                 best = key;
                 from_slot = Some(i);
             }
@@ -286,14 +270,15 @@ impl Agenda {
                 Ev::ClosedArrival
             }
         };
-        debug_assert!(best.0 >= self.last_popped, "agenda went backwards in time");
-        self.last_popped = best.0;
-        Some((best.0, ev))
+        let time = f64::from_bits(flip(best.0) as u64);
+        debug_assert!(time >= self.last_popped, "agenda went backwards in time");
+        self.last_popped = time;
+        Some((time, ev))
     }
 
     /// Number of pending events.
     fn len(&self) -> usize {
-        let slots = self.slots.iter().filter(|s| s.1 != u64::MAX).count();
+        let slots = self.slots.iter().filter(|&&key| key != EMPTY).count();
         slots + self.closed.len()
     }
 }
