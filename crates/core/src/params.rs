@@ -122,8 +122,9 @@ impl CpuModelParams {
 
     /// Validate the full parameter set, with stability judged as
     /// ρ = λ/μ < 1: the rule for every law whose mean service time is
-    /// `1/μ`. The solvers that honour a service law check
-    /// [`Self::validate_fields`] and then `λ·E[S] < 1` instead.
+    /// `1/μ`. The `PetriNet` and `Des` solvers, which honour any service
+    /// law, check [`Self::validate_fields`] and then `λ·E[S] < 1` instead,
+    /// as `Mg1` does.
     pub fn validate(&self) -> Result<(), CoreError> {
         self.validate_fields()?;
         check("rho", self.rho() < 1.0, "< 1 (stable queue)", self.rho())
