@@ -219,10 +219,10 @@ struct Agenda {
 }
 
 impl Agenda {
-    fn new(closed_capacity: usize) -> Self {
+    fn new() -> Self {
         Self {
             slots: [EMPTY; 5],
-            closed: BinaryHeap::with_capacity(closed_capacity),
+            closed: BinaryHeap::new(),
             seq: 0,
             last_popped: f64::NEG_INFINITY,
         }
@@ -371,11 +371,7 @@ struct Runner<'a, R: Rng64 + ?Sized, O: Observer> {
 
 impl<'a, R: Rng64 + ?Sized, O: Observer> Runner<'a, R, O> {
     fn new(params: &'a CpuSimParams, workload: &Workload, rng: &'a mut R, obs: &'a mut O) -> Self {
-        let closed_capacity = match workload {
-            Workload::Open(_) => 0,
-            Workload::Closed(c) => c.population as usize,
-        };
-        let mut agenda = Agenda::new(closed_capacity);
+        let mut agenda = Agenda::new();
         let mut open_gen = None;
         let mut think = None;
         match workload {
@@ -1002,7 +998,7 @@ mod tests {
 
     #[test]
     fn agenda_pops_ties_in_schedule_order() {
-        let mut agenda = Agenda::new(4);
+        let mut agenda = Agenda::new();
         agenda.schedule(2.0, Ev::ClosedArrival);
         agenda.schedule(1.0, Ev::PowerDownTimeout);
         agenda.schedule(1.0, Ev::ClosedArrival);
