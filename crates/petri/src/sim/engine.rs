@@ -32,16 +32,20 @@
 //!   full-recheck visits (fired first, then neighbours of changed places
 //!   in order), so the RNG draw order — and therefore every trajectory —
 //!   is preserved seed-for-seed.
-//! * **Tombstone timer heap** — pending timed firings live in a
-//!   [`wsnem_stats::pq::EventQueue`] (O(log T) schedule/pop, O(1) cancel),
-//!   keyed by transition index so equal-time ties resolve exactly like a
-//!   linear scan's "lowest index wins" rule.
+//! * **Transition-keyed timer heap** — pending timed firings live in a
+//!   `BinaryHeap` of `(time, transition, schedule)` entries (O(log T)
+//!   schedule/pop), ordered by time and then by transition index, so
+//!   equal-time ties resolve exactly like a linear scan's "lowest index
+//!   wins" rule. A timed transition holds at most one pending firing, so
+//!   one schedule count per transition replaces cancellation: scheduling,
+//!   disabling and firing each bump it, and `pop` skips any entry whose
+//!   count is no longer the transition's latest.
 //!
 //! Small nets (the paper's CPU net has 8 transitions; M/M/1-style models
 //! have 2) keep the direct path — `is_enabled` recheck plus a linear scan
 //! of a flat `f64` timer array — because measured constant factors
-//! dominate there: counting deltas and heap slab bookkeeping cost more
-//! than walking two arcs. Both strategies share tie-break rules and RNG
+//! dominate there: counting deltas and heap bookkeeping cost more than
+//! walking two arcs. Both strategies share tie-break rules and RNG
 //! draw order, so the chosen mode changes wall-clock only, never the
 //! trajectory.
 //!
@@ -100,9 +104,11 @@
 //!   relay rings, say) rarely repeat a marking, and a replay would also
 //!   have to restore the unsatisfied-condition counts and the timer heap.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use wsnem_obs::{NoopObserver, Observer};
 use wsnem_stats::dist::Sample;
-use wsnem_stats::pq::{EventId, EventQueue};
 use wsnem_stats::rng::Rng64;
 
 use crate::error::PetriError;
@@ -111,11 +117,11 @@ use crate::net::{PetriNet, TimedPolicy, TransitionKind};
 use crate::sim::{Reward, SimConfig, SimOutput};
 
 /// Above this many transitions the engine switches to event-driven
-/// execution (incremental enabling counts + tombstone timer heap); at or
-/// below it, the direct `is_enabled` recheck and a linear minimum scan of
-/// the timer vector are faster (fewer branches, no slab bookkeeping, no
-/// count maintenance). Both strategies share tie-break rules and RNG draw
-/// order, so the trajectory is identical — only the wall-clock changes.
+/// execution (incremental enabling counts + timer heap); at or below it,
+/// the direct `is_enabled` recheck and a linear minimum scan of the timer
+/// vector are faster (fewer branches, no heap or count maintenance). Both
+/// strategies share tie-break rules and RNG draw order, so the trajectory
+/// is identical — only the wall-clock changes.
 const SCAN_THRESHOLD: usize = 16;
 
 /// Timer value of a transition with no pending firing. A firing time of +∞
@@ -276,6 +282,14 @@ impl Memo {
     }
 }
 
+/// A timed firing on the event-driven path's heap: `(time bits,
+/// transition, schedule count)`. Firing times are never negative (the
+/// clock starts at 0 and delays are clamped at 0), and non-negative
+/// doubles order by their bits as `f64::total_cmp` orders them, so the
+/// tuple order is the pop order: earliest time first, then lowest
+/// transition index (`Reverse` turns the max-heap into a min-heap).
+type Pending = Reverse<(u64, u32, u64)>;
+
 /// `ED` (event-driven) selects the mode at compile time: `true` runs
 /// incremental counts + timer heap, `false` the small-net direct path.
 struct Engine<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> {
@@ -298,12 +312,12 @@ struct Engine<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> {
     /// Unsatisfied enabling-condition count per transition; enabled iff 0
     /// (event-driven mode only).
     unsat: Vec<u32>,
-    /// Heap handle of the pending firing per transition (event-driven mode
-    /// only).
-    timer_ids: Vec<Option<EventId>>,
-    /// Pending timed firings, keyed by transition index for tie-breaks
-    /// (event-driven mode only).
-    queue: EventQueue<u32>,
+    /// Schedule count per transition: bumped on every scheduling,
+    /// disabling and firing, so only a heap entry carrying the latest count
+    /// is live (event-driven mode only).
+    schedules: Vec<u64>,
+    /// Scheduled timed firings, live and stale (event-driven mode only).
+    heap: BinaryHeap<Pending>,
 
     // Statistics.
     stats_start: f64,
@@ -346,8 +360,8 @@ impl<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> Engine<'a, R, O, ED> {
             enabled: vec![false; nt],
             unsat,
             timers: vec![UNSCHEDULED; nt],
-            timer_ids: vec![None; nt],
-            queue: EventQueue::with_capacity(if ED { n_timed } else { 0 }),
+            schedules: vec![0; if ED { nt } else { 0 }],
+            heap: BinaryHeap::with_capacity(if ED { n_timed } else { 0 }),
             age_left: vec![None; nt],
             stats_start: 0.0,
             place_integral: vec![0.0; net.n_places()],
@@ -434,16 +448,17 @@ impl<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> Engine<'a, R, O, ED> {
             let at = self.now + delay;
             self.timers[t as usize] = at;
             if ED {
-                self.timer_ids[t as usize] = Some(self.queue.schedule_keyed(at, t as u64, t));
+                debug_assert!(at.is_sign_positive(), "heap keys need non-negative times");
+                let schedule = &mut self.schedules[t as usize];
+                *schedule += 1;
+                self.heap.push(Reverse((at.to_bits(), t, *schedule)));
             }
         } else {
             // An enabled timed transition always holds a timer, so `at` is
             // its scheduled firing time.
             let at = std::mem::replace(&mut self.timers[t as usize], UNSCHEDULED);
             if ED {
-                if let Some(id) = self.timer_ids[t as usize].take() {
-                    self.queue.cancel(id);
-                }
+                self.schedules[t as usize] += 1;
             }
             if *policy == TimedPolicy::AgeMemory {
                 self.age_left[t as usize] = Some((at - self.now).max(0.0));
@@ -499,9 +514,7 @@ impl<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> Engine<'a, R, O, ED> {
         self.enabled[fired as usize] = false;
         self.timers[fired as usize] = UNSCHEDULED;
         if ED {
-            if let Some(id) = self.timer_ids[fired as usize].take() {
-                self.queue.cancel(id);
-            }
+            self.schedules[fired as usize] += 1;
         }
         self.flip_check(fired);
         // Enabling of neighbours of changed places may have flipped.
@@ -745,7 +758,7 @@ impl<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> Engine<'a, R, O, ED> {
             // O(log T) heap pop for many-timer nets, linear minimum scan
             // for small ones (same rule, so the same trajectory).
             let next = if ED {
-                self.queue.pop()
+                self.pop_pending()
             } else {
                 let mut best = UNSCHEDULED;
                 let mut pick = None;
@@ -763,13 +776,8 @@ impl<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> Engine<'a, R, O, ED> {
             };
             debug_assert!(self.enabled[t as usize]);
             debug_assert_eq!(self.timers[t as usize], at);
-            // This event is consumed (the heap already dropped its entry);
-            // clear the per-transition handle so propagate's forced
-            // recompute doesn't chase a stale id.
+            // This event is consumed (the heap already dropped its entry).
             self.timers[t as usize] = UNSCHEDULED;
-            if ED {
-                self.timer_ids[t as usize] = None;
-            }
             if at > horizon {
                 break;
             }
@@ -789,14 +797,9 @@ impl<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> Engine<'a, R, O, ED> {
             }
             self.advance_to(at);
             if O::ENABLED {
-                // Depth of the pending-timer structure after this event was
-                // consumed: heap length event-driven, scheduled-timer count
-                // on the direct path.
-                let depth = if ED {
-                    self.queue.len()
-                } else {
-                    self.timers.iter().filter(|&&x| x != UNSCHEDULED).count()
-                };
+                // Pending timers after this event was consumed: the
+                // scheduled-timer count (the heap also holds stale entries).
+                let depth = self.timers.iter().filter(|&&x| x != UNSCHEDULED).count();
                 self.obs.timer_depth(at, depth);
             }
             if !ED && !O::ENABLED && self.memo.on {
@@ -809,6 +812,17 @@ impl<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> Engine<'a, R, O, ED> {
         }
         self.advance_to(horizon);
         Ok(())
+    }
+
+    /// Remove and return the earliest live heap entry as `(time,
+    /// transition)`, dropping stale entries on the way.
+    fn pop_pending(&mut self) -> Option<(f64, u32)> {
+        while let Some(Reverse((bits, t, schedule))) = self.heap.pop() {
+            if schedule == self.schedules[t as usize] {
+                return Some((f64::from_bits(bits), t));
+            }
+        }
+        None
     }
 
     fn into_output(self) -> SimOutput {

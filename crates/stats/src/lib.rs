@@ -23,8 +23,6 @@
 //!   regenerate the paper's Δ tables.
 //! * [`hash`] — stable 128-bit FNV-1a content fingerprints (the scenario
 //!   result cache's key function; `std::hash` is randomized per process).
-//! * [`pq`] — the cancellable tombstone timer heap of the EDSPN token
-//!   game's event-driven path (O(log n) schedule/pop, O(1) cancel).
 //! * [`par`] — the order-preserving parallel executor every compute pool
 //!   (replications, sweeps, node maps, scenario batches) runs on.
 
@@ -43,7 +41,6 @@ pub mod hash;
 pub mod histogram;
 pub mod online;
 pub mod par;
-pub mod pq;
 pub mod rng;
 pub mod timeweighted;
 
@@ -54,6 +51,5 @@ pub use error::StatsError;
 pub use hash::{fnv1a128, StableHasher};
 pub use histogram::Histogram;
 pub use online::{MinMax, Welford};
-pub use pq::{EventId, EventQueue};
 pub use rng::{Rng64, SplitMix64, StreamFactory, Xoshiro256PlusPlus};
 pub use timeweighted::TimeWeighted;
