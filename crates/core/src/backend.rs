@@ -493,14 +493,24 @@ pub(crate) fn require_exponential_service(
 }
 
 /// Shared stability gate of the backends that honour a service law (`Mg1`,
-/// `PetriNet`, `Des`): the queue is stable when `ρ = λ·E[S] < 1`, where
-/// `E[S]` is the mean of `service`, the law the backend solves. Under
+/// `PetriNet`, `Des`): the queue is stable when its load `λ·E[S] < 1`,
+/// where `E[S]` is the mean of the law the backend solves. Under
 /// [`ServiceDist::General`] that mean need not be `1/μ`, so λ/μ is the
-/// wrong test there. Returns ρ.
-pub(crate) fn require_stable(id: BackendId, lambda: f64, service: &Dist) -> Result<f64, CoreError> {
-    let rho = lambda * service.mean();
+/// wrong test there. The parametric laws have `E[S] = 1/μ`, and there the
+/// gate also requires λ/μ < 1, the ratio [`CpuModelParams::rho`] tests:
+/// `λ·fl(1/μ)` rounds to just below 1 at some λ = μ (49, 98, …), while at
+/// some λ a hair under μ it is exactly 1, the pole of `Mg1`'s closed form.
+pub(crate) fn require_stable(
+    id: BackendId,
+    params: &CpuModelParams,
+    service: &ServiceDist,
+) -> Result<(), CoreError> {
+    let mut rho = params.lambda * service.to_dist(params.mu).mean();
+    if !matches!(service, ServiceDist::General { .. }) {
+        rho = rho.max(params.rho());
+    }
     if rho < 1.0 {
-        Ok(rho)
+        Ok(())
     } else {
         Err(CoreError::Unsupported {
             backend: id,

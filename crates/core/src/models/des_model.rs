@@ -42,7 +42,7 @@ impl CpuSolver for DesSolver {
         params.validate_fields()?;
         opts.service.validate(params.mu)?;
         let service = opts.service.to_dist(params.mu);
-        require_stable(BackendId::Des, params.lambda, &service)?;
+        require_stable(BackendId::Des, params, &opts.service)?;
         let workload = opts
             .workload
             .clone()

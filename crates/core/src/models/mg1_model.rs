@@ -116,9 +116,10 @@ impl CpuSolver for Mg1Solver {
         let dist = opts.service.to_dist(p.mu);
         // The only genuinely unsupported input: an unstable queue has no
         // steady state for a closed form to report.
-        let rho = require_stable(BackendId::Mg1, p.lambda, &dist)?;
+        require_stable(BackendId::Mg1, p, &opts.service)?;
         let mean_s = dist.mean();
         let lambda = p.lambda;
+        let rho = lambda * mean_s;
         let d = p.power_up_delay;
         let p_standby = (-lambda * p.power_down_threshold).exp();
         let denom = 1.0 + p_standby * lambda * d;

@@ -215,7 +215,7 @@ impl CpuSolver for PetriSolver {
         let start = Instant::now();
         params.validate_fields()?;
         let service = opts.service.to_dist(params.mu);
-        require_stable(BackendId::PetriNet, params.lambda, &service)?;
+        require_stable(BackendId::PetriNet, params, &opts.service)?;
         let (net, handles) = build_cpu_edspn_with_service(
             params.lambda,
             service,

@@ -122,9 +122,10 @@ impl CpuModelParams {
 
     /// Validate the full parameter set, with stability judged as
     /// ρ = λ/μ < 1: the rule for every law whose mean service time is
-    /// `1/μ`. The `PetriNet` and `Des` solvers, which honour any service
-    /// law, check [`Self::validate_fields`] and then `λ·E[S] < 1` instead,
-    /// as `Mg1` does.
+    /// `1/μ`. The `PetriNet`, `Des` and `Mg1` solvers, which honour any
+    /// service law, check [`Self::validate_fields`] and then the load of
+    /// the law they solve: `λ·E[S] < 1`, and also λ/μ < 1 when that law
+    /// has mean `1/μ`.
     pub fn validate(&self) -> Result<(), CoreError> {
         self.validate_fields()?;
         check("rho", self.rho() < 1.0, "< 1 (stable queue)", self.rho())

@@ -249,3 +249,37 @@ fn service_law_backends_gate_stability_on_the_laws_mean() {
         );
     }
 }
+
+/// At λ = μ every parametric law is unstable, though `λ·fl(1/μ)` rounds to
+/// 0.9999999999999999 at 49 and 98. A λ one ulp under μ = 3877 is stable
+/// by λ/μ, but `λ·fl(1/μ)` is exactly 1 there, the pole of `Mg1`'s closed
+/// form. Every backend that honours a service law rejects all of them.
+#[test]
+fn parametric_laws_gate_stability_at_rho_one() {
+    let capable = [BackendId::Mg1, BackendId::PetriNet, BackendId::Des];
+    let laws = [
+        ServiceDist::Exponential,
+        ServiceDist::Deterministic,
+        ServiceDist::Erlang { k: 3 },
+    ];
+    let base = CpuModelParams::paper_defaults()
+        .with_replications(2)
+        .with_horizon(100.0);
+    for (lambda, mu) in [(49.0, 49.0), (98.0, 98.0), (3876.9999999999995, 3877.0)] {
+        let p = base.with_lambda(lambda).with_mu(mu);
+        for law in laws {
+            let opts = EvalOptions::default().with_service(law);
+            for id in capable {
+                match global().solve(id, &p, &opts) {
+                    Err(CoreError::Unsupported { backend, what }) => {
+                        assert_eq!(backend, id);
+                        assert!(what.contains("unstable"), "{id}: {what}");
+                    }
+                    other => {
+                        panic!("{id}, {law:?}, λ = {lambda}: expected Unsupported, got {other:?}")
+                    }
+                }
+            }
+        }
+    }
+}
