@@ -913,6 +913,37 @@ fn duplicate_scenarios_skip_with_warning_and_error_under_strict() {
     ]);
     assert!(!out.status.success());
     assert!(stderr(&out).contains("--strict"), "{}", stderr(&out));
+
+    // Two files in one fleet directory declaring one name: the first in
+    // sorted file order runs, the second is skipped with a warning naming
+    // both files — unless --strict.
+    let dir = fresh_dir("dups");
+    let exported = wsnem(&["export", "paper-defaults"]);
+    assert!(exported.status.success(), "stderr: {}", stderr(&exported));
+    std::fs::write(dir.join("first.toml"), &exported.stdout).unwrap();
+    std::fs::write(dir.join("second.toml"), &exported.stdout).unwrap();
+    let fleet = dir.to_str().unwrap();
+    let out = wsnem(&["run", fleet, "--quick", "--no-cache"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let err = stderr(&out);
+    assert!(err.contains("duplicate scenario `paper-defaults`"), "{err}");
+    assert!(
+        err.contains("first.toml") && err.contains("second.toml"),
+        "{err}"
+    );
+    assert!(err.contains("keeping the first"), "{err}");
+    assert!(
+        stdout(&out).contains("batch: 1 scenario(s)"),
+        "{}",
+        stdout(&out)
+    );
+
+    let out = wsnem(&["run", fleet, "--quick", "--no-cache", "--strict"]);
+    assert!(!out.status.success());
+    let err = stderr(&out);
+    assert!(err.contains("duplicate scenario `paper-defaults`"), "{err}");
+    assert!(err.contains("--strict"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

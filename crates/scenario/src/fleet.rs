@@ -2,12 +2,11 @@
 //! scenario files as one batch.
 //!
 //! `wsnem run <dir>` walks the directory's `.toml`/`.json` files in sorted
-//! name order (skipping dotfiles, subdirectories and the generator's
-//! `manifest.json`), loads each as a [`Scenario`], rejects two files that
-//! declare the same scenario name, and runs the lot through the batch
-//! runner — answering from the [`ResultCache`] where the content hash
-//! matches, so a warm re-run after editing 3 of 1000 files simulates
-//! exactly 3.
+//! name order ([`discover`]: dotfiles, subdirectories and the generator's
+//! `manifest.json` are skipped), loads each as a [`Scenario`], and runs the
+//! lot through the batch runner — answering from the [`ResultCache`] where
+//! the content hash matches, so a warm re-run after editing 3 of 1000 files
+//! simulates exactly 3.
 //!
 //! Cached reports are returned **verbatim** (timing fields included),
 //! which is what makes a warm run's merged CSV/JSON byte-identical to the
@@ -18,7 +17,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::cache::{CacheMode, CacheStats, ResultCache};
 use crate::error::ScenarioError;
-use crate::files;
 use crate::gen::MANIFEST_FILE;
 use crate::report::ScenarioReport;
 use crate::runner::{run_batch_hooked, BatchMetrics, BatchProgress};
@@ -95,28 +93,6 @@ pub fn discover(dir: impl AsRef<Path>) -> Result<Vec<PathBuf>, ScenarioError> {
     }
     paths.sort();
     Ok(paths)
-}
-
-/// [`discover`] + load: every scenario in the directory, paired with its
-/// file path, in sorted file-name order. Two files declaring the same
-/// scenario name are an error naming both files — duplicate keys would
-/// collide in the merged CSV/JSON and in the result cache.
-pub fn load_dir(dir: impl AsRef<Path>) -> Result<Vec<(PathBuf, Scenario)>, ScenarioError> {
-    let paths = discover(dir)?;
-    let mut out: Vec<(PathBuf, Scenario)> = Vec::with_capacity(paths.len());
-    for path in paths {
-        let scenario = files::load(&path)?;
-        if let Some((prev, _)) = out.iter().find(|(_, s)| s.name == scenario.name) {
-            return Err(ScenarioError::Invalid(format!(
-                "duplicate scenario name `{}`: declared by both {} and {}",
-                scenario.name,
-                prev.display(),
-                path.display()
-            )));
-        }
-        out.push((path, scenario));
-    }
-    Ok(out)
 }
 
 /// Run a batch with per-scenario result caching.
@@ -207,7 +183,7 @@ pub fn run_cached_with(
 mod tests {
     use super::*;
     use crate::builtin;
-    use crate::files::FileFormat;
+    use crate::files::{self, FileFormat};
     use crate::gen::{self, FieldSpec, GenField, GenMethod, GenSpec};
     use wsnem_core::BackendId;
 
@@ -259,24 +235,17 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn load_dir_rejects_duplicate_scenario_names() {
-        let dir = temp_dir("dups");
-        let s = quick(builtin::paper_defaults());
-        write(&dir, "first.toml", &s, FileFormat::Toml);
-        write(&dir, "second.json", &s, FileFormat::Json);
-        let err = load_dir(&dir).unwrap_err().to_string();
-        assert!(err.contains("duplicate scenario name"), "{err}");
-        assert!(err.contains("paper-defaults"), "{err}");
-        assert!(
-            err.contains("first.toml") && err.contains("second.json"),
-            "{err}"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+    /// Every scenario of the fleet directory, in [`discover`] order.
+    fn load_fleet(dir: &Path) -> Vec<Scenario> {
+        discover(dir)
+            .unwrap()
+            .iter()
+            .map(|p| files::load(p).unwrap())
+            .collect()
     }
 
     #[test]
-    fn load_dir_returns_sorted_valid_fleet() {
+    fn discover_and_load_return_sorted_valid_fleet() {
         let dir = temp_dir("load");
         let spec = GenSpec {
             method: GenMethod::Grid,
@@ -297,9 +266,9 @@ mod tests {
             FileFormat::Toml,
         )
         .unwrap();
-        let fleet = load_dir(&dir).unwrap();
+        let fleet = load_fleet(&dir);
         assert_eq!(fleet.len(), 4);
-        let names: Vec<&str> = fleet.iter().map(|(_, s)| s.name.as_str()).collect();
+        let names: Vec<&str> = fleet.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, vec!["pt-1", "pt-2", "pt-3", "pt-4"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -438,9 +407,8 @@ mod tests {
             FileFormat::Toml,
         )
         .unwrap();
-        let fleet = load_dir(&dir).unwrap();
-        assert_eq!(fleet.len(), 50);
-        let scenarios: Vec<Scenario> = fleet.into_iter().map(|(_, s)| s).collect();
+        let scenarios = load_fleet(&dir);
+        assert_eq!(scenarios.len(), 50);
         let cache = ResultCache::open_under(&dir).unwrap();
         let caches: Vec<Option<&ResultCache>> = scenarios.iter().map(|_| Some(&cache)).collect();
 
@@ -500,11 +468,7 @@ mod tests {
             FileFormat::Toml,
         )
         .unwrap();
-        let scenarios: Vec<Scenario> = load_dir(&dir)
-            .unwrap()
-            .into_iter()
-            .map(|(_, s)| s)
-            .collect();
+        let scenarios = load_fleet(&dir);
         assert_eq!(scenarios.len(), 8);
 
         let runs = std::thread::scope(|scope| {

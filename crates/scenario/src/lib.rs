@@ -89,7 +89,7 @@ pub use report::{
     ScenarioReport, DEFAULT_SUMMARY_NODE_LIMIT,
 };
 pub use runner::{
-    call_with_timeout, run_batch, run_batch_with_metrics, run_batch_with_options, run_scenario,
+    call_with_timeout, run_batch_with_metrics, run_batch_with_options, run_scenario,
     run_scenario_bounded, BatchMetrics, BatchProgress, AGGREGATE_NODE_THRESHOLD,
 };
 pub use schema::{

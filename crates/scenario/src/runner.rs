@@ -87,7 +87,7 @@ pub type BatchProgress<'a> = &'a (dyn Fn(usize, usize, &str) + Sync);
 /// Run one scenario with default parallelism (DES/PN replications spread
 /// over all cores).
 pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, ScenarioError> {
-    run_scenario_with_threads(scenario, None)
+    run_scenario_bounded(scenario, None, None)
 }
 
 /// Run a closure on a dedicated watchdog thread, waiting at most `seconds`
@@ -129,33 +129,23 @@ where
     }
 }
 
-/// [`run_scenario_with_threads`] under an optional per-scenario wall-clock
-/// watchdog (`--scenario-timeout`): with `timeout_seconds` set, the point is
-/// marked failed with [`ScenarioError::Timeout`] instead of hanging the
-/// batch.
+/// Run one scenario, pinning the *inner* (per-backend replication) thread
+/// count (`None` = all cores; the batch runner pins 1 because it already
+/// parallelizes across scenarios), under an optional per-scenario
+/// wall-clock watchdog (`--scenario-timeout`): with `timeout_seconds` set,
+/// the point is marked failed with [`ScenarioError::Timeout`] instead of
+/// hanging the batch.
 pub fn run_scenario_bounded(
     scenario: &Scenario,
     inner_threads: Option<usize>,
     timeout_seconds: Option<f64>,
 ) -> Result<ScenarioReport, ScenarioError> {
-    match timeout_seconds {
-        None => run_scenario_with_threads(scenario, inner_threads),
-        Some(seconds) => {
-            let scenario = scenario.clone();
-            call_with_timeout(seconds, move || {
-                run_scenario_with_threads(&scenario, inner_threads)
-            })?
-        }
+    if let Some(seconds) = timeout_seconds {
+        let scenario = scenario.clone();
+        return call_with_timeout(seconds, move || {
+            run_scenario_bounded(&scenario, inner_threads, None)
+        })?;
     }
-}
-
-/// Run one scenario, pinning the *inner* (per-backend replication) thread
-/// count — the batch runner pins this to 1 because it already parallelizes
-/// across scenarios.
-pub fn run_scenario_with_threads(
-    scenario: &Scenario,
-    inner_threads: Option<usize>,
-) -> Result<ScenarioReport, ScenarioError> {
     scenario.validate()?;
     let started = Instant::now();
     let mut phase_seconds = PhaseSeconds::default();
@@ -219,18 +209,10 @@ pub fn run_scenario_with_threads(
 }
 
 /// Run many scenarios, parallelized across OS threads (`None` = available
-/// parallelism). Results come back in input order; per-scenario failures do
-/// not abort the batch.
-pub fn run_batch(
-    scenarios: &[Scenario],
-    threads: Option<usize>,
-) -> Vec<Result<ScenarioReport, ScenarioError>> {
-    run_batch_with_metrics(scenarios, threads, None).0
-}
-
-/// [`run_batch`] plus aggregate wall-clock metrics and an optional progress
+/// parallelism), with aggregate wall-clock metrics and an optional progress
 /// callback (invoked once per finished scenario, from whichever worker
-/// finished it).
+/// finished it). Results come back in input order; per-scenario failures do
+/// not abort the batch.
 pub fn run_batch_with_metrics(
     scenarios: &[Scenario],
     threads: Option<usize>,
@@ -868,8 +850,8 @@ mod tests {
         b.cpu = b.cpu.with_power_down_threshold(0.1);
         let scenarios = vec![a, b];
 
-        let parallel = run_batch(&scenarios, Some(2));
-        let sequential = run_batch(&scenarios, Some(1));
+        let parallel = run_batch_with_metrics(&scenarios, Some(2), None).0;
+        let sequential = run_batch_with_metrics(&scenarios, Some(1), None).0;
         assert_eq!(parallel.len(), 2);
         for (p, s) in parallel.iter().zip(&sequential) {
             let (p, s) = (p.as_ref().unwrap(), s.as_ref().unwrap());
@@ -886,7 +868,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_empty() {
-        assert!(run_batch(&[], None).is_empty());
+        assert!(run_batch_with_metrics(&[], None, None).0.is_empty());
     }
 
     #[test]
@@ -905,8 +887,8 @@ mod tests {
             };
             scenarios.push(s);
         }
-        let parallel = run_batch(&scenarios, Some(3));
-        let sequential = run_batch(&scenarios, Some(1));
+        let parallel = run_batch_with_metrics(&scenarios, Some(3), None).0;
+        let sequential = run_batch_with_metrics(&scenarios, Some(1), None).0;
         assert_eq!(parallel.len(), 7);
         for (i, (p, s)) in parallel.iter().zip(&sequential).enumerate() {
             let (p, s) = (p.as_ref().unwrap(), s.as_ref().unwrap());
@@ -1004,7 +986,7 @@ mod tests {
         let mut bad = quick_scenario();
         bad.backends.clear();
         let good = quick_scenario();
-        let results = run_batch(&[bad, good], Some(2));
+        let results = run_batch_with_metrics(&[bad, good], Some(2), None).0;
         assert!(results[0].is_err());
         assert!(results[1].is_ok());
     }
