@@ -33,13 +33,15 @@
 //!   in order), so the RNG draw order — and therefore every trajectory —
 //!   is preserved seed-for-seed.
 //! * **Transition-keyed timer heap** — pending timed firings live in a
-//!   `BinaryHeap` of `(time, transition, schedule)` entries (O(log T)
-//!   schedule/pop), ordered by time and then by transition index, so
-//!   equal-time ties resolve exactly like a linear scan's "lowest index
-//!   wins" rule. A timed transition holds at most one pending firing, so
-//!   one schedule count per transition replaces cancellation: scheduling,
-//!   disabling and firing each bump it, and `pop` skips any entry whose
-//!   count is no longer the transition's latest.
+//!   `BinaryHeap` of `(time, transition)` entries (O(log T) schedule/pop),
+//!   ordered by time and then by transition index, so equal-time ties
+//!   resolve exactly like a linear scan's "lowest index wins" rule. A
+//!   timed transition holds at most one pending firing, its `timers` slot,
+//!   so nothing is cancelled: `pop` skips any entry whose time is not the
+//!   transition's current timer. A stale entry that carries the live
+//!   entry's exact `(time, transition)` is interchangeable with it. A
+//!   firing time of +∞ equals the unscheduled slot value, so such an entry
+//!   is never live; the linear scan never picks one either.
 //!
 //! Small nets (the paper's CPU net has 8 transitions; M/M/1-style models
 //! have 2) keep the direct path — `is_enabled` recheck plus a linear scan
@@ -283,12 +285,12 @@ impl Memo {
 }
 
 /// A timed firing on the event-driven path's heap: `(time bits,
-/// transition, schedule count)`. Firing times are never negative (the
-/// clock starts at 0 and delays are clamped at 0), and non-negative
-/// doubles order by their bits as `f64::total_cmp` orders them, so the
-/// tuple order is the pop order: earliest time first, then lowest
-/// transition index (`Reverse` turns the max-heap into a min-heap).
-type Pending = Reverse<(u64, u32, u64)>;
+/// transition)`. Firing times are never negative (the clock starts at 0
+/// and delays are clamped at 0), and non-negative doubles order by their
+/// bits as `f64::total_cmp` orders them, so the tuple order is the pop
+/// order: earliest time first, then lowest transition index (`Reverse`
+/// turns the max-heap into a min-heap).
+type Pending = Reverse<(u64, u32)>;
 
 /// `ED` (event-driven) selects the mode at compile time: `true` runs
 /// incremental counts + timer heap, `false` the small-net direct path.
@@ -304,18 +306,15 @@ struct Engine<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> {
     enabled: Vec<bool>,
     /// Sampled absolute firing time per transition while scheduled (timed
     /// only), [`UNSCHEDULED`] otherwise — scanned for the earliest firing
-    /// on the small-net path, read back when AgeMemory freezes the
-    /// remaining delay.
+    /// on the small-net path, matched against popped heap entries on the
+    /// event-driven one, read back when AgeMemory freezes the remaining
+    /// delay.
     timers: Vec<f64>,
     /// Frozen remaining delay for AgeMemory transitions while disabled.
     age_left: Vec<Option<f64>>,
     /// Unsatisfied enabling-condition count per transition; enabled iff 0
     /// (event-driven mode only).
     unsat: Vec<u32>,
-    /// Schedule count per transition: bumped on every scheduling,
-    /// disabling and firing, so only a heap entry carrying the latest count
-    /// is live (event-driven mode only).
-    schedules: Vec<u64>,
     /// Scheduled timed firings, live and stale (event-driven mode only).
     heap: BinaryHeap<Pending>,
 
@@ -360,7 +359,6 @@ impl<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> Engine<'a, R, O, ED> {
             enabled: vec![false; nt],
             unsat,
             timers: vec![UNSCHEDULED; nt],
-            schedules: vec![0; if ED { nt } else { 0 }],
             heap: BinaryHeap::with_capacity(if ED { n_timed } else { 0 }),
             age_left: vec![None; nt],
             stats_start: 0.0,
@@ -449,17 +447,12 @@ impl<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> Engine<'a, R, O, ED> {
             self.timers[t as usize] = at;
             if ED {
                 debug_assert!(at.is_sign_positive(), "heap keys need non-negative times");
-                let schedule = &mut self.schedules[t as usize];
-                *schedule += 1;
-                self.heap.push(Reverse((at.to_bits(), t, *schedule)));
+                self.heap.push(Reverse((at.to_bits(), t)));
             }
         } else {
             // An enabled timed transition always holds a timer, so `at` is
             // its scheduled firing time.
             let at = std::mem::replace(&mut self.timers[t as usize], UNSCHEDULED);
-            if ED {
-                self.schedules[t as usize] += 1;
-            }
             if *policy == TimedPolicy::AgeMemory {
                 self.age_left[t as usize] = Some((at - self.now).max(0.0));
             }
@@ -513,9 +506,6 @@ impl<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> Engine<'a, R, O, ED> {
         // (without AgeMemory freezing — the clock was spent by firing).
         self.enabled[fired as usize] = false;
         self.timers[fired as usize] = UNSCHEDULED;
-        if ED {
-            self.schedules[fired as usize] += 1;
-        }
         self.flip_check(fired);
         // Enabling of neighbours of changed places may have flipped.
         for &t in self.net.recheck_after(fired) {
@@ -815,10 +805,12 @@ impl<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> Engine<'a, R, O, ED> {
     }
 
     /// Remove and return the earliest live heap entry as `(time,
-    /// transition)`, dropping stale entries on the way.
+    /// transition)`, dropping stale entries on the way: an entry is live
+    /// when its time is the transition's current timer and not
+    /// [`UNSCHEDULED`].
     fn pop_pending(&mut self) -> Option<(f64, u32)> {
-        while let Some(Reverse((bits, t, schedule))) = self.heap.pop() {
-            if schedule == self.schedules[t as usize] {
+        while let Some(Reverse((bits, t))) = self.heap.pop() {
+            if bits != UNSCHEDULED.to_bits() && bits == self.timers[t as usize].to_bits() {
                 return Some((f64::from_bits(bits), t));
             }
         }
@@ -1163,5 +1155,63 @@ mod tests {
         assert_eq!(a, b2);
         let c = run(&net, 1000.0, &[], 124);
         assert_ne!(a.place_means, c.place_means);
+    }
+
+    /// Event-driven nets with firing times of +∞ (a log-normal delay that
+    /// overflows): an entry at +∞ never fires, whether its transition stays
+    /// enabled (`never_live`), was disabled (`never_stale`, a stale entry
+    /// whose time equals the unscheduled slot value) or froze its +∞
+    /// remaining age (`frozen`). Once the finite relay finishes, only such
+    /// entries are left, and the run idles to the horizon like the
+    /// reference engine.
+    #[test]
+    fn infinite_firing_times_never_fire_on_the_event_driven_path() {
+        let overflow = |policy| TransitionKind::Timed {
+            dist: Dist::LogNormal {
+                mu: 1000.0,
+                sigma: 1.0,
+            },
+            policy,
+        };
+        let mut b = NetBuilder::new();
+        let relay: Vec<PlaceId> = (0..=20)
+            .map(|i| b.place(format!("C{i}"), u32::from(i == 0)))
+            .collect();
+        for i in 0..20 {
+            let hop = b.deterministic(format!("hop{i}"), 0.5);
+            b.input_arc(relay[i], hop, 1);
+            b.output_arc(hop, relay[i + 1], 1);
+        }
+        let go = b.place("Go", 1);
+        let done = b.place("Done", 0);
+        let keep = b.place("Keep", 1);
+        let never_stale = b.transition("never_stale", overflow(TimedPolicy::RaceResample));
+        b.input_arc(go, never_stale, 1);
+        let stop = b.deterministic("stop", 1.0);
+        b.input_arc(go, stop, 1);
+        b.output_arc(stop, done, 1);
+        let never_live = b.transition("never_live", overflow(TimedPolicy::AgeMemory));
+        b.input_arc(keep, never_live, 1);
+        b.output_arc(never_live, keep, 1);
+        // Enabled while the relay token waits in C5, over [2.5, 3.0).
+        let frozen = b.transition("frozen", overflow(TimedPolicy::AgeMemory));
+        b.input_arc(relay[5], frozen, 1);
+        b.output_arc(frozen, relay[5], 1);
+        let net = b.build().unwrap();
+        assert!(net.n_transitions() > SCAN_THRESHOLD);
+        let cfg = SimConfig::for_horizon(50.0);
+        for seed in [1u64, 8] {
+            let out = run(&net, 50.0, &[], seed);
+            let mut rng = Xoshiro256PlusPlus::new(seed);
+            let reference =
+                crate::sim::reference::simulate_reference(&net, &cfg, &[], &mut rng).unwrap();
+            assert_eq!(out, reference, "seed {seed}");
+            for t in [never_stale, never_live, frozen] {
+                assert_eq!(out.firings[t.index()], 0, "{}", net.transition_name(t));
+            }
+            assert_eq!(out.firings[stop.index()], 1);
+            assert_eq!(out.final_marking.tokens(done), 1);
+            assert_eq!(out.final_marking.tokens(relay[20]), 1);
+        }
     }
 }

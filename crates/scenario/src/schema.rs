@@ -521,12 +521,14 @@ impl NetworkSpec {
     /// the one form every network is evaluated in (shared by validation,
     /// the runner, the linter and the CLI `topology` command).
     ///
-    /// A template lowers to flat arrays with generated names; an explicit
-    /// node list lowers column by column with interned names. Both take
-    /// their parents from [`TopologySpec::build_parents`] (a missing
-    /// topology is a star), share the network radio (the `cc2420-class`
-    /// preset when absent) and turn per-node `radio` specs into sparse
-    /// overrides. No per-node structs are built at any point.
+    /// A template lowers to one run per workload column with generated
+    /// names; an explicit node list collects each column through
+    /// [`wsnem_wsn::RunColumn`], which merges bit-equal neighbours, and
+    /// interns the names. Both take their parents from
+    /// [`TopologySpec::build_parents`] (a missing topology is a star),
+    /// share the network radio (the `cc2420-class` preset when absent) and
+    /// turn per-node `radio` specs into sparse overrides. No per-node
+    /// structs are built at any point.
     pub fn build_soa(
         &self,
         cpu: CpuModelParams,
@@ -782,13 +784,10 @@ impl Scenario {
                 let profile = self.profile.build()?;
                 let battery = self.battery.build()?;
                 let soa = net.build_soa(self.cpu, &profile, &battery)?;
-                soa.validate().map_err(|e| {
-                    ScenarioError::Invalid(format!("scenario `{}`: {e}", self.name))
-                })?;
                 // Forwarding load raises relay arrival rates: check every
                 // node's *effective* λ still describes a stable queue.
                 let forwarded = soa
-                    .routing()
+                    .validate()
                     .map_err(|e| ScenarioError::Invalid(format!("scenario `{}`: {e}", self.name)))?
                     .forwarded;
                 for (n, &fwd) in net.nodes.iter().zip(&forwarded) {
@@ -1537,7 +1536,7 @@ mod tests {
         let cpu = CpuModelParams::paper_defaults();
         let profile = PowerProfile::pxa271();
         let battery = Battery::two_aa();
-        // Template path: flat arrays with generated names.
+        // Template path: one run per column, generated names.
         let net = template_net(7, 0.01, Some(TopologySpec::Chain));
         let soa = net.build_soa(cpu, &profile, &battery).unwrap();
         assert_eq!(soa.len(), 7);
@@ -1562,7 +1561,10 @@ mod tests {
         assert_eq!(soa.name(0), "a");
         assert_eq!(soa.name(1), "b");
         assert_eq!(soa.parent, vec![wsnem_wsn::SINK, 0, 1]);
-        assert_eq!(soa.event_rate, vec![0.5, 0.25, 0.5]);
+        assert_eq!(
+            soa.event_rate.iter().collect::<Vec<_>>(),
+            vec![0.5, 0.25, 0.5]
+        );
         assert_eq!(soa.radio, spec.radio_spec_for(0).lower().unwrap());
         assert_eq!(soa.radio_overrides.len(), 1);
         assert_eq!(soa.radio_for(1), spec.radio_spec_for(1).lower().unwrap());

@@ -20,7 +20,8 @@
 //!   overrides shift the hot spot). Scenarios do not run on it: it is the
 //!   per-node reference oracle the [`soa`] core is tested against.
 //! * [`soa`] — the same routed model in structure-of-arrays form (flat
-//!   `u32` parent array, shared CPU/battery, generated or interned names),
+//!   `u32` parent array, run-length workload columns, shared CPU/battery,
+//!   generated or interned names),
 //!   the one evaluator every scenario network runs on, from a handful of
 //!   nodes to millions, with aggregate accessors (lifetime histogram,
 //!   hop-depth percentiles, worst-lifetime cohort); bit-identical to
@@ -67,8 +68,8 @@ pub mod tuning;
 pub use node::{NodeAnalysis, NodeConfig};
 pub use radio::{RadioModel, RadioSpec, RadioTimeSplit, DEFAULT_RADIO_PRESET};
 pub use soa::{
-    chain_parents, star_parents, tree_parents, HistBin, NodeNames, SoaAnalysis, SoaNetwork,
-    SoaRouting, SoaRun, SINK,
+    chain_parents, star_parents, tree_parents, HistBin, NodeNames, RunColumn, SoaAnalysis,
+    SoaNetwork, SoaRouting, SoaRun, SINK,
 };
 pub use topology::{
     Network, NetworkError, NextHop, RoutedAnalysis, RoutedNodeAnalysis, RoutingTable,

@@ -10,8 +10,9 @@
 //!
 //! * topology is one `u32` parent array ([`SINK`] marks sink-adjacent
 //!   nodes), so a million-node collection tree is 4 MB instead of hundreds;
-//! * per-node workload is three `f64` arrays (event rate, packets per
-//!   event, exogenous rx rate);
+//! * per-node workload is three [`RunColumn`]s (event rate, packets per
+//!   event, exogenous rx rate), which store one value per run of
+//!   consecutive bit-equal nodes, so a template's column is one value;
 //! * CPU parameters, power profile and battery are shared (a scenario's
 //!   nodes share them by construction), and radios are a shared model plus
 //!   a sparse override list;
@@ -37,16 +38,17 @@
 //! they cost a handful of solves; a net with no repeats pays one comparison
 //! per node.
 //!
-//! [`SoaAnalysis`] keeps per-node power, lifetime and utilization as flat
-//! columns, so any node can be indexed, but never builds per-node rows.
-//! Its aggregates — first death, bottlenecks, lifetime histogram, the
-//! worst-lifetime cohort, the near-unstable count — read one value per
-//! run, since forwarded load, power, lifetime and utilization are constant
-//! on a run; the hop-depth percentiles read the per-depth counts of the
-//! routing pass. On the 10^6-node tree that is 20 values, not 10^6. Only
-//! the mean lifetime and the total power still sum every node, in node
-//! order. Small nets that report per node read each node's CPU split from
-//! its run ([`SoaAnalysis::run_for`]).
+//! [`SoaAnalysis`] keeps power, lifetime and utilization as [`RunColumn`]s
+//! with one value per run, so any node can be indexed, but it never builds
+//! per-node rows or fills a per-node array. Its aggregates — first death,
+//! bottlenecks, lifetime histogram, the worst-lifetime cohort, the
+//! near-unstable count — read one value per run, since forwarded load,
+//! power, lifetime and utilization are constant on a run; the hop-depth
+//! percentiles read the per-depth counts of the routing pass. On the
+//! 10^6-node tree that is 20 values, not 10^6. Only the mean lifetime and
+//! the total power still sum every node, in node order, because that order
+//! fixes their last bits. Small nets that report per node read each node's
+//! CPU split from its run ([`SoaAnalysis::run_for`]).
 
 use wsnem_core::{BackendId, BackendRegistry, CpuModelParams, EvalOptions};
 use wsnem_energy::{Battery, PowerProfile, StateFractions};
@@ -100,20 +102,142 @@ impl NodeNames {
     }
 }
 
+/// A per-node `f64` column stored as runs of consecutive bit-equal values.
+///
+/// Runs are maximal: neighbouring runs differ in their bits, so `0.0` and
+/// `-0.0`, or two NaN payloads, stay apart. A template's column is one run
+/// however many nodes it has. While every run is one node the column keeps
+/// only its values and `[i]` reads `values[i]`; the first repeat adds run
+/// ends, and `[i]` then binary-searches them unless there is one run.
+#[derive(Debug, Clone, Default)]
+pub struct RunColumn {
+    /// One value per run, in node order.
+    values: Vec<f64>,
+    /// Exclusive end index of each run; empty while every run is one node.
+    ends: Vec<usize>,
+    /// Number of nodes.
+    len: usize,
+}
+
+impl RunColumn {
+    /// `len` nodes of one value.
+    pub(crate) fn repeat(value: f64, len: usize) -> Self {
+        let mut column = Self::default();
+        column.push_run(value, len);
+        column
+    }
+
+    /// Number of nodes.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True for a column of no nodes.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Number of runs.
+    pub fn run_count(&self) -> usize {
+        self.values.len()
+    }
+
+    /// Append `count` nodes of `value`, extending the last run when its
+    /// bits equal `value`'s.
+    pub(crate) fn push_run(&mut self, value: f64, count: usize) {
+        if count == 0 {
+            return;
+        }
+        let merge = self
+            .values
+            .last()
+            .is_some_and(|last| last.to_bits() == value.to_bits());
+        if self.ends.is_empty() {
+            if !merge && count == 1 {
+                self.values.push(value);
+                self.len += 1;
+                return;
+            }
+            // The first run longer than one node: every earlier run was one.
+            self.ends = (1..=self.len).collect();
+        }
+        self.len += count;
+        match self.ends.last_mut() {
+            Some(end) if merge => *end = self.len,
+            _ => {
+                self.values.push(value);
+                self.ends.push(self.len);
+            }
+        }
+    }
+
+    /// Each run as its value and node count, in node order.
+    fn runs(&self) -> impl Iterator<Item = (f64, usize)> + '_ {
+        let mut start = 0;
+        self.values.iter().enumerate().map(move |(r, &value)| {
+            let end = self.ends.get(r).copied().unwrap_or(start + 1);
+            let len = end - start;
+            start = end;
+            (value, len)
+        })
+    }
+
+    /// Every node's value, in node order.
+    pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
+        self.runs()
+            .flat_map(|(value, len)| std::iter::repeat_n(value, len))
+    }
+}
+
+impl std::ops::Index<usize> for RunColumn {
+    type Output = f64;
+
+    /// Node `i`'s value: no search for a column of one run (a template's)
+    /// or of one-node runs. Panics when `i >= len()`; a search then lands
+    /// one past the last value, since the last run ends at `len()`.
+    fn index(&self, i: usize) -> &f64 {
+        if self.values.len() == 1 && i < self.len {
+            return &self.values[0];
+        }
+        if self.ends.is_empty() {
+            return &self.values[i];
+        }
+        &self.values[self.ends.partition_point(|&end| end <= i)]
+    }
+}
+
+impl FromIterator<f64> for RunColumn {
+    /// Collect node values, merging bit-equal neighbours into runs.
+    fn from_iter<I: IntoIterator<Item = f64>>(values: I) -> Self {
+        let mut column = Self::default();
+        for value in values {
+            column.push_run(value, 1);
+        }
+        column
+    }
+}
+
+impl PartialEq for RunColumn {
+    /// Node-by-node `f64` equality, as for a `Vec<f64>`.
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
 /// A routed network in structure-of-arrays form (module docs).
 ///
-/// All per-node vectors have the same length; [`SoaNetwork::validate`]
+/// All per-node columns have the same length; [`SoaNetwork::validate`]
 /// checks that plus the routing structure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SoaNetwork {
     /// `parent[i]` is where node `i` forwards; [`SINK`] for sink-adjacent.
     pub parent: Vec<u32>,
     /// Sensing events per second per node.
-    pub event_rate: Vec<f64>,
+    pub event_rate: RunColumn,
     /// Packets transmitted per sensing event per node.
-    pub tx_per_event: Vec<f64>,
+    pub tx_per_event: RunColumn,
     /// Exogenous packets received per second per node.
-    pub rx_rate: Vec<f64>,
+    pub rx_rate: RunColumn,
     /// Node names.
     pub names: NodeNames,
     /// Shared CPU parameters (λ is overridden per node by the event rate
@@ -146,9 +270,10 @@ pub struct SoaRouting {
 }
 
 impl SoaNetwork {
-    /// A homogeneous network: every node has the same workload, on a parent
-    /// array from one of the topology helpers ([`star_parents`],
-    /// [`chain_parents`], [`tree_parents`]) with generated names.
+    /// A homogeneous network: every node has the same workload, one run per
+    /// column, on a parent array from one of the topology helpers
+    /// ([`star_parents`], [`chain_parents`], [`tree_parents`]) with
+    /// generated names.
     #[allow(clippy::too_many_arguments)]
     pub fn homogeneous(
         parent: Vec<u32>,
@@ -164,9 +289,9 @@ impl SoaNetwork {
         let n = parent.len();
         Self {
             parent,
-            event_rate: vec![event_rate; n],
-            tx_per_event: vec![tx_per_event; n],
-            rx_rate: vec![rx_rate; n],
+            event_rate: RunColumn::repeat(event_rate, n),
+            tx_per_event: RunColumn::repeat(tx_per_event, n),
+            rx_rate: RunColumn::repeat(rx_rate, n),
             names: NodeNames::Generated {
                 prefix: prefix.into(),
             },
@@ -271,16 +396,36 @@ impl SoaNetwork {
         self.event_rate[i] * self.tx_per_event[i]
     }
 
+    /// Every node's own transmit rate, computed once per run of the event
+    /// rate and packets-per-event columns.
+    fn own_tx_rates(&self) -> RunColumn {
+        let mut column = RunColumn::default();
+        let (mut rates, mut txs) = (self.event_rate.runs(), self.tx_per_event.runs());
+        let (mut rate, mut tx) = (rates.next(), txs.next());
+        while let (Some((r, r_len)), Some((t, t_len))) = (rate, tx) {
+            let len = r_len.min(t_len);
+            column.push_run(r * t, len);
+            rate = (r_len > len)
+                .then_some((r, r_len - len))
+                .or_else(|| rates.next());
+            tx = (t_len > len)
+                .then_some((t, t_len - len))
+                .or_else(|| txs.next());
+        }
+        column
+    }
+
     /// Total packet rate entering the sink — by conservation, the sum of
     /// every node's own transmit rate.
     pub fn sink_arrival_pkts_s(&self) -> f64 {
-        (0..self.len()).map(|i| self.own_tx_rate(i)).sum()
+        self.own_tx_rates().iter().sum()
     }
 
     /// Validate array lengths, the radio overrides (in range, strictly
     /// ascending by index) and the routing structure (parents in range, no
-    /// self-loops, every node reaches the sink).
-    pub fn validate(&self) -> Result<(), String> {
+    /// self-loops, every node reaches the sink), and return the routing
+    /// computed on the way.
+    pub fn validate(&self) -> Result<SoaRouting, String> {
         self.check_columns()?;
         let n = self.len();
         for (i, &p) in self.parent.iter().enumerate() {
@@ -297,7 +442,7 @@ impl SoaNetwork {
                 return Err(format!("node `{}` forwards to itself", self.name(i)));
             }
         }
-        self.hop_depths().map(|_| ())
+        self.route()
     }
 
     /// Check that every per-node column and the name table match the parent
@@ -416,6 +561,11 @@ impl SoaNetwork {
     /// counts are kept for the hop-depth accessors of [`SoaAnalysis`].
     pub fn routing(&self) -> Result<SoaRouting, String> {
         self.check_columns()?;
+        self.route()
+    }
+
+    /// [`SoaNetwork::routing`] without the column checks.
+    fn route(&self) -> Result<SoaRouting, String> {
         let depths = self.hop_depths()?;
         let n = self.len();
         // Stable counting sort, deepest first.
@@ -441,9 +591,10 @@ impl SoaNetwork {
         }
         let mut forwarded = vec![0.0f64; n];
         let mut subtree_sizes = vec![1u32; n];
+        let own_tx = self.own_tx_rates();
         for &i in &order {
             let i = i as usize;
-            let out = self.own_tx_rate(i) + forwarded[i];
+            let out = own_tx[i] + forwarded[i];
             let p = self.parent[i];
             if p != SINK {
                 forwarded[p as usize] += out;
@@ -467,8 +618,9 @@ impl SoaNetwork {
     ///
     /// The recipe runs once per maximal run of consecutive nodes whose
     /// inputs are bitwise equal ([`CpuSolver::solve`] is a pure function of
-    /// its inputs): the run's power and lifetime fill every node in it, and
-    /// its CPU split is kept once in [`SoaAnalysis::runs`]. A failing run
+    /// its inputs): the run's power, lifetime and utilization enter their
+    /// columns once for all its nodes, and its CPU split is kept once in
+    /// [`SoaAnalysis::runs`]. A failing run
     /// reports its first node, which is the lowest-index failing node.
     ///
     /// [`CpuSolver::solve`]: wsnem_core::CpuSolver::solve
@@ -485,6 +637,8 @@ impl SoaNetwork {
             subtree_sizes,
             depth_counts,
         } = self.routing().map_err(NetworkError::Routing)?;
+        // Before the output columns exist, so its scratch column adds no peak.
+        let sink_arrival_pkts_s = self.sink_arrival_pkts_s();
         let n = self.len();
         let run_starts = self.run_starts(&forwarded);
         let results = par::map_indexed(run_starts.len(), threads, |r| {
@@ -504,9 +658,12 @@ impl SoaNetwork {
         });
         let mean_service = opts.service.to_dist(self.cpu.mu).mean();
         let mut runs = Vec::with_capacity(results.len());
-        let mut total_power_mw = Vec::with_capacity(n);
-        let mut lifetime_days = Vec::with_capacity(n);
-        let mut rho = Vec::with_capacity(n);
+        // Each output column holds at most one value per run.
+        let column = || RunColumn {
+            values: Vec::with_capacity(results.len()),
+            ..RunColumn::default()
+        };
+        let (mut total_power_mw, mut lifetime_days, mut rho) = (column(), column(), column());
         for (r, result) in results.into_iter().enumerate() {
             let run = result.map_err(|e| NetworkError::Node {
                 node: self.name(run_starts[r]),
@@ -514,12 +671,12 @@ impl SoaNetwork {
             })?;
             let (i, total) = (run.start, run.cpu_power_mw + run.radio_power_mw);
             let len = run_starts.get(r + 1).copied().unwrap_or(n) - i;
-            total_power_mw.extend(std::iter::repeat_n(total, len));
-            lifetime_days.extend(std::iter::repeat_n(self.battery.lifetime_days(total), len));
+            total_power_mw.push_run(total, len);
+            lifetime_days.push_run(self.battery.lifetime_days(total), len);
             // The event rate and the forwarded load are bitwise equal on a
             // run, so its utilization is too.
             let run_rho = (self.event_rate[i] + forwarded[i]) * mean_service;
-            rho.extend(std::iter::repeat_n(run_rho, len));
+            rho.push_run(run_rho, len);
             runs.push(run);
         }
         Ok(SoaAnalysis {
@@ -529,7 +686,7 @@ impl SoaNetwork {
             total_power_mw,
             lifetime_days,
             rho,
-            sink_arrival_pkts_s: self.sink_arrival_pkts_s(),
+            sink_arrival_pkts_s,
             runs,
             depth_counts,
         })
@@ -658,16 +815,18 @@ pub struct SoaRun {
     pub radio_power_mw: f64,
 }
 
-/// Flat-array analysis results plus the aggregate accessors large-net
+/// Per-node analysis results plus the aggregate accessors large-net
 /// reports are built from.
 ///
 /// The columns are public, and the aggregates rely on one invariant that
 /// [`SoaNetwork::analyze_with`] establishes: `runs` partitions `0..len()`
 /// into consecutive ranges (run `r` covers `runs[r].start` up to the next
 /// run's start), and `forwarded`, `total_power_mw`, `lifetime_days` and
-/// `rho` are bitwise constant on each range. So each aggregate except the
-/// mean lifetime and the total power reads one node per run. The hop-depth
-/// accessors read the per-depth counts of the routing pass, not `depths`.
+/// `rho` are bitwise constant on each range. The last three are
+/// [`RunColumn`]s that hold one value per range, or fewer where
+/// neighbouring ranges share one. Each aggregate except the mean lifetime
+/// and the total power reads one node per run. The hop-depth accessors
+/// read the per-depth counts of the routing pass, not `depths`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SoaAnalysis {
     /// Hops to the sink per node (sink-adjacent = 1).
@@ -677,12 +836,12 @@ pub struct SoaAnalysis {
     /// Subtree size per node (each node counts itself).
     pub subtree_sizes: Vec<u32>,
     /// Total mean power per node (mW).
-    pub total_power_mw: Vec<f64>,
+    pub total_power_mw: RunColumn,
     /// Expected battery lifetime per node (days).
-    pub lifetime_days: Vec<f64>,
+    pub lifetime_days: RunColumn,
     /// Effective CPU utilization per node: `(event rate + forwarded) ·
     /// E[S]` under the evaluated service distribution.
-    pub rho: Vec<f64>,
+    pub rho: RunColumn,
     /// Total packet rate entering the sink (packets/s).
     pub sink_arrival_pkts_s: f64,
     /// The runs of identical nodes, ascending by start; the first starts at
@@ -913,6 +1072,121 @@ mod tests {
         )
     }
 
+    /// The column's values and run ends, for asserting its layout.
+    fn layout(column: &RunColumn) -> (Vec<u64>, &[usize]) {
+        let values = column.values.iter().map(|x| x.to_bits()).collect();
+        (values, &column.ends)
+    }
+
+    #[test]
+    fn run_column_keeps_bit_distinct_neighbours_apart() {
+        let nan_a = f64::from_bits(0x7ff8_0000_0000_0001);
+        let nan_b = f64::from_bits(0x7ff8_0000_0000_0002);
+        let column: RunColumn = [0.0, 0.0, -0.0, nan_a, nan_a, nan_b, 1.0]
+            .into_iter()
+            .collect();
+        assert_eq!(column.len(), 7);
+        assert_eq!(column.run_count(), 5);
+        let bits = [0.0, -0.0, nan_a, nan_b, 1.0].map(f64::to_bits).to_vec();
+        assert_eq!(layout(&column), (bits, &[2, 3, 5, 6, 7][..]));
+        assert_eq!(column[2].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(column[4].to_bits(), nan_a.to_bits());
+        assert_eq!(column[5].to_bits(), nan_b.to_bits());
+    }
+
+    #[test]
+    fn run_column_indexes_the_first_and_last_node_of_every_run() {
+        let mut column = RunColumn::default();
+        let runs = [(1.5, 3usize), (2.5, 1), (-4.0, 5), (0.25, 1), (8.0, 2)];
+        for (value, len) in runs {
+            column.push_run(value, len);
+        }
+        column.push_run(9.0, 0);
+        assert_eq!(column.len(), 12);
+        assert_eq!(column.run_count(), runs.len());
+        assert_eq!(column.runs().collect::<Vec<_>>(), runs.to_vec());
+        let mut start = 0;
+        for (value, len) in runs {
+            assert_eq!(column[start], value, "first node of the run at {start}");
+            assert_eq!(
+                column[start + len - 1],
+                value,
+                "last node of the run at {start}"
+            );
+            start += len;
+        }
+        // A push that repeats the last value extends its run.
+        column.push_run(8.0, 4);
+        assert_eq!(column.run_count(), runs.len());
+        assert_eq!(column[15], 8.0);
+        assert_eq!(
+            RunColumn::repeat(3.0, 10).runs().collect::<Vec<_>>(),
+            [(3.0, 10)]
+        );
+        assert!(RunColumn::repeat(3.0, 0).is_empty());
+    }
+
+    #[test]
+    #[should_panic]
+    fn run_column_panics_past_its_last_node() {
+        let column = RunColumn::repeat(1.0, 4);
+        let _ = column[4];
+    }
+
+    #[test]
+    #[should_panic]
+    fn one_node_run_column_panics_past_its_last_node() {
+        let column: RunColumn = [1.0, 2.0].into_iter().collect();
+        let _ = column[2];
+    }
+
+    #[test]
+    fn run_column_iter_expands_runs_in_node_order() {
+        let values = [5.0, 5.0, 1.0, 2.0, 2.0, 2.0, 5.0, 0.0];
+        let column: RunColumn = values.into_iter().collect();
+        assert_eq!(column.iter().collect::<Vec<_>>(), values.to_vec());
+        assert_eq!(column.run_count(), 5);
+        let equal: RunColumn = values.into_iter().collect();
+        assert_eq!(column, equal);
+        assert_ne!(column, RunColumn::repeat(5.0, 8));
+        assert_eq!(RunColumn::default().iter().count(), 0);
+    }
+
+    #[test]
+    fn one_node_runs_index_without_a_search() {
+        // No run ends are kept, so `[i]` reads `values[i]` directly.
+        let column: RunColumn = (0..1000).map(f64::from).collect();
+        assert_eq!(column.run_count(), 1000);
+        assert!(layout(&column).1.is_empty());
+        for i in [0, 1, 499, 999] {
+            assert_eq!(column[i], i as f64);
+        }
+        // The first repeat adds the run ends, earlier runs one node each.
+        let mut column: RunColumn = [1.0, 2.0, 3.0].into_iter().collect();
+        column.push_run(3.0, 1);
+        assert_eq!(layout(&column).1, &[1, 2, 4]);
+        assert_eq!(column.iter().collect::<Vec<_>>(), vec![1.0, 2.0, 3.0, 3.0]);
+    }
+
+    #[test]
+    fn own_tx_rates_split_runs_where_either_column_changes() {
+        let mut soa = small_soa(9, 2, 10.0);
+        soa.event_rate = [1.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 3.0, 3.0]
+            .into_iter()
+            .collect();
+        soa.tx_per_event = [4.0, 4.0, 5.0, 5.0, 5.0, 5.0, 5.0, 6.0, 6.0]
+            .into_iter()
+            .collect();
+        let own = soa.own_tx_rates();
+        assert_eq!(own.run_count(), 5);
+        let per_node: Vec<f64> = (0..soa.len()).map(|i| soa.own_tx_rate(i)).collect();
+        assert_eq!(own.iter().collect::<Vec<_>>(), per_node);
+        assert_eq!(
+            soa.sink_arrival_pkts_s().to_bits(),
+            per_node.iter().sum::<f64>().to_bits()
+        );
+    }
+
     #[test]
     fn parent_helpers_match_oracle_next_hops() {
         use crate::topology::{chain_next_hops, star_next_hops, tree_next_hops};
@@ -996,7 +1270,7 @@ mod tests {
         assert!(err.contains("cycle"), "{err}");
 
         let mut soa = small_soa(3, 2, 10.0);
-        soa.event_rate.pop();
+        soa.event_rate = soa.event_rate.iter().take(2).collect();
         assert!(soa.validate().unwrap_err().contains("event_rate"));
     }
 
@@ -1043,11 +1317,12 @@ mod tests {
     fn routing_rejects_short_columns() {
         for column in ["event_rate", "tx_per_event", "rx_rate"] {
             let mut soa = small_soa(3, 2, 10.0);
-            match column {
-                "event_rate" => soa.event_rate.pop(),
-                "tx_per_event" => soa.tx_per_event.pop(),
-                _ => soa.rx_rate.pop(),
+            let short = match column {
+                "event_rate" => &mut soa.event_rate,
+                "tx_per_event" => &mut soa.tx_per_event,
+                _ => &mut soa.rx_rate,
             };
+            *short = short.iter().take(2).collect();
             let expected = format!("{column} has 2 entries for 3 nodes");
             assert_eq!(soa.routing().unwrap_err(), expected);
             let err = soa

@@ -28,6 +28,11 @@ use wsnem::wsn::{
     RadioSpec, SoaAnalysis, SoaNetwork, SINK,
 };
 
+/// Each value's bits, in order.
+fn bits(values: impl Iterator<Item = f64>) -> Vec<u64> {
+    values.map(f64::to_bits).collect()
+}
+
 /// A seeded random forest over `n` nodes: each node forwards either to the
 /// sink or to a strictly lower index, so the routing is acyclic by
 /// construction and typically has many sink-adjacent roots. Workloads are
@@ -202,7 +207,7 @@ fn soa_analysis_matches_the_oracle_per_node_and_in_aggregate() {
 
     // Histogram and percentile accessors agree with naive recomputations.
     let near = analysis.near_unstable_count(0.5);
-    let naive_near = analysis.rho.iter().filter(|&&r| r >= 0.5).count();
+    let naive_near = analysis.rho.iter().filter(|&r| r >= 0.5).count();
     assert_eq!(near, naive_near);
     let hist = analysis.lifetime_histogram(16);
     assert_eq!(hist.len(), 16);
@@ -293,13 +298,21 @@ fn soa_node_map_is_bit_identical_across_thread_counts() {
             .unwrap()
     };
     let (one, three) = (run(Some(1)), run(Some(3)));
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(one.depths, three.depths);
     assert_eq!(one.subtree_sizes, three.subtree_sizes);
-    assert_eq!(bits(&one.forwarded), bits(&three.forwarded));
-    assert_eq!(bits(&one.total_power_mw), bits(&three.total_power_mw));
-    assert_eq!(bits(&one.lifetime_days), bits(&three.lifetime_days));
-    assert_eq!(bits(&one.rho), bits(&three.rho));
+    assert_eq!(
+        bits(one.forwarded.iter().copied()),
+        bits(three.forwarded.iter().copied())
+    );
+    assert_eq!(
+        bits(one.total_power_mw.iter()),
+        bits(three.total_power_mw.iter())
+    );
+    assert_eq!(
+        bits(one.lifetime_days.iter()),
+        bits(three.lifetime_days.iter())
+    );
+    assert_eq!(bits(one.rho.iter()), bits(three.rho.iter()));
     assert_eq!(
         one.sink_arrival_pkts_s.to_bits(),
         three.sink_arrival_pkts_s.to_bits()
@@ -433,7 +446,6 @@ fn run_forest(n: usize, seed: u64) -> Network {
 
 #[test]
 fn run_sharing_is_bit_identical_to_the_oracle_across_run_breakers() {
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     for (n, seed) in [(40usize, 21u64), (2000, 22), (20_000, 23)] {
         let net = run_forest(n, seed);
         let soa = SoaNetwork::from_network(&net).unwrap();
@@ -475,7 +487,7 @@ fn run_sharing_is_bit_identical_to_the_oracle_across_run_breakers() {
                 oracle.sink_arrival_pkts_s.to_bits()
             );
         }
-        assert_eq!(bits(&one.rho), bits(&three.rho), "n = {n}: rho");
+        assert_eq!(bits(one.rho.iter()), bits(three.rho.iter()), "n = {n}: rho");
     }
 }
 
@@ -519,8 +531,8 @@ fn assert_aggregates_match_per_node(a: &SoaAnalysis, label: &str) {
     let n = a.len();
     let lifetimes = &a.lifetime_days;
     let by_lifetime = |x: &usize, y: &usize| lifetimes[*x].total_cmp(&lifetimes[*y]);
-    let min = lifetimes.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = lifetimes.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let min = lifetimes.iter().fold(f64::INFINITY, f64::min);
+    let max = lifetimes.iter().fold(f64::NEG_INFINITY, f64::max);
     assert_eq!(a.first_death_days().to_bits(), min.to_bits(), "{label}");
     assert_eq!(a.bottleneck(), (0..n).min_by(by_lifetime), "{label}");
     assert_eq!(
@@ -536,7 +548,7 @@ fn assert_aggregates_match_per_node(a: &SoaAnalysis, label: &str) {
             1.0
         };
         let mut counts = vec![0u64; bins];
-        for &x in lifetimes {
+        for x in lifetimes.iter() {
             counts[(((x - min) / width) as usize).min(bins - 1)] += 1;
         }
         let hist = a.lifetime_histogram(bins);
@@ -568,12 +580,12 @@ fn assert_aggregates_match_per_node(a: &SoaAnalysis, label: &str) {
         );
     }
 
-    let rho_min = a.rho.iter().copied().fold(f64::INFINITY, f64::min);
-    let rho_max = a.rho.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let rho_min = a.rho.iter().fold(f64::INFINITY, f64::min);
+    let rho_max = a.rho.iter().fold(f64::NEG_INFINITY, f64::max);
     for threshold in [a.rho[longest_start], rho_min, rho_max, 0.0, 0.9] {
         assert_eq!(
             a.near_unstable_count(threshold),
-            a.rho.iter().filter(|&&r| r >= threshold).count(),
+            a.rho.iter().filter(|&r| r >= threshold).count(),
             "{label}: near-unstable at rho {threshold}"
         );
     }
@@ -708,4 +720,109 @@ fn soa_routing_errors_match_the_oracle_text() {
             "{label}: validate"
         );
     }
+}
+
+#[test]
+fn a_template_lowers_to_one_run_per_input_column() {
+    use wsnem_scenario::{NetworkSpec, TemplateSpec, TopologySpec};
+    let n = 100_000;
+    let spec = NetworkSpec {
+        nodes: Vec::new(),
+        topology: Some(TopologySpec::Tree { fanout: 4 }),
+        radio: None,
+        template: Some(TemplateSpec {
+            count: n as u64,
+            prefix: "n".into(),
+            event_rate: 1e-5,
+            tx_per_event: 1.0,
+            rx_rate: 0.0,
+        }),
+    };
+    let soa = spec
+        .build_soa(
+            CpuModelParams::paper_defaults(),
+            &wsnem::energy::PowerProfile::pxa271(),
+            &wsnem::energy::Battery::two_aa(),
+        )
+        .unwrap();
+    for (label, column) in [
+        ("event_rate", &soa.event_rate),
+        ("tx_per_event", &soa.tx_per_event),
+        ("rx_rate", &soa.rx_rate),
+    ] {
+        assert_eq!(column.len(), n, "{label}");
+        assert_eq!(column.run_count(), 1, "{label}");
+    }
+    // The analysis columns hold one value per run of the analysis, or
+    // fewer where neighbouring runs share one.
+    let a = analyze_mg1(&soa);
+    assert!(a.runs.len() < 64, "{} runs", a.runs.len());
+    for column in [&a.total_power_mw, &a.lifetime_days, &a.rho] {
+        assert_eq!(column.len(), n);
+        assert!(column.run_count() <= a.runs.len());
+    }
+}
+
+#[test]
+fn explicit_blocks_of_equal_event_rates_match_the_oracle() {
+    // Blocks of 1, 2, ..., 40 star-adjacent leaves under one chain of
+    // relays: each block shares an event rate, and the blocks alternate
+    // between two rates so neighbouring blocks differ.
+    let sizes: Vec<usize> = (1..=40).collect();
+    let mut nodes = Vec::new();
+    let mut next_hop = Vec::new();
+    for (b, &size) in sizes.iter().enumerate() {
+        for _ in 0..size {
+            let mut node = NodeConfig::monitoring(format!("n{}", nodes.len() + 1), 60.0);
+            node.event_rate = if b % 2 == 0 { 1e-3 } else { 2e-3 };
+            next_hop.push(match nodes.len() {
+                0 => NextHop::Sink,
+                i if i % 7 == 0 => NextHop::Node(i - 7),
+                _ => NextHop::Sink,
+            });
+            nodes.push(node);
+        }
+    }
+    let net = Network { nodes, next_hop };
+    net.validate().unwrap();
+    let soa = SoaNetwork::from_network(&net).unwrap();
+    assert_eq!(soa.event_rate.run_count(), sizes.len());
+    assert_eq!(soa.tx_per_event.run_count(), 1);
+    assert_eq!(soa.rx_rate.run_count(), 1);
+    let oracle = net.analyze_with_threads(BackendId::Mg1, Some(1)).unwrap();
+    let a = analyze_mg1(&soa);
+    for (i, routed) in oracle.per_node.iter().enumerate() {
+        assert_eq!(
+            soa.event_rate[i].to_bits(),
+            net.nodes[i].event_rate.to_bits()
+        );
+        assert_eq!(
+            a.forwarded[i].to_bits(),
+            routed.forwarded_rx_pkts_s.to_bits(),
+            "node {i}: forwarded"
+        );
+        assert_eq!(
+            a.total_power_mw[i].to_bits(),
+            routed.analysis.total_power_mw.to_bits(),
+            "node {i}: total power"
+        );
+        assert_eq!(
+            a.lifetime_days[i].to_bits(),
+            routed.analysis.lifetime_days.to_bits(),
+            "node {i}: lifetime"
+        );
+    }
+    assert_eq!(
+        a.total_power_mw().to_bits(),
+        oracle.total_power_mw().to_bits()
+    );
+    assert_eq!(
+        a.mean_lifetime_days().to_bits(),
+        oracle.mean_lifetime_days().to_bits()
+    );
+    assert_eq!(
+        a.first_death_days().to_bits(),
+        oracle.first_death_days().to_bits()
+    );
+    assert_aggregates_match_per_node(&a, "explicit blocks");
 }
