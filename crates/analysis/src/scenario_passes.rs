@@ -257,7 +257,7 @@ fn forwarded_rates(s: &Scenario) -> Vec<f64> {
         .build_soa(s.cpu, &profile, &battery)
         .ok()
         .and_then(|soa| soa.routing().ok())
-        .map_or(zeros, |routing| routing.forwarded)
+        .map_or(zeros, |routing| routing.forwarded.iter().collect())
 }
 
 /// Radio airtime saturation: a node whose packet airtime alone fills its

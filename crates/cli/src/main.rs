@@ -1916,7 +1916,7 @@ fn cmd_topology(args: &[String]) -> Result<(), String> {
          sink inflow {:.3} pkt/s\n",
         scenario.name,
         soa.len(),
-        depths.iter().max().copied().unwrap_or(0),
+        routing.max_hop_depth(),
         soa.sink_arrival_pkts_s()
     );
     outln!(
@@ -1931,7 +1931,7 @@ fn cmd_topology(args: &[String]) -> Result<(), String> {
         "radio (duty)"
     );
     for i in 0..soa.len().min(limit) {
-        let next = match soa.parent[i] {
+        let next = match soa.routes.parent_of(i) {
             wsnem_scenario::SINK => "(sink)".to_owned(),
             j => soa.name(j as usize),
         };
@@ -1958,12 +1958,17 @@ fn cmd_topology(args: &[String]) -> Result<(), String> {
             soa.len() - limit
         );
     }
-    if let Some((i, _)) = forwarded
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| **f > 0.0)
-        .max_by(|a, b| a.1.total_cmp(b.1))
-    {
+    // The last node of the last run at the maximum load: `max_by` keeps the
+    // last of equal maxima, and a run's nodes share one load.
+    let heaviest = forwarded
+        .runs()
+        .scan(0, |end, (load, len)| {
+            *end += len;
+            Some((*end - 1, load))
+        })
+        .filter(|&(_, load)| load > 0.0)
+        .max_by(|a, b| a.1.total_cmp(&b.1));
+    if let Some((i, _)) = heaviest {
         // This inspector runs no model, so it can only rank relays by
         // load; the *lifetime* bottleneck relay (MAC-sensitive with
         // per-node radio overrides) comes from `wsnem run`.

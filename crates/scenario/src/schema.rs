@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use wsnem_core::{backend, BackendId, CpuModelParams, ServiceDist};
 use wsnem_energy::{Battery, PowerProfile};
 use wsnem_stats::dist::Dist;
-use wsnem_wsn::RadioSpec;
+use wsnem_wsn::{RadioSpec, Routes};
 
 use crate::error::ScenarioError;
 
@@ -407,22 +407,24 @@ pub struct RouteSpec {
 }
 
 impl TopologySpec {
-    /// Resolve this topology into a structure-of-arrays parent array over
-    /// `n` nodes ([`wsnem_wsn::SINK`] for sink-adjacent nodes). Mesh routes
-    /// name their endpoints, so a mesh covers exactly `nodes` and fails on
-    /// unknown/duplicate/missing route endpoints. Cycle detection happens in
+    /// Resolve this topology into structure-of-arrays routes. A star,
+    /// chain or tree is a rule over any node count, with no per-node array;
+    /// a mesh becomes one parent per node ([`wsnem_wsn::SINK`] for
+    /// sink-adjacent nodes). Mesh routes name their endpoints, so a mesh
+    /// covers exactly `nodes` and fails on unknown/duplicate/missing route
+    /// endpoints. Cycle detection happens in
     /// `wsnem_wsn::SoaNetwork::validate`.
-    pub fn build_parents(&self, n: usize, nodes: &[NodeSpec]) -> Result<Vec<u32>, ScenarioError> {
+    pub fn build_routes(&self, nodes: &[NodeSpec]) -> Result<Routes, ScenarioError> {
         match self {
-            TopologySpec::Star => Ok(wsnem_wsn::star_parents(n)),
-            TopologySpec::Chain => Ok(wsnem_wsn::chain_parents(n)),
+            TopologySpec::Star => Ok(Routes::Star),
+            TopologySpec::Chain => Ok(Routes::CHAIN),
             TopologySpec::Tree { fanout } => {
                 if *fanout == 0 {
                     return Err(ScenarioError::Invalid(
                         "topology: tree fanout must be >= 1".into(),
                     ));
                 }
-                Ok(wsnem_wsn::tree_parents(n, *fanout))
+                Ok(Routes::Tree { fanout: *fanout })
             }
             TopologySpec::Mesh { routes } => {
                 let index_of = |name: &str| nodes.iter().position(|node| node.name == name);
@@ -462,7 +464,8 @@ impl TopologySpec {
                             ))
                         })
                     })
-                    .collect()
+                    .collect::<Result<_, _>>()
+                    .map(Routes::Parents)
             }
         }
     }
@@ -524,8 +527,8 @@ impl NetworkSpec {
     /// A template lowers to one run per workload column with generated
     /// names; an explicit node list collects each column through
     /// [`wsnem_wsn::RunColumn`], which merges bit-equal neighbours, and
-    /// interns the names. Both take their parents from
-    /// [`TopologySpec::build_parents`] (a missing topology is a star),
+    /// interns the names. Both take their routes from
+    /// [`TopologySpec::build_routes`] (a missing topology is a star),
     /// share the network radio (the `cc2420-class` preset when absent) and
     /// turn per-node `radio` specs into sparse overrides. No per-node
     /// structs are built at any point.
@@ -547,8 +550,8 @@ impl NetworkSpec {
             })
             .collect::<Result<_, _>>()?;
         let n = self.node_count();
-        let parent = match &self.topology {
-            None => wsnem_wsn::star_parents(n),
+        let routes = match &self.topology {
+            None => Routes::Star,
             Some(TopologySpec::Mesh { .. }) if self.template.is_some() => {
                 return Err(ScenarioError::Invalid(
                     "network.template cannot be combined with a mesh topology \
@@ -556,7 +559,7 @@ impl NetworkSpec {
                         .into(),
                 ))
             }
-            Some(t) => t.build_parents(n, &self.nodes)?,
+            Some(t) => t.build_routes(&self.nodes)?,
         };
         let radio = self
             .radio
@@ -567,7 +570,8 @@ impl NetworkSpec {
         let column = |f: fn(&NodeSpec) -> f64| self.nodes.iter().map(f).collect();
         Ok(match &self.template {
             Some(t) => wsnem_wsn::SoaNetwork::homogeneous(
-                parent,
+                routes,
+                n,
                 t.prefix.clone(),
                 t.event_rate,
                 t.tx_per_event,
@@ -578,7 +582,8 @@ impl NetworkSpec {
                 *battery,
             ),
             None => wsnem_wsn::SoaNetwork {
-                parent,
+                routes,
+                node_count: n,
                 event_rate: column(|node| node.event_rate),
                 tx_per_event: column(|node| node.tx_per_event),
                 rx_rate: column(|node| node.rx_rate),
@@ -790,7 +795,7 @@ impl Scenario {
                     .validate()
                     .map_err(|e| ScenarioError::Invalid(format!("scenario `{}`: {e}", self.name)))?
                     .forwarded;
-                for (n, &fwd) in net.nodes.iter().zip(&forwarded) {
+                for (n, fwd) in net.nodes.iter().zip(forwarded.iter()) {
                     self.cpu
                         .with_forwarding(n.event_rate, fwd)
                         .validate()
@@ -1152,20 +1157,13 @@ mod tests {
     fn topology_specs_resolve_next_hops() {
         use wsnem_wsn::SINK;
         let nodes = vec![node("a", 0.5), node("b", 0.5), node("c", 0.5)];
-        assert_eq!(
-            TopologySpec::Star.build_parents(3, &nodes).unwrap(),
-            vec![SINK; 3]
-        );
-        assert_eq!(
-            TopologySpec::Chain.build_parents(3, &nodes).unwrap(),
-            vec![SINK, 0, 1]
-        );
-        assert_eq!(
-            TopologySpec::Tree { fanout: 2 }
-                .build_parents(3, &nodes)
-                .unwrap(),
-            vec![SINK, 0, 0]
-        );
+        let parents = |t: &TopologySpec| {
+            let routes = t.build_routes(&nodes).unwrap();
+            (0..3).map(|i| routes.parent_of(i)).collect::<Vec<_>>()
+        };
+        assert_eq!(parents(&TopologySpec::Star), vec![SINK; 3]);
+        assert_eq!(parents(&TopologySpec::Chain), vec![SINK, 0, 1]);
+        assert_eq!(parents(&TopologySpec::Tree { fanout: 2 }), vec![SINK, 0, 0]);
         let mesh = TopologySpec::Mesh {
             routes: vec![
                 RouteSpec {
@@ -1182,7 +1180,7 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(mesh.build_parents(3, &nodes).unwrap(), vec![SINK, 0, 0]);
+        assert_eq!(parents(&mesh), vec![SINK, 0, 0]);
         assert_eq!(mesh.label(), "mesh");
         assert_eq!(TopologySpec::Tree { fanout: 3 }.label(), "tree");
     }
@@ -1560,7 +1558,11 @@ mod tests {
         assert_eq!(soa.len(), 3);
         assert_eq!(soa.name(0), "a");
         assert_eq!(soa.name(1), "b");
-        assert_eq!(soa.parent, vec![wsnem_wsn::SINK, 0, 1]);
+        assert_eq!(soa.routes, Routes::CHAIN);
+        assert_eq!(
+            (0..3).map(|i| soa.routes.parent_of(i)).collect::<Vec<_>>(),
+            vec![wsnem_wsn::SINK, 0, 1]
+        );
         assert_eq!(
             soa.event_rate.iter().collect::<Vec<_>>(),
             vec![0.5, 0.25, 0.5]

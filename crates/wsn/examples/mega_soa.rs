@@ -6,14 +6,15 @@
 use std::time::Instant;
 
 use wsnem_core::{BackendId, CpuModelParams, EvalOptions};
-use wsnem_wsn::{tree_parents, NodeConfig, SoaNetwork};
+use wsnem_wsn::{NodeConfig, Routes, SoaNetwork};
 
 fn main() {
     let n = 1_000_000;
     let node = NodeConfig::monitoring("n", 1.0);
     let t0 = Instant::now();
     let soa = SoaNetwork::homogeneous(
-        tree_parents(n, 4),
+        Routes::Tree { fanout: 4 },
+        n,
         "n",
         5e-6,
         node.tx_per_event,

@@ -68,8 +68,8 @@ pub mod tuning;
 pub use node::{NodeAnalysis, NodeConfig};
 pub use radio::{RadioModel, RadioSpec, RadioTimeSplit, DEFAULT_RADIO_PRESET};
 pub use soa::{
-    chain_parents, star_parents, tree_parents, HistBin, NodeNames, RunColumn, SoaAnalysis,
-    SoaNetwork, SoaRouting, SoaRun, SINK,
+    chain_parents, star_parents, tree_parents, HistBin, NodeNames, Routes, RunColumn, RunValue,
+    SoaAnalysis, SoaNetwork, SoaRouting, SoaRun, SINK,
 };
 pub use topology::{
     Network, NetworkError, NextHop, RoutedAnalysis, RoutedNodeAnalysis, RoutingTable,

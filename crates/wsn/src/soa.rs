@@ -8,8 +8,10 @@
 //! tests compare this module against. [`SoaNetwork`] is the same model in
 //! flat arrays:
 //!
-//! * topology is one `u32` parent array ([`SINK`] marks sink-adjacent
-//!   nodes), so a million-node collection tree is 4 MB instead of hundreds;
+//! * topology is a [`Routes`] value: a star or a breadth-first tree (a
+//!   chain is a fanout-1 tree) is a rule with no per-node storage, and only
+//!   explicit routes (a mesh, or a converted oracle net) keep one `u32`
+//!   parent per node ([`SINK`] marks sink-adjacent nodes);
 //! * per-node workload is three [`RunColumn`]s (event rate, packets per
 //!   event, exogenous rx rate), which store one value per run of
 //!   consecutive bit-equal nodes, so a template's column is one value;
@@ -20,35 +22,49 @@
 //!   bytes per node) or interned into a single arena.
 //!
 //! The routing pass ([`SoaNetwork::routing`]) computes hop depths,
-//! forwarding loads and subtree sizes in one sink-ward sweep whose
-//! floating-point accumulation order is **bit-identical** to the oracle
-//! [`crate::Network::routing`]: the oracle processes nodes in stable
-//! deepest-first order, and this module reproduces exactly that order with
-//! a stable counting sort by depth. The equivalence battery in
-//! `tests/soa_topology.rs` pins `SoaNetwork` against the per-node oracle up
-//! to 10^5 nodes.
+//! forwarding loads and subtree sizes, as run columns, with floating-point
+//! sums **bit-identical** to the oracle [`crate::Network::routing`]. The
+//! oracle processes nodes in stable deepest-first order, so each parent's
+//! load is its children's output rates added to `+0.0` in ascending index
+//! order. Stars and trees are routed level by level: level `d` of a
+//! breadth-first tree is a contiguous index range, and node `i`'s children
+//! are `f·i + 1 ..= f·i + f`, so walking the levels bottom-up, one level's
+//! runs give the next level's in O(1) per run — parents whose whole child
+//! window lies in one run share one fold, and only windows that straddle a
+//! run boundary are folded child by child. That costs O(levels + runs), not
+//! O(nodes): the 10^6-node fanout-4 tree routes in 11 levels and 20 runs.
+//! A chain has one node per level, so it folds node by node from its far
+//! end. Explicit parents are routed node by node, in the oracle's order
+//! from a stable counting sort by depth, and compressed into the same
+//! columns. The equivalence battery in `tests/soa_topology.rs` pins
+//! `SoaNetwork` against the per-node oracle up to 10^5 nodes, and the unit
+//! tests pin star, chain and tree routing against parent-array routing of
+//! the same topologies.
 //!
 //! Node evaluation ([`SoaNetwork::analyze_with`]) shares work across
 //! *runs*: maximal ranges of consecutive indices whose per-node inputs
 //! (event rate, packets per event, rx rate, forwarded load, radio) are
 //! bitwise equal. Each run is solved once and its power and lifetime fill
 //! every node in it, which is exact because [`wsnem_core::CpuSolver::solve`]
-//! is a pure function of its inputs. Breadth-first template trees have a
-//! handful of operating points (a 10^6-node fanout-4 tree has 20 runs), so
-//! they cost a handful of solves; a net with no repeats pays one comparison
-//! per node.
+//! is a pure function of its inputs. The runs are found by merging the run
+//! boundaries of the four input columns with the nodes where an override
+//! changes the radio's bits, so finding them costs O(runs + overrides).
+//! Breadth-first template trees have a handful of operating points (a
+//! 10^6-node fanout-4 tree has 20 runs), so they cost a handful of solves;
+//! a net with no repeats, such as a chain, has one run per node.
 //!
-//! [`SoaAnalysis`] keeps power, lifetime and utilization as [`RunColumn`]s
-//! with one value per run, so any node can be indexed, but it never builds
-//! per-node rows or fills a per-node array. Its aggregates — first death,
+//! [`SoaAnalysis`] keeps every column — depth, forwarded load, subtree
+//! size, power, lifetime and utilization — as a [`RunColumn`], so any node
+//! can be indexed, but it never builds per-node rows or fills a per-node
+//! array. Its aggregates — first death,
 //! bottlenecks, lifetime histogram, the worst-lifetime cohort, the
 //! near-unstable count — read one value per run, since forwarded load,
 //! power, lifetime and utilization are constant on a run; the hop-depth
 //! percentiles read the per-depth counts of the routing pass. On the
-//! 10^6-node tree that is 20 values, not 10^6. Only the mean lifetime and
-//! the total power still sum every node, in node order, because that order
-//! fixes their last bits. Small nets that report per node read each node's
-//! CPU split from its run ([`SoaAnalysis::run_for`]).
+//! 10^6-node tree that is 20 values, not 10^6. Only the mean lifetime, the
+//! total power and the sink inflow still sum every node, in node order,
+//! because that order fixes their last bits. Small nets that report per
+//! node read each node's CPU split from its run ([`SoaAnalysis::run_for`]).
 
 use wsnem_core::{BackendId, BackendRegistry, CpuModelParams, EvalOptions};
 use wsnem_energy::{Battery, PowerProfile, StateFractions};
@@ -102,26 +118,46 @@ impl NodeNames {
     }
 }
 
-/// A per-node `f64` column stored as runs of consecutive bit-equal values.
+/// A value a [`RunColumn`] can hold.
+pub trait RunValue: Copy + Default {
+    /// True when neighbours `a` and `b` share a run.
+    fn same(a: Self, b: Self) -> bool;
+}
+
+impl RunValue for f64 {
+    /// Bit equality: `0.0` and `-0.0`, or two NaN payloads, differ.
+    fn same(a: Self, b: Self) -> bool {
+        a.to_bits() == b.to_bits()
+    }
+}
+
+impl RunValue for u32 {
+    fn same(a: Self, b: Self) -> bool {
+        a == b
+    }
+}
+
+/// A per-node column stored as runs of consecutive equal values.
 ///
-/// Runs are maximal: neighbouring runs differ in their bits, so `0.0` and
-/// `-0.0`, or two NaN payloads, stay apart. A template's column is one run
-/// however many nodes it has. While every run is one node the column keeps
-/// only its values and `[i]` reads `values[i]`; the first repeat adds run
-/// ends, and `[i]` then binary-searches them unless there is one run.
+/// Runs are maximal: neighbouring runs differ ([`RunValue::same`]), so for
+/// `f64` the values `0.0` and `-0.0`, or two NaN payloads, stay apart. A
+/// template's column is one run however many nodes it has. While every run
+/// is one node the column keeps only its values and `[i]` reads
+/// `values[i]`; the first repeat adds run ends, and `[i]` then
+/// binary-searches them unless there is one run.
 #[derive(Debug, Clone, Default)]
-pub struct RunColumn {
+pub struct RunColumn<T = f64> {
     /// One value per run, in node order.
-    values: Vec<f64>,
+    values: Vec<T>,
     /// Exclusive end index of each run; empty while every run is one node.
     ends: Vec<usize>,
     /// Number of nodes.
     len: usize,
 }
 
-impl RunColumn {
+impl<T: RunValue> RunColumn<T> {
     /// `len` nodes of one value.
-    pub(crate) fn repeat(value: f64, len: usize) -> Self {
+    pub(crate) fn repeat(value: T, len: usize) -> Self {
         let mut column = Self::default();
         column.push_run(value, len);
         column
@@ -142,16 +178,13 @@ impl RunColumn {
         self.values.len()
     }
 
-    /// Append `count` nodes of `value`, extending the last run when its
-    /// bits equal `value`'s.
-    pub(crate) fn push_run(&mut self, value: f64, count: usize) {
+    /// Append `count` nodes of `value`, extending the last run when it
+    /// holds the same value.
+    pub(crate) fn push_run(&mut self, value: T, count: usize) {
         if count == 0 {
             return;
         }
-        let merge = self
-            .values
-            .last()
-            .is_some_and(|last| last.to_bits() == value.to_bits());
+        let merge = self.values.last().is_some_and(|&last| T::same(last, value));
         if self.ends.is_empty() {
             if !merge && count == 1 {
                 self.values.push(value);
@@ -171,44 +204,88 @@ impl RunColumn {
         }
     }
 
-    /// Each run as its value and node count, in node order.
-    fn runs(&self) -> impl Iterator<Item = (f64, usize)> + '_ {
-        let mut start = 0;
-        self.values.iter().enumerate().map(move |(r, &value)| {
-            let end = self.ends.get(r).copied().unwrap_or(start + 1);
-            let len = end - start;
-            start = end;
-            (value, len)
+    /// The run holding node `i`: no search for a column of one run or of
+    /// one-node runs. For `i >= len()` the result is at least
+    /// `run_count()`, since the last run ends at `len()`.
+    fn run_index(&self, i: usize) -> usize {
+        if self.values.len() == 1 && i < self.len {
+            0
+        } else if self.ends.is_empty() {
+            i
+        } else {
+            self.ends.partition_point(|&end| end <= i)
+        }
+    }
+
+    /// Exclusive end of run `r < run_count()`.
+    fn run_end(&self, r: usize) -> usize {
+        self.ends.get(r).copied().unwrap_or(r + 1)
+    }
+
+    /// Each run from node `start` on as its value and node count, in node
+    /// order; the first is cut to begin at `start`.
+    fn runs_from(&self, start: usize) -> impl Iterator<Item = (T, usize)> + '_ {
+        let mut at = start;
+        (self.run_index(start)..self.values.len()).map(move |r| {
+            let end = self.run_end(r);
+            let len = end - at;
+            at = end;
+            (self.values[r], len)
         })
     }
 
-    /// Every node's value, in node order.
-    pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
-        self.runs()
-            .flat_map(|(value, len)| std::iter::repeat_n(value, len))
+    /// Each run as its value and node count, in node order.
+    pub fn runs(&self) -> impl Iterator<Item = (T, usize)> + '_ {
+        self.runs_from(0)
+    }
+
+    /// Every node's value, in node order. A column of one-node runs is
+    /// read straight from its values.
+    pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
+        let (dense, runs) = if self.ends.is_empty() {
+            (&self.values[..], &[][..])
+        } else {
+            (&[][..], &self.values[..])
+        };
+        let runs = runs
+            .iter()
+            .zip(&self.ends)
+            .scan(0, |start, (&value, &end)| {
+                let len = end - *start;
+                *start = end;
+                Some(std::iter::repeat_n(value, len))
+            });
+        dense.iter().copied().chain(runs.flatten())
     }
 }
 
-impl std::ops::Index<usize> for RunColumn {
-    type Output = f64;
+impl<T: RunValue> std::ops::Index<usize> for RunColumn<T> {
+    type Output = T;
 
-    /// Node `i`'s value: no search for a column of one run (a template's)
-    /// or of one-node runs. Panics when `i >= len()`; a search then lands
-    /// one past the last value, since the last run ends at `len()`.
-    fn index(&self, i: usize) -> &f64 {
-        if self.values.len() == 1 && i < self.len {
-            return &self.values[0];
-        }
-        if self.ends.is_empty() {
-            return &self.values[i];
-        }
-        &self.values[self.ends.partition_point(|&end| end <= i)]
+    /// Node `i`'s value. Panics when `i >= len()`.
+    fn index(&self, i: usize) -> &T {
+        &self.values[self.run_index(i)]
     }
 }
 
-impl FromIterator<f64> for RunColumn {
-    /// Collect node values, merging bit-equal neighbours into runs.
-    fn from_iter<I: IntoIterator<Item = f64>>(values: I) -> Self {
+impl<T: RunValue> From<Vec<T>> for RunColumn<T> {
+    /// Per-node values as runs; a vector without equal neighbours becomes
+    /// the column's values as it is.
+    fn from(values: Vec<T>) -> Self {
+        if values.windows(2).any(|w| T::same(w[0], w[1])) {
+            return values.into_iter().collect();
+        }
+        Self {
+            len: values.len(),
+            values,
+            ends: Vec::new(),
+        }
+    }
+}
+
+impl<T: RunValue> FromIterator<T> for RunColumn<T> {
+    /// Collect node values, merging equal neighbours into runs.
+    fn from_iter<I: IntoIterator<Item = T>>(values: I) -> Self {
         let mut column = Self::default();
         for value in values {
             column.push_run(value, 1);
@@ -217,21 +294,60 @@ impl FromIterator<f64> for RunColumn {
     }
 }
 
-impl PartialEq for RunColumn {
-    /// Node-by-node `f64` equality, as for a `Vec<f64>`.
+impl<T: RunValue + PartialEq> PartialEq for RunColumn<T> {
+    /// Node-by-node equality, as for a `Vec` (`==` on `f64`, not bits).
     fn eq(&self, other: &Self) -> bool {
         self.len == other.len && self.iter().eq(other.iter())
     }
 }
 
+/// How the nodes of a [`SoaNetwork`] route to the sink.
+///
+/// Star and tree routes are a rule, not an array: routing walks their
+/// breadth-first levels as runs, so a template of any size stores no
+/// per-node topology. `Parents` holds one next hop per node.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Routes {
+    /// Every node transmits to the sink.
+    Star,
+    /// A complete tree in breadth-first order: node 0 is the sink-adjacent
+    /// root and node `i > 0` forwards to `(i - 1) / fanout`. A fanout of 1
+    /// is a chain ([`Routes::CHAIN`]); below 1 is treated as 1, as in
+    /// [`tree_parents`].
+    Tree {
+        /// Children per parent.
+        fanout: usize,
+    },
+    /// `parents[i]` is where node `i` forwards; [`SINK`] for sink-adjacent.
+    /// Any acyclic route set, e.g. a mesh's static routes.
+    Parents(Vec<u32>),
+}
+
+impl Routes {
+    /// A chain: node 0 is sink-adjacent, node `i > 0` forwards to `i - 1`.
+    pub const CHAIN: Routes = Routes::Tree { fanout: 1 };
+
+    /// Where node `i` forwards: a node index, or [`SINK`].
+    pub fn parent_of(&self, i: usize) -> u32 {
+        match self {
+            Routes::Star => SINK,
+            Routes::Tree { .. } if i == 0 => SINK,
+            Routes::Tree { fanout } => ((i - 1) / (*fanout).max(1)) as u32,
+            Routes::Parents(parents) => parents[i],
+        }
+    }
+}
+
 /// A routed network in structure-of-arrays form (module docs).
 ///
-/// All per-node columns have the same length; [`SoaNetwork::validate`]
+/// All per-node columns have `node_count` nodes; [`SoaNetwork::validate`]
 /// checks that plus the routing structure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SoaNetwork {
-    /// `parent[i]` is where node `i` forwards; [`SINK`] for sink-adjacent.
-    pub parent: Vec<u32>,
+    /// Where each node forwards.
+    pub routes: Routes,
+    /// Number of nodes.
+    pub node_count: usize,
     /// Sensing events per second per node.
     pub event_rate: RunColumn,
     /// Packets transmitted per sensing event per node.
@@ -254,29 +370,106 @@ pub struct SoaNetwork {
     pub radio_overrides: Vec<(u32, RadioModel)>,
 }
 
-/// The routing structure of a [`SoaNetwork`] — flat-array counterpart of
+/// The routing structure of a [`SoaNetwork`] — run-column counterpart of
 /// [`crate::RoutingTable`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SoaRouting {
     /// Hops to the sink per node (sink-adjacent = 1).
-    pub depths: Vec<u32>,
+    pub depths: RunColumn<u32>,
     /// Forwarded input rate per node (packets/s).
-    pub forwarded: Vec<f64>,
+    pub forwarded: RunColumn,
     /// Subtree size per node (each node counts itself).
-    pub subtree_sizes: Vec<u32>,
+    pub subtree_sizes: RunColumn<u32>,
     /// `depth_counts[d]` nodes sit `d` hops from the sink; the length is
     /// the deepest hop count plus one (index 0 counts no node).
     pub(crate) depth_counts: Vec<usize>,
 }
 
+impl SoaRouting {
+    /// The deepest hop count (0 for an empty network).
+    pub fn max_hop_depth(&self) -> u32 {
+        self.depth_counts.len().saturating_sub(1) as u32
+    }
+}
+
+/// A run of one breadth-first level during level routing: `len` nodes
+/// with one forwarded load, subtree size and output rate.
+#[derive(Debug, Clone, Copy)]
+struct LevelRun {
+    len: usize,
+    forwarded: f64,
+    subtree: u32,
+    /// Own transmit rate plus `forwarded`: what the run sends its parents.
+    out: f64,
+}
+
+/// Appends a level's runs left to right, splitting them where the own
+/// transmit rate changes.
+struct LevelWriter<'a> {
+    own_tx: &'a RunColumn,
+    /// The own-rate run at node `at`, and where it ends.
+    run: usize,
+    end: usize,
+    /// The next node to write.
+    at: usize,
+    /// Index of the level's first run in the shared run list.
+    first: usize,
+}
+
+impl<'a> LevelWriter<'a> {
+    /// A writer for the level starting at node `start < own_tx.len()`,
+    /// whose runs begin at `runs[first]`.
+    fn new(own_tx: &'a RunColumn, start: usize, first: usize) -> Self {
+        let run = own_tx.run_index(start);
+        Self {
+            own_tx,
+            run,
+            end: own_tx.run_end(run),
+            at: start,
+            first,
+        }
+    }
+
+    /// Append `len` nodes with this forwarded load and subtree size,
+    /// merging into the level's last run where all three values match.
+    fn push(&mut self, runs: &mut Vec<LevelRun>, mut len: usize, forwarded: f64, subtree: u32) {
+        while len > 0 {
+            if self.at == self.end {
+                self.run += 1;
+                self.end = self.own_tx.run_end(self.run);
+            }
+            let take = len.min(self.end - self.at);
+            let out = self.own_tx.values[self.run] + forwarded;
+            let in_level = runs.len() > self.first;
+            match runs.last_mut() {
+                Some(last)
+                    if in_level
+                        && f64::same(last.out, out)
+                        && f64::same(last.forwarded, forwarded)
+                        && last.subtree == subtree =>
+                {
+                    last.len += take
+                }
+                _ => runs.push(LevelRun {
+                    len: take,
+                    forwarded,
+                    subtree,
+                    out,
+                }),
+            }
+            self.at += take;
+            len -= take;
+        }
+    }
+}
+
 impl SoaNetwork {
-    /// A homogeneous network: every node has the same workload, one run per
-    /// column, on a parent array from one of the topology helpers
-    /// ([`star_parents`], [`chain_parents`], [`tree_parents`]) with
-    /// generated names.
+    /// A homogeneous network of `node_count` nodes: every node has the same
+    /// workload, one run per column, with generated names.
     #[allow(clippy::too_many_arguments)]
     pub fn homogeneous(
-        parent: Vec<u32>,
+        routes: Routes,
+        node_count: usize,
         prefix: impl Into<String>,
         event_rate: f64,
         tx_per_event: f64,
@@ -286,9 +479,10 @@ impl SoaNetwork {
         radio: RadioModel,
         battery: Battery,
     ) -> Self {
-        let n = parent.len();
+        let n = node_count;
         Self {
-            parent,
+            routes,
+            node_count,
             event_rate: RunColumn::repeat(event_rate, n),
             tx_per_event: RunColumn::repeat(tx_per_event, n),
             rx_rate: RunColumn::repeat(rx_rate, n),
@@ -343,7 +537,7 @@ impl SoaNetwork {
                 radio_overrides.push((i as u32, node.radio));
             }
         }
-        let parent = net
+        let parents = net
             .next_hop
             .iter()
             .map(|hop| match *hop {
@@ -352,7 +546,8 @@ impl SoaNetwork {
             })
             .collect();
         Ok(Self {
-            parent,
+            routes: Routes::Parents(parents),
+            node_count: net.nodes.len(),
             event_rate: net.nodes.iter().map(|nd| nd.event_rate).collect(),
             tx_per_event: net.nodes.iter().map(|nd| nd.tx_per_event).collect(),
             rx_rate: net.nodes.iter().map(|nd| nd.rx_rate).collect(),
@@ -367,12 +562,12 @@ impl SoaNetwork {
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.parent.len()
+        self.node_count
     }
 
     /// True for the empty network.
     pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
+        self.node_count == 0
     }
 
     /// Node `i`'s name.
@@ -427,31 +622,50 @@ impl SoaNetwork {
     /// computed on the way.
     pub fn validate(&self) -> Result<SoaRouting, String> {
         self.check_columns()?;
-        let n = self.len();
-        for (i, &p) in self.parent.iter().enumerate() {
-            if p == SINK {
-                continue;
-            }
-            if p as usize >= n {
-                return Err(format!(
-                    "node `{}` forwards to index {p}, but there are only {n} nodes",
-                    self.name(i)
-                ));
-            }
-            if p as usize == i {
-                return Err(format!("node `{}` forwards to itself", self.name(i)));
+        if let Routes::Parents(parents) = &self.routes {
+            let n = self.len();
+            for (i, &p) in parents.iter().enumerate() {
+                if p == SINK {
+                    continue;
+                }
+                if p as usize >= n {
+                    return Err(format!(
+                        "node `{}` forwards to index {p}, but there are only {n} nodes",
+                        self.name(i)
+                    ));
+                }
+                if p as usize == i {
+                    return Err(format!("node `{}` forwards to itself", self.name(i)));
+                }
             }
         }
         self.route()
     }
 
-    /// Check that every per-node column and the name table match the parent
-    /// array's length, and that the radio overrides are in range and
-    /// strictly ascending by index. [`SoaNetwork::routing`] runs this too,
-    /// so a hand-built net with a short column or unsorted overrides errors
-    /// instead of panicking or applying the wrong radios.
+    /// Check that the node count fits `u32` indices, that every per-node
+    /// column, a parent array and the name table match it, and that the
+    /// radio overrides are in range and strictly ascending by index.
+    /// [`SoaNetwork::routing`] runs this too, so a hand-built net with a
+    /// short column or unsorted overrides errors instead of panicking or
+    /// applying the wrong radios.
     fn check_columns(&self) -> Result<(), String> {
         let n = self.len();
+        // Depths and subtree sizes are `u32`, and the parent walk keeps
+        // `u32::MAX` as its on-path sentinel.
+        if n >= u32::MAX as usize {
+            return Err(format!(
+                "{n} nodes, but `u32` node indices allow at most {}",
+                u32::MAX - 1
+            ));
+        }
+        if let Routes::Parents(parents) = &self.routes {
+            if parents.len() != n {
+                return Err(format!(
+                    "parent array has {} entries for {n} nodes",
+                    parents.len()
+                ));
+            }
+        }
         for (what, len) in [
             ("event_rate", self.event_rate.len()),
             ("tx_per_event", self.tx_per_event.len()),
@@ -494,23 +708,27 @@ impl SoaNetwork {
         Ok(())
     }
 
-    /// Hops to the sink per node (sink-adjacent = 1), failing on cycles with
-    /// the same node-naming error as the oracle. Linear time: each walk
-    /// stops at the first already-resolved node, and the nodes of the
-    /// current walk hold an on-path sentinel in `depths` until the walk
-    /// resolves, so reaching one again is a cycle. No depth reaches the
-    /// sentinel (`u32::MAX`): a depth counts distinct nodes, and a net of
-    /// that many nodes is rejected up front.
+    /// Hops to the sink per node (sink-adjacent = 1), after the column
+    /// checks of [`SoaNetwork::validate`]; a parent array that loops fails
+    /// with the same node-naming error as the oracle.
     pub fn hop_depths(&self) -> Result<Vec<u32>, String> {
+        self.check_columns()?;
+        match &self.routes {
+            Routes::Parents(parents) => self.parent_depths(parents),
+            _ => Ok(self.route()?.depths.iter().collect()),
+        }
+    }
+
+    /// Hops to the sink over a parent array of `len()` entries. Linear
+    /// time: each walk stops at the first already-resolved node, and the
+    /// nodes of the current walk hold an on-path sentinel in `depths` until
+    /// the walk resolves, so reaching one again is a cycle. No depth
+    /// reaches the sentinel (`u32::MAX`): a depth counts distinct nodes,
+    /// and [`SoaNetwork::check_columns`] rejects a net of that many.
+    fn parent_depths(&self, parents: &[u32]) -> Result<Vec<u32>, String> {
         const UNRESOLVED: u32 = 0;
         const ON_PATH: u32 = u32::MAX;
-        let n = self.len();
-        if n >= ON_PATH as usize {
-            return Err(format!(
-                "{n} nodes, but `u32` node indices allow at most {}",
-                ON_PATH - 1
-            ));
-        }
+        let n = parents.len();
         let mut depths = vec![UNRESOLVED; n];
         let mut path = Vec::new();
         for start in 0..n {
@@ -522,7 +740,7 @@ impl SoaNetwork {
             let base = loop {
                 path.push(cur);
                 depths[cur] = ON_PATH;
-                match self.parent[cur] {
+                match parents[cur] {
                     SINK => break 0,
                     j => {
                         let j = j as usize;
@@ -552,13 +770,13 @@ impl SoaNetwork {
         Ok(depths)
     }
 
-    /// Depths, forwarded rates and subtree sizes in one deepest-first
-    /// sink-ward pass, after the column checks of [`SoaNetwork::validate`].
-    /// The processing order — deepest first, ascending index within a depth
-    /// — is produced by a stable counting sort and is exactly the order of
-    /// the oracle's stable `sort_by`, so the floating-point forwarding sums
-    /// are bit-identical to [`Network::routing`]. The sort's per-depth
-    /// counts are kept for the hop-depth accessors of [`SoaAnalysis`].
+    /// Depths, forwarded rates and subtree sizes, after the column checks
+    /// of [`SoaNetwork::validate`]. Every parent's forwarded load is the
+    /// sum of its children's output rates from `+0.0` in ascending child
+    /// index, which is the oracle's deepest-first, ascending-index order,
+    /// so the sums are bit-identical to [`Network::routing`]. Stars and
+    /// trees are routed level by level over runs; chains and parent arrays
+    /// node by node (module docs).
     pub fn routing(&self) -> Result<SoaRouting, String> {
         self.check_columns()?;
         self.route()
@@ -566,7 +784,21 @@ impl SoaNetwork {
 
     /// [`SoaNetwork::routing`] without the column checks.
     fn route(&self) -> Result<SoaRouting, String> {
-        let depths = self.hop_depths()?;
+        match &self.routes {
+            Routes::Star => Ok(self.route_levels(None)),
+            Routes::Tree { fanout } if *fanout <= 1 => Ok(self.route_chain()),
+            Routes::Tree { fanout } => Ok(self.route_levels(Some(*fanout))),
+            Routes::Parents(parents) => self.route_parents(parents),
+        }
+    }
+
+    /// Routing over a parent array in one deepest-first sink-ward pass.
+    /// The processing order — deepest first, ascending index within a depth
+    /// — is produced by a stable counting sort and is exactly the order of
+    /// the oracle's stable `sort_by`. The sort's per-depth counts are kept
+    /// for the hop-depth accessors of [`SoaAnalysis`].
+    fn route_parents(&self, parents: &[u32]) -> Result<SoaRouting, String> {
+        let depths = self.parent_depths(parents)?;
         let n = self.len();
         // Stable counting sort, deepest first.
         let mut depth_counts = vec![0usize];
@@ -595,18 +827,143 @@ impl SoaNetwork {
         for &i in &order {
             let i = i as usize;
             let out = own_tx[i] + forwarded[i];
-            let p = self.parent[i];
+            let p = parents[i];
             if p != SINK {
                 forwarded[p as usize] += out;
                 subtree_sizes[p as usize] += subtree_sizes[i];
             }
         }
         Ok(SoaRouting {
-            depths,
-            forwarded,
-            subtree_sizes,
+            depths: depths.into(),
+            forwarded: forwarded.into(),
+            subtree_sizes: subtree_sizes.into(),
             depth_counts,
         })
+    }
+
+    /// Routing of a chain. It has one node per level, so level runs would
+    /// be one node each: its loads are folded node by node instead, from
+    /// the far end, each `+0.0` plus the next node's output rate.
+    fn route_chain(&self) -> SoaRouting {
+        let n = self.len();
+        let own_tx: Vec<(f64, usize)> = self.own_tx_rates().runs().collect();
+        let mut forwarded = vec![0.0; n];
+        let (mut node, mut out) = (n, 0.0);
+        for (own, len) in own_tx.into_iter().rev() {
+            for _ in 0..len {
+                node -= 1;
+                if node + 1 < n {
+                    forwarded[node] = 0.0 + out;
+                }
+                out = own + forwarded[node];
+            }
+        }
+        let mut depth_counts = vec![1; n + 1];
+        depth_counts[0] = 0;
+        SoaRouting {
+            depths: (1..=n as u32).collect::<Vec<_>>().into(),
+            forwarded: forwarded.into(),
+            subtree_sizes: (1..=n as u32).rev().collect::<Vec<_>>().into(),
+            depth_counts,
+        }
+    }
+
+    /// Routing of a star (`fanout` `None`) or a tree of `fanout >= 2`, one
+    /// breadth-first level at a time, deepest first, over runs. Level
+    /// `d + 1` is the index range `bounds[d]..bounds[d + 1]`, and node
+    /// `i`'s children are `fanout·i + 1 ..= fanout·i + fanout`, so a level's
+    /// parents read the runs of the level below. Parents whose whole child
+    /// window lies in one child run share one forwarded load, folded once;
+    /// only a window that straddles a run boundary, or is cut short by the
+    /// last node, is folded child by child. Work is O(levels + runs) plus
+    /// one fold per distinct window.
+    fn route_levels(&self, fanout: Option<usize>) -> SoaRouting {
+        let n = self.len();
+        let mut bounds = vec![0];
+        let mut end = if fanout.is_some() { n.min(1) } else { n };
+        while end > bounds[bounds.len() - 1] {
+            bounds.push(end);
+            end = match fanout {
+                Some(f) => end.saturating_mul(f).saturating_add(1).min(n),
+                None => n,
+            };
+        }
+        let levels = bounds.len() - 1;
+        // Nodes below `parents_end` have children.
+        let parents_end = match fanout {
+            Some(f) if n > 0 => (n - 1).div_ceil(f),
+            _ => 0,
+        };
+        let own_tx = self.own_tx_rates();
+        // Level runs, deepest level first; level `d`'s begin at `first[d]`.
+        let mut runs: Vec<LevelRun> = Vec::new();
+        let mut first = vec![0; levels];
+        for d in (0..levels).rev() {
+            let (a, b) = (bounds[d], bounds[d + 1]);
+            first[d] = runs.len();
+            let mut writer = LevelWriter::new(&own_tx, a, runs.len());
+            let with_children = parents_end.clamp(a, b);
+            if let (Some(f), true) = (fanout, with_children > a) {
+                // The child run holding the window's first child, and where
+                // it ends.
+                let mut c = first[d + 1];
+                let mut c_end = b + runs[c].len;
+                let mut i = a;
+                while i < with_children {
+                    let w0 = f * i + 1;
+                    let w1 = w0.saturating_add(f).min(n);
+                    while c_end <= w0 {
+                        c += 1;
+                        c_end += runs[c].len;
+                    }
+                    let (count, forwarded, subtree) = if w1 <= c_end {
+                        let LevelRun { out, subtree, .. } = runs[c];
+                        let width = w1 - w0;
+                        // Every later parent whose full window ends inside
+                        // this run shares the result.
+                        let count = if width == f {
+                            ((c_end - 1) / f).min(with_children) - i
+                        } else {
+                            1
+                        };
+                        let forwarded = (0..width).fold(0.0, |acc, _| acc + out);
+                        (count, forwarded, 1 + width as u32 * subtree)
+                    } else {
+                        let (mut forwarded, mut subtree) = (0.0, 1);
+                        let (mut k, mut k_end) = (c, c_end);
+                        for child in w0..w1 {
+                            while k_end <= child {
+                                k += 1;
+                                k_end += runs[k].len;
+                            }
+                            forwarded += runs[k].out;
+                            subtree += runs[k].subtree;
+                        }
+                        (1, forwarded, subtree)
+                    };
+                    writer.push(&mut runs, count, forwarded, subtree);
+                    i += count;
+                }
+            }
+            writer.push(&mut runs, b - with_children, 0.0, 1);
+        }
+        let mut routing = SoaRouting {
+            depths: RunColumn::default(),
+            forwarded: RunColumn::default(),
+            subtree_sizes: RunColumn::default(),
+            depth_counts: vec![0],
+        };
+        for d in 0..levels {
+            let len = bounds[d + 1] - bounds[d];
+            routing.depths.push_run(d as u32 + 1, len);
+            routing.depth_counts.push(len);
+            let end = if d == 0 { runs.len() } else { first[d - 1] };
+            for run in &runs[first[d]..end] {
+                routing.forwarded.push_run(run.forwarded, run.len);
+                routing.subtree_sizes.push_run(run.subtree, run.len);
+            }
+        }
+        routing
     }
 
     /// Analyze every node with forwarding loads applied — the flat-array
@@ -693,48 +1050,75 @@ impl SoaNetwork {
     }
 
     /// Starts of the maximal runs of consecutive nodes with bitwise-equal
-    /// evaluation inputs (see [`SoaNetwork::same_inputs`]). Each node's
-    /// radio comes from a cursor over the ascending overrides.
-    fn run_starts(&self, forwarded: &[f64]) -> Vec<usize> {
+    /// evaluation inputs — forwarded load, event rate, packets per event,
+    /// rx rate and radio — and so bit-identical results. The run columns
+    /// are maximal, so their run boundaries are exactly the nodes where a
+    /// workload input changes; these are merged with the nodes where the
+    /// radio's bits change, for O(runs + overrides) work.
+    fn run_starts(&self, forwarded: &RunColumn) -> Vec<usize> {
         let n = self.len();
-        // Sized for the worst case (no repeats); untouched capacity costs
-        // no memory.
-        let mut starts = Vec::with_capacity(n);
-        let mut overrides = self.radio_overrides.iter().peekable();
-        let mut prev_radio = &self.radio;
-        for i in 0..n {
-            let radio = match overrides.next_if(|&&(j, _)| j as usize == i) {
-                Some((_, radio)) => radio,
-                None => &self.radio,
-            };
-            if i == 0 || !self.same_inputs(i - 1, i, forwarded, prev_radio, radio) {
-                starts.push(i);
-            }
-            prev_radio = radio;
+        if n == 0 {
+            return Vec::new();
         }
-        starts
+        let columns = [
+            forwarded,
+            &self.event_rate,
+            &self.tx_per_event,
+            &self.rx_rate,
+        ];
+        // Per column: the run at the current node, and where it ends.
+        let mut cursors = columns.map(|column| (0, column.run_end(0)));
+        let radio_bounds = self.radio_bounds();
+        // Every start is a run boundary of a column or a radio change.
+        let bound: usize = columns.iter().map(|c| c.run_count()).sum();
+        let mut starts = Vec::with_capacity((bound + radio_bounds.len()).min(n));
+        starts.push(0);
+        let mut radio_bounds = radio_bounds.into_iter().peekable();
+        loop {
+            let column_next = cursors.iter().map(|&(_, end)| end).min().unwrap_or(n);
+            let next = radio_bounds
+                .peek()
+                .map_or(column_next, |&b| b.min(column_next));
+            if next >= n {
+                return starts;
+            }
+            starts.push(next);
+            radio_bounds.next_if_eq(&next);
+            for (column, (run, end)) in columns.iter().zip(&mut cursors) {
+                if *end == next {
+                    *run += 1;
+                    *end = column.run_end(*run);
+                }
+            }
+        }
     }
 
-    /// True when nodes `a` and `b`, with radios `radio_a` and `radio_b`,
-    /// have bitwise-equal evaluation inputs — workload, forwarded load and
-    /// radio — and so bit-identical results. The forwarded load goes first:
-    /// on nets without repeats it differs and ends the comparison. Two
-    /// nodes on the shared radio skip the radio comparison, so a net
-    /// without overrides never makes one.
-    fn same_inputs(
-        &self,
-        a: usize,
-        b: usize,
-        forwarded: &[f64],
-        radio_a: &RadioModel,
-        radio_b: &RadioModel,
-    ) -> bool {
-        let eq = |x: f64, y: f64| x.to_bits() == y.to_bits();
-        eq(forwarded[a], forwarded[b])
-            && eq(self.event_rate[a], self.event_rate[b])
-            && eq(self.tx_per_event[a], self.tx_per_event[b])
-            && eq(self.rx_rate[a], self.rx_rate[b])
-            && (std::ptr::eq(radio_a, radio_b) || radio_bits(*radio_a) == radio_bits(*radio_b))
+    /// Ascending nodes `i > 0` whose radio's bits differ from node
+    /// `i - 1`'s. Only an override or the node after one can differ, so
+    /// this walks the overrides; an override equal to its neighbour's
+    /// radio, shared or overridden, splits nothing.
+    fn radio_bounds(&self) -> Vec<usize> {
+        let shared = radio_bits(self.radio);
+        let mut bounds = Vec::new();
+        // The last node walked, and its radio's bits.
+        let (mut at, mut bits) = (0, shared);
+        for &(j, radio) in &self.radio_overrides {
+            let j = j as usize;
+            // Nodes `at + 1 .. j` run the shared radio.
+            if j > at + 1 && bits != shared {
+                bounds.push(at + 1);
+                bits = shared;
+            }
+            let radio_bits = radio_bits(radio);
+            if j > 0 && radio_bits != bits {
+                bounds.push(j);
+            }
+            (at, bits) = (j, radio_bits);
+        }
+        if at + 1 < self.len() && bits != shared {
+            bounds.push(at + 1);
+        }
+        bounds
     }
 }
 
@@ -822,19 +1206,19 @@ pub struct SoaRun {
 /// [`SoaNetwork::analyze_with`] establishes: `runs` partitions `0..len()`
 /// into consecutive ranges (run `r` covers `runs[r].start` up to the next
 /// run's start), and `forwarded`, `total_power_mw`, `lifetime_days` and
-/// `rho` are bitwise constant on each range. The last three are
-/// [`RunColumn`]s that hold one value per range, or fewer where
+/// `rho` are bitwise constant on each range. Every column is a
+/// [`RunColumn`]; the last three hold one value per range, or fewer where
 /// neighbouring ranges share one. Each aggregate except the mean lifetime
 /// and the total power reads one node per run. The hop-depth accessors
 /// read the per-depth counts of the routing pass, not `depths`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SoaAnalysis {
     /// Hops to the sink per node (sink-adjacent = 1).
-    pub depths: Vec<u32>,
+    pub depths: RunColumn<u32>,
     /// Forwarded input rate per node (packets/s).
-    pub forwarded: Vec<f64>,
+    pub forwarded: RunColumn,
     /// Subtree size per node (each node counts itself).
-    pub subtree_sizes: Vec<u32>,
+    pub subtree_sizes: RunColumn<u32>,
     /// Total mean power per node (mW).
     pub total_power_mw: RunColumn,
     /// Expected battery lifetime per node (days).
@@ -1056,11 +1440,13 @@ impl SoaAnalysis {
 mod tests {
     use super::*;
     use crate::node::NodeConfig;
+    use wsnem_stats::rng::{Rng64, Xoshiro256PlusPlus};
 
     fn small_soa(n: usize, fanout: usize, period_s: f64) -> SoaNetwork {
         let node = NodeConfig::monitoring("n", period_s);
         SoaNetwork::homogeneous(
-            tree_parents(n, fanout),
+            Routes::Tree { fanout },
+            n,
             "n",
             node.event_rate,
             node.tx_per_event,
@@ -1149,7 +1535,7 @@ mod tests {
         let equal: RunColumn = values.into_iter().collect();
         assert_eq!(column, equal);
         assert_ne!(column, RunColumn::repeat(5.0, 8));
-        assert_eq!(RunColumn::default().iter().count(), 0);
+        assert_eq!(RunColumn::<f64>::default().iter().count(), 0);
     }
 
     #[test]
@@ -1233,8 +1619,14 @@ mod tests {
         let soa = small_soa(7, 2, 10.0);
         soa.validate().unwrap();
         let r = soa.routing().unwrap();
-        assert_eq!(r.depths, vec![1, 2, 2, 3, 3, 3, 3]);
-        assert_eq!(r.subtree_sizes, vec![7, 3, 3, 1, 1, 1, 1]);
+        assert_eq!(
+            r.depths.iter().collect::<Vec<_>>(),
+            vec![1, 2, 2, 3, 3, 3, 3]
+        );
+        assert_eq!(
+            r.subtree_sizes.iter().collect::<Vec<_>>(),
+            vec![7, 3, 3, 1, 1, 1, 1]
+        );
         // Root forwards everything except its own traffic.
         assert!((r.forwarded[0] - 6.0 * 0.1).abs() < 1e-12);
         assert!((soa.sink_arrival_pkts_s() - 0.7).abs() < 1e-12);
@@ -1253,21 +1645,21 @@ mod tests {
 
     #[test]
     fn validate_rejects_bad_structure() {
-        let mut soa = small_soa(3, 2, 10.0);
-        soa.parent[1] = 9;
-        let err = soa.validate().unwrap_err();
+        let with_parents = |parents: Vec<u32>| SoaNetwork {
+            routes: Routes::Parents(parents),
+            ..small_soa(3, 2, 10.0)
+        };
+        let err = with_parents(vec![SINK, 9, 0]).validate().unwrap_err();
         assert!(err.contains("only 3 nodes"), "{err}");
 
-        let mut soa = small_soa(3, 2, 10.0);
-        soa.parent[2] = 2;
-        let err = soa.validate().unwrap_err();
+        let err = with_parents(vec![SINK, 0, 2]).validate().unwrap_err();
         assert!(err.contains("itself"), "{err}");
 
-        let mut soa = small_soa(3, 2, 10.0);
-        soa.parent[1] = 2;
-        soa.parent[2] = 1;
-        let err = soa.validate().unwrap_err();
+        let err = with_parents(vec![SINK, 2, 1]).validate().unwrap_err();
         assert!(err.contains("cycle"), "{err}");
+
+        let err = with_parents(vec![SINK, 0]).validate().unwrap_err();
+        assert_eq!(err, "parent array has 2 entries for 3 nodes");
 
         let mut soa = small_soa(3, 2, 10.0);
         soa.event_rate = soa.event_rate.iter().take(2).collect();
@@ -1390,7 +1782,7 @@ mod tests {
         // A star of identical nodes is one run covering everyone.
         let a = small_soa(5, 5, 10.0);
         let star = SoaNetwork {
-            parent: star_parents(5),
+            routes: Routes::Star,
             ..a
         };
         let a = star
@@ -1526,5 +1918,147 @@ mod tests {
         let err = SoaNetwork::from_network(&Network::chain(het)).unwrap_err();
         assert!(err.contains("CPU parameters"), "{err}");
         assert!(SoaNetwork::from_network(&Network::star(Vec::new())).is_err());
+    }
+
+    /// A column of `n` nodes drawn from `values`, repeating the previous
+    /// node's value three times in four, so it forms runs of random length.
+    fn random_runs(rng: &mut Xoshiro256PlusPlus, n: usize, values: &[f64]) -> RunColumn {
+        let mut value = values[0];
+        (0..n)
+            .map(|_| {
+                if rng.next_u64().is_multiple_of(4) {
+                    value = values[rng.next_u64() as usize % values.len()];
+                }
+                value
+            })
+            .collect()
+    }
+
+    /// `soa` with random-run workload columns.
+    fn with_random_workload(mut soa: SoaNetwork, rng: &mut Xoshiro256PlusPlus) -> SoaNetwork {
+        let n = soa.len();
+        // Signed zeros make bit-distinct own rates that compare equal.
+        soa.event_rate = random_runs(rng, n, &[1e-4, 2e-4, 3e-4]);
+        soa.tx_per_event = random_runs(rng, n, &[1.0, 2.0, 0.0, -0.0]);
+        soa.rx_rate = random_runs(rng, n, &[0.0, 1e-3]);
+        soa
+    }
+
+    /// The routing's columns and depth counts, floats by their bits.
+    fn routing_bits(r: &SoaRouting) -> (Vec<u32>, Vec<u64>, Vec<u32>, &[usize]) {
+        (
+            r.depths.iter().collect(),
+            r.forwarded.iter().map(f64::to_bits).collect(),
+            r.subtree_sizes.iter().collect(),
+            &r.depth_counts,
+        )
+    }
+
+    #[test]
+    fn level_routing_matches_parent_routing() {
+        let mut rng = Xoshiro256PlusPlus::new(0x1E7E1);
+        let sizes = (0..=300).chain([10_000]);
+        for n in sizes {
+            let mut cases = vec![(Routes::Star, star_parents(n))];
+            // Fanout 0 is treated as 1 by both forms.
+            for fanout in 0..=6 {
+                cases.push((Routes::Tree { fanout }, tree_parents(n, fanout)));
+            }
+            for (routes, parents) in cases {
+                let label = format!("n = {n}, {routes:?}");
+                let level = with_random_workload(
+                    SoaNetwork {
+                        routes,
+                        ..small_soa(n, 1, 10.0)
+                    },
+                    &mut rng,
+                );
+                let per_node = SoaNetwork {
+                    routes: Routes::Parents(parents),
+                    ..level.clone()
+                };
+                let (a, b) = (level.routing().unwrap(), per_node.routing().unwrap());
+                assert_eq!(routing_bits(&a), routing_bits(&b), "{label}");
+                assert_eq!(a.max_hop_depth(), b.max_hop_depth(), "{label}");
+                assert_eq!(level.hop_depths(), per_node.hop_depths(), "{label}");
+                for i in 0..n {
+                    assert_eq!(
+                        level.routes.parent_of(i),
+                        per_node.routes.parent_of(i),
+                        "{label}: node {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_million_node_tree_routes_to_one_run_per_operating_point() {
+        let soa = small_soa(1_000_000, 4, 1e5);
+        let r = soa.routing().unwrap();
+        // 11 levels; each is one run of depth.
+        assert_eq!(r.max_hop_depth(), 11);
+        assert_eq!(r.depths.run_count(), 11);
+        assert_eq!(r.depth_counts.iter().sum::<usize>(), 1_000_000);
+        assert!(r.forwarded.run_count() < 32, "{}", r.forwarded.run_count());
+        assert!(r.subtree_sizes.run_count() < 32);
+        assert_eq!(r.subtree_sizes[0], 1_000_000);
+        assert_eq!(r.forwarded[999_999].to_bits(), 0.0f64.to_bits());
+    }
+
+    /// Run starts by comparing every node's inputs with its predecessor's:
+    /// the per-node definition the merged boundaries must reproduce.
+    fn run_starts_per_node(soa: &SoaNetwork, forwarded: &RunColumn) -> Vec<usize> {
+        let same = |a: usize, b: usize| {
+            let eq = |x: f64, y: f64| x.to_bits() == y.to_bits();
+            eq(forwarded[a], forwarded[b])
+                && eq(soa.event_rate[a], soa.event_rate[b])
+                && eq(soa.tx_per_event[a], soa.tx_per_event[b])
+                && eq(soa.rx_rate[a], soa.rx_rate[b])
+                && radio_bits(soa.radio_for(a)) == radio_bits(soa.radio_for(b))
+        };
+        (0..soa.len())
+            .filter(|&i| i == 0 || !same(i - 1, i))
+            .collect()
+    }
+
+    #[test]
+    fn merged_run_starts_match_the_per_node_reference() {
+        let mut rng = Xoshiro256PlusPlus::new(0x5747);
+        let always_on = crate::RadioSpec::Preset("cc2420-always-on".into())
+            .lower()
+            .unwrap();
+        let short_check = crate::RadioSpec::Lpl {
+            period_s: 0.1,
+            listen_s: 0.004,
+        }
+        .lower()
+        .unwrap();
+        for (n, fanout) in [(1usize, 1usize), (2, 1), (40, 2), (300, 3), (2000, 4)] {
+            let soa = with_random_workload(small_soa(n, fanout, 10.0), &mut rng);
+            // Equal to the shared radio by its bits: overriding with it
+            // splits nothing.
+            let shared = soa.radio;
+            for density in [2u64, 4, 16] {
+                let mut soa = soa.clone();
+                // An override equal to the shared radio, then two equal
+                // adjacent overrides; random ones from node 4 on.
+                let fixed = [(0, shared), (1, always_on), (2, always_on)];
+                soa.radio_overrides = fixed.into_iter().take(n.saturating_sub(1)).collect();
+                let radios = [always_on, short_check, shared];
+                soa.radio_overrides.extend((4..n as u32).filter_map(|j| {
+                    let draw = rng.next_u64();
+                    draw.is_multiple_of(density)
+                        .then(|| (j, radios[(draw / density) as usize % 3]))
+                }));
+                let label = format!("n = {n}, fanout {fanout}, density 1/{density}");
+                let forwarded = soa.validate().unwrap().forwarded;
+                assert_eq!(
+                    soa.run_starts(&forwarded),
+                    run_starts_per_node(&soa, &forwarded),
+                    "{label}"
+                );
+            }
+        }
     }
 }

@@ -191,3 +191,39 @@ fn explicit_network_reports_match_golden() {
         "per-node network report drifted from the golden file"
     );
 }
+
+const MEGA_GOLDEN_PATH: &str = "tests/golden/mega_tree_aggregate.json";
+
+/// The `mega.toml` that CI's million-node release smoke writes, read from
+/// its heredoc in the workflow so the two cannot drift apart.
+fn ci_mega_toml() -> String {
+    let ci = std::fs::read_to_string(".github/workflows/ci.yml").unwrap();
+    let open = "cat > mega.toml <<'EOF'\n";
+    let body = &ci[ci.find(open).expect("CI writes mega.toml") + open.len()..];
+    let body = &body[..body.find("\n          EOF\n").expect("heredoc end")];
+    body.lines()
+        .map(|line| line.strip_prefix("          ").unwrap_or(line))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// The 10^6-node fanout-4 template tree of CI's release smoke: its
+/// `network_aggregate` must equal the golden one, compared as parsed JSON
+/// like CI does. The writer prints each f64 in its shortest round-trip
+/// form, so equal values mean bit-equal numbers.
+#[test]
+fn million_node_tree_aggregate_matches_golden() {
+    let toml = ci_mega_toml();
+    let scenario = wsnem_scenario::files::from_str(&toml, wsnem_scenario::FileFormat::Toml)
+        .unwrap_or_else(|e| panic!("CI's mega.toml: {e}\n{toml}"));
+    let report = runner::run_scenario(&scenario).unwrap();
+    let aggregate = report.network_aggregate.as_ref().unwrap();
+    assert_eq!(aggregate.node_count, 1_000_000);
+    let got = serde_json::to_value(aggregate).unwrap();
+    let golden = std::fs::read_to_string(MEGA_GOLDEN_PATH).unwrap();
+    let want: serde_json::Value = serde_json::from_str(&golden).unwrap();
+    assert_eq!(
+        got, want,
+        "network_aggregate differs from {MEGA_GOLDEN_PATH}"
+    );
+}

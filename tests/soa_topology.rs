@@ -25,7 +25,7 @@ use wsnem::core::{
 use wsnem::stats::rng::{Rng64, Xoshiro256PlusPlus};
 use wsnem::wsn::{
     chain_parents, star_parents, tree_parents, Network, NetworkError, NextHop, NodeConfig,
-    RadioSpec, SoaAnalysis, SoaNetwork, SINK,
+    RadioSpec, Routes, SoaAnalysis, SoaNetwork, SINK,
 };
 
 /// Each value's bits, in order.
@@ -93,9 +93,13 @@ fn soa_routing_is_bit_identical_to_the_oracle_on_random_forests() {
         let soa = SoaNetwork::from_network(&net).unwrap();
         soa.validate().unwrap();
         let routing = soa.routing().unwrap();
-        assert_eq!(routing.depths, oracle.depths, "n = {n}: depths");
         assert_eq!(
-            routing.subtree_sizes,
+            routing.depths.iter().collect::<Vec<_>>(),
+            oracle.depths,
+            "n = {n}: depths"
+        );
+        assert_eq!(
+            routing.subtree_sizes.iter().collect::<Vec<_>>(),
             oracle
                 .subtree_sizes
                 .iter()
@@ -216,7 +220,7 @@ fn soa_analysis_matches_the_oracle_per_node_and_in_aggregate() {
     let pcts = analysis.hop_depth_percentiles(&[50.0, 90.0, 100.0]);
     assert!(pcts.windows(2).all(|w| w[0].1 <= w[1].1), "{pcts:?}");
     assert_eq!(pcts.last().unwrap().1, analysis.max_hop_depth());
-    let mut sorted_depths = analysis.depths.clone();
+    let mut sorted_depths: Vec<u32> = analysis.depths.iter().collect();
     sorted_depths.sort_unstable();
     for &(p, v) in &pcts {
         let rank = ((p / 100.0) * n as f64).ceil().max(1.0) as usize;
@@ -242,14 +246,25 @@ fn homogeneous_constructor_matches_the_oracle_on_regular_topologies() {
             })
             .collect::<Vec<_>>()
     };
-    let cases: [(Vec<u32>, Network); 3] = [
-        (star_parents(n), Network::star(mk_nodes())),
-        (chain_parents(n), Network::chain(mk_nodes())),
-        (tree_parents(n, 3), Network::tree(mk_nodes(), 3)),
+    // Each topology both as a rule and as its parent array.
+    let cases: [(Routes, Network); 6] = [
+        (Routes::Star, Network::star(mk_nodes())),
+        (Routes::Parents(star_parents(n)), Network::star(mk_nodes())),
+        (Routes::CHAIN, Network::chain(mk_nodes())),
+        (
+            Routes::Parents(chain_parents(n)),
+            Network::chain(mk_nodes()),
+        ),
+        (Routes::Tree { fanout: 3 }, Network::tree(mk_nodes(), 3)),
+        (
+            Routes::Parents(tree_parents(n, 3)),
+            Network::tree(mk_nodes(), 3),
+        ),
     ];
-    for (parents, net) in cases {
+    for (routes, net) in cases {
         let soa = SoaNetwork::homogeneous(
-            parents,
+            routes,
+            n,
             "n",
             proto.event_rate,
             proto.tx_per_event,
@@ -266,6 +281,11 @@ fn homogeneous_constructor_matches_the_oracle_on_regular_topologies() {
         for (i, routed) in b.per_node.iter().enumerate() {
             assert_eq!(soa.name(i), routed.analysis.name);
             assert_eq!(a.depths[i], routed.hop_depth);
+            assert_eq!(a.subtree_sizes[i] as usize, routed.subtree_size);
+            assert_eq!(
+                a.forwarded[i].to_bits(),
+                routed.forwarded_rx_pkts_s.to_bits()
+            );
             assert_eq!(
                 a.total_power_mw[i].to_bits(),
                 routed.analysis.total_power_mw.to_bits()
@@ -300,10 +320,7 @@ fn soa_node_map_is_bit_identical_across_thread_counts() {
     let (one, three) = (run(Some(1)), run(Some(3)));
     assert_eq!(one.depths, three.depths);
     assert_eq!(one.subtree_sizes, three.subtree_sizes);
-    assert_eq!(
-        bits(one.forwarded.iter().copied()),
-        bits(three.forwarded.iter().copied())
-    );
+    assert_eq!(bits(one.forwarded.iter()), bits(three.forwarded.iter()));
     assert_eq!(
         bits(one.total_power_mw.iter()),
         bits(three.total_power_mw.iter())
@@ -356,12 +373,13 @@ fn analyze_counted(
     (result, calls.load(Ordering::Relaxed))
 }
 
-/// A homogeneous net of monitoring nodes on `parents`. Period 10^4 s keeps
-/// the root of a 10^4-node tree at rho = 0.1.
-fn homogeneous(parents: Vec<u32>) -> SoaNetwork {
+/// A homogeneous net of `n` monitoring nodes on `routes`. Period 10^4 s
+/// keeps the root of a 10^4-node tree at rho = 0.1.
+fn homogeneous(routes: Routes, n: usize) -> SoaNetwork {
     let proto = NodeConfig::monitoring("n1", 1e4);
     SoaNetwork::homogeneous(
-        parents,
+        routes,
+        n,
         "n",
         proto.event_rate,
         proto.tx_per_event,
@@ -375,20 +393,30 @@ fn homogeneous(parents: Vec<u32>) -> SoaNetwork {
 
 #[test]
 fn analyze_with_solves_once_per_run_of_equal_inputs() {
-    let tree = homogeneous(tree_parents(10_000, 4));
-    let forwarded = tree.routing().unwrap().forwarded;
-    let runs = 1 + forwarded
-        .windows(2)
-        .filter(|w| w[0].to_bits() != w[1].to_bits())
-        .count();
-    // A complete fanout-4 tree has a handful of operating points, not 10^4.
-    assert!(runs < 64, "{runs} runs");
-    let star = homogeneous(star_parents(10_000));
-    let chain = homogeneous(chain_parents(100));
-    for threads in [Some(1), Some(3)] {
-        assert_eq!(analyze_counted(&tree, threads).1, runs, "tree");
-        assert_eq!(analyze_counted(&star, threads).1, 1, "star");
-        assert_eq!(analyze_counted(&chain, threads).1, 100, "chain");
+    for (tree, star, chain) in [
+        (
+            homogeneous(Routes::Tree { fanout: 4 }, 10_000),
+            homogeneous(Routes::Star, 10_000),
+            homogeneous(Routes::CHAIN, 100),
+        ),
+        (
+            homogeneous(Routes::Parents(tree_parents(10_000, 4)), 10_000),
+            homogeneous(Routes::Parents(star_parents(10_000)), 10_000),
+            homogeneous(Routes::Parents(chain_parents(100)), 100),
+        ),
+    ] {
+        let forwarded: Vec<f64> = tree.routing().unwrap().forwarded.iter().collect();
+        let runs = 1 + forwarded
+            .windows(2)
+            .filter(|w| w[0].to_bits() != w[1].to_bits())
+            .count();
+        // A complete fanout-4 tree has a handful of operating points, not 10^4.
+        assert!(runs < 64, "{runs} runs");
+        for threads in [Some(1), Some(3)] {
+            assert_eq!(analyze_counted(&tree, threads).1, runs, "tree");
+            assert_eq!(analyze_counted(&star, threads).1, 1, "star");
+            assert_eq!(analyze_counted(&chain, threads).1, 100, "chain");
+        }
     }
 }
 
@@ -590,7 +618,7 @@ fn assert_aggregates_match_per_node(a: &SoaAnalysis, label: &str) {
         );
     }
 
-    let mut sorted_depths = a.depths.clone();
+    let mut sorted_depths: Vec<u32> = a.depths.iter().collect();
     sorted_depths.sort_unstable();
     let max_depth = sorted_depths.last().copied().unwrap_or(0);
     assert_eq!(a.max_hop_depth(), max_depth, "{label}");
@@ -617,10 +645,32 @@ fn run_level_aggregates_match_per_node_recomputation_on_nets_with_long_runs() {
             "run forest 20000",
             SoaNetwork::from_network(&run_forest(20_000, 23)).unwrap(),
         ),
-        ("tree 10^4 fanout 4", homogeneous(tree_parents(10_000, 4))),
-        ("tree 3000 fanout 7", homogeneous(tree_parents(3000, 7))),
-        ("chain 100", homogeneous(chain_parents(100))),
-        ("star 5000", homogeneous(star_parents(5000))),
+        (
+            "tree 10^4 fanout 4",
+            homogeneous(Routes::Tree { fanout: 4 }, 10_000),
+        ),
+        (
+            "tree 10^4 fanout 4 parents",
+            homogeneous(Routes::Parents(tree_parents(10_000, 4)), 10_000),
+        ),
+        (
+            "tree 3000 fanout 7",
+            homogeneous(Routes::Tree { fanout: 7 }, 3000),
+        ),
+        (
+            "tree 3000 fanout 7 parents",
+            homogeneous(Routes::Parents(tree_parents(3000, 7)), 3000),
+        ),
+        ("chain 100", homogeneous(Routes::CHAIN, 100)),
+        (
+            "chain 100 parents",
+            homogeneous(Routes::Parents(chain_parents(100)), 100),
+        ),
+        ("star 5000", homogeneous(Routes::Star, 5000)),
+        (
+            "star 5000 parents",
+            homogeneous(Routes::Parents(star_parents(5000)), 5000),
+        ),
     ];
     for (label, soa) in &nets {
         let a = analyze_mg1(soa);
