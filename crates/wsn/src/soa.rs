@@ -33,13 +33,13 @@
 //! window lies in one run share one fold, and only windows that straddle a
 //! run boundary are folded child by child. That costs O(levels + runs), not
 //! O(nodes): the 10^6-node fanout-4 tree routes in 11 levels and 20 runs.
-//! A chain has one node per level, so it folds node by node from its far
-//! end. Explicit parents are routed node by node, in the oracle's order
-//! from a stable counting sort by depth, and compressed into the same
-//! columns. The equivalence battery in `tests/soa_topology.rs` pins
-//! `SoaNetwork` against the per-node oracle up to 10^5 nodes, and the unit
-//! tests pin star, chain and tree routing against parent-array routing of
-//! the same topologies.
+//! A chain has one node per level, where level runs buy nothing, so it is
+//! routed over its parent array like explicit parents: node by node, in
+//! the oracle's order from a stable counting sort by depth, and compressed
+//! into the same columns. The equivalence battery in
+//! `tests/soa_topology.rs` pins `SoaNetwork` against the per-node oracle up
+//! to 10^5 nodes, and the unit tests pin star and tree routing against
+//! parent-array routing of the same topologies.
 //!
 //! Node evaluation ([`SoaNetwork::analyze_with`]) shares work across
 //! *runs*: maximal ranges of consecutive indices whose per-node inputs
@@ -272,7 +272,13 @@ impl<T: RunValue> From<Vec<T>> for RunColumn<T> {
     /// Per-node values as runs; a vector without equal neighbours becomes
     /// the column's values as it is.
     fn from(values: Vec<T>) -> Self {
-        if values.windows(2).any(|w| T::same(w[0], w[1])) {
+        // A fold without early exit, so the scan vectorizes: a column
+        // without repeats, the common case here, is read to its end anyway.
+        let repeats = values
+            .iter()
+            .zip(values.iter().skip(1))
+            .fold(false, |seen, (&a, &b)| seen | T::same(a, b));
+        if repeats {
             return values.into_iter().collect();
         }
         Self {
@@ -303,9 +309,11 @@ impl<T: RunValue + PartialEq> PartialEq for RunColumn<T> {
 
 /// How the nodes of a [`SoaNetwork`] route to the sink.
 ///
-/// Star and tree routes are a rule, not an array: routing walks their
-/// breadth-first levels as runs, so a template of any size stores no
-/// per-node topology. `Parents` holds one next hop per node.
+/// Star and tree routes are a rule, not an array, so a template of any
+/// size stores no per-node topology: routing walks their breadth-first
+/// levels as runs, except a chain's, which has one node per level and is
+/// routed over a parent array built for the pass. `Parents` holds one next
+/// hop per node.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Routes {
     /// Every node transmits to the sink.
@@ -786,7 +794,9 @@ impl SoaNetwork {
     fn route(&self) -> Result<SoaRouting, String> {
         match &self.routes {
             Routes::Star => Ok(self.route_levels(None)),
-            Routes::Tree { fanout } if *fanout <= 1 => Ok(self.route_chain()),
+            Routes::Tree { fanout } if *fanout <= 1 => {
+                self.route_parents(&chain_parents(self.len()))
+            }
             Routes::Tree { fanout } => Ok(self.route_levels(Some(*fanout))),
             Routes::Parents(parents) => self.route_parents(parents),
         }
@@ -839,33 +849,6 @@ impl SoaNetwork {
             subtree_sizes: subtree_sizes.into(),
             depth_counts,
         })
-    }
-
-    /// Routing of a chain. It has one node per level, so level runs would
-    /// be one node each: its loads are folded node by node instead, from
-    /// the far end, each `+0.0` plus the next node's output rate.
-    fn route_chain(&self) -> SoaRouting {
-        let n = self.len();
-        let own_tx: Vec<(f64, usize)> = self.own_tx_rates().runs().collect();
-        let mut forwarded = vec![0.0; n];
-        let (mut node, mut out) = (n, 0.0);
-        for (own, len) in own_tx.into_iter().rev() {
-            for _ in 0..len {
-                node -= 1;
-                if node + 1 < n {
-                    forwarded[node] = 0.0 + out;
-                }
-                out = own + forwarded[node];
-            }
-        }
-        let mut depth_counts = vec![1; n + 1];
-        depth_counts[0] = 0;
-        SoaRouting {
-            depths: (1..=n as u32).collect::<Vec<_>>().into(),
-            forwarded: forwarded.into(),
-            subtree_sizes: (1..=n as u32).rev().collect::<Vec<_>>().into(),
-            depth_counts,
-        }
     }
 
     /// Routing of a star (`fanout` `None`) or a tree of `fanout >= 2`, one
@@ -1992,9 +1975,12 @@ mod tests {
         }
     }
 
+    /// The 10^6-node template keeps no per-node column: routing and
+    /// analysis store a handful of runs, so a column that regresses to one
+    /// value per node fails here whatever the process's memory reads.
     #[test]
     fn a_million_node_tree_routes_to_one_run_per_operating_point() {
-        let soa = small_soa(1_000_000, 4, 1e5);
+        let soa = small_soa(1_000_000, 4, 1e7);
         let r = soa.routing().unwrap();
         // 11 levels; each is one run of depth.
         assert_eq!(r.max_hop_depth(), 11);
@@ -2004,6 +1990,27 @@ mod tests {
         assert!(r.subtree_sizes.run_count() < 32);
         assert_eq!(r.subtree_sizes[0], 1_000_000);
         assert_eq!(r.forwarded[999_999].to_bits(), 0.0f64.to_bits());
+        let a = soa
+            .analyze_with(
+                wsnem_core::backend::global(),
+                BackendId::Mg1,
+                &EvalOptions::default(),
+                Some(1),
+            )
+            .unwrap();
+        assert_eq!(a.len(), 1_000_000);
+        assert!(a.runs.len() < 32, "{} runs", a.runs.len());
+        let columns = [
+            ("depths", a.depths.run_count()),
+            ("forwarded", a.forwarded.run_count()),
+            ("subtree_sizes", a.subtree_sizes.run_count()),
+            ("total_power_mw", a.total_power_mw.run_count()),
+            ("lifetime_days", a.lifetime_days.run_count()),
+            ("rho", a.rho.run_count()),
+        ];
+        for (name, runs) in columns {
+            assert!(runs <= a.runs.len(), "{name}: {runs} runs");
+        }
     }
 
     /// Run starts by comparing every node's inputs with its predecessor's:
