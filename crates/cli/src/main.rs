@@ -19,8 +19,9 @@
 //! wsnem radio --builtin mac-heterogeneous-tree    # ...or a scenario's radios
 //! ```
 //!
-//! Scenarios in one invocation run in parallel across OS threads
-//! (`--threads N` pins the count). Directory runs answer unchanged
+//! Scenarios in one invocation run in parallel across OS threads, as do
+//! the parsing of fleet files and the rendering of reports (`--threads N`
+//! pins the count). Directory runs answer unchanged
 //! scenarios from a content-hash result cache (`.wsnem-cache/` inside the
 //! directory) — see `--no-cache` / `--refresh`. Argument parsing is
 //! hand-rolled — the workspace builds offline, without clap.
@@ -29,6 +30,7 @@
 // unwraps left guard infallible conversions, where a panic is acceptable.
 #![allow(clippy::disallowed_methods)]
 
+use std::collections::HashMap;
 use std::io::IsTerminal;
 use std::path::Path;
 use std::process::ExitCode;
@@ -40,6 +42,7 @@ use wsnem_scenario::{
     GenField, GenMethod, GenSpec, ResultCache, Scenario, ScenarioReport,
     DEFAULT_SUMMARY_NODE_LIMIT,
 };
+use wsnem_stats::par;
 
 /// Write to stdout, treating a closed pipe (`wsnem list | head`) as a normal
 /// end of output rather than a panic.
@@ -135,7 +138,8 @@ RUN OPTIONS:
                           directory as a positional argument; repeatable)
     --format <FMT>        Output format: summary (default), json, csv
     --out, -o <FILE>      Write the report there instead of stdout
-    --threads <N>         Parallelism across scenarios (default: all cores)
+    --threads <N>         Parallelism across scenarios, and across fleet files
+                          parsed and reports rendered (default: all cores)
     --quick               Shrink replications/horizons for a fast smoke run
     --no-cache            Neither read nor write the directory result cache
     --refresh             Re-simulate everything, overwriting cached results
@@ -231,7 +235,8 @@ TRACE OPTIONS:
 PROFILE OPTIONS:
     --all                 Profile every built-in scenario
     --builtin <NAME>      Profile one built-in (repeatable)
-    --threads <N>         Parallelism across scenarios (default: all cores)
+    --threads <N>         Parallelism across scenarios and fleet files parsed
+                          (default: all cores)
     --quick               Shrink replications/horizons for a fast smoke run
 
 COMPARE OPTIONS:
@@ -544,47 +549,38 @@ fn gather_scenarios(o: &RunOptions, command: &str) -> Result<Gathered, String> {
     let mut sources: Vec<String> = Vec::new();
     let mut cache_of: Vec<Option<usize>> = Vec::new();
     let mut caches: Vec<ResultCache> = Vec::new();
+    // Index into `scenarios` of the first scenario of each name.
+    let mut first: HashMap<String, usize> = HashMap::new();
 
     // De-duplicate by scenario name across every source: duplicate keys
     // would collide in the merged CSV/JSON rows and in the result cache.
     // First occurrence wins; later ones are skipped with a warning
     // (an error under --strict).
-    let add = |scenario: Scenario,
-               source: String,
-               cache: Option<usize>,
-               scenarios: &mut Vec<Scenario>,
-               sources: &mut Vec<String>,
-               cache_of: &mut Vec<Option<usize>>|
-     -> Result<(), String> {
-        if let Some(i) = scenarios.iter().position(|s| s.name == scenario.name) {
-            let msg = format!(
-                "duplicate scenario `{}`: from {} and {}",
-                scenario.name, sources[i], source
-            );
-            if o.strict {
-                return Err(format!("{msg} (--strict)"));
+    let mut add =
+        |scenario: Scenario, source: String, cache: Option<usize>| -> Result<(), String> {
+            if let Some(&i) = first.get(&scenario.name) {
+                let msg = format!(
+                    "duplicate scenario `{}`: from {} and {}",
+                    scenario.name, sources[i], source
+                );
+                if o.strict {
+                    return Err(format!("{msg} (--strict)"));
+                }
+                if !o.quiet {
+                    eprintln!("warning: {msg}; keeping the first");
+                }
+                return Ok(());
             }
-            if !o.quiet {
-                eprintln!("warning: {msg}; keeping the first");
-            }
-            return Ok(());
-        }
-        scenarios.push(scenario);
-        sources.push(source);
-        cache_of.push(cache);
-        Ok(())
-    };
+            first.insert(scenario.name.clone(), scenarios.len());
+            scenarios.push(scenario);
+            sources.push(source);
+            cache_of.push(cache);
+            Ok(())
+        };
 
     if o.all {
         for s in builtin::all() {
-            add(
-                s,
-                "--all".into(),
-                None,
-                &mut scenarios,
-                &mut sources,
-                &mut cache_of,
-            )?;
+            add(s, "--all".into(), None)?;
         }
     }
     for name in &o.builtins {
@@ -592,9 +588,6 @@ fn gather_scenarios(o: &RunOptions, command: &str) -> Result<Gathered, String> {
             builtin::find(name).map_err(|e| e.to_string())?,
             format!("--builtin {name}"),
             None,
-            &mut scenarios,
-            &mut sources,
-            &mut cache_of,
         )?;
     }
     // Positional paths: plain files load directly; directories walk as
@@ -604,7 +597,7 @@ fn gather_scenarios(o: &RunOptions, command: &str) -> Result<Gathered, String> {
     let dirs = o.dirs.iter().map(|d| (d, true));
     for (path, forced_dir) in o.paths.iter().map(|p| (p, false)).chain(dirs) {
         if forced_dir || Path::new(path).is_dir() {
-            let fleet = parse_dir(path)?;
+            let fleet = parse_dir(path, o.threads)?;
             // `--no-cache` must not even create the cache directory. A
             // cache that cannot be opened at all (read-only directory, a
             // file parked at `.wsnem-cache`) degrades the same way a failed
@@ -629,23 +622,13 @@ fn gather_scenarios(o: &RunOptions, command: &str) -> Result<Gathered, String> {
                 }
             };
             for (file, scenario) in fleet {
-                add(
-                    scenario,
-                    file.display().to_string(),
-                    cache_index,
-                    &mut scenarios,
-                    &mut sources,
-                    &mut cache_of,
-                )?;
+                add(scenario, file.display().to_string(), cache_index)?;
             }
         } else {
             add(
                 files::parse(path).map_err(|e| e.to_string())?,
                 path.clone(),
                 None,
-                &mut scenarios,
-                &mut sources,
-                &mut cache_of,
             )?;
         }
     }
@@ -674,16 +657,20 @@ fn gather_scenarios(o: &RunOptions, command: &str) -> Result<Gathered, String> {
 
 /// Discover and parse every scenario file in a fleet directory *without*
 /// validating (the preflight reports semantic problems as coded
-/// diagnostics). Parse failures stay hard errors — there is no scenario to
-/// carry into the batch.
-fn parse_dir(dir: &str) -> Result<Vec<(std::path::PathBuf, Scenario)>, String> {
+/// diagnostics), on up to `threads` workers. Parse failures stay hard
+/// errors — there is no scenario to carry into the batch — and the first
+/// bad file in sorted order is the one reported.
+fn parse_dir(
+    dir: &str,
+    threads: Option<usize>,
+) -> Result<Vec<(std::path::PathBuf, Scenario)>, String> {
     let paths = fleet::discover(dir).map_err(|e| e.to_string())?;
-    let mut out = Vec::with_capacity(paths.len());
-    for path in paths {
-        let scenario = files::parse(&path).map_err(|e| e.to_string())?;
-        out.push((path, scenario));
-    }
-    Ok(out)
+    let parsed = par::map_indexed(paths.len(), threads, |i| files::parse(&paths[i]));
+    paths
+        .into_iter()
+        .zip(parsed)
+        .map(|(path, scenario)| Ok((path, scenario.map_err(|e| e.to_string())?)))
+        .collect()
 }
 
 /// Static preflight for `run`, `profile` and `compare`: the scenario-level
@@ -933,7 +920,15 @@ fn run_command(o: RunOptions, command: &str) -> Result<(), String> {
         }
     }
 
-    let rendered = render(&reports, &metrics, cache, dist, &o.format, o.node_limit)?;
+    let rendered = render(
+        &reports,
+        &metrics,
+        cache,
+        dist,
+        &o.format,
+        o.node_limit,
+        o.threads,
+    )?;
     match &o.out {
         None => out(&rendered),
         Some(path) => {
@@ -1039,6 +1034,8 @@ struct RunOutput {
     reports: Vec<ScenarioReport>,
 }
 
+/// Render the run's output in `format`, each report on its own on up to
+/// `threads` workers, joined in report order.
 fn render(
     reports: &[ScenarioReport],
     metrics: &BatchMetrics,
@@ -1046,39 +1043,65 @@ fn render(
     dist: Option<DistStats>,
     format: &str,
     node_limit: usize,
+    threads: Option<usize>,
 ) -> Result<String, String> {
     match format {
-        "json" => serde_json::to_string_pretty(&RunOutput {
-            batch: *metrics,
-            cache: cache.copied(),
-            distributed: dist,
-            reports: reports.to_vec(),
-        })
-        .map(|mut s| {
-            s.push('\n');
-            s
-        })
-        .map_err(|e| e.to_string()),
-        "csv" => {
-            let mut out = String::from(ScenarioReport::CSV_HEADER);
-            out.push('\n');
-            for r in reports {
-                for row in r.csv_rows() {
-                    out.push_str(&row);
-                    out.push('\n');
-                }
+        "json" => {
+            // The envelope without reports holds `"reports": []`; each
+            // report is rendered at its depth inside that array (envelope
+            // 0, array 1, report 2) and spliced in between the brackets.
+            const EMPTY_REPORTS: &str = "\"reports\": []";
+            let envelope = serde_json::to_string_pretty(&RunOutput {
+                batch: *metrics,
+                cache: cache.copied(),
+                distributed: dist,
+                reports: Vec::new(),
+            })
+            .map_err(|e| e.to_string())?;
+            let pieces = par::map_indexed(reports.len(), threads, |i| {
+                serde_json::to_string_pretty_at(&reports[i], 2)
+            })
+            .into_iter()
+            .collect::<Result<Vec<String>, _>>()
+            .map_err(|e| e.to_string())?;
+            let Some(at) = envelope.rfind(EMPTY_REPORTS) else {
+                unreachable!("the envelope always writes its report list");
+            };
+            let (head, tail) = envelope.split_at(at + EMPTY_REPORTS.len() - 1);
+            // Each piece gains at most a comma, a newline and four spaces;
+            // the closing bracket a newline and two.
+            let spliced: usize = pieces.iter().map(|p| p.len() + 6).sum();
+            let mut out = String::with_capacity(envelope.len() + spliced + 4);
+            out.push_str(head);
+            for (i, piece) in pieces.iter().enumerate() {
+                out.push_str(if i == 0 { "\n    " } else { ",\n    " });
+                out.push_str(piece);
             }
+            if !pieces.is_empty() {
+                out.push_str("\n  ");
+            }
+            out.push_str(tail);
+            out.push('\n');
             Ok(out)
         }
+        "csv" => {
+            let mut pieces = vec![format!("{}\n", ScenarioReport::CSV_HEADER)];
+            pieces.extend(par::map_indexed(reports.len(), threads, |i| {
+                let mut rows = String::new();
+                for row in reports[i].csv_rows() {
+                    rows.push_str(&row);
+                    rows.push('\n');
+                }
+                rows
+            }));
+            Ok(pieces.concat())
+        }
         _ => {
-            let mut out = String::new();
-            for r in reports {
-                out.push_str(&r.summary_with_node_limit(node_limit));
-                out.push('\n');
-            }
-            out.push_str(&batch_line(metrics, cache, dist.as_ref()));
-            out.push('\n');
-            Ok(out)
+            let mut pieces = par::map_indexed(reports.len(), threads, |i| {
+                reports[i].summary_with_node_limit(node_limit) + "\n"
+            });
+            pieces.push(batch_line(metrics, cache, dist.as_ref()) + "\n");
+            Ok(pieces.concat())
         }
     }
 }
@@ -1502,7 +1525,7 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
             );
         }
         for dir in &dirs {
-            for (_, s) in parse_dir(dir)? {
+            for (_, s) in parse_dir(dir, threads)? {
                 if let Some(prev) = scenarios.iter().find(|p| p.name == s.name) {
                     return Err(format!(
                         "duplicate scenario `{}` across compared directories",
@@ -1739,13 +1762,16 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
     }
     // Directory targets check every file a fleet run would pick up, plus
     // any raw `*.net.json` net specs (`check_file` dispatches on the
-    // suffix).
+    // suffix), one file per index on every core; `resolve` sees the
+    // findings in file order either way.
     for path in &paths {
         if Path::new(path).is_dir() {
-            for file in fleet::discover(path).map_err(|e| e.to_string())? {
-                checked += 1;
-                diagnostics.extend(analysis::check_file(&file, registry, opts));
-            }
+            let files = fleet::discover(path).map_err(|e| e.to_string())?;
+            checked += files.len();
+            let found = par::map_indexed(files.len(), None, |i| {
+                analysis::check_file(&files[i], registry, opts)
+            });
+            diagnostics.extend(found.into_iter().flatten());
         } else {
             checked += 1;
             diagnostics.extend(analysis::check_file(Path::new(path), registry, opts));
@@ -2226,6 +2252,78 @@ mod tests {
         assert!(line.ends_with("local fallback"), "{line}");
         let clean = batch_line(&m, None, Some(&DistStats::default()));
         assert!(!clean.contains("fallback"), "{clean}");
+    }
+
+    /// Paper defaults, an explicit tree (per-node `network` section) and a
+    /// template tree (`network_aggregate`), each on one analytic backend.
+    fn sample_reports() -> Vec<ScenarioReport> {
+        let mut plain = builtin::paper_defaults();
+        plain.backends = vec![wsnem_scenario::BackendId::Markov];
+        let mut nodes = builtin::find("tree-collection").unwrap();
+        nodes.backends = vec![wsnem_scenario::BackendId::Markov];
+        let mut aggregate = Scenario::paper_template("aggregate");
+        aggregate.backends = vec![wsnem_scenario::BackendId::Mg1];
+        aggregate.network = Some(wsnem_scenario::NetworkSpec {
+            nodes: Vec::new(),
+            topology: Some(wsnem_scenario::TopologySpec::Tree { fanout: 3 }),
+            radio: None,
+            template: Some(wsnem_scenario::TemplateSpec {
+                count: 50,
+                prefix: "n".into(),
+                event_rate: 0.01,
+                tx_per_event: 1.0,
+                rx_rate: 0.05,
+            }),
+        });
+        let reports: Vec<ScenarioReport> = [plain, nodes, aggregate]
+            .iter()
+            .map(|s| wsnem_scenario::run_scenario(s).unwrap())
+            .collect();
+        assert!(reports[1].network.is_some());
+        assert!(reports[2].network_aggregate.is_some());
+        reports
+    }
+
+    #[test]
+    fn render_joins_per_report_pieces_into_the_serial_documents() {
+        let all = sample_reports();
+        let metrics = BatchMetrics {
+            scenarios: 3,
+            workers: 2,
+            wall_seconds: 0.5,
+            busy_seconds: 0.75,
+            utilization: 0.75,
+            scenarios_per_second: 6.0,
+        };
+        let cache = CacheStats { hits: 2, misses: 1 };
+        for n in [0, 1, 3] {
+            let reports = &all[..n];
+            let json = serde_json::to_string_pretty(&RunOutput {
+                batch: metrics,
+                cache: Some(cache),
+                distributed: None,
+                reports: reports.to_vec(),
+            })
+            .unwrap()
+                + "\n";
+            let mut csv = format!("{}\n", ScenarioReport::CSV_HEADER);
+            let mut summary = String::new();
+            for r in reports {
+                for row in r.csv_rows() {
+                    csv += &(row + "\n");
+                }
+                summary += &(r.summary_with_node_limit(5) + "\n");
+            }
+            summary += &(batch_line(&metrics, Some(&cache), None) + "\n");
+            for threads in [Some(1), Some(2), None] {
+                let render = |format| {
+                    render(reports, &metrics, Some(&cache), None, format, 5, threads).unwrap()
+                };
+                assert_eq!(render("json"), json, "{n} report(s), {threads:?}");
+                assert_eq!(render("csv"), csv, "{n} report(s), {threads:?}");
+                assert_eq!(render("summary"), summary, "{n} report(s), {threads:?}");
+            }
+        }
     }
 
     #[test]

@@ -947,6 +947,36 @@ fn duplicate_scenarios_skip_with_warning_and_error_under_strict() {
 }
 
 #[test]
+fn malformed_fleet_file_is_named_at_every_thread_count() {
+    // Files parse on parallel workers; the error still names the first bad
+    // file in sorted order, and only it.
+    let dir = fresh_dir("malformed");
+    let exported = wsnem(&["export", "paper-defaults"]);
+    assert!(exported.status.success(), "stderr: {}", stderr(&exported));
+    let text = String::from_utf8(exported.stdout).unwrap();
+    for (file, name) in [("a.toml", "a"), ("c.toml", "c"), ("e.toml", "e")] {
+        let renamed = text.replace("name = \"paper-defaults\"", &format!("name = \"{name}\""));
+        std::fs::write(dir.join(file), renamed).unwrap();
+    }
+    std::fs::write(dir.join("b.toml"), "name = [\n").unwrap();
+    std::fs::write(dir.join("d.json"), "{\"name\":").unwrap();
+    let fleet = dir.to_str().unwrap();
+    for threads in [Some("1"), None] {
+        let mut args = vec!["run", fleet, "--quick", "--no-cache"];
+        args.extend(threads.map(|t| ["--threads", t]).iter().flatten());
+        let out = wsnem(&args);
+        assert!(!out.status.success(), "{threads:?}");
+        let err = stderr(&out);
+        assert!(
+            err.contains("b.toml") && err.contains("parse error"),
+            "{threads:?}: {err}"
+        );
+        assert!(!err.contains("d.json"), "{threads:?}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn run_rejects_unrecognized_scenario_file_extension() {
     // Satellite fix: a `fleet.yaml` used to be silently parsed as TOML.
     let path = temp_file("fleet.yaml", "name: not-toml\n");

@@ -69,7 +69,14 @@ pub fn discover(dir: impl AsRef<Path>) -> Result<Vec<PathBuf>, ScenarioError> {
     for entry in entries {
         let entry = entry.map_err(|e| ScenarioError::Io(format!("{}: {e}", dir.display())))?;
         let path = entry.path();
-        if !path.is_file() {
+        // The entry's own type comes with the directory listing on most
+        // platforms; only a symlink (or an unknown type) needs a `stat` to
+        // see what it names.
+        let is_file = match entry.file_type() {
+            Ok(t) if !t.is_symlink() => t.is_file(),
+            _ => path.is_file(),
+        };
+        if !is_file {
             continue;
         }
         let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
@@ -223,6 +230,35 @@ mod tests {
             .collect();
         assert_eq!(names, vec!["a.json", "b.toml"]);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn discover_follows_file_symlinks_only() {
+        use std::os::unix::fs::symlink;
+        let dir = temp_dir("symlinks");
+        let target = temp_dir("symlinks-target");
+        write(
+            &target,
+            "real.toml",
+            &quick(builtin::paper_defaults()),
+            FileFormat::Toml,
+        );
+        std::fs::create_dir_all(target.join("inner.toml")).unwrap();
+        symlink(target.join("real.toml"), dir.join("linked.toml")).unwrap();
+        symlink(target.join("inner.toml"), dir.join("dir-link.toml")).unwrap();
+        symlink(target.join("missing.toml"), dir.join("dangling.toml")).unwrap();
+        std::fs::create_dir_all(dir.join(".wsnem-cache")).unwrap();
+        std::fs::create_dir_all(dir.join("plain-dir.json")).unwrap();
+
+        let names: Vec<String> = discover(&dir)
+            .unwrap()
+            .iter()
+            .map(|p| p.file_name().unwrap().to_str().unwrap().to_owned())
+            .collect();
+        assert_eq!(names, vec!["linked.toml"]);
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&target);
     }
 
     #[test]

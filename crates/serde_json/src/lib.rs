@@ -2,7 +2,8 @@
 //!
 //! Source-compatible with the `serde_json` calls this workspace makes:
 //! [`to_string`], [`to_string_pretty`], [`from_str`], [`to_value`],
-//! [`from_value`] and the [`Value`] re-export.
+//! [`from_value`] and the [`Value`] re-export, plus [`to_string_pretty_at`]
+//! for rendering one piece of a larger pretty-printed document.
 //!
 //! Numbers are written with Rust's shortest-round-trip float formatting, so
 //! `serialize → parse` reproduces every finite `f64` bit-exactly. JSON has no
@@ -63,8 +64,20 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
 
 /// Serialize a value to a pretty-printed JSON string (two-space indent).
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+    to_string_pretty_at(value, 0)
+}
+
+/// Serialize a value pretty-printed as if it sat `depth` levels deep in a
+/// larger document: its inner lines are indented for that depth and its
+/// closing bracket for `depth` itself, while its first character carries
+/// no indent. This is exactly the slice [`to_string_pretty`] writes for the
+/// value at that depth, so documents can be rendered in pieces and joined.
+pub fn to_string_pretty_at<T: Serialize + ?Sized>(
+    value: &T,
+    depth: usize,
+) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0);
+    write_value(&mut out, &value.to_value(), Some(2), depth);
     Ok(out)
 }
 
@@ -510,6 +523,55 @@ mod tests {
         let s = to_string_pretty(&v).unwrap();
         assert_eq!(s, "{\n  \"x\": [\n    1,\n    2\n  ],\n  \"y\": {}\n}");
         assert_eq!(parse(&s).unwrap(), v);
+    }
+
+    #[test]
+    fn pretty_pieces_match_their_slice_of_the_nested_document() {
+        let pieces = [
+            Value::Map(vec![
+                ("a".into(), Value::Seq(vec![Value::Int(1), Value::Null])),
+                (
+                    "b".into(),
+                    Value::Map(vec![("c".into(), Value::Bool(true))]),
+                ),
+                ("e".into(), Value::Seq(vec![])),
+                ("f".into(), Value::Map(vec![])),
+            ]),
+            Value::Seq(vec![
+                Value::Float(f64::NAN),
+                Value::Float(f64::INFINITY),
+                Value::Float(f64::NEG_INFINITY),
+                Value::Float(-0.5),
+                Value::Str("line\nbreak \"q\"".into()),
+                Value::Seq(vec![Value::Map(vec![])]),
+            ]),
+            Value::Seq(vec![]),
+            Value::Map(vec![]),
+            Value::Float(f64::NAN),
+            Value::UInt(7),
+        ];
+        for piece in &pieces {
+            for depth in 0..5 {
+                // Nest the piece `depth` levels deep, alternating objects
+                // and arrays, and write down the text around it.
+                let (mut doc, mut prefix, mut suffix) =
+                    (piece.clone(), String::new(), String::new());
+                for level in (0..depth).rev() {
+                    let (open, close, key) = if level % 2 == 0 {
+                        doc = Value::Map(vec![("k".into(), doc)]);
+                        ('{', '}', "\"k\": ")
+                    } else {
+                        doc = Value::Seq(vec![doc]);
+                        ('[', ']', "")
+                    };
+                    prefix = format!("{open}\n{}{key}{prefix}", " ".repeat(2 * (level + 1)));
+                    suffix = format!("{suffix}\n{}{close}", " ".repeat(2 * level));
+                }
+                let full = to_string_pretty(&doc).unwrap();
+                let at = to_string_pretty_at(piece, depth).unwrap();
+                assert_eq!(full, format!("{prefix}{at}{suffix}"), "depth {depth}");
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The one order-preserving parallel executor.
 //!
 //! Every compute pool in the workspace — replications, sweeps, per-node
-//! network maps and the scenario batch — runs through [`map_indexed`]:
+//! network maps, the scenario batch, fleet-file parsing, `wsnem check`'s
+//! per-file checks and report rendering — runs through [`map_indexed`]:
 //! evaluate `f(0..n)` on up to `threads` scoped workers and return the
 //! results in index order. Callers key any randomness by the index (a
 //! replication draws stream `i` of its master seed), so the output never
@@ -30,6 +31,11 @@ use std::sync::{Mutex, PoisonError};
 /// Number of workers [`map_indexed`] runs `n` items on: `threads` when
 /// pinned, else the available parallelism, clamped to `1..=max(n, 1)`.
 pub fn workers(n: usize, threads: Option<usize>) -> usize {
+    // One item needs one worker; skip the parallelism query, which reads
+    // the cgroup's CPU quota on every call.
+    if n <= 1 {
+        return 1;
+    }
     threads
         .unwrap_or_else(|| {
             std::thread::available_parallelism()

@@ -996,19 +996,25 @@ impl SoaNetwork {
                 ),
             })
         });
+        // Moved out of `results` in place: the runs are never held twice.
+        let runs = results
+            .into_iter()
+            .enumerate()
+            .map(|(r, result)| {
+                result.map_err(|e| NetworkError::Node {
+                    node: self.name(run_starts[r]),
+                    source: *e,
+                })
+            })
+            .collect::<Result<Vec<SoaRun>, _>>()?;
         let mean_service = opts.service.to_dist(self.cpu.mu).mean();
-        let mut runs = Vec::with_capacity(results.len());
         // Each output column holds at most one value per run.
         let column = || RunColumn {
-            values: Vec::with_capacity(results.len()),
+            values: Vec::with_capacity(runs.len()),
             ..RunColumn::default()
         };
         let (mut total_power_mw, mut lifetime_days, mut rho) = (column(), column(), column());
-        for (r, result) in results.into_iter().enumerate() {
-            let run = result.map_err(|e| NetworkError::Node {
-                node: self.name(run_starts[r]),
-                source: *e,
-            })?;
+        for (r, run) in runs.iter().enumerate() {
             let (i, total) = (run.start, run.cpu_power_mw + run.radio_power_mw);
             let len = run_starts.get(r + 1).copied().unwrap_or(n) - i;
             total_power_mw.push_run(total, len);
@@ -1017,7 +1023,6 @@ impl SoaNetwork {
             // run, so its utilization is too.
             let run_rho = (self.event_rate[i] + forwarded[i]) * mean_service;
             rho.push_run(run_rho, len);
-            runs.push(run);
         }
         Ok(SoaAnalysis {
             depths,
