@@ -74,21 +74,28 @@ fn schema_pass(s: &Scenario, registry: &BackendRegistry, out: &mut Vec<Diagnosti
             );
         }
     }
-    if let Some(t) = s.network.as_ref().and_then(|n| n.template.as_ref()) {
-        if t.count == 0 || t.count > MAX_TEMPLATE_COUNT {
+    if let Some((net, t)) = s
+        .network
+        .as_ref()
+        .and_then(|n| Some((n, n.template.as_ref()?)))
+    {
+        let bound = net.max_template_count();
+        if t.count == 0 || t.count > bound {
+            let help = if bound < MAX_TEMPLATE_COUNT {
+                "a chain has one node per level, so it is routed, solved and stored \
+                 per node (about 120 bytes each); use a star or a tree of fanout 2 \
+                 or more for larger networks"
+            } else {
+                "node indices are u32 and u32::MAX marks the sink, so a \
+                 template holds at most u32::MAX - 1 nodes"
+            };
             out.push(
                 lints::INVALID_FIELD
                     .at(
                         loc.clone().with_field("network.template.count"),
-                        format!(
-                            "template count {} is outside 1..={MAX_TEMPLATE_COUNT}",
-                            t.count
-                        ),
+                        format!("template count {} is outside 1..={bound}", t.count),
                     )
-                    .with_help(
-                        "node indices are u32 and u32::MAX marks the sink, so a \
-                         template holds at most u32::MAX - 1 nodes",
-                    ),
+                    .with_help(help),
             );
         }
     }
@@ -345,7 +352,7 @@ fn catch_all_pass(s: &Scenario, registry: &BackendRegistry, out: &mut Vec<Diagno
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsnem_scenario::builtin;
+    use wsnem_scenario::{builtin, TopologySpec, MAX_CHAIN_TEMPLATE_COUNT};
 
     fn registry() -> &'static BackendRegistry {
         wsnem_scenario::global_registry()
@@ -450,43 +457,72 @@ mod tests {
         assert!(diags.iter().any(|d| d.code == "E004"), "{diags:?}");
     }
 
+    /// A light `count`-node template over `topology` on the Mg1 backend.
+    fn template_with(count: u64, topology: Option<TopologySpec>) -> Scenario {
+        let mut s = builtin::paper_defaults();
+        s.backends = vec![wsnem_core::BackendId::Mg1];
+        s.network = Some(wsnem_scenario::NetworkSpec {
+            nodes: vec![],
+            topology,
+            radio: None,
+            template: Some(wsnem_scenario::TemplateSpec {
+                count,
+                prefix: "n".into(),
+                event_rate: 1e-12,
+                tx_per_event: 1.0,
+                rx_rate: 0.0,
+            }),
+        });
+        s
+    }
+
+    /// `s`'s one error, which must be an E004 on the template count that
+    /// names the count.
+    fn count_error(s: &Scenario) -> Diagnostic {
+        let diags = run(s, registry());
+        let mut errors = diags.iter().filter(|d| d.severity == Severity::Error);
+        let (Some(error), None) = (errors.next(), errors.next()) else {
+            panic!("expected one error: {diags:?}");
+        };
+        assert_eq!(error.code, "E004");
+        assert_eq!(
+            error.location.field.as_deref(),
+            Some("network.template.count")
+        );
+        let count = s
+            .network
+            .as_ref()
+            .and_then(|n| n.template.as_ref())
+            .unwrap()
+            .count;
+        assert!(error.message.contains(&count.to_string()), "{diags:?}");
+        error.clone()
+    }
+
+    /// True when `s` raises no error.
+    fn is_clean(s: &Scenario) -> bool {
+        run(s, registry())
+            .iter()
+            .all(|d| d.severity < Severity::Error)
+    }
+
+    #[test]
+    fn chain_template_beyond_its_bound_fires_e004_with_help() {
+        // Checked by the passes only: a chain this long is never run here.
+        for topology in [TopologySpec::Chain, TopologySpec::Tree { fanout: 1 }] {
+            let at = template_with(MAX_CHAIN_TEMPLATE_COUNT, Some(topology.clone()));
+            assert!(is_clean(&at));
+            let above = template_with(MAX_CHAIN_TEMPLATE_COUNT + 1, Some(topology));
+            let help = count_error(&above).help.unwrap_or_default();
+            assert!(help.contains("chain"), "{help}");
+        }
+    }
+
     #[test]
     fn template_count_beyond_the_u32_index_fires_e004_on_the_field() {
-        let template = |count: u64| {
-            let mut s = builtin::paper_defaults();
-            s.backends = vec![wsnem_core::BackendId::Mg1];
-            s.network = Some(wsnem_scenario::NetworkSpec {
-                nodes: vec![],
-                topology: None,
-                radio: None,
-                template: Some(wsnem_scenario::TemplateSpec {
-                    count,
-                    prefix: "n".into(),
-                    event_rate: 1e-12,
-                    tx_per_event: 1.0,
-                    rx_rate: 0.0,
-                }),
-            });
-            s
-        };
-        let clean = run(&template(MAX_TEMPLATE_COUNT), registry());
-        assert!(
-            clean.iter().all(|d| d.severity < Severity::Error),
-            "{clean:?}"
-        );
+        assert!(is_clean(&template_with(MAX_TEMPLATE_COUNT, None)));
         for count in [MAX_TEMPLATE_COUNT + 1, 4_294_967_297] {
-            let diags = run(&template(count), registry());
-            let errors: Vec<&Diagnostic> = diags
-                .iter()
-                .filter(|d| d.severity == Severity::Error)
-                .collect();
-            assert_eq!(errors.len(), 1, "{diags:?}");
-            assert_eq!(errors[0].code, "E004");
-            assert_eq!(
-                errors[0].location.field.as_deref(),
-                Some("network.template.count")
-            );
-            assert!(errors[0].message.contains(&count.to_string()), "{diags:?}");
+            count_error(&template_with(count, None));
         }
     }
 

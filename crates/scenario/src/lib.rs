@@ -94,8 +94,8 @@ pub use runner::{
 };
 pub use schema::{
     BatterySpec, NetworkSpec, NodeSpec, ProfileSpec, ReportSpec, RouteSpec, Scenario, SweepAxis,
-    SweepSpec, TemplateSpec, TopologySpec, WorkloadSpec, MAX_TEMPLATE_COUNT, MIN_SCHEMA_VERSION,
-    SCHEMA_VERSION,
+    SweepSpec, TemplateSpec, TopologySpec, WorkloadSpec, MAX_CHAIN_TEMPLATE_COUNT,
+    MAX_TEMPLATE_COUNT, MIN_SCHEMA_VERSION, SCHEMA_VERSION,
 };
 pub use wsnem_core::backend::global as global_registry;
 pub use wsnem_core::{BackendId, BackendRegistry, Capabilities, ServiceDist};

@@ -98,12 +98,24 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, ScenarioError
 /// [`ScenarioError::Timeout`]. The leaked thread keeps burning its core
 /// until the closure returns on its own — acceptable for a watchdog whose
 /// job is to keep one runaway point from wedging a whole fleet, and the
-/// reason batch runners cap concurrent timeouts at the worker count.
+/// reason batch runners cap concurrent timeouts at the worker count. A
+/// budget that clamps to zero times out without starting `f` at all: a
+/// zero wait would otherwise race the thread and sometimes see its result.
 pub fn call_with_timeout<T, F>(seconds: f64, f: F) -> Result<T, ScenarioError>
 where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
+    // Sanitize before Duration::from_secs_f64, which panics on negative,
+    // NaN or overflowing inputs.
+    let budget = if seconds.is_finite() {
+        seconds.clamp(0.0, 1.0e9)
+    } else {
+        1.0e9
+    };
+    if budget == 0.0 {
+        return Err(ScenarioError::Timeout { seconds });
+    }
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::Builder::new()
         .name("wsnem-watchdog".into())
@@ -113,13 +125,6 @@ where
             let _ = tx.send(f());
         })
         .map_err(|e| ScenarioError::Io(format!("failed to spawn watchdog thread: {e}")))?;
-    // Sanitize before Duration::from_secs_f64, which panics on negative,
-    // NaN or overflowing inputs.
-    let budget = if seconds.is_finite() {
-        seconds.clamp(0.0, 1.0e9)
-    } else {
-        1.0e9
-    };
     match rx.recv_timeout(std::time::Duration::from_secs_f64(budget)) {
         Ok(v) => Ok(v),
         Err(std::sync::mpsc::RecvTimeoutError::Timeout) => Err(ScenarioError::Timeout { seconds }),
@@ -531,7 +536,7 @@ mod tests {
     use super::*;
     use crate::schema::{
         NetworkSpec, NodeSpec, ReportSpec, SweepAxis, SweepSpec, TemplateSpec, TopologySpec,
-        WorkloadSpec,
+        WorkloadSpec, MAX_TEMPLATE_COUNT,
     };
     use wsnem_stats::dist::Dist;
 
@@ -840,6 +845,36 @@ mod tests {
     }
 
     #[test]
+    fn largest_star_and_tree_templates_run_in_aggregate_form() {
+        // u32::MAX - 1 nodes: routing, node evaluation and every aggregate,
+        // the three node-order sums included, read runs, not nodes.
+        for topology in [TopologySpec::Star, TopologySpec::Tree { fanout: 4 }] {
+            let mut s = template_scenario(MAX_TEMPLATE_COUNT);
+            let net = s.network.as_mut().unwrap();
+            net.topology = Some(topology.clone());
+            net.template.as_mut().unwrap().event_rate = 1e-12;
+            let agg = run_scenario(&s).unwrap().network_aggregate.unwrap();
+            assert_eq!(agg.node_count, MAX_TEMPLATE_COUNT, "{topology:?}");
+            for sum in [
+                agg.mean_lifetime_days,
+                agg.total_power_mw,
+                agg.sink_arrival_pkts_s,
+            ] {
+                assert!(sum.is_finite() && sum > 0.0, "{topology:?}: {sum}");
+            }
+            // Node-order sums of 4.3e9 terms drift by about 1e-7.
+            let inflow = MAX_TEMPLATE_COUNT as f64 * 1e-12;
+            assert!(
+                (agg.sink_arrival_pkts_s / inflow - 1.0).abs() < 1e-6,
+                "{topology:?}"
+            );
+            assert!(agg.first_death_days <= agg.mean_lifetime_days * (1.0 + 1e-6));
+            let total: u64 = agg.lifetime_histogram.iter().map(|b| b.count).sum();
+            assert_eq!(total, agg.node_count, "{topology:?}");
+        }
+    }
+
+    #[test]
     fn batch_matches_sequential_and_keeps_order() {
         let mut a = quick_scenario();
         a.name = "a".into();
@@ -979,6 +1014,26 @@ mod tests {
         );
         assert!(results[1].is_ok(), "{:?}", results[1]);
         assert_eq!(metrics.scenarios, 2);
+    }
+
+    #[test]
+    fn zero_budget_times_out_every_time_without_running() {
+        // A budget that clamps to zero never starts the closure, so even a
+        // quick one cannot beat the watchdog.
+        let ran = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let mut fast = quick_scenario();
+        fast.backends = vec![BackendId::Markov];
+        for seconds in std::iter::repeat_n([0.0, -1.0], 100).flatten() {
+            let counter = ran.clone();
+            let err = call_with_timeout(seconds, move || {
+                counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst)
+            })
+            .unwrap_err();
+            assert!(matches!(err, ScenarioError::Timeout { .. }), "{err}");
+            let err = run_scenario_bounded(&fast, Some(1), Some(seconds)).unwrap_err();
+            assert!(matches!(err, ScenarioError::Timeout { .. }), "{err}");
+        }
+        assert_eq!(ran.load(std::sync::atomic::Ordering::SeqCst), 0);
     }
 
     #[test]

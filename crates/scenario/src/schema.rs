@@ -55,6 +55,13 @@ pub const MIN_SCHEMA_VERSION: u32 = 1;
 /// sentinel, so no node index may reach it.
 pub const MAX_TEMPLATE_COUNT: u64 = wsnem_wsn::SINK as u64 - 1;
 
+/// Largest `network.template.count` of a chain template (a `Chain`, or a
+/// `Tree` of fanout 1). A star or wider tree costs O(runs · log count)
+/// whatever its count, but a chain has one node per level and so one run
+/// per node: it is routed, solved and stored per node, about 120 bytes and
+/// 0.4 µs each, so 10^7 nodes take about 1.2 GB.
+pub const MAX_CHAIN_TEMPLATE_COUNT: u64 = 10_000_000;
+
 /// A declarative scenario definition.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
@@ -512,6 +519,18 @@ impl NetworkSpec {
             .unwrap_or_default()
     }
 
+    /// The largest `template.count` this spec's topology allows:
+    /// [`MAX_CHAIN_TEMPLATE_COUNT`] for a chain, [`MAX_TEMPLATE_COUNT`]
+    /// otherwise.
+    pub fn max_template_count(&self) -> u64 {
+        match self.topology {
+            Some(TopologySpec::Chain | TopologySpec::Tree { fanout: 0 | 1 }) => {
+                MAX_CHAIN_TEMPLATE_COUNT
+            }
+            _ => MAX_TEMPLATE_COUNT,
+        }
+    }
+
     /// Number of nodes this spec describes, without materializing them.
     pub fn node_count(&self) -> usize {
         match &self.template {
@@ -848,9 +867,15 @@ impl Scenario {
                 self.name
             )));
         }
-        if t.count == 0 || t.count > MAX_TEMPLATE_COUNT {
+        let bound = net.max_template_count();
+        if t.count == 0 || t.count > bound {
+            let chain = if bound < MAX_TEMPLATE_COUNT {
+                " for a chain, which is routed and stored per node"
+            } else {
+                ""
+            };
             return Err(ScenarioError::Invalid(format!(
-                "scenario `{}`: network.template.count must be in 1..={MAX_TEMPLATE_COUNT} \
+                "scenario `{}`: network.template.count must be in 1..={bound}{chain} \
                  (found {})",
                 self.name, t.count
             )));
@@ -1513,6 +1538,34 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(err.contains("rates"), "{err}");
+    }
+
+    #[test]
+    fn chain_templates_are_bounded_below_the_index_limit() {
+        // Checked by validation only: a chain this long is never run here.
+        for topology in [TopologySpec::Chain, TopologySpec::Tree { fanout: 1 }] {
+            let at = template_net(MAX_CHAIN_TEMPLATE_COUNT, 1e-12, Some(topology.clone()));
+            assert_eq!(at.max_template_count(), MAX_CHAIN_TEMPLATE_COUNT);
+            template_scenario(at).validate().unwrap();
+            let above = MAX_CHAIN_TEMPLATE_COUNT + 1;
+            let err = template_scenario(template_net(above, 1e-12, Some(topology)))
+                .validate()
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains("network.template.count"), "{err}");
+            assert!(err.contains("for a chain"), "{err}");
+            assert!(err.contains(&above.to_string()), "{err}");
+        }
+        // A star or a wider tree keeps the index limit.
+        for topology in [
+            None,
+            Some(TopologySpec::Star),
+            Some(TopologySpec::Tree { fanout: 2 }),
+        ] {
+            let net = template_net(MAX_CHAIN_TEMPLATE_COUNT + 1, 1e-12, topology);
+            assert_eq!(net.max_template_count(), MAX_TEMPLATE_COUNT);
+            template_scenario(net).validate().unwrap();
+        }
     }
 
     #[test]

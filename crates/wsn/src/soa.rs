@@ -61,10 +61,13 @@
 //! near-unstable count — read one value per run, since forwarded load,
 //! power, lifetime and utilization are constant on a run; the hop-depth
 //! percentiles read the per-depth counts of the routing pass. On the
-//! 10^6-node tree that is 20 values, not 10^6. Only the mean lifetime, the
-//! total power and the sink inflow still sum every node, in node order,
-//! because that order fixes their last bits. Small nets that report per
-//! node read each node's CPU split from its run ([`SoaAnalysis::run_for`]).
+//! 10^6-node tree that is 20 values, not 10^6. The mean lifetime, the total
+//! power and the sink inflow are node-order sums, whose order fixes their
+//! last bits; [`RunColumn::sum`] gives those bits from the runs, adding a
+//! run's repeated value a binade at a time in O(log n) steps, so a star or
+//! tree template costs O(runs · log n) from routing to report. Small nets
+//! that report per node read each node's CPU split from its run
+//! ([`SoaAnalysis::run_for`]).
 
 use wsnem_core::{BackendId, BackendRegistry, CpuModelParams, EvalOptions};
 use wsnem_energy::{Battery, PowerProfile, StateFractions};
@@ -257,6 +260,94 @@ impl<T: RunValue> RunColumn<T> {
             });
         dense.iter().copied().chain(runs.flatten())
     }
+}
+
+impl RunColumn {
+    /// The sum of every node's value in node order: bit for bit
+    /// `self.iter().sum::<f64>()`, which adds each node to `-0.0` in turn,
+    /// but in about `log2(len)` additions per run instead of one per node.
+    pub fn sum(&self) -> f64 {
+        self.runs()
+            .fold(-0.0, |acc, (value, count)| add_repeated(acc, value, count))
+    }
+}
+
+/// `acc` after `k` rounded additions of `v`: bit for bit the loop
+/// `for _ in 0..k { acc += v }`, in about `log2(k)` live additions.
+///
+/// While a finite accumulator stays in one binade, so keeps its ulp `u`,
+/// and `v` has its sign, every round-to-nearest-even step adds the same
+/// whole number of ulps to its magnitude: `d = q + (f > ½)` for
+/// `|v| / u = q + f`. On a tie (`f = ½`) a step from an even multiple of
+/// `u` adds `q + (q odd)` and lands on an even one again, so only a step
+/// from an odd multiple runs live. The steps that stay in the binade are
+/// one integer add of `m · d` to the bits, and the step that crosses into
+/// the next binade runs live: a run costs a live step or two per binade
+/// the sum climbs. One live step settles a non-finite accumulator or a `v`
+/// of ±0; operands of opposite signs run the plain loop.
+fn add_repeated(mut acc: f64, v: f64, mut k: usize) -> f64 {
+    /// The largest 53-bit significand: the top of a binade, in ulps.
+    const TOP: u64 = (1 << 53) - 1;
+    while k > 0 {
+        let jumpable = k > 1
+            && acc.is_finite()
+            && v.is_finite()
+            && v != 0.0
+            && acc.is_sign_negative() == v.is_sign_negative();
+        if jumpable {
+            let magnitude = acc.abs().to_bits();
+            match ulps_per_step(magnitude, v.abs().to_bits()) {
+                Some(0) => return acc,
+                Some(d) => {
+                    let m = (k as u64).min((TOP - significand(magnitude).0) / d);
+                    if m > 0 {
+                        acc = f64::from_bits(acc.to_bits() + m * d);
+                        k -= m as usize;
+                        continue;
+                    }
+                }
+                None => {}
+            }
+        }
+        acc += v;
+        k -= 1;
+        if !acc.is_finite() || v == 0.0 {
+            return acc;
+        }
+    }
+    acc
+}
+
+/// The ulps by which adding the finite magnitude `v > 0` moves the finite
+/// magnitude `a >= 0`, the same on every step that keeps `a`'s binade, or
+/// `None` when the next step must run live: `v` is 2^53 ulps or more, or
+/// it is a tie from an odd multiple of the ulp.
+fn ulps_per_step(a: u64, v: u64) -> Option<u64> {
+    let (s, a_exponent) = significand(a);
+    let (v_significand, v_exponent) = significand(v);
+    // A `v` in a higher binade is a normal number of at least 2^53 ulps.
+    let shift = a_exponent.checked_sub(v_exponent)?;
+    if shift > 53 {
+        return Some(0); // below half an ulp: every step rounds back to `a`
+    }
+    if shift == 0 {
+        return Some(v_significand);
+    }
+    let q = v_significand >> shift;
+    let half = 1 << (shift - 1);
+    match (v_significand & ((1 << shift) - 1)).cmp(&half) {
+        std::cmp::Ordering::Less => Some(q),
+        std::cmp::Ordering::Greater => Some(q + 1),
+        std::cmp::Ordering::Equal => (s % 2 == 0).then_some(q + q % 2),
+    }
+}
+
+/// A finite magnitude's integer significand, with its hidden bit, and its
+/// exponent field; subnormals read as field 1, whose ulp they share.
+fn significand(bits: u64) -> (u64, u64) {
+    let field = bits >> 52;
+    let fraction = bits & ((1 << 52) - 1);
+    (fraction | u64::from(field != 0) << 52, field.max(1))
 }
 
 impl<T: RunValue> std::ops::Index<usize> for RunColumn<T> {
@@ -619,9 +710,11 @@ impl SoaNetwork {
     }
 
     /// Total packet rate entering the sink — by conservation, the sum of
-    /// every node's own transmit rate.
+    /// every node's own transmit rate, in node order. It is summed over the
+    /// runs of own rates ([`RunColumn::sum`]), bit for bit the node-order
+    /// sum, so a template costs O(runs · log n), not O(n).
     pub fn sink_arrival_pkts_s(&self) -> f64 {
-        self.own_tx_rates().iter().sum()
+        self.own_tx_rates().sum()
     }
 
     /// Validate array lengths, the radio overrides (in range, strictly
@@ -1282,18 +1375,20 @@ impl SoaAnalysis {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// Mean node lifetime (days). Sums every node in index order, so the
-    /// result does not depend on how the nodes group into runs.
+    /// Mean node lifetime (days). The sum is bit for bit the node-order
+    /// sum, so the result does not depend on how the nodes group into runs,
+    /// but it costs O(log n) per run ([`RunColumn::sum`]).
     pub fn mean_lifetime_days(&self) -> f64 {
         if self.is_empty() {
             return 0.0;
         }
-        self.lifetime_days.iter().sum::<f64>() / self.len() as f64
+        self.lifetime_days.sum() / self.len() as f64
     }
 
-    /// Total network power (mW), summed in node order like the mean.
+    /// Total network power (mW), the node-order sum read per run like the
+    /// mean.
     pub fn total_power_mw(&self) -> f64 {
-        self.total_power_mw.iter().sum()
+        self.total_power_mw.sum()
     }
 
     /// The deepest hop count (0 for an empty network).
@@ -2071,6 +2166,180 @@ mod tests {
                     "{label}"
                 );
             }
+        }
+    }
+
+    /// `k` additions of `v` to `acc`, one at a time.
+    fn add_loop(mut acc: f64, v: f64, k: usize) -> f64 {
+        for _ in 0..k {
+            acc += v;
+        }
+        acc
+    }
+
+    /// Equal bits, or both NaN: Rust leaves NaN payloads unspecified.
+    fn same_bits(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// The float of this sign and exponent field whose fraction is the
+    /// low 52 bits of `fraction`.
+    fn float(negative: bool, field: u64, fraction: u64) -> f64 {
+        f64::from_bits(u64::from(negative) << 63 | field << 52 | fraction & ((1 << 52) - 1))
+    }
+
+    #[test]
+    fn add_repeated_matches_the_plain_loop_bit_for_bit() {
+        let mut rng = Xoshiro256PlusPlus::new(29);
+        let specials = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+            5e-324,
+            -5e-324,
+            f64::MAX,
+            -f64::MAX,
+            1.0,
+            -0.1,
+        ];
+        for case in 0..12_000u64 {
+            let k = match case % 7 {
+                0 => rng.next_bounded(3) as usize,
+                _ => rng.next_bounded(10_001) as usize,
+            };
+            let negative = rng.next_bool(0.5);
+            let (acc, v) = match case % 6 {
+                // Random bit patterns: every sign, binade, subnormal,
+                // infinity and NaN, mostly far apart.
+                0 => (
+                    f64::from_bits(rng.next_u64()),
+                    f64::from_bits(rng.next_u64()),
+                ),
+                // Same sign, `v` up to 2^60 times smaller than `acc` or a
+                // few binades larger, so runs climb binades.
+                1 => {
+                    let field = 64 + rng.next_bounded(1975);
+                    let v_field = field + 4 - rng.next_bounded(64);
+                    (
+                        float(negative, field, rng.next_u64()),
+                        float(negative, v_field, rng.next_u64()),
+                    )
+                }
+                // Exact ties, `v = (2q + 1)·u/2` for `acc`'s ulp `u`, at
+                // each parity of `acc`'s significand and of `q`.
+                2 => {
+                    let field = 60 + rng.next_bounded(1900);
+                    let parity = case / 6 % 4;
+                    let acc = float(negative, field, rng.next_u64()).to_bits() & !1 | parity & 1;
+                    let q = rng.next_u64() >> (12 + rng.next_bounded(52)) & !1 | parity >> 1;
+                    let half_ulp = f64::from_bits((field - 53) << 52);
+                    let v = (2 * q + 1) as f64 * half_ulp;
+                    (f64::from_bits(acc), if negative { -v } else { v })
+                }
+                // Subnormals, zeros and the smallest normals.
+                3 => (
+                    float(negative, rng.next_bounded(2), rng.next_u64()),
+                    float(
+                        rng.next_bool(0.2) != negative,
+                        rng.next_bounded(3),
+                        rng.next_u64(),
+                    ),
+                ),
+                // Specials against specials and against random values.
+                4 => {
+                    let acc = specials[rng.next_bounded(specials.len() as u64) as usize];
+                    let v = match rng.next_bool(0.5) {
+                        true => specials[rng.next_bounded(specials.len() as u64) as usize],
+                        false => float(negative, 1000 + rng.next_bounded(40), rng.next_u64()),
+                    };
+                    (acc, v)
+                }
+                // Opposite signs, close enough that the sum crosses zero.
+                _ => {
+                    let field = 1000 + rng.next_bounded(20);
+                    (
+                        float(negative, field, rng.next_u64()),
+                        float(!negative, field - rng.next_bounded(16), rng.next_u64()),
+                    )
+                }
+            };
+            let (want, got) = (add_loop(acc, v, k), add_repeated(acc, v, k));
+            assert!(
+                same_bits(got, want),
+                "case {case}: {acc:e} + {k} x {v:e}: {got:e} ({:#x}) != {want:e} ({:#x})",
+                got.to_bits(),
+                want.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn add_repeated_climbs_binades_not_steps() {
+        // 2^64 - 1 additions of 0.1, about 55 binades: below 2^50 each step
+        // rounds up to a whole ulp, and from 2^50 on 0.1 is below half an
+        // ulp, so the sum stops there.
+        let stalled = add_repeated(-0.0, 0.1, usize::MAX);
+        assert_eq!(stalled, 2f64.powi(50));
+        assert_eq!(add_repeated(stalled, 0.1, usize::MAX), stalled);
+        // Non-finite and zero cases settle after one live step.
+        assert_eq!(add_repeated(f64::MAX, f64::MAX, usize::MAX), f64::INFINITY);
+        assert!(add_repeated(f64::INFINITY, f64::NEG_INFINITY, usize::MAX).is_nan());
+        assert_eq!(
+            add_repeated(-0.0, 0.0, usize::MAX).to_bits(),
+            0.0f64.to_bits()
+        );
+        assert_eq!(
+            add_repeated(-0.0, -0.0, usize::MAX).to_bits(),
+            (-0.0f64).to_bits()
+        );
+    }
+
+    #[test]
+    fn column_sum_matches_the_node_order_sum() {
+        let mut rng = Xoshiro256PlusPlus::new(31);
+        let pool = [
+            0.1,
+            1e-3,
+            3.0,
+            2.5e-7,
+            1e6,
+            0.0,
+            -0.0,
+            -0.25,
+            5e-324,
+            f64::MIN_POSITIVE,
+        ];
+        for case in 0..240u64 {
+            let n = rng.next_bounded(20_000) as usize;
+            // A new value every node (dense one-node runs), every other
+            // node, or every 64 nodes on average.
+            let every = [1, 2, 64][case as usize % 3];
+            let mut value = pool[0];
+            let column: RunColumn = (0..n)
+                .map(|_| {
+                    if rng.next_bounded(every) == 0 {
+                        value = match rng.next_bool(0.5) {
+                            true => pool[rng.next_bounded(pool.len() as u64) as usize],
+                            false => rng.next_f64() * 10f64.powi(rng.next_bounded(21) as i32 - 10),
+                        };
+                    }
+                    value
+                })
+                .collect();
+            let want: f64 = column.iter().sum();
+            assert_eq!(column.sum().to_bits(), want.to_bits(), "case {case}");
+        }
+        // Distinct neighbours keep no run ends; long runs climb binades.
+        let dense: RunColumn = (0..5000).map(|i| f64::from(i) * 0.1).collect();
+        let mut long = RunColumn::repeat(0.1, 1_000_000);
+        long.push_run(1e-9, 3_000_000);
+        long.push_run(7.0, 1);
+        for column in [dense, long, RunColumn::default()] {
+            let want: f64 = column.iter().sum();
+            assert_eq!(column.sum().to_bits(), want.to_bits());
         }
     }
 }
