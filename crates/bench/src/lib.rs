@@ -1,8 +1,8 @@
 //! Shared formatting helpers for the experiment binaries.
 //!
-//! Each binary under `src/bin/` regenerates one paper artifact (see
-//! DESIGN.md §4) and prints it as an aligned ASCII table suitable for
-//! copy-paste into EXPERIMENTS.md.
+//! Each binary under `src/bin/` regenerates one paper artifact (README,
+//! "Regenerating the paper's artifacts") and prints it as an aligned ASCII
+//! table.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

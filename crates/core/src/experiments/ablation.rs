@@ -1,4 +1,4 @@
-//! DESIGN.md ablation E8 (simulation convergence).
+//! Ablation E8: simulation convergence.
 
 use wsnem_energy::StateFractions;
 

@@ -1,5 +1,5 @@
 //! The experiment harness: every table and figure of the paper's evaluation
-//! section, plus the DESIGN.md ablations.
+//! section, plus a convergence ablation and a Power-Up-Delay sweep.
 //!
 //! | Artifact | Function | Bench binary |
 //! |---|---|---|

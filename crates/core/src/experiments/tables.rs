@@ -54,7 +54,7 @@ fn pairwise_energy_delta(
 /// per-state difference in percentage points. The paper's table appears to
 /// aggregate differently (its values scale with the sweep size) but the
 /// *ordering* — Sim–PN ≪ Sim–Markov for large `D`, comparable at
-/// `D = 0.001` — is the claim under reproduction (see EXPERIMENTS.md).
+/// `D = 0.001` — is the claim under reproduction.
 pub fn table4(params: CpuModelParams, d_values: &[f64]) -> Result<Vec<DeltaRow>, CoreError> {
     let mut rows = Vec::with_capacity(d_values.len());
     for &d in d_values {

@@ -13,8 +13,8 @@
 //!   (the paper's Matlab benchmark),
 //!
 //! plus the [`experiments`] harness that regenerates every table and figure
-//! of the evaluation section (Fig. 4, Fig. 5, Table 4, Table 5) and the
-//! DESIGN.md convergence ablation and Power-Up-Delay sweep.
+//! of the evaluation section (Fig. 4, Fig. 5, Table 4, Table 5), plus a
+//! convergence ablation and a Power-Up-Delay sweep.
 //!
 //! The [`backend`] module is the one way to run a solver: one [`BackendId`]
 //! shared by every layer, the object-safe [`CpuSolver`] trait with a

@@ -3,9 +3,9 @@
 use std::time::Instant;
 
 use wsnem_des::cpu::{CpuDes, CpuSimParams};
-use wsnem_des::replication::run_replications;
 use wsnem_des::workload::Workload;
-use wsnem_stats::online::Welford;
+use wsnem_energy::StateFractions;
+use wsnem_stats::replicate::replicate;
 
 use crate::backend::{require_stable, BackendId, Capabilities, CpuSolver, EvalOptions};
 use crate::error::CoreError;
@@ -59,18 +59,19 @@ impl CpuSolver for DesSolver {
             workload,
         )?;
         let start = Instant::now();
-        let summary = run_replications(&sim, params.replications, params.master_seed, opts.threads);
-        let mut jobs = Welford::new();
-        let mut latency = Welford::new();
-        for r in &summary.reports {
-            jobs.push(r.mean_jobs_in_system);
-            latency.push(r.mean_latency);
-        }
+        let run = replicate(
+            params.replications,
+            params.master_seed,
+            opts.threads,
+            |rng| Ok::<_, CoreError>(sim.run(rng)),
+        )?;
         Ok(ModelEvaluation {
             kind: BackendId::Des,
-            fractions: summary.mean_fractions(),
-            mean_jobs: Some(jobs.mean()),
-            mean_latency: Some(latency.mean()),
+            fractions: StateFractions::from_array(std::array::from_fn(|k| {
+                run.mean(|r| r.fractions.as_array()[k])
+            })),
+            mean_jobs: Some(run.mean(|r| r.mean_jobs_in_system)),
+            mean_latency: Some(run.mean(|r| r.mean_latency)),
             eval_seconds: start.elapsed().as_secs_f64(),
         })
     }

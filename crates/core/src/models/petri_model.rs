@@ -30,8 +30,9 @@
 use std::time::Instant;
 
 use wsnem_energy::StateFractions;
-use wsnem_petri::{simulate_replications, NetBuilder, PetriNet, PlaceId, Reward, SimConfig};
+use wsnem_petri::{simulate, NetBuilder, PetriNet, PlaceId, Reward, SimConfig};
 use wsnem_stats::dist::Dist;
+use wsnem_stats::replicate::replicate;
 
 use crate::backend::{require_stable, BackendId, Capabilities, CpuSolver, EvalOptions};
 use crate::error::CoreError;
@@ -228,24 +229,19 @@ impl CpuSolver for PetriSolver {
             warmup: params.warmup,
             ..SimConfig::default()
         };
-        let summary = simulate_replications(
-            &net,
-            &cfg,
-            &rewards,
+        let run = replicate(
             params.replications,
             params.master_seed,
             opts.threads,
+            |rng| simulate(&net, &cfg, &rewards, rng),
         )?;
-        let fractions = StateFractions::new(
-            summary.reward_mean(0),
-            summary.reward_mean(1),
-            summary.reward_mean(2),
-            summary.reward_mean(3),
-        );
+        let fractions = StateFractions::from_array(std::array::from_fn(|k| {
+            run.mean(|out| out.reward_means[k])
+        }));
         // Mean jobs in system = buffered + in service.
-        let buffer_idx = handles.cpu_buffer.index();
-        let active_idx = handles.active.index();
-        let mean_jobs = summary.place_mean(buffer_idx) + summary.place_mean(active_idx);
+        let (buffer, active) = (handles.cpu_buffer.index(), handles.active.index());
+        let mean_jobs =
+            run.mean(|out| out.place_means[buffer]) + run.mean(|out| out.place_means[active]);
         Ok(ModelEvaluation {
             kind: BackendId::PetriNet,
             fractions,

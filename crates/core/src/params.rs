@@ -9,7 +9,7 @@ use crate::error::CoreError;
 /// simulators, its budget and seed.
 ///
 /// Defaults follow the paper's Table 2 with the service-rate ambiguity
-/// resolved as documented in DESIGN.md §2: *"Service Rate .1 per sec"* is
+/// resolved this way: *"Service Rate .1 per sec"* is
 /// read as a mean service **time** of 0.1 s (μ = 10/s), since λ = 1/s with
 /// μ = 0.1/s would be an unstable queue incompatible with the paper's own
 /// stability requirement (Eq. 17 needs ρ < 1) and with Fig. 4's ≈10% Active

@@ -306,7 +306,7 @@ impl CpuDes {
 
     /// Execute one replication.
     pub fn run<R: Rng64 + ?Sized>(&self, rng: &mut R) -> CpuRunReport {
-        Runner::new(&self.params, &self.workload, rng, &mut NoopObserver).run(None)
+        Runner::new(&self.params, &self.workload, rng, &mut NoopObserver).run()
     }
 
     /// Execute one replication with an attached
@@ -326,18 +326,7 @@ impl CpuDes {
         rng: &mut R,
         obs: &mut O,
     ) -> CpuRunReport {
-        Runner::new(&self.params, &self.workload, rng, obs).run(None)
-    }
-
-    /// Execute one replication, additionally binning every post-warmup job
-    /// latency into `histogram` (e.g. to read tail percentiles — the
-    /// responsiveness cost of aggressive power-down policies).
-    pub fn run_collecting<R: Rng64 + ?Sized>(
-        &self,
-        rng: &mut R,
-        histogram: &mut wsnem_stats::Histogram,
-    ) -> CpuRunReport {
-        Runner::new(&self.params, &self.workload, rng, &mut NoopObserver).run(Some(histogram))
+        Runner::new(&self.params, &self.workload, rng, obs).run()
     }
 }
 
@@ -531,18 +520,13 @@ impl<'a, R: Rng64 + ?Sized, O: Observer> Runner<'a, R, O> {
         }
     }
 
-    fn handle_departure(&mut self, histogram: &mut Option<&mut wsnem_stats::Histogram>) {
+    fn handle_departure(&mut self) {
         // A Departure is only ever scheduled when a job enters service.
         let Some(arrived) = self.serving.take() else {
             unreachable!("departure without a job in service")
         };
         self.completions += 1;
         self.latency.push(self.now - arrived);
-        if let Some(h) = histogram {
-            if self.now >= self.params.warmup {
-                h.push(self.now - arrived);
-            }
-        }
         self.touch_population();
         if let Some(think) = self.think {
             if O::ENABLED {
@@ -592,7 +576,7 @@ impl<'a, R: Rng64 + ?Sized, O: Observer> Runner<'a, R, O> {
         self.power_downs = 0;
     }
 
-    fn run(mut self, mut histogram: Option<&mut wsnem_stats::Histogram>) -> CpuRunReport {
+    fn run(mut self) -> CpuRunReport {
         let horizon = self.params.horizon;
         if O::ENABLED {
             self.obs.state_enter(0.0, self.obs_state.index() as u8);
@@ -630,7 +614,7 @@ impl<'a, R: Rng64 + ?Sized, O: Observer> Runner<'a, R, O> {
                     self.agenda.schedule(self.now + gap, Ev::Arrival);
                 }
                 Ev::ClosedArrival => self.handle_job_arrival(),
-                Ev::Departure => self.handle_departure(&mut histogram),
+                Ev::Departure => self.handle_departure(),
                 Ev::PowerDownTimeout => self.handle_power_down(),
                 Ev::PowerUpDone => self.handle_power_up_done(),
                 Ev::WarmupEnd => self.reset_statistics(),
@@ -889,33 +873,6 @@ mod tests {
             r.fractions.active
         );
         assert!((r.mean_latency - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn latency_histogram_collection() {
-        let mut params = paper_params(0.5, 0.001);
-        params.warmup = 500.0;
-        let sim = CpuDes::new(params, Workload::open_poisson(1.0)).unwrap();
-        let mut hist = wsnem_stats::Histogram::new(0.0, 5.0, 100);
-        let mut rng = Xoshiro256PlusPlus::new(77);
-        let r = sim.run_collecting(&mut rng, &mut hist);
-        // Every post-warmup completion was binned.
-        assert_eq!(hist.count(), r.completions);
-        assert!(hist.count() > 1000);
-        // Histogram mean agrees with the report's latency mean.
-        assert!(
-            (hist.mean() - r.mean_latency).abs() < 1e-9,
-            "{} vs {}",
-            hist.mean(),
-            r.mean_latency
-        );
-        // Median latency below the mean (exponential-ish right skew).
-        let median = hist.quantile(0.5).unwrap();
-        assert!(median <= r.mean_latency + 0.05);
-        // run() and run_collecting() produce identical reports.
-        let mut rng2 = Xoshiro256PlusPlus::new(77);
-        let r2 = sim.run(&mut rng2);
-        assert_eq!(r, r2);
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!   future-event list is a fixed-slot agenda: one slot per event kind with
 //!   at most one pending instance, a small heap for closed submissions, and
 //!   FIFO order among events at the same instant.
-//! * [`replication`] — embarrassingly-parallel independent replications with
-//!   per-replication RNG streams and order-deterministic reduction.
+//! * [`replication`] — [`run_replications`], independent replications of
+//!   [`CpuDes`] on `wsnem_stats::replicate`, where every simulator's
+//!   replications run.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::disallowed_methods))]
@@ -30,5 +31,5 @@ pub mod workload;
 
 pub use cpu::{CpuDes, CpuRunReport, CpuSimParams};
 pub use error::DesError;
-pub use replication::{run_replications, ReplicationSummary};
+pub use replication::run_replications;
 pub use workload::{ClosedWorkload, OpenWorkload, Workload, WorkloadGen};

@@ -177,7 +177,7 @@ mod tests {
     use super::*;
 
     fn paper_model(t: f64, d: f64) -> SupplementaryVariableModel {
-        // λ = 1/s, mean service 0.1 s (μ = 10/s) — see DESIGN.md on Table 2.
+        // λ = 1/s, mean service 0.1 s (μ = 10/s): the paper's Table 2.
         SupplementaryVariableModel::new(1.0, 10.0, t, d).unwrap()
     }
 
@@ -232,7 +232,7 @@ mod tests {
     #[test]
     fn fig4_shape_at_paper_parameters() {
         // λ=1, μ=10, D=0.001: at T=1 the model predicts
-        // standby ≈ 33%, idle ≈ 57%, active ≈ 10% (see DESIGN.md).
+        // standby ≈ 33%, idle ≈ 57%, active ≈ 10%.
         let m = paper_model(1.0, 0.001);
         let f = m.fractions();
         assert!((f.standby - 0.331).abs() < 0.005, "standby {}", f.standby);

@@ -13,8 +13,9 @@
 //!   exchange format.
 //! * **Token game** ([`sim`]): event-driven simulation with vanishing-marking
 //!   resolution, race semantics with enabling-memory (resample) or
-//!   age-memory policies, marking rewards, warm-up truncation, and
-//!   deterministic parallel replications.
+//!   age-memory policies, marking rewards and warm-up truncation; one
+//!   replication per call, keyed by its RNG stream, so
+//!   `wsnem_stats::replicate` runs and reduces them deterministically.
 //! * **Structural analysis** ([`analysis`]): incidence matrix, P/T-semiflows
 //!   (Farkas), bounded reachability graphs, and — for nets whose timed
 //!   transitions are all exponential — vanishing elimination into a tangible
@@ -41,7 +42,4 @@ pub use dot::to_dot;
 pub use error::PetriError;
 pub use marking::Marking;
 pub use net::{NetBuilder, NetSpec, PetriNet, PlaceId, TimedPolicy, TransitionId, TransitionKind};
-pub use sim::{
-    simulate, simulate_observed, simulate_replications, PnReplicationSummary, Reward, SimConfig,
-    SimOutput,
-};
+pub use sim::{simulate, simulate_observed, Reward, SimConfig, SimOutput};

@@ -1,15 +1,11 @@
-//! EDSPN simulation: configuration, rewards, outputs, the token-game engine
-//! and parallel replications.
+//! EDSPN simulation: configuration, rewards, outputs and the token-game
+//! engine. Replications of [`simulate`] run on `wsnem_stats::replicate`.
 
-mod converge;
 mod engine;
 #[cfg(test)]
 mod reference;
-mod replication;
 
-pub use converge::{simulate_until_precise, ConvergedRun, PrecisionTarget};
 pub use engine::{simulate, simulate_observed};
-pub use replication::{simulate_replications, PnReplicationSummary};
 
 use std::sync::Arc;
 

@@ -14,17 +14,20 @@
 //!   abstraction and [`StreamFactory`] for independent replication streams.
 //! * [`dist`] — continuous and discrete distributions with analytic moments,
 //!   sampled by inversion / Box–Muller / Marsaglia–Tsang.
-//! * [`online`] — Welford mean/variance, extremes, covariance.
+//! * [`online`] — the Welford mean/variance accumulator.
 //! * [`timeweighted`] — time-integrals of piecewise-constant signals (the
 //!   backbone of "percentage of time in state X" measures).
 //! * [`ci`] — normal / Student-t quantiles and confidence intervals.
-//! * [`histogram`] — fixed-width histograms with summary statistics.
 //! * [`compare`] — the series-comparison metric (MAE) used to
 //!   regenerate the paper's Δ tables.
 //! * [`hash`] — stable 128-bit FNV-1a content fingerprints (the scenario
 //!   result cache's key function; `std::hash` is randomized per process).
 //! * [`par`] — the order-preserving parallel executor every compute pool
 //!   (replications, sweeps, node maps, scenario batches) runs on.
+//! * [`replicate`] — the one way replications run: replication `i` on stream
+//!   `i` of the master seed, outputs in replication order, statistics by
+//!   in-order [`Welford`] pushes, and sequential stopping to a precision
+//!   target ([`replicate::until_precise`]).
 
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::disallowed_methods))]
@@ -38,9 +41,9 @@ pub mod compare;
 pub mod dist;
 pub mod error;
 pub mod hash;
-pub mod histogram;
 pub mod online;
 pub mod par;
+pub mod replicate;
 pub mod rng;
 pub mod timeweighted;
 
@@ -49,7 +52,6 @@ pub use compare::mean_abs_error;
 pub use dist::{Dist, Sample};
 pub use error::StatsError;
 pub use hash::{fnv1a128, StableHasher};
-pub use histogram::Histogram;
-pub use online::{MinMax, Welford};
+pub use online::Welford;
 pub use rng::{Rng64, SplitMix64, StreamFactory, Xoshiro256PlusPlus};
 pub use timeweighted::TimeWeighted;

@@ -1,7 +1,7 @@
-//! Numerically-stable online accumulators (Welford's algorithm and friends).
-//!
-//! These are the building blocks for per-replication summaries: O(1) memory,
-//! one pass, no catastrophic cancellation.
+//! Welford's numerically-stable online mean / variance accumulator: O(1)
+//! memory, one pass, no catastrophic cancellation. Replication statistics
+//! push in replication order (see [`crate::replicate`]), so they do not
+//! depend on how the replications were scheduled.
 
 /// Welford online mean / variance accumulator.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -67,151 +67,6 @@ impl Welford {
             (self.variance() / self.n as f64).sqrt()
         }
     }
-
-    /// Merge another accumulator into this one (Chan's parallel update) —
-    /// the reduction step for parallel replications.
-    pub fn merge(&mut self, other: &Welford) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-    }
-}
-
-/// Running minimum / maximum tracker.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MinMax {
-    min: f64,
-    max: f64,
-    n: u64,
-}
-
-impl Default for MinMax {
-    fn default() -> Self {
-        Self {
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            n: 0,
-        }
-    }
-}
-
-impl MinMax {
-    /// Empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Observe a value.
-    #[inline]
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        if x < self.min {
-            self.min = x;
-        }
-        if x > self.max {
-            self.max = x;
-        }
-    }
-
-    /// Smallest observation (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest observation (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-
-    /// max − min (`None` when empty).
-    pub fn range(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max - self.min)
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Merge two trackers.
-    pub fn merge(&mut self, other: &MinMax) {
-        if other.n == 0 {
-            return;
-        }
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// Online covariance / correlation of paired observations.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Covariance {
-    n: u64,
-    mean_x: f64,
-    mean_y: f64,
-    m2_x: f64,
-    m2_y: f64,
-    cxy: f64,
-}
-
-impl Covariance {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add a pair.
-    #[inline]
-    pub fn push(&mut self, x: f64, y: f64) {
-        self.n += 1;
-        let n = self.n as f64;
-        let dx = x - self.mean_x;
-        self.mean_x += dx / n;
-        self.m2_x += dx * (x - self.mean_x);
-        let dy = y - self.mean_y;
-        self.mean_y += dy / n;
-        self.m2_y += dy * (y - self.mean_y);
-        self.cxy += dx * (y - self.mean_y);
-    }
-
-    /// Number of pairs.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Unbiased sample covariance.
-    pub fn covariance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.cxy / (self.n - 1) as f64
-        }
-    }
-
-    /// Pearson correlation coefficient (0 if either variance is 0).
-    pub fn correlation(&self) -> f64 {
-        if self.n < 2 {
-            return 0.0;
-        }
-        let denom = (self.m2_x * self.m2_y).sqrt();
-        if denom == 0.0 {
-            0.0
-        } else {
-            self.cxy / denom
-        }
-    }
 }
 
 #[cfg(test)]
@@ -251,34 +106,6 @@ mod tests {
     }
 
     #[test]
-    fn welford_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..1000).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = Welford::new();
-        for &x in &xs {
-            all.push(x);
-        }
-        let mut left = Welford::new();
-        let mut right = Welford::new();
-        for &x in &xs[..300] {
-            left.push(x);
-        }
-        for &x in &xs[300..] {
-            right.push(x);
-        }
-        left.merge(&right);
-        assert!((left.mean() - all.mean()).abs() < 1e-9);
-        assert!((left.variance() - all.variance()).abs() < 1e-9);
-        assert_eq!(left.count(), all.count());
-
-        // Merging empties is the identity.
-        let mut e = Welford::new();
-        e.merge(&Welford::new());
-        assert_eq!(e.count(), 0);
-        e.merge(&all);
-        assert!((e.mean() - all.mean()).abs() < 1e-12);
-    }
-
-    #[test]
     fn welford_huge_offset_stability() {
         // Large common offset should not destroy the variance estimate.
         let mut w = Welford::new();
@@ -290,52 +117,5 @@ mod tests {
             "{}",
             w.variance()
         );
-    }
-
-    #[test]
-    fn minmax_tracks() {
-        let mut mm = MinMax::new();
-        assert!(mm.min().is_none());
-        for x in [3.0, -1.0, 7.0, 2.0] {
-            mm.push(x);
-        }
-        assert_eq!(mm.min(), Some(-1.0));
-        assert_eq!(mm.max(), Some(7.0));
-        assert_eq!(mm.range(), Some(8.0));
-        assert_eq!(mm.count(), 4);
-
-        let mut other = MinMax::new();
-        other.push(100.0);
-        mm.merge(&other);
-        assert_eq!(mm.max(), Some(100.0));
-        mm.merge(&MinMax::new());
-        assert_eq!(mm.count(), 5);
-    }
-
-    #[test]
-    fn covariance_perfect_linear() {
-        let mut c = Covariance::new();
-        for i in 0..100 {
-            let x = i as f64;
-            c.push(x, 2.0 * x + 1.0);
-        }
-        assert!((c.correlation() - 1.0).abs() < 1e-12);
-        assert!(c.covariance() > 0.0);
-        assert_eq!(c.count(), 100);
-    }
-
-    #[test]
-    fn covariance_anticorrelated_and_degenerate() {
-        let mut c = Covariance::new();
-        for i in 0..100 {
-            c.push(i as f64, -(i as f64));
-        }
-        assert!((c.correlation() + 1.0).abs() < 1e-12);
-
-        let mut d = Covariance::new();
-        d.push(1.0, 5.0);
-        assert_eq!(d.correlation(), 0.0);
-        d.push(1.0, 7.0); // x constant → zero variance → correlation 0
-        assert_eq!(d.correlation(), 0.0);
     }
 }

@@ -11,8 +11,8 @@
 #![allow(clippy::disallowed_methods)] // tests/examples may panic on broken invariants
 use wsnem::core::{backend, build_cpu_edspn, BackendId, CpuModelParams, EvalOptions};
 use wsnem::petri::analysis::{conflict_sets, is_free_choice};
-use wsnem::petri::sim::{simulate_until_precise, PrecisionTarget};
-use wsnem::petri::{to_dot, Reward, SimConfig};
+use wsnem::petri::{simulate, to_dot, Reward, SimConfig};
+use wsnem::stats::replicate::{until_precise, PrecisionTarget};
 
 fn main() {
     let params = CpuModelParams::paper_defaults();
@@ -52,16 +52,22 @@ fn main() {
         rel_half_width: 0.02,
         ..PrecisionTarget::default()
     };
-    let run =
-        simulate_until_precise(&net, &cfg, &rewards, target, 2008, None).expect("simulation runs");
+    let stopped = until_precise(
+        target,
+        2008,
+        None,
+        |rng| simulate(&net, &cfg, &rewards, rng),
+        |out| &out.reward_means,
+    )
+    .expect("simulation runs");
 
     println!(
         "\nConverged after {} replications of {} s (converged = {}):",
-        run.summary.replications(),
+        stopped.run.replications(),
         cfg.horizon,
-        run.converged
+        stopped.converged
     );
-    for (r, ci) in rewards.iter().zip(&run.intervals) {
+    for (r, ci) in rewards.iter().zip(&stopped.intervals) {
         println!(
             "  {:<8} {:6.3}% +/- {:.3} pp (95% CI)",
             r.name,

@@ -8,7 +8,8 @@
 #![allow(clippy::disallowed_methods)] // tests/examples may panic on broken invariants
 use wsnem::petri::analysis::{p_semiflows, tangible_chain, ReachOptions};
 use wsnem::petri::models::producer_consumer_net;
-use wsnem::petri::{simulate_replications, Reward, SimConfig};
+use wsnem::petri::{simulate, Reward, SimConfig};
+use wsnem::stats::replicate::replicate;
 
 fn main() {
     let capacity = 8;
@@ -42,10 +43,12 @@ fn main() {
         warmup: 500.0,
         ..SimConfig::default()
     };
-    let summary = simulate_replications(&net, &cfg, &[full], 8, 42, None).expect("simulation runs");
+    let rewards = [full];
+    let run =
+        replicate(8, 42, None, |rng| simulate(&net, &cfg, &rewards, rng)).expect("simulation runs");
     println!(
         "Simulated mean buffer occupancy:         {:.5}  (8 replications x 20000 s)",
-        summary.place_mean(buffer.index())
+        run.mean(|out| out.place_means[buffer.index()])
     );
     let exact_full: f64 = chain
         .markings
@@ -54,7 +57,9 @@ fn main() {
         .filter(|(m, _)| m.tokens(buffer) == capacity)
         .map(|(_, p)| p)
         .sum();
-    let ci = summary.reward_ci(0, 0.95).expect("enough replications");
+    let ci = run
+        .ci(|out| out.reward_means[0], 0.95)
+        .expect("enough replications");
     println!(
         "P(buffer full): exact {exact_full:.5} vs simulated {:.5} +/- {:.5}",
         ci.mean, ci.half_width
