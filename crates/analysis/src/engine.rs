@@ -5,7 +5,7 @@ use std::path::Path;
 
 use wsnem_core::BackendRegistry;
 use wsnem_petri::NetSpec;
-use wsnem_scenario::{files, Scenario, ScenarioError};
+use wsnem_scenario::{files, Scenario};
 
 use crate::diag::{Diagnostic, Location, Severity};
 use crate::lints::{self, LintConfig};
@@ -41,20 +41,24 @@ pub const NET_SPEC_SUFFIX: &str = ".net.json";
 /// else parses as a scenario (without validating — every finding comes back
 /// as a diagnostic, not one hard error) and runs [`check_scenario`]. Every
 /// diagnostic is stamped with the file path.
-pub fn check_file(path: &Path, registry: &BackendRegistry, opts: CheckOptions) -> Vec<Diagnostic> {
+///
+/// The scenario the file parsed to comes back too (`None` for a net spec or
+/// a file that does not parse).
+pub fn check_file(
+    path: &Path,
+    registry: &BackendRegistry,
+    opts: CheckOptions,
+) -> (Vec<Diagnostic>, Option<Scenario>) {
     let display = path.display().to_string();
-    let mut out = if display.ends_with(NET_SPEC_SUFFIX) {
-        check_net_spec_file(path)
+    let (mut out, scenario) = if display.ends_with(NET_SPEC_SUFFIX) {
+        (check_net_spec_file(path), None)
     } else {
         match files::parse(path) {
-            Ok(s) => check_scenario(&s, registry, opts),
-            Err(e) => {
-                let lint = match &e {
-                    ScenarioError::UnsupportedVersion { .. } => &lints::SCHEMA_VERSION,
-                    _ => &lints::PARSE_ERROR,
-                };
-                vec![lint.at(Location::default(), e.to_string())]
-            }
+            Ok(s) => (check_scenario(&s, registry, opts), Some(s)),
+            Err(e) => (
+                vec![lints::PARSE_ERROR.at(Location::default(), e.to_string())],
+                None,
+            ),
         }
     };
     for d in &mut out {
@@ -62,7 +66,7 @@ pub fn check_file(path: &Path, registry: &BackendRegistry, opts: CheckOptions) -
             d.location.file = Some(display.clone());
         }
     }
-    out
+    (out, scenario)
 }
 
 /// Parse and check a raw `.net.json` net-spec file.
@@ -151,7 +155,7 @@ mod tests {
         let s = builtin::paper_defaults();
         let text = files::to_string(&s, files::FileFormat::Toml).expect("renders");
         let path = write_temp("stamp", "s.toml", &text);
-        let diags = check_file(&path, registry(), CheckOptions::default());
+        let (diags, _) = check_file(&path, registry(), CheckOptions::default());
         assert!(!diags.is_empty());
         for d in &diags {
             assert_eq!(
@@ -165,7 +169,7 @@ mod tests {
     #[test]
     fn syntax_error_is_e001() {
         let path = write_temp("syntax", "bad.toml", "this is not toml = = =");
-        let diags = check_file(&path, registry(), CheckOptions::default());
+        let (diags, _) = check_file(&path, registry(), CheckOptions::default());
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, "E001");
     }
@@ -183,7 +187,7 @@ mod tests {
         let net = b.build().expect("valid net");
         let spec = serde_json::to_string_pretty(&net.to_spec()).expect("serializes");
         let path = write_temp("netspec", "oneshot.net.json", &spec);
-        let diags = check_file(&path, registry(), CheckOptions::default());
+        let (diags, _) = check_file(&path, registry(), CheckOptions::default());
         assert!(
             diags.iter().any(|d| d.code == "E007"),
             "one-shot net deadlocks: {diags:?}"

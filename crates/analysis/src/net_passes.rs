@@ -42,8 +42,8 @@ pub fn run(s: &Scenario) -> Vec<Diagnostic> {
     match edspn(s) {
         Some(net) => check_net(&net, Location::scenario(&s.name)),
         // An unbuildable net means some parameter is out of range; the
-        // scenario passes' catch-all already reports that with field-level
-        // context, so stay quiet rather than duplicate it.
+        // scenario rules already report that with field-level context, so
+        // stay quiet rather than duplicate it.
         None => Vec::new(),
     }
 }

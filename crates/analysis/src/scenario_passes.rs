@@ -1,13 +1,13 @@
-//! Scenario-level passes: schema and capability checks, queue stability on
-//! the forwarding-inflated arrival rate, radio airtime saturation and sweep
-//! hygiene — everything decidable from the scenario file alone, before any
-//! net is built or event fired.
+//! Scenario-level passes: everything decidable from the scenario file
+//! alone, before any net is built or event fired. The errors are
+//! [`Scenario::diagnose`]'s, the one rule set `validate` also reads; this
+//! module adds the lints on top: near-saturated queues, radio airtime
+//! saturation, sweep hygiene and workload approximation.
 
 use wsnem_core::BackendRegistry;
-use wsnem_scenario::{Scenario, SweepAxis, MAX_TEMPLATE_COUNT, MIN_SCHEMA_VERSION, SCHEMA_VERSION};
-use wsnem_stats::Sample;
+use wsnem_scenario::{Load, Scenario};
 
-use crate::diag::{Diagnostic, Location, Severity};
+use crate::diag::{Diagnostic, Location};
 use crate::lints;
 
 /// Offered load at which [`lints::HIGH_RHO`] starts firing: the queue is
@@ -16,255 +16,61 @@ use crate::lints;
 pub const HIGH_RHO_THRESHOLD: f64 = 0.95;
 
 /// Run every scenario-level pass. The result is ordered deterministically:
-/// schema and capability findings first, then stability, radio and sweep
-/// findings, then the catch-all.
+/// the workload, load, radio and sweep lints, then the scenario's errors in
+/// rule order. The scenario is diagnosed, and its network routed, once.
 pub fn run(s: &Scenario, registry: &BackendRegistry) -> Vec<Diagnostic> {
+    let diagnosis = s.diagnosis(registry);
     let mut out = Vec::new();
-    schema_pass(s, registry, &mut out);
-    let forwarded = forwarded_rates(s);
-    stability_pass(s, &forwarded, &mut out);
-    radio_pass(s, &forwarded, &mut out);
+    workload_pass(s, registry, &mut out);
+    for load in &diagnosis.loads {
+        high_rho(load, &mut out);
+    }
+    radio_pass(s, &diagnosis.forwarded, &mut out);
     sweep_pass(s, &mut out);
-    catch_all_pass(s, registry, &mut out);
+    out.extend(diagnosis.errors);
     out
 }
 
-/// Schema version, backend registration and capability checks.
-fn schema_pass(s: &Scenario, registry: &BackendRegistry, out: &mut Vec<Diagnostic>) {
-    let loc = Location::scenario(&s.name);
-    if s.schema_version < MIN_SCHEMA_VERSION || s.schema_version > SCHEMA_VERSION {
-        out.push(
-            lints::SCHEMA_VERSION
-                .at(
-                    loc.clone().with_field("schema_version"),
-                    format!(
-                        "schema version {} is outside the supported range {}..={}",
-                        s.schema_version, MIN_SCHEMA_VERSION, SCHEMA_VERSION
-                    ),
-                )
-                .with_help(format!(
-                    "files written against schema {SCHEMA_VERSION} or older load; \
-                     regenerate the file with this build's `wsnem export`"
-                )),
-        );
+/// A non-Poisson workload evaluated by backends that assume Poisson
+/// arrivals.
+fn workload_pass(s: &Scenario, registry: &BackendRegistry, out: &mut Vec<Diagnostic>) {
+    if s.workload.as_ref().is_none_or(|w| w.is_poisson()) {
+        return;
     }
-    if s.backends.is_empty() {
-        out.push(lints::INVALID_FIELD.at(
-            loc.clone().with_field("backends"),
-            "at least one backend is required",
-        ));
-    }
-    for b in &s.backends {
-        if registry.get(*b).is_none() {
-            out.push(
-                lints::UNKNOWN_BACKEND
-                    .at(
-                        loc.clone().with_field("backends"),
-                        format!("backend `{b}` is not registered"),
-                    )
-                    .with_help(format!(
-                        "registered backends: {}",
-                        registry
-                            .ids()
-                            .iter()
-                            .map(|id| id.name())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    )),
-            );
-        }
-    }
-    if let Some((net, t)) = s
-        .network
-        .as_ref()
-        .and_then(|n| Some((n, n.template.as_ref()?)))
-    {
-        let bound = net.max_template_count();
-        if t.count == 0 || t.count > bound {
-            let help = if bound < MAX_TEMPLATE_COUNT {
-                "a chain has one node per level, so it is routed, solved and stored \
-                 per node (about 120 bytes each); use a star or a tree of fanout 2 \
-                 or more for larger networks"
-            } else {
-                "node indices are u32 and u32::MAX marks the sink, so a \
-                 template holds at most u32::MAX - 1 nodes"
-            };
-            out.push(
-                lints::INVALID_FIELD
-                    .at(
-                        loc.clone().with_field("network.template.count"),
-                        format!("template count {} is outside 1..={bound}", t.count),
-                    )
-                    .with_help(help),
-            );
-        }
-    }
-    if let Some(service) = &s.service {
-        if !service.is_exponential() {
-            for b in &s.backends {
-                let caps = registry.capabilities_of(*b);
-                if caps.is_some_and(|c| !c.supports_service_dist) {
-                    out.push(
-                        lints::CAPABILITY_MISMATCH
-                            .at(
-                                loc.clone().with_field("service"),
-                                format!(
-                                    "backend `{b}` does not support the non-exponential \
-                                     service distribution `{}`",
-                                    service.label()
-                                ),
-                            )
-                            .with_help(
-                                "restrict `backends` to solvers whose capabilities \
-                                 advertise service distributions (mg1, petri-net, des), \
-                                 or drop the `service` section",
-                            ),
-                    );
-                }
-            }
-        }
-    }
-    if let Some(w) = &s.workload {
-        if !w.is_poisson() {
-            let assuming: Vec<String> = s
-                .backends
-                .iter()
-                .filter(|b| {
-                    registry
-                        .capabilities_of(**b)
-                        .is_some_and(|c| c.assumes_poisson)
-                })
-                .map(|b| b.to_string())
-                .collect();
-            if !assuming.is_empty() {
-                out.push(lints::WORKLOAD_APPROXIMATION.at(
-                    loc.with_field("workload"),
-                    format!(
-                        "non-Poisson workload is evaluated by backend(s) that assume \
-                         Poisson arrivals ({}); the agreement report quantifies the \
-                         distortion",
-                        assuming.join(", ")
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-/// Mean service time E[S] in seconds: the declared service distribution at
-/// rate `mu`, or the paper's exponential default.
-fn mean_service_s(s: &Scenario) -> f64 {
-    s.service
-        .as_ref()
-        .map(|sv| sv.to_dist(s.cpu.mu).mean())
-        .unwrap_or(1.0 / s.cpu.mu)
-}
-
-/// Emit [`lints::UNSTABLE_QUEUE`] / [`lints::HIGH_RHO`] for one effective
-/// arrival rate.
-fn check_rho(lambda_eff: f64, mean_s: f64, loc: Location, out: &mut Vec<Diagnostic>) {
-    let rho = lambda_eff * mean_s;
-    if !rho.is_finite() || rho <= 0.0 {
-        return; // nonsensical rates are the catch-all's problem
-    }
-    if rho >= 1.0 {
-        out.push(
-            lints::UNSTABLE_QUEUE
-                .at(
-                    loc,
-                    format!(
-                        "offered load rho = {lambda_eff:.4} jobs/s x {mean_s:.4} s = \
-                         {rho:.3} >= 1: the queue grows without bound"
-                    ),
-                )
-                .with_help(format!(
-                    "keep the effective arrival rate below {:.4} jobs/s, or shorten \
-                     the mean service time",
-                    1.0 / mean_s
-                )),
-        );
-    } else if rho >= HIGH_RHO_THRESHOLD {
-        out.push(lints::HIGH_RHO.at(
-            loc,
+    let assuming: Vec<String> = s
+        .backends
+        .iter()
+        .filter(|b| {
+            registry
+                .capabilities_of(**b)
+                .is_some_and(|c| c.assumes_poisson)
+        })
+        .map(|b| b.to_string())
+        .collect();
+    if !assuming.is_empty() {
+        out.push(lints::WORKLOAD_APPROXIMATION.at(
+            Location::scenario(&s.name).with_field("workload"),
             format!(
-                "offered load rho = {rho:.3} is within {:.0}% of saturation: \
-                 estimates at this load need long horizons to settle",
-                100.0 * (1.0 - HIGH_RHO_THRESHOLD)
+                "non-Poisson workload is evaluated by backend(s) that assume \
+                 Poisson arrivals ({}); the agreement report quantifies the \
+                 distortion",
+                assuming.join(", ")
             ),
         ));
     }
 }
 
-/// Queue stability: base point, every λ-sweep value, and every network node
-/// at its forwarding-inflated arrival rate (`forwarded`, from
-/// [`forwarded_rates`]).
-fn stability_pass(s: &Scenario, forwarded: &[f64], out: &mut Vec<Diagnostic>) {
-    let mean_s = mean_service_s(s);
-    if !mean_s.is_finite() || mean_s <= 0.0 {
-        return;
+/// [`lints::HIGH_RHO`] for a stable operating point near saturation.
+fn high_rho(load: &Load, out: &mut Vec<Diagnostic>) {
+    let rho = load.rho();
+    if rho >= HIGH_RHO_THRESHOLD && !load.is_unstable() {
+        let what = format!(
+            "offered load rho = {rho:.3} is within {:.0}% of saturation: \
+             estimates at this load need long horizons to settle",
+            100.0 * (1.0 - HIGH_RHO_THRESHOLD)
+        );
+        out.push(load.finding(&lints::HIGH_RHO, &what));
     }
-    let loc = Location::scenario(&s.name);
-    check_rho(
-        s.cpu.lambda,
-        mean_s,
-        loc.clone().with_field("cpu.lambda"),
-        out,
-    );
-    if let Some(sweep) = &s.sweep {
-        if sweep.axis == SweepAxis::Lambda {
-            for (i, &v) in sweep.values.iter().enumerate() {
-                check_rho(
-                    v,
-                    mean_s,
-                    loc.clone().with_field(format!("sweep.values[{i}]")),
-                    out,
-                );
-            }
-        }
-    }
-    if let Some(network) = &s.network {
-        for (node, &fwd) in network.nodes.iter().zip(forwarded) {
-            if fwd > 0.0 {
-                check_rho(
-                    node.event_rate + fwd,
-                    mean_s,
-                    loc.clone()
-                        .with_node(&node.name)
-                        .with_field(format!("event_rate + {fwd:.3} pkt/s forwarded")),
-                    out,
-                );
-            } else {
-                check_rho(
-                    node.event_rate,
-                    mean_s,
-                    loc.clone().with_node(&node.name).with_field("event_rate"),
-                    out,
-                );
-            }
-        }
-    }
-}
-
-/// Per-node sink-ward forwarding load (pkt/s), zeros when the network (or
-/// its routing) cannot be built — those failures belong to the catch-all.
-/// Routing builds the whole network, so [`run`] calls this once.
-fn forwarded_rates(s: &Scenario) -> Vec<f64> {
-    let Some(network) = &s.network else {
-        return Vec::new();
-    };
-    let zeros = vec![0.0; network.nodes.len()];
-    // A template has no node list to lint, so there is nothing to route.
-    if network.template.is_some() {
-        return zeros;
-    }
-    let (Ok(profile), Ok(battery)) = (s.profile.build(), s.battery.build()) else {
-        return zeros;
-    };
-    network
-        .build_soa(s.cpu, &profile, &battery)
-        .ok()
-        .and_then(|soa| soa.routing().ok())
-        .map_or(zeros, |routing| routing.forwarded.iter().collect())
 }
 
 /// Radio airtime saturation: a node whose packet airtime alone fills its
@@ -275,7 +81,7 @@ fn radio_pass(s: &Scenario, forwarded: &[f64], out: &mut Vec<Diagnostic>) {
     };
     for (i, node) in network.nodes.iter().enumerate() {
         let Ok(radio) = network.radio_spec_for(i).lower() else {
-            continue; // the catch-all reports unlooweable radio specs
+            continue; // the scenario rules report unlowerable radio specs
         };
         let fwd = forwarded.get(i).copied().unwrap_or(0.0);
         let tx_pps = node.event_rate * node.tx_per_event + fwd;
@@ -337,22 +143,14 @@ fn sweep_pass(s: &Scenario, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Safety net: whatever full schema validation rejects that no granular pass
-/// classified becomes a generic [`lints::INVALID_FIELD`] — `check` is never
-/// *less* strict than `validate`.
-fn catch_all_pass(s: &Scenario, registry: &BackendRegistry, out: &mut Vec<Diagnostic>) {
-    if out.iter().any(|d| d.severity == Severity::Error) {
-        return;
-    }
-    if let Err(e) = s.validate_with(registry) {
-        out.push(lints::INVALID_FIELD.at(Location::scenario(&s.name), e.to_string()));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsnem_scenario::{builtin, TopologySpec, MAX_CHAIN_TEMPLATE_COUNT};
+    use crate::diag::Severity;
+    use wsnem_scenario::{
+        builtin, SweepAxis, TopologySpec, MAX_CHAIN_TEMPLATE_COUNT, MAX_TEMPLATE_COUNT,
+        SCHEMA_VERSION,
+    };
 
     fn registry() -> &'static BackendRegistry {
         wsnem_scenario::global_registry()

@@ -1769,12 +1769,12 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
             let files = fleet::discover(path).map_err(|e| e.to_string())?;
             checked += files.len();
             let found = par::map_indexed(files.len(), None, |i| {
-                analysis::check_file(&files[i], registry, opts)
+                analysis::check_file(&files[i], registry, opts).0
             });
             diagnostics.extend(found.into_iter().flatten());
         } else {
             checked += 1;
-            diagnostics.extend(analysis::check_file(Path::new(path), registry, opts));
+            diagnostics.extend(analysis::check_file(Path::new(path), registry, opts).0);
         }
     }
 
@@ -1833,26 +1833,24 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
     }
     // `validate` is `check --only-schema` with fixed reporting: every
     // error-severity diagnostic prints, clean files get one ok-line, and
-    // any invalid file makes the exit status non-zero.
+    // any invalid file makes the exit status non-zero. Files are checked
+    // on every core and reported in order.
     let registry = wsnem_scenario::global_registry();
     let config = wsnem_analysis::LintConfig::default();
     let opts = wsnem_analysis::CheckOptions { only_schema: true };
+    let checked = par::map_indexed(files.len(), None, |i| {
+        wsnem_analysis::check_file(Path::new(&files[i]), registry, opts)
+    });
     let mut bad = 0usize;
-    for file in &files {
-        let diags = wsnem_analysis::resolve(
-            wsnem_analysis::check_file(Path::new(file), registry, opts),
-            &config,
-        );
-        let errors: Vec<_> = diags
-            .iter()
+    for (file, (diags, scenario)) in files.iter().zip(checked) {
+        let errors: Vec<_> = wsnem_analysis::resolve(diags, &config)
+            .into_iter()
             .filter(|d| d.severity == wsnem_analysis::Severity::Error)
             .collect();
         if errors.is_empty() {
-            if file.ends_with(wsnem_analysis::engine::NET_SPEC_SUFFIX) {
-                outln!("{file}: ok (net spec)");
-            } else {
-                let name = files::parse(file).map(|s| s.name).unwrap_or_default();
-                outln!("{file}: ok (scenario `{name}`)");
+            match scenario {
+                Some(s) => outln!("{file}: ok (scenario `{}`)", s.name),
+                None => outln!("{file}: ok (net spec)"),
             }
         } else {
             bad += 1;

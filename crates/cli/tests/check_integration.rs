@@ -391,3 +391,63 @@ rx_rate = 0.0
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn stability_fixtures_fail_check_and_validate_with_e005() {
+    // A 2 s deterministic service law at lambda = 1 (rho = 2, though
+    // lambda/mu = 0.1), and a template root forwarding 19.98 pkt/s: one
+    // stability rule judges both, for `check` and `validate` alike.
+    for name in ["general-law-unstable.toml", "template-root-unstable.toml"] {
+        for cmd in ["check", "validate"] {
+            let out = wsnem(&[cmd, &fixture(name)]);
+            assert!(!out.status.success(), "{cmd} {name} passed");
+            let text = stdout(&out);
+            assert!(text.contains("error[E005]"), "{cmd} {name}: {text}");
+            assert!(!text.contains("error[E004]"), "{cmd} {name}: {text}");
+        }
+    }
+}
+
+#[test]
+fn run_without_preflight_stops_an_unstable_general_law_at_validation() {
+    let out = wsnem(&[
+        "run",
+        &fixture("general-law-unstable.toml"),
+        "--no-check",
+        "--quick",
+    ]);
+    assert!(!out.status.success());
+    let err = stderr(&out);
+    assert!(err.contains("invalid scenario [E005]"), "{err}");
+    // The solvers never saw it.
+    assert!(!err.contains("model evaluation failed"), "{err}");
+}
+
+#[test]
+fn validating_a_directory_equals_validating_each_file_alone() {
+    let dir = temp_dir("validate-each");
+    let dir_s = dir.to_str().unwrap();
+    let out = wsnem(&["gen", dir_s, "--field", "lambda=0.25:0.75:3"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    std::fs::copy(fixture("unstable-lambda.toml"), dir.join("unstable.toml")).unwrap();
+    std::fs::copy(fixture("deadlock.net.json"), dir.join("deadlock.net.json")).unwrap();
+
+    let whole = wsnem(&["validate", dir_s]);
+    assert!(!whole.status.success());
+    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| !p.ends_with("manifest.json"))
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 5);
+    let each: String = files
+        .iter()
+        .map(|f| stdout(&wsnem(&["validate", f.to_str().unwrap()])))
+        .collect();
+    assert_eq!(stdout(&whole), each);
+    assert!(each.contains("error[E005]"), "{each}");
+    assert!(each.contains("error[E007]"), "{each}");
+    assert_eq!(each.matches(": ok (scenario `").count(), 3, "{each}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

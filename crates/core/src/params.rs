@@ -106,15 +106,6 @@ impl CpuModelParams {
         self.with_lambda(own_rate + forwarded)
     }
 
-    /// The largest arrival rate these parameters can absorb while the queue
-    /// stays stable (ρ < 1) — the headroom check multi-hop relays need,
-    /// since forwarding load raises a relay's effective λ above its own
-    /// sensing rate. Rates strictly below this validate; `max_stable_lambda`
-    /// itself does not.
-    pub fn max_stable_lambda(&self) -> f64 {
-        self.mu
-    }
-
     /// Offered load ρ = λ/μ.
     pub fn rho(&self) -> f64 {
         self.lambda / self.mu
@@ -239,12 +230,6 @@ mod tests {
         let relay = p.with_forwarding(0.4, 2.1);
         assert!((relay.lambda - 2.5).abs() < 1e-12);
         relay.validate().unwrap();
-        assert_eq!(p.max_stable_lambda(), 10.0);
-        assert!(p.with_lambda(p.max_stable_lambda()).validate().is_err());
-        assert!(p
-            .with_lambda(0.99 * p.max_stable_lambda())
-            .validate()
-            .is_ok());
     }
 
     #[test]

@@ -160,16 +160,12 @@ fn compare_impl(
     inner_threads: Option<usize>,
     tier: Option<f64>,
 ) -> Result<CompareReport, ScenarioError> {
+    // Valid scenarios name at least one backend, each registered here.
     scenario.validate_with(registry)?;
-    if registry.is_empty() {
-        return Err(ScenarioError::Invalid(
-            "comparison needs at least one registered backend".into(),
-        ));
-    }
     let started = Instant::now();
     let backends = registry.ids();
     let Some(reference) = registry.agreement_reference(&backends) else {
-        unreachable!("the registry was checked to be non-empty")
+        unreachable!("a validated scenario's registry is non-empty")
     };
 
     let mut points: Vec<(Option<f64>, CpuModelParams)> = vec![(None, scenario.cpu)];

@@ -2,18 +2,24 @@
 
 use std::fmt;
 
+use crate::diag::{Diagnostic, Location, INVALID_FIELD};
+
 /// Errors from loading, validating or running scenarios.
 #[derive(Debug)]
 pub enum ScenarioError {
-    /// The file's schema version is newer than this binary understands.
+    /// The file's schema version is outside the range this binary
+    /// understands: the typed form of `E002 schema-version`.
     UnsupportedVersion {
         /// Version found in the file.
         found: u32,
         /// Version this binary supports.
         supported: u32,
     },
-    /// A structurally valid file described an invalid scenario.
-    Invalid(String),
+    /// A structurally valid file described an invalid scenario: the first
+    /// error-level finding of [`crate::Scenario::diagnose`], or an `E004`
+    /// raised by a spec builder, the generator or the runner. It carries
+    /// the lint code, the location (scenario, node, field) and the message.
+    Invalid(Box<Diagnostic>),
     /// The file could not be parsed.
     Parse(String),
     /// Filesystem error.
@@ -42,7 +48,13 @@ impl fmt::Display for ScenarioError {
                 f,
                 "scenario schema version {found} is not supported (this build understands {supported})"
             ),
-            ScenarioError::Invalid(msg) => write!(f, "invalid scenario: {msg}"),
+            ScenarioError::Invalid(d) => {
+                write!(f, "invalid scenario [{}]: ", d.code)?;
+                if !d.location.is_empty() {
+                    write!(f, "{}: ", d.location)?;
+                }
+                f.write_str(&d.message)
+            }
             ScenarioError::Parse(msg) => write!(f, "parse error: {msg}"),
             ScenarioError::Io(msg) => write!(f, "io error: {msg}"),
             ScenarioError::UnknownBuiltin(name) => {
@@ -60,6 +72,15 @@ impl fmt::Display for ScenarioError {
 }
 
 impl std::error::Error for ScenarioError {}
+
+impl ScenarioError {
+    /// An `E004 invalid-field` error on `field`.
+    pub fn invalid(field: impl Into<String>, message: impl Into<String>) -> Self {
+        ScenarioError::Invalid(Box::new(
+            INVALID_FIELD.at(Location::default().with_field(field), message),
+        ))
+    }
+}
 
 impl From<wsnem_core::CoreError> for ScenarioError {
     fn from(e: wsnem_core::CoreError) -> Self {
@@ -87,8 +108,9 @@ mod tests {
         assert!(ScenarioError::UnknownBuiltin("x".into())
             .to_string()
             .contains("wsnem list"));
-        assert!(ScenarioError::Invalid("bad".into())
-            .to_string()
-            .contains("bad"));
+        assert_eq!(
+            ScenarioError::invalid("cpu.mu", "bad").to_string(),
+            "invalid scenario [E004]: cpu.mu: bad"
+        );
     }
 }

@@ -58,6 +58,11 @@ pub const MANIFEST_FILE: &str = "manifest.json";
 /// wise ask for a million-file grid without warning).
 pub const MAX_FLEET_SIZE: usize = 100_000;
 
+/// An `E004` on the generator spec itself.
+fn gen_error(message: impl Into<String>) -> ScenarioError {
+    ScenarioError::invalid("gen", message)
+}
+
 /// A scenario field the generator can sample over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum GenField {
@@ -115,16 +120,16 @@ impl GenField {
     fn apply(self, s: &mut Scenario, value: f64) -> Result<(), ScenarioError> {
         let needs_network = |s: &Scenario| {
             s.network.clone().ok_or_else(|| {
-                ScenarioError::Invalid(format!(
-                    "gen: field `{}` requires a base scenario with a network section",
+                gen_error(format!(
+                    "field `{}` requires a base scenario with a network section",
                     self.name()
                 ))
             })
         };
         let reject_mesh = |net: &crate::schema::NetworkSpec| {
             if matches!(net.topology, Some(TopologySpec::Mesh { .. })) {
-                return Err(ScenarioError::Invalid(format!(
-                    "gen: field `{}` cannot rewrite a mesh topology \
+                return Err(gen_error(format!(
+                    "field `{}` cannot rewrite a mesh topology \
                      (its static routes name specific nodes)",
                     self.name()
                 )));
@@ -135,9 +140,7 @@ impl GenField {
             GenField::Lambda => s.cpu = s.cpu.with_lambda(value),
             GenField::ServiceMean => {
                 if !(value > 0.0) {
-                    return Err(ScenarioError::Invalid(format!(
-                        "gen: service-mean must be > 0, got {value}"
-                    )));
+                    return Err(gen_error(format!("service-mean must be > 0, got {value}")));
                 }
                 s.cpu = s.cpu.with_mu(1.0 / value);
             }
@@ -227,14 +230,14 @@ pub struct FieldSpec {
 impl FieldSpec {
     fn validate(&self) -> Result<(), ScenarioError> {
         if !self.min.is_finite() || !self.max.is_finite() || self.min > self.max {
-            return Err(ScenarioError::Invalid(format!(
-                "gen: field `{}` has an invalid range [{}, {}]",
+            return Err(gen_error(format!(
+                "field `{}` has an invalid range [{}, {}]",
                 self.field, self.min, self.max
             )));
         }
         if self.points == Some(0) {
-            return Err(ScenarioError::Invalid(format!(
-                "gen: field `{}` asks for 0 grid points",
+            return Err(gen_error(format!(
+                "field `{}` asks for 0 grid points",
                 self.field
             )));
         }
@@ -310,25 +313,18 @@ pub struct GenSpec {
 impl GenSpec {
     fn validate(&self) -> Result<usize, ScenarioError> {
         if self.fields.is_empty() {
-            return Err(ScenarioError::Invalid(
-                "gen: at least one --field is required".into(),
-            ));
+            return Err(gen_error("at least one --field is required"));
         }
         for f in &self.fields {
             f.validate()?;
         }
         for (i, f) in self.fields.iter().enumerate() {
             if self.fields[..i].iter().any(|g| g.field == f.field) {
-                return Err(ScenarioError::Invalid(format!(
-                    "gen: field `{}` is declared twice",
-                    f.field
-                )));
+                return Err(gen_error(format!("field `{}` is declared twice", f.field)));
             }
         }
         if self.prefix.is_empty() {
-            return Err(ScenarioError::Invalid(
-                "gen: prefix must be non-empty".into(),
-            ));
+            return Err(gen_error("prefix must be non-empty"));
         }
         let total = match self.method {
             GenMethod::Grid => self
@@ -340,13 +336,13 @@ impl GenSpec {
             GenMethod::Random | GenMethod::LatinHypercube => self.count,
         };
         if total == 0 {
-            return Err(ScenarioError::Invalid(
-                "gen: the spec generates 0 scenarios (count must be >= 1)".into(),
+            return Err(gen_error(
+                "the spec generates 0 scenarios (count must be >= 1)",
             ));
         }
         if total > MAX_FLEET_SIZE {
-            return Err(ScenarioError::Invalid(format!(
-                "gen: the spec generates {total} scenarios, above the {MAX_FLEET_SIZE} cap"
+            return Err(gen_error(format!(
+                "the spec generates {total} scenarios, above the {MAX_FLEET_SIZE} cap"
             )));
         }
         Ok(total)
@@ -470,8 +466,8 @@ pub fn generate(base: &Scenario, spec: &GenSpec) -> Result<Vec<Scenario>, Scenar
             described.join(", ")
         );
         s.validate().map_err(|e| {
-            ScenarioError::Invalid(format!(
-                "gen: sample {} ({}) is invalid: {e}",
+            gen_error(format!(
+                "sample {} ({}) is invalid: {e}",
                 row + 1,
                 described.join(", ")
             ))

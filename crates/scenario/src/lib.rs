@@ -32,6 +32,11 @@
 //! columns; files that name no radio keep the historical `cc2420-class`
 //! preset and analyze identically.
 //!
+//! One rule set judges every scenario: [`Scenario::diagnose`] lists each
+//! error as a [`diag::Diagnostic`] with its lint code and field path.
+//! [`Scenario::validate`] fails with the first as a typed [`ScenarioError`];
+//! `wsnem check` (`wsnem-analysis`) reports them all, plus its lints.
+//!
 //! The fleet layer scales all of this from one file to thousands: [`gen`]
 //! samples a declared parameter space (grid / seeded random / Latin
 //! hypercube) into a directory of scenario files with a reproducibility
@@ -66,6 +71,7 @@
 pub mod builtin;
 pub mod cache;
 pub mod compare;
+pub mod diag;
 pub mod error;
 pub mod files;
 pub mod fleet;
@@ -93,9 +99,9 @@ pub use runner::{
     run_scenario_bounded, BatchMetrics, BatchProgress, AGGREGATE_NODE_THRESHOLD,
 };
 pub use schema::{
-    BatterySpec, NetworkSpec, NodeSpec, ProfileSpec, ReportSpec, RouteSpec, Scenario, SweepAxis,
-    SweepSpec, TemplateSpec, TopologySpec, WorkloadSpec, MAX_CHAIN_TEMPLATE_COUNT,
-    MAX_TEMPLATE_COUNT, MIN_SCHEMA_VERSION, SCHEMA_VERSION,
+    BatterySpec, Diagnosis, Load, NetworkSpec, NodeSpec, ProfileSpec, ReportSpec, RouteSpec,
+    Scenario, SweepAxis, SweepSpec, TemplateSpec, TopologySpec, WorkloadSpec,
+    MAX_CHAIN_TEMPLATE_COUNT, MAX_TEMPLATE_COUNT, MIN_SCHEMA_VERSION, SCHEMA_VERSION,
 };
 pub use wsnem_core::backend::global as global_registry;
 pub use wsnem_core::{BackendId, BackendRegistry, Capabilities, ServiceDist};

@@ -340,13 +340,10 @@ fn eval_backend(
     battery: &Battery,
     inner_threads: Option<usize>,
 ) -> Result<BackendReport, ScenarioError> {
-    let registry = backend::global();
-    let solver = registry.get(id).ok_or_else(|| {
-        ScenarioError::Invalid(format!(
-            "scenario `{}`: backend `{id}` is not registered",
-            scenario.name
-        ))
-    })?;
+    // `validate` checked registration against this same registry.
+    let Some(solver) = backend::global().get(id) else {
+        unreachable!("validated scenario names an unregistered backend")
+    };
     // A backend that assumes Poisson arrivals ignores the workload override;
     // its numbers are then the Poisson *approximation* and the agreement
     // section quantifies the distortion (the paper's §5 methodology).
@@ -439,7 +436,7 @@ fn analyze_network(
     let soa = spec.build_soa(scenario.cpu, profile, battery)?;
     let analysis = soa
         .analyze_with(registry, backend, &EvalOptions::default(), inner_threads)
-        .map_err(|e| ScenarioError::Invalid(format!("scenario `{}`: {e}", scenario.name)))?;
+        .map_err(|e| ScenarioError::invalid("network", e.to_string()))?;
     let name = |i: Option<usize>| i.map(|i| soa.name(i)).unwrap_or_default();
     let topology = spec
         .topology

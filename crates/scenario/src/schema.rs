@@ -12,11 +12,13 @@
 //! `network.topology` section; a v1 file is a valid v2 file without it).
 
 use serde::{Deserialize, Serialize};
-use wsnem_core::{backend, BackendId, CpuModelParams, ServiceDist};
+use wsnem_core::{backend, BackendId, CoreError, CpuModelParams, ServiceDist};
 use wsnem_energy::{Battery, PowerProfile};
 use wsnem_stats::dist::Dist;
+use wsnem_stats::Sample;
 use wsnem_wsn::{RadioSpec, Routes};
 
+use crate::diag::{self, Diagnostic, Lint, Location};
 use crate::error::ScenarioError;
 
 /// Current scenario schema version. Bump on breaking format changes and
@@ -137,7 +139,7 @@ impl ProfileSpec {
                 idle_mw,
                 active_mw,
             } => PowerProfile::new(name.clone(), *standby_mw, *powerup_mw, *idle_mw, *active_mw)
-                .map_err(|e| ScenarioError::Invalid(format!("profile: {e}"))),
+                .map_err(|e| ScenarioError::invalid("profile", e.to_string())),
         }
     }
 }
@@ -172,13 +174,15 @@ impl BatterySpec {
                 usable_fraction,
             } => {
                 if !(capacity_mah > 0.0) || !(voltage_v > 0.0) {
-                    return Err(ScenarioError::Invalid(
-                        "battery: capacity and voltage must be > 0".into(),
+                    return Err(ScenarioError::invalid(
+                        "battery",
+                        "capacity and voltage must be > 0",
                     ));
                 }
                 if !(usable_fraction > 0.0 && usable_fraction <= 1.0) {
-                    return Err(ScenarioError::Invalid(
-                        "battery: usable_fraction must be in (0, 1]".into(),
+                    return Err(ScenarioError::invalid(
+                        "battery",
+                        "usable_fraction must be in (0, 1]",
                     ));
                 }
                 Ok(Battery {
@@ -427,8 +431,9 @@ impl TopologySpec {
             TopologySpec::Chain => Ok(Routes::CHAIN),
             TopologySpec::Tree { fanout } => {
                 if *fanout == 0 {
-                    return Err(ScenarioError::Invalid(
-                        "topology: tree fanout must be >= 1".into(),
+                    return Err(ScenarioError::invalid(
+                        "network.topology",
+                        "tree fanout must be >= 1",
                     ));
                 }
                 Ok(Routes::Tree { fanout: *fanout })
@@ -438,25 +443,25 @@ impl TopologySpec {
                 let mut next: Vec<Option<u32>> = vec![None; nodes.len()];
                 for r in routes {
                     let from = index_of(&r.from).ok_or_else(|| {
-                        ScenarioError::Invalid(format!(
-                            "topology: route from unknown node `{}`",
-                            r.from
-                        ))
+                        ScenarioError::invalid(
+                            "network.topology",
+                            format!("route from unknown node `{}`", r.from),
+                        )
                     })?;
                     if next[from].is_some() {
-                        return Err(ScenarioError::Invalid(format!(
-                            "topology: node `{}` has more than one route",
-                            r.from
-                        )));
+                        return Err(ScenarioError::invalid(
+                            "network.topology",
+                            format!("node `{}` has more than one route", r.from),
+                        ));
                     }
                     let hop = if r.to == "sink" {
                         wsnem_wsn::SINK
                     } else {
                         index_of(&r.to).ok_or_else(|| {
-                            ScenarioError::Invalid(format!(
-                                "topology: route from `{}` to unknown node `{}`",
-                                r.from, r.to
-                            ))
+                            ScenarioError::invalid(
+                                "network.topology",
+                                format!("route from `{}` to unknown node `{}`", r.from, r.to),
+                            )
                         })? as u32
                     };
                     next[from] = Some(hop);
@@ -465,10 +470,10 @@ impl TopologySpec {
                     .enumerate()
                     .map(|(i, hop)| {
                         hop.ok_or_else(|| {
-                            ScenarioError::Invalid(format!(
-                                "topology: node `{}` has no route (orphan)",
-                                nodes[i].name
-                            ))
+                            ScenarioError::invalid(
+                                "network.topology",
+                                format!("node `{}` has no route (orphan)", nodes[i].name),
+                            )
                         })
                     })
                     .collect::<Result<_, _>>()
@@ -564,7 +569,7 @@ impl NetworkSpec {
             .filter_map(|(i, node)| {
                 let spec = node.radio.as_ref()?;
                 Some(spec.lower().map(|radio| (i as u32, radio)).map_err(|e| {
-                    ScenarioError::Invalid(format!("node `{}`: radio: {e}", node.name))
+                    ScenarioError::invalid("radio", format!("node `{}`: {e}", node.name))
                 }))
             })
             .collect::<Result<_, _>>()?;
@@ -572,10 +577,10 @@ impl NetworkSpec {
         let routes = match &self.topology {
             None => Routes::Star,
             Some(TopologySpec::Mesh { .. }) if self.template.is_some() => {
-                return Err(ScenarioError::Invalid(
+                return Err(ScenarioError::invalid(
+                    "network.topology",
                     "network.template cannot be combined with a mesh topology \
-                     (its static routes name specific nodes)"
-                        .into(),
+                     (its static routes name specific nodes)",
                 ))
             }
             Some(t) => t.build_routes(&self.nodes)?,
@@ -585,7 +590,7 @@ impl NetworkSpec {
             .clone()
             .unwrap_or_default()
             .lower()
-            .map_err(|e| ScenarioError::Invalid(format!("network.radio: {e}")))?;
+            .map_err(|e| ScenarioError::invalid("network.radio", e))?;
         let column = |f: fn(&NodeSpec) -> f64| self.nodes.iter().map(f).collect();
         Ok(match &self.template {
             Some(t) => wsnem_wsn::SoaNetwork::homogeneous(
@@ -619,308 +624,476 @@ impl NetworkSpec {
     }
 }
 
-impl Scenario {
-    /// Validate the complete scenario (schema version, parameters, specs)
-    /// against the built-in solver registry.
-    pub fn validate(&self) -> Result<(), ScenarioError> {
-        self.validate_with(backend::global())
+/// One operating point of a scenario's CPU queue: the base point, a λ sweep
+/// value, an explicit node at its own rate plus what it forwards, or a
+/// template network's root. T and D sweeps leave λ, μ and E\[S\] where the
+/// base point has them, so their values share its load.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Load {
+    /// The field that sets the point's rate.
+    pub location: Location,
+    /// What the point forwards for other nodes, as the lead of a message
+    /// about it (empty when it forwards nothing).
+    pub lead: String,
+    /// Effective arrival rate λ_eff (jobs/s), forwarding included.
+    pub lambda: f64,
+    /// Service rate μ.
+    pub mu: f64,
+    /// Mean service time E\[S\] (s) of the scenario's service law at `mu`.
+    pub mean_service_s: f64,
+}
+
+impl Load {
+    /// Offered load ρ = λ_eff·E\[S\].
+    pub fn rho(&self) -> f64 {
+        self.lambda * self.mean_service_s
     }
 
-    /// Validate against an explicit registry — the one that will actually
-    /// solve, so custom solvers' capabilities are honored.
-    pub fn validate_with(
-        &self,
-        registry: &wsnem_core::BackendRegistry,
-    ) -> Result<(), ScenarioError> {
-        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&self.schema_version) {
-            return Err(ScenarioError::UnsupportedVersion {
-                found: self.schema_version,
-                supported: SCHEMA_VERSION,
-            });
+    /// True when the queue grows without bound: λ_eff·E\[S\] ≥ 1 or
+    /// λ_eff/μ ≥ 1. The second test is the ratio the solvers gate the
+    /// parametric laws on; `fl(1/μ)` can round λ·E\[S\] below 1 at λ = μ.
+    pub fn is_unstable(&self) -> bool {
+        self.rho() >= 1.0 || self.lambda / self.mu >= 1.0
+    }
+
+    /// A `lint` finding about this point, saying `what` after the lead.
+    pub fn finding(&self, lint: &'static Lint, what: &str) -> Diagnostic {
+        lint.at(self.location.clone(), format!("{}{what}", self.lead))
+    }
+}
+
+/// What [`Scenario::diagnosis`] finds: the scenario's errors, and the facts
+/// the lints of `wsnem check` read on top of them.
+#[derive(Debug, Clone, Default)]
+pub struct Diagnosis {
+    /// Every error-level finding, in rule order.
+    pub errors: Vec<Diagnostic>,
+    /// Every operating point whose rates are valid, stable or not.
+    pub loads: Vec<Load>,
+    /// Per explicit node, the rate it forwards for its subtree (pkt/s):
+    /// zeros for an unrouted star, or when the network cannot be routed.
+    pub forwarded: Vec<f64>,
+}
+
+/// True for a positive, finite rate.
+fn positive(x: f64) -> bool {
+    x > 0.0 && x.is_finite()
+}
+
+/// The walk of the scenario rules over one scenario: what it found so far.
+struct Walk<'a> {
+    s: &'a Scenario,
+    d: Diagnosis,
+    /// E\[S\] of the service law, once μ and the law are known valid.
+    mean_service_s: Option<f64>,
+}
+
+impl Walk<'_> {
+    fn at(&self, field: &str) -> Location {
+        Location::scenario(&self.s.name).with_field(field)
+    }
+
+    /// Record `E004` on a scenario field. Returns `false`, the verdict of
+    /// the failed rule.
+    fn invalid(&mut self, field: &str, message: impl Into<String>) -> bool {
+        self.push(diag::INVALID_FIELD.at(self.at(field), message))
+    }
+
+    /// Record `E004` on a field of node `node`.
+    fn invalid_node(&mut self, node: &str, field: &str, message: impl Into<String>) -> bool {
+        self.push(diag::INVALID_FIELD.at(self.at(field).with_node(node), message))
+    }
+
+    fn push(&mut self, d: Diagnostic) -> bool {
+        self.d.errors.push(d);
+        false
+    }
+
+    /// Record the `E004` a spec builder failed with.
+    fn built<T>(&mut self, built: Result<T, ScenarioError>) -> Option<T> {
+        match built {
+            Ok(value) => Some(value),
+            Err(ScenarioError::Invalid(mut d)) => {
+                d.location.scenario = Some(self.s.name.clone());
+                self.push(*d);
+                None
+            }
+            Err(e) => unreachable!("spec builders fail with ScenarioError::Invalid: {e}"),
         }
-        if self.name.is_empty() {
-            return Err(ScenarioError::Invalid(
-                "scenario name must be non-empty".into(),
-            ));
+    }
+
+    /// `E004` on `field` when the scenario predates schema version `min`,
+    /// which introduced `what`.
+    fn require_version(&mut self, field: &str, what: &str, min: u32) {
+        let found = self.s.schema_version;
+        if found < min {
+            self.invalid(
+                field,
+                format!("{what} requires schema_version >= {min} (found {found})"),
+            );
         }
-        if self.backends.is_empty() {
-            return Err(ScenarioError::Invalid(format!(
-                "scenario `{}`: at least one backend required",
-                self.name
-            )));
+    }
+
+    /// Record the operating point at `lambda`, with `E005` when its queue is
+    /// unstable. A point without a valid rate or service law has no load to
+    /// judge.
+    fn load(&mut self, location: Location, lead: String, lambda: f64) {
+        let Some(mean_service_s) = self.mean_service_s.filter(|_| positive(lambda)) else {
+            return;
+        };
+        let mu = self.s.cpu.mu;
+        let load = Load {
+            location,
+            lead,
+            lambda,
+            mu,
+            mean_service_s,
+        };
+        if load.is_unstable() {
+            let rho = load.rho();
+            let (what, help) = if rho >= 1.0 {
+                (
+                    format!("{lambda:.4} jobs/s x {mean_service_s:.4} s = {rho:.3}"),
+                    format!(
+                        "keep the effective arrival rate below {:.4} jobs/s, or shorten \
+                         the mean service time",
+                        1.0 / mean_service_s
+                    ),
+                )
+            } else {
+                (
+                    format!("lambda/mu = {lambda:.4} / {mu:.4} = {:.3}", lambda / mu),
+                    format!("keep the effective arrival rate below cpu.mu = {mu:.4} jobs/s"),
+                )
+            };
+            let what = format!("offered load rho = {what} >= 1: the queue grows without bound");
+            let finding = load.finding(&diag::UNSTABLE_QUEUE, &what);
+            self.push(finding.with_help(help));
         }
-        for &b in &self.backends {
-            if registry.get(b).is_none() {
-                return Err(ScenarioError::Invalid(format!(
-                    "scenario `{}`: backend `{b}` is not registered",
-                    self.name
-                )));
+        self.d.loads.push(load);
+    }
+
+    /// The rules of an explicit node list. A routed network is built and
+    /// routed once, from the profile and battery in `kit` (`None` when they
+    /// or a radio spec failed), for its errors and every node's forwarded
+    /// rate.
+    fn nodes(&mut self, net: &NetworkSpec, kit: Option<(&PowerProfile, &Battery)>) {
+        if net.nodes.is_empty() {
+            self.invalid("network.nodes", "must be non-empty");
+        }
+        let mut rates_ok = true;
+        for n in &net.nodes {
+            let bad = [
+                ("event_rate", positive(n.event_rate)),
+                ("tx_per_event", n.tx_per_event >= 0.0),
+                ("rx_rate", n.rx_rate >= 0.0),
+            ]
+            .into_iter()
+            .find(|&(_, ok)| !ok);
+            if let Some((field, _)) = bad {
+                rates_ok = self.invalid_node(&n.name, field, "rates must be positive/non-negative");
             }
         }
-        self.cpu
-            .validate()
-            .map_err(|e| ScenarioError::Invalid(format!("scenario `{}`: cpu: {e}", self.name)))?;
-        if let Some(service) = &self.service {
-            if self.schema_version < 3 {
-                return Err(ScenarioError::Invalid(format!(
-                    "scenario `{}`: service requires schema_version >= 3 (found {})",
-                    self.name, self.schema_version
-                )));
-            }
-            service.validate(self.cpu.mu).map_err(|e| {
-                ScenarioError::Invalid(format!("scenario `{}`: service: {e}", self.name))
-            })?;
-            if !service.is_exponential() {
-                // Capability gate, driven by the registry: analytic backends
-                // cannot model a general service law — fail loudly here
-                // instead of letting them compute exponential numbers.
-                for &b in &self.backends {
-                    // Registration was verified earlier in this method.
-                    let Some(caps) = registry.capabilities_of(b) else {
-                        unreachable!("backend registration checked above")
-                    };
-                    if !caps.supports_service_dist {
-                        return Err(ScenarioError::Invalid(format!(
-                            "scenario `{}`: backend `{b}` does not support the \
-                             non-exponential service distribution ({}); request only \
-                             backends whose capabilities include supports_service_dist \
-                             (e.g. Mg1, PetriNet, Des)",
-                            self.name,
-                            service.label()
-                        )));
-                    }
-                }
-            }
-        }
-        self.profile.build()?;
-        self.battery.build()?;
-        if let Some(w) = &self.workload {
-            w.build(self.cpu.lambda).validate().map_err(|e| {
-                ScenarioError::Invalid(format!("scenario `{}`: workload: {e}", self.name))
-            })?;
-        }
-        if !(self.report.energy_horizon_s > 0.0) {
-            return Err(ScenarioError::Invalid(format!(
-                "scenario `{}`: report.energy_horizon_s must be > 0",
-                self.name
-            )));
-        }
-        if let Some(sweep) = &self.sweep {
-            if sweep.axis == SweepAxis::Lambda
-                && self.workload.as_ref().is_some_and(|w| !w.is_poisson())
-            {
-                return Err(ScenarioError::Invalid(format!(
-                    "scenario `{}`: a Lambda sweep requires the Poisson workload \
-                     (non-Poisson workloads do not take their rate from cpu.lambda, \
-                     so the DES backend would not actually be swept)",
-                    self.name
-                )));
-            }
-            if sweep.values.is_empty() {
-                return Err(ScenarioError::Invalid(format!(
-                    "scenario `{}`: sweep.values must be non-empty",
-                    self.name
-                )));
-            }
-            for &v in &sweep.values {
-                sweep.axis.apply(self.cpu, v).validate().map_err(|e| {
-                    ScenarioError::Invalid(format!(
-                        "scenario `{}`: sweep value {v}: {e}",
-                        self.name
-                    ))
-                })?;
-            }
-        }
-        if let Some(net) = &self.network {
-            if let Some(t) = &net.template {
-                self.validate_template(net, t)?;
-            } else if net.nodes.is_empty() {
-                return Err(ScenarioError::Invalid(format!(
-                    "scenario `{}`: network.nodes must be non-empty",
-                    self.name
-                )));
-            }
+        self.d.forwarded = vec![0.0; net.nodes.len()];
+        if net.topology.is_some() {
+            self.require_version("network.topology", "network.topology", 2);
+            let mut seen = std::collections::BTreeSet::new();
             for n in &net.nodes {
-                if !(n.event_rate > 0.0) || !(n.tx_per_event >= 0.0) || !(n.rx_rate >= 0.0) {
-                    return Err(ScenarioError::Invalid(format!(
-                        "scenario `{}`: node `{}`: rates must be positive/non-negative",
-                        self.name, n.name
-                    )));
-                }
-                self.cpu.with_lambda(n.event_rate).validate().map_err(|e| {
-                    ScenarioError::Invalid(format!(
-                        "scenario `{}`: node `{}`: {e}",
-                        self.name, n.name
-                    ))
-                })?;
-            }
-            if net.radio.is_some() || net.nodes.iter().any(|n| n.radio.is_some()) {
-                if self.schema_version < 4 {
-                    return Err(ScenarioError::Invalid(format!(
-                        "scenario `{}`: network.radio / per-node radio overrides require \
-                         schema_version >= 4 (found {})",
-                        self.name, self.schema_version
-                    )));
-                }
-                if let Some(radio) = &net.radio {
-                    radio.validate().map_err(|e| {
-                        ScenarioError::Invalid(format!(
-                            "scenario `{}`: network.radio: {e}",
-                            self.name
-                        ))
-                    })?;
-                }
-                for n in &net.nodes {
-                    if let Some(radio) = &n.radio {
-                        radio.validate().map_err(|e| {
-                            ScenarioError::Invalid(format!(
-                                "scenario `{}`: node `{}`: radio: {e}",
-                                self.name, n.name
-                            ))
-                        })?;
-                    }
+                if n.name == "sink" {
+                    let reserved = "`sink` is a reserved node name in routed topologies";
+                    self.invalid_node(&n.name, "name", reserved);
+                } else if !seen.insert(n.name.as_str()) {
+                    let duplicate =
+                        format!("duplicate node name `{}` in a routed topology", n.name);
+                    self.invalid_node(&n.name, "name", duplicate);
                 }
             }
-            if net.topology.is_some() && net.template.is_none() {
-                if self.schema_version < 2 {
-                    return Err(ScenarioError::Invalid(format!(
-                        "scenario `{}`: network.topology requires schema_version >= 2 \
-                         (found {})",
-                        self.name, self.schema_version
-                    )));
-                }
-                let mut seen = std::collections::BTreeSet::new();
-                for n in &net.nodes {
-                    if n.name == "sink" {
-                        return Err(ScenarioError::Invalid(format!(
-                            "scenario `{}`: `sink` is a reserved node name in routed \
-                             topologies",
-                            self.name
-                        )));
+            if let (Some((profile, battery)), true) = (kit, rates_ok) {
+                // Forwarding raises relay arrival rates, so every node's
+                // load counts what its subtree sends through it.
+                let soa = self.built(net.build_soa(self.s.cpu, profile, battery));
+                match soa.map(|soa| soa.validate()) {
+                    Some(Ok(routing)) => self.d.forwarded = routing.forwarded.iter().collect(),
+                    Some(Err(e)) => {
+                        self.invalid("network.topology", e);
                     }
-                    if !seen.insert(n.name.as_str()) {
-                        return Err(ScenarioError::Invalid(format!(
-                            "scenario `{}`: duplicate node name `{}` in a routed topology",
-                            self.name, n.name
-                        )));
-                    }
-                }
-                let profile = self.profile.build()?;
-                let battery = self.battery.build()?;
-                let soa = net.build_soa(self.cpu, &profile, &battery)?;
-                // Forwarding load raises relay arrival rates: check every
-                // node's *effective* λ still describes a stable queue.
-                let forwarded = soa
-                    .validate()
-                    .map_err(|e| ScenarioError::Invalid(format!("scenario `{}`: {e}", self.name)))?
-                    .forwarded;
-                for (n, fwd) in net.nodes.iter().zip(forwarded.iter()) {
-                    self.cpu
-                        .with_forwarding(n.event_rate, fwd)
-                        .validate()
-                        .map_err(|e| {
-                            ScenarioError::Invalid(format!(
-                                "scenario `{}`: node `{}` (forwarding {fwd:.3} pkt/s \
-                                 for its subtree): {e}",
-                                self.name, n.name
-                            ))
-                        })?;
+                    None => {}
                 }
             }
         }
-        Ok(())
+        for (i, n) in net.nodes.iter().enumerate() {
+            let fwd = self.d.forwarded[i];
+            let lead = (fwd > 0.0).then(|| format!("forwarding {fwd:.3} pkt/s for its subtree: "));
+            self.load(
+                self.at("event_rate").with_node(&n.name),
+                lead.unwrap_or_default(),
+                n.event_rate + fwd,
+            );
+        }
     }
 
-    /// Validate a template network without materializing any nodes — the
-    /// whole point of the template representation is that `count` may be
-    /// 10^6, so every check here is closed-form.
+    /// The rules of a template network, all closed-form: the whole point of
+    /// the template representation is that `count` may be 10^6.
     ///
     /// The stability check exploits the topology structure: in a star
     /// nothing forwards; in a chain or complete tree *all* upstream
     /// traffic funnels through the sink-adjacent root, whose forwarded
     /// load is therefore exactly `(count − 1) · event_rate · tx_per_event`
     /// — the worst effective λ in the network.
-    fn validate_template(&self, net: &NetworkSpec, t: &TemplateSpec) -> Result<(), ScenarioError> {
-        if self.schema_version < 5 {
-            return Err(ScenarioError::Invalid(format!(
-                "scenario `{}`: network.template requires schema_version >= 5 (found {})",
-                self.name, self.schema_version
-            )));
-        }
+    fn template(&mut self, net: &NetworkSpec, t: &TemplateSpec) {
+        self.require_version("network.template", "network.template", 5);
         if !net.nodes.is_empty() {
-            return Err(ScenarioError::Invalid(format!(
-                "scenario `{}`: network.template and network.nodes are mutually \
-                 exclusive (the template *is* the node list)",
-                self.name
-            )));
+            self.invalid(
+                "network.nodes",
+                "network.template and network.nodes are mutually exclusive (the template \
+                 *is* the node list)",
+            );
         }
-        if matches!(net.topology, Some(TopologySpec::Mesh { .. })) {
-            return Err(ScenarioError::Invalid(format!(
-                "scenario `{}`: network.template cannot be combined with a mesh \
-                 topology (its static routes name specific nodes)",
-                self.name
-            )));
-        }
-        if let Some(TopologySpec::Tree { fanout: 0 }) = net.topology {
-            return Err(ScenarioError::Invalid(format!(
-                "scenario `{}`: topology: tree fanout must be >= 1",
-                self.name
-            )));
-        }
+        let topology_ok = match net.topology {
+            Some(TopologySpec::Mesh { .. }) => self.invalid(
+                "network.topology",
+                "network.template cannot be combined with a mesh topology (its static \
+                 routes name specific nodes)",
+            ),
+            Some(TopologySpec::Tree { fanout: 0 }) => {
+                self.invalid("network.topology", "tree fanout must be >= 1")
+            }
+            _ => true,
+        };
         let bound = net.max_template_count();
-        if t.count == 0 || t.count > bound {
-            let chain = if bound < MAX_TEMPLATE_COUNT {
-                " for a chain, which is routed and stored per node"
+        let count_ok = (1..=bound).contains(&t.count);
+        if !count_ok {
+            let (chain, help) = if bound < MAX_TEMPLATE_COUNT {
+                (
+                    " for a chain, which is routed and stored per node",
+                    "a chain has one node per level, so it is routed, solved and stored \
+                     per node (about 120 bytes each); use a star or a tree of fanout 2 or \
+                     more for larger networks",
+                )
             } else {
-                ""
+                (
+                    "",
+                    "node indices are u32 and u32::MAX marks the sink, so a template holds \
+                     at most u32::MAX - 1 nodes",
+                )
             };
-            return Err(ScenarioError::Invalid(format!(
-                "scenario `{}`: network.template.count must be in 1..={bound}{chain} \
-                 (found {})",
-                self.name, t.count
-            )));
+            let what = format!(
+                "network.template.count must be in 1..={bound}{chain} (found {})",
+                t.count
+            );
+            let finding = diag::INVALID_FIELD.at(self.at("network.template.count"), what);
+            self.push(finding.with_help(help));
         }
         if t.prefix.is_empty() {
-            return Err(ScenarioError::Invalid(format!(
-                "scenario `{}`: network.template.prefix must be non-empty",
-                self.name
-            )));
+            self.invalid(
+                "network.template.prefix",
+                "the node-name prefix must be non-empty",
+            );
         }
-        if !(t.event_rate > 0.0
-            && t.event_rate.is_finite()
-            && t.tx_per_event >= 0.0
-            && t.tx_per_event.is_finite()
-            && t.rx_rate >= 0.0
-            && t.rx_rate.is_finite())
-        {
-            return Err(ScenarioError::Invalid(format!(
-                "scenario `{}`: template: rates must be positive/non-negative",
-                self.name
-            )));
+        let bad = [
+            ("event_rate", positive(t.event_rate)),
+            (
+                "tx_per_event",
+                t.tx_per_event >= 0.0 && t.tx_per_event.is_finite(),
+            ),
+            ("rx_rate", t.rx_rate >= 0.0 && t.rx_rate.is_finite()),
+        ]
+        .into_iter()
+        .find(|&(_, ok)| !ok);
+        if let Some((field, _)) = bad {
+            let field = format!("network.template.{field}");
+            self.invalid(&field, "rates must be positive/non-negative");
+        } else if count_ok && topology_ok {
+            let forwarded = match net.topology {
+                None | Some(TopologySpec::Star) => 0.0,
+                // Chain and complete tree: everything upstream passes the root.
+                _ => (t.count - 1) as f64 * t.event_rate * t.tx_per_event,
+            };
+            let lead = format!(
+                "template root `{}1` (forwarding {forwarded:.3} pkt/s for the other {} \
+                 nodes): ",
+                t.prefix,
+                t.count - 1
+            );
+            self.load(self.at("network.template"), lead, t.event_rate + forwarded);
         }
-        self.cpu.with_lambda(t.event_rate).validate().map_err(|e| {
-            ScenarioError::Invalid(format!("scenario `{}`: template: {e}", self.name))
-        })?;
-        let root_forwarded = match net.topology {
-            None | Some(TopologySpec::Star) => 0.0,
-            // Chain and complete tree: everything upstream passes the root.
-            _ => (t.count - 1) as f64 * t.event_rate * t.tx_per_event,
+    }
+}
+
+impl Scenario {
+    /// Validate the complete scenario against the built-in solver registry.
+    pub fn validate(&self) -> Result<(), ScenarioError> {
+        self.validate_with(backend::global())
+    }
+
+    /// Validate against an explicit registry — the one that will actually
+    /// solve, so custom solvers' capabilities are honored. The error is the
+    /// first finding of [`Scenario::diagnose`]: `E002` as
+    /// [`ScenarioError::UnsupportedVersion`], anything else as
+    /// [`ScenarioError::Invalid`].
+    pub fn validate_with(
+        &self,
+        registry: &wsnem_core::BackendRegistry,
+    ) -> Result<(), ScenarioError> {
+        match self.diagnose(registry).into_iter().next() {
+            None => Ok(()),
+            Some(d) if d.code == diag::SCHEMA_VERSION.code => {
+                Err(ScenarioError::UnsupportedVersion {
+                    found: self.schema_version,
+                    supported: SCHEMA_VERSION,
+                })
+            }
+            Some(d) => Err(ScenarioError::Invalid(Box::new(d))),
+        }
+    }
+
+    /// Every error-level finding about this scenario, each with its lint
+    /// code and field path: the one rule set behind both `validate` and
+    /// `wsnem check`. See [`Scenario::diagnosis`].
+    pub fn diagnose(&self, registry: &wsnem_core::BackendRegistry) -> Vec<Diagnostic> {
+        self.diagnosis(registry).errors
+    }
+
+    /// Run every scenario rule once. A rule that needs an earlier one to
+    /// hold is skipped when that rule failed: stability needs valid rates
+    /// and a valid service law, routing needs the profile, the battery, the
+    /// node rates and the radio specs, and capabilities are read only for
+    /// registered backends.
+    pub fn diagnosis(&self, registry: &wsnem_core::BackendRegistry) -> Diagnosis {
+        let mut w = Walk {
+            s: self,
+            d: Diagnosis::default(),
+            mean_service_s: None,
         };
-        self.cpu
-            .with_forwarding(t.event_rate, root_forwarded)
-            .validate()
-            .map_err(|e| {
-                ScenarioError::Invalid(format!(
-                    "scenario `{}`: template root `{}1` (forwarding {root_forwarded:.3} \
-                     pkt/s for the other {} nodes): {e}",
-                    self.name,
-                    t.prefix,
-                    t.count - 1
-                ))
-            })?;
-        // `net.radio` is validated by the shared radio block in
-        // `validate_with`, which runs for template networks too.
-        Ok(())
+        let v = self.schema_version;
+        if !(MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&v) {
+            let what = format!(
+                "schema version {v} is outside the supported range \
+                 {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION}"
+            );
+            let help = format!(
+                "files written against schema {SCHEMA_VERSION} or older load; \
+                 regenerate the file with this build's `wsnem export`"
+            );
+            let finding = diag::SCHEMA_VERSION.at(w.at("schema_version"), what);
+            w.push(finding.with_help(help));
+        }
+        if self.name.is_empty() {
+            w.invalid("name", "scenario name must be non-empty");
+        }
+        if self.backends.is_empty() {
+            w.invalid("backends", "at least one backend is required");
+        }
+        for b in &self.backends {
+            if registry.get(*b).is_none() {
+                let known: Vec<&str> = registry.ids().iter().map(|id| id.name()).collect();
+                let what = format!("backend `{b}` is not registered");
+                let help = format!("registered backends: {}", known.join(", "));
+                let finding = diag::UNKNOWN_BACKEND.at(w.at("backends"), what);
+                w.push(finding.with_help(help));
+            }
+        }
+        let cpu_ok = match self.cpu.validate_fields() {
+            Ok(()) => true,
+            Err(CoreError::InvalidParameter {
+                what,
+                constraint,
+                value,
+            }) => w.invalid(
+                &format!("cpu.{what}"),
+                format!("value {value} violates {constraint}"),
+            ),
+            Err(e) => w.invalid("cpu", e.to_string()),
+        };
+        let mu = self.cpu.mu;
+        w.mean_service_s = positive(mu).then(|| 1.0 / mu);
+        if let Some(service) = &self.service {
+            w.require_version("service", "service", 3);
+            if w.mean_service_s.is_some() {
+                w.mean_service_s = match service.validate(mu) {
+                    Ok(()) => Some(service.to_dist(mu).mean()),
+                    Err(e) => {
+                        w.invalid("service", e.to_string());
+                        None
+                    }
+                };
+            }
+            // Capability gate, driven by the registry: analytic backends
+            // cannot model a general service law — fail loudly here instead
+            // of letting them compute exponential numbers.
+            for b in &self.backends {
+                let caps = registry.capabilities_of(*b);
+                if !service.is_exponential() && caps.is_some_and(|c| !c.supports_service_dist) {
+                    let what = format!(
+                        "backend `{b}` does not support the non-exponential service \
+                         distribution ({}); request only backends whose capabilities \
+                         include supports_service_dist (e.g. Mg1, PetriNet, Des)",
+                        service.label()
+                    );
+                    w.push(diag::CAPABILITY_MISMATCH.at(w.at("service"), what));
+                }
+            }
+        }
+        w.load(w.at("cpu.lambda"), String::new(), self.cpu.lambda);
+        let profile = w.built(self.profile.build());
+        let battery = w.built(self.battery.build());
+        if let Some(workload) = &self.workload {
+            if let Err(e) = workload.build(self.cpu.lambda).validate() {
+                w.invalid("workload", e.to_string());
+            }
+        }
+        if !(self.report.energy_horizon_s > 0.0) {
+            w.invalid("report.energy_horizon_s", "must be > 0");
+        }
+        if let Some(sweep) = &self.sweep {
+            if sweep.axis == SweepAxis::Lambda
+                && self.workload.as_ref().is_some_and(|w| !w.is_poisson())
+            {
+                w.invalid(
+                    "sweep.axis",
+                    "a Lambda sweep requires the Poisson workload (non-Poisson workloads \
+                     do not take their rate from cpu.lambda, so the DES backend would not \
+                     actually be swept)",
+                );
+            }
+            if sweep.values.is_empty() {
+                w.invalid("sweep.values", "must be non-empty");
+            }
+            for (i, &value) in sweep.values.iter().enumerate() {
+                // A bad base point fails every sweep point the same way.
+                if cpu_ok {
+                    if let Err(e) = sweep.axis.apply(self.cpu, value).validate_fields() {
+                        w.invalid(&format!("sweep.values[{i}]"), e.to_string());
+                    }
+                }
+                if sweep.axis == SweepAxis::Lambda {
+                    w.load(w.at(&format!("sweep.values[{i}]")), String::new(), value);
+                }
+            }
+        }
+        let Some(net) = &self.network else {
+            return w.d;
+        };
+        if net.radio.is_some() || net.nodes.iter().any(|n| n.radio.is_some()) {
+            w.require_version("network.radio", "a radio spec", 4);
+        }
+        let mut radios_ok = true;
+        if let Some(Err(e)) = net.radio.as_ref().map(RadioSpec::lower) {
+            radios_ok = w.invalid("network.radio", e);
+        }
+        for n in &net.nodes {
+            if let Some(Err(e)) = n.radio.as_ref().map(RadioSpec::lower) {
+                radios_ok = w.invalid_node(&n.name, "radio", e);
+            }
+        }
+        match &net.template {
+            Some(t) => w.template(net, t),
+            None => {
+                let kit = profile.as_ref().zip(battery.as_ref());
+                w.nodes(net, kit.filter(|_| radios_ok));
+            }
+        }
+        w.d
     }
 
     /// A minimal valid scenario with the paper's defaults — the starting
@@ -1025,6 +1198,57 @@ mod tests {
         let mut s = Scenario::paper_template("t");
         s.workload = Some(WorkloadSpec::Trace { gaps: vec![] });
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn validate_is_the_first_finding_of_diagnose() {
+        let registry = backend::global();
+        let mut s = Scenario::paper_template("t");
+        s.cpu.horizon = -1.0;
+        s.report.energy_horizon_s = 0.0;
+        let found = s.diagnose(registry);
+        let fields: Vec<_> = found.iter().map(|d| d.location.field.as_deref()).collect();
+        assert_eq!(
+            fields,
+            [Some("cpu.horizon"), Some("report.energy_horizon_s")]
+        );
+        assert!(found.iter().all(|d| d.code == "E004"));
+        let Err(ScenarioError::Invalid(first)) = s.validate() else {
+            panic!("a negative horizon validates");
+        };
+        assert_eq!(*first, found[0]);
+        assert_eq!(
+            first.to_string(),
+            "error[E004] scenario `t`: cpu.horizon: value -1 violates > 0 and finite"
+        );
+    }
+
+    #[test]
+    fn stability_counts_the_service_law_and_mu_alike() {
+        // A slow general law: rho = lambda * E[S] = 2, though lambda/mu = 0.1.
+        let mut s = Scenario::paper_template("slow");
+        s.backends = vec![BackendId::PetriNet, BackendId::Des];
+        s.service = Some(ServiceDist::General {
+            dist: Dist::Deterministic(2.0),
+        });
+        let err = s.validate().unwrap_err().to_string();
+        assert!(
+            err.starts_with("invalid scenario [E005]: scenario `slow`: cpu.lambda"),
+            "{err}"
+        );
+        assert!(err.contains("= 2.000 >= 1"), "{err}");
+        // A fast general law: lambda * E[S] = 0.12, but lambda/mu = 1.2.
+        s.service = Some(ServiceDist::General {
+            dist: Dist::Exponential { rate: 100.0 },
+        });
+        s.cpu.lambda = 12.0;
+        let err = s.validate().unwrap_err().to_string();
+        assert!(
+            err.contains("lambda/mu = 12.0000 / 10.0000 = 1.200"),
+            "{err}"
+        );
+        s.cpu.lambda = 9.0;
+        s.validate().unwrap();
     }
 
     #[test]

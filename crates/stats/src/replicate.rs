@@ -168,11 +168,18 @@ impl PrecisionTarget {
                 value: self.rel_half_width,
             });
         }
-        if self.batch == 0 || self.max_replications < self.min_replications.max(2) {
+        if self.batch == 0 {
             return Err(StatsError::InvalidParameter {
-                what: "precision.budget",
-                constraint: "batch >= 1, max >= max(min, 2)",
-                value: self.batch as f64,
+                what: "precision.batch",
+                constraint: ">= 1",
+                value: 0.0,
+            });
+        }
+        if self.max_replications < self.min_replications.max(2) {
+            return Err(StatsError::InvalidParameter {
+                what: "precision.max_replications",
+                constraint: ">= max(min_replications, 2)",
+                value: self.max_replications as f64,
             });
         }
         Ok(())
@@ -412,7 +419,7 @@ mod tests {
         assert!(matches!(
             err,
             StatsError::InvalidParameter {
-                what: "precision.budget",
+                what: "precision.batch",
                 ..
             }
         ));
@@ -446,5 +453,27 @@ mod tests {
         }
         .validate()
         .is_err());
+    }
+
+    #[test]
+    fn a_short_budget_names_max_replications_not_the_batch() {
+        let err = PrecisionTarget {
+            min_replications: 100,
+            max_replications: 10,
+            ..PrecisionTarget::default()
+        }
+        .validate()
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                StatsError::InvalidParameter {
+                    what: "precision.max_replications",
+                    value,
+                    ..
+                } if value == 10.0
+            ),
+            "{err}"
+        );
     }
 }
