@@ -191,39 +191,6 @@ pub fn simulate_observed<R: Rng64 + ?Sized, O: Observer>(
     }
 }
 
-/// How one unobserved small-net run used its marking memo.
-#[cfg(test)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct MemoCounts {
-    /// Tangible steps replayed from the memo.
-    pub hits: u32,
-    /// Tangible steps fired live while the memo was on.
-    pub misses: u32,
-    /// Whether the memo was still on at the horizon.
-    pub on: bool,
-}
-
-/// [`simulate`] on the direct path, also reporting the memo's counts.
-#[cfg(test)]
-pub(crate) fn simulate_counting_memo<R: Rng64 + ?Sized>(
-    net: &PetriNet,
-    cfg: &SimConfig,
-    rewards: &[Reward],
-    rng: &mut R,
-) -> (Result<SimOutput, PetriError>, MemoCounts) {
-    assert!(net.n_transitions() <= SCAN_THRESHOLD, "direct-path net");
-    cfg.validate().expect("valid config");
-    let mut obs = NoopObserver;
-    let mut engine = Engine::<R, NoopObserver, false>::new(net, cfg, rewards, rng, &mut obs);
-    let ran = engine.run();
-    let counts = MemoCounts {
-        hits: engine.memo.hits,
-        misses: engine.memo.misses,
-        on: engine.memo.on,
-    };
-    (ran.map(|()| engine.into_output()), counts)
-}
-
 /// The direct path's marking memo, built fresh for each replication (see
 /// "Marking memo" in the module doc).
 struct Memo {
@@ -828,6 +795,39 @@ impl<'a, R: Rng64 + ?Sized, O: Observer, const ED: bool> Engine<'a, R, O, ED> {
             final_marking: self.marking,
         }
     }
+}
+
+/// How one unobserved small-net run used its marking memo.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct MemoCounts {
+    /// Tangible steps replayed from the memo.
+    pub hits: u32,
+    /// Tangible steps fired live while the memo was on.
+    pub misses: u32,
+    /// Whether the memo was still on at the horizon.
+    pub on: bool,
+}
+
+/// [`simulate`] on the direct path, also reporting the memo's counts.
+#[cfg(test)]
+pub(crate) fn simulate_counting_memo<R: Rng64 + ?Sized>(
+    net: &PetriNet,
+    cfg: &SimConfig,
+    rewards: &[Reward],
+    rng: &mut R,
+) -> (Result<SimOutput, PetriError>, MemoCounts) {
+    assert!(net.n_transitions() <= SCAN_THRESHOLD, "direct-path net");
+    cfg.validate().expect("valid config");
+    let mut obs = NoopObserver;
+    let mut engine = Engine::<R, NoopObserver, false>::new(net, cfg, rewards, rng, &mut obs);
+    let ran = engine.run();
+    let counts = MemoCounts {
+        hits: engine.memo.hits,
+        misses: engine.memo.misses,
+        on: engine.memo.on,
+    };
+    (ran.map(|()| engine.into_output()), counts)
 }
 
 #[cfg(test)]

@@ -2,8 +2,6 @@
 //! engine. Replications of [`simulate`] run on `wsnem_stats::replicate`.
 
 mod engine;
-#[cfg(test)]
-mod reference;
 
 pub use engine::{simulate, simulate_observed};
 
@@ -153,6 +151,9 @@ impl SimOutput {
         }
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
