@@ -46,13 +46,19 @@ pub(crate) const RUN_FLAGS: &[Flag] = &[
                                              "under --strict"]),
     value(&["--distributed"], "<ADDR>",    &["Serve this run's shards to `wsnem worker` processes",
                                              "from ADDR (host:port) instead of simulating",
-                                             "in-process; equivalent to `wsnem serve --addr ADDR`"]),
+                                             "in-process; equivalent to `wsnem serve --addr ADDR`,",
+                                             "and takes the serve options other than --addr"]),
 ];
 
 #[rustfmt::skip]
 pub(crate) const SERVE_FLAGS: &[Flag] = &[
     value(&["--addr"], "<ADDR>",           &["Listen address (default 127.0.0.1:7177; port 0",
                                              "picks a free port, announced on stderr)"]),
+];
+
+/// The coordinator's timing, for `serve` and `run --distributed`.
+#[rustfmt::skip]
+pub(crate) const COORDINATOR_FLAGS: &[Flag] = &[
     value(&["--grace"], "<SECS>",          &["Zero-worker grace window before the remaining",
                                              "shards run in-process (default 10)"]),
     value(&["--lease-timeout"], "<SECS>",  &["Shard lease: a leased shard whose worker neither",
@@ -532,7 +538,17 @@ fn run_with_progress(g: &Gathered, o: &RunOptions) -> Result<BatchRun, String> {
 }
 
 pub(crate) fn cmd_run(a: &Args) -> Result<(), String> {
-    run_command(RunOptions::new(a)?, "run")
+    let o = RunOptions::new(a)?;
+    if o.distributed.is_none() {
+        if let Some(f) = COORDINATOR_FLAGS.iter().find(|f| a.has(f.names[0])) {
+            return Err(format!(
+                "{} configures the coordinator of a distributed run: add --distributed \
+                 <ADDR>, or use `wsnem serve`",
+                f.names[0]
+            ));
+        }
+    }
+    run_command(o, "run")
 }
 
 /// `wsnem serve <DIRS..>`: a `run` that always coordinates over TCP —

@@ -64,7 +64,8 @@ const FLAG_ERRORS: &[(&str, i32, &str)] = &[
     ("run --limit", 1, "error: missing value for --limit <N>"),
     ("run --scenario-timeout", 1, "error: missing value for --scenario-timeout <SECS>"),
     ("run --distributed", 1, "error: missing value for --distributed <ADDR>"),
-    ("run --addr", 1, "error: missing value for --addr <ADDR>"),
+    ("run --addr", 1, "error: unknown option `--addr`"),
+    ("run --builtin paper-defaults --quick --addr 10.0.0.1:5", 1, "error: unknown option `--addr`"),
     ("run --grace", 1, "error: missing value for --grace <SECS>"),
     ("run --lease-timeout", 1, "error: missing value for --lease-timeout <SECS>"),
     ("run --liveness-timeout", 1, "error: missing value for --liveness-timeout <SECS>"),
@@ -77,6 +78,9 @@ const FLAG_ERRORS: &[(&str, i32, &str)] = &[
     ("run --lease-timeout -2", 1, "error: --lease-timeout expects a positive number of seconds, got `-2`"),
     ("run --liveness-timeout inf", 1, "error: --liveness-timeout expects a positive number of seconds, got `inf`"),
     ("run --no-cache --refresh", 1, "error: --no-cache and --refresh are mutually exclusive"),
+    ("run --builtin paper-defaults --quick --grace 3", 1, "error: --grace configures the coordinator of a distributed run: add --distributed <ADDR>, or use `wsnem serve`"),
+    ("run --builtin paper-defaults --lease-timeout 4", 1, "error: --lease-timeout configures the coordinator of a distributed run: add --distributed <ADDR>, or use `wsnem serve`"),
+    ("run --all --liveness-timeout 5", 1, "error: --liveness-timeout configures the coordinator of a distributed run: add --distributed <ADDR>, or use `wsnem serve`"),
     ("serve --bogus", 1, "error: unknown option `--bogus`"),
     ("serve --addr", 1, "error: missing value for --addr <ADDR>"),
     ("serve --grace", 1, "error: missing value for --grace <SECS>"),
