@@ -69,7 +69,7 @@ mod worker;
 const COMMANDS: &[Command] = &[
     Command { synopsis: "list", flags: None, run: inspect::cmd_list,
               help: &["List built-in scenarios"] },
-    Command { synopsis: "run [FILES|DIRS..] [OPTIONS]", flags: Some(&[run::RUN_FLAGS, run::COORDINATOR_FLAGS]), run: run::cmd_run,
+    Command { synopsis: "run [FILES|DIRS..] [OPTIONS]", flags: Some(&[run::SCENARIO_FLAGS, run::RUN_FLAGS, run::COORDINATOR_FLAGS]), run: run::cmd_run,
               help: &["Run scenario files, whole directories of them",
                       "and/or built-ins; directory runs answer",
                       "unchanged scenarios from the content-hash",
@@ -80,7 +80,7 @@ const COMMANDS: &[Command] = &[
                       "seeded-random or Latin-hypercube samples over",
                       "declared fields, one file per scenario plus a",
                       "manifest.json recording the generator spec"] },
-    Command { synopsis: "serve <DIRS..> [OPTIONS]", flags: Some(&[run::RUN_FLAGS, run::SERVE_FLAGS, run::COORDINATOR_FLAGS]), run: run::cmd_serve,
+    Command { synopsis: "serve <DIRS..> [OPTIONS]", flags: Some(&[run::SCENARIO_FLAGS, run::RUN_FLAGS, run::SERVE_FLAGS, run::COORDINATOR_FLAGS]), run: run::cmd_serve,
               help: &["Run a fleet as a distributed coordinator:",
                       "listen on --addr, lease content-hash shards to",
                       "pulling workers, reassign the shards of",
@@ -103,7 +103,7 @@ const COMMANDS: &[Command] = &[
                       "observer attached and emit an NDJSON event",
                       "stream (firings, state changes, queue depths);",
                       "attaching the tracer never perturbs the run"] },
-    Command { synopsis: "profile [FILES..] [OPTIONS]", flags: Some(&[run::RUN_FLAGS, run::SERVE_FLAGS, run::COORDINATOR_FLAGS]), run: run::cmd_profile,
+    Command { synopsis: "profile [FILES|DIRS..] [OPTIONS]", flags: Some(&[run::SCENARIO_FLAGS, run::PROFILE_FLAGS]), run: run::cmd_profile,
               help: &["Run scenarios and print a wall-clock profile:",
                       "per-scenario phase timings (base / sweep /",
                       "network), per-backend solver cost and batch",
@@ -116,7 +116,7 @@ const COMMANDS: &[Command] = &[
                       "saturation, and net-level proofs (semiflows,",
                       "deadlock, dead transitions); exits non-zero",
                       "when any error-severity lint fires"] },
-    Command { synopsis: "validate <FILES|DIRS..>", flags: None, run: check::cmd_validate,
+    Command { synopsis: "validate <FILES|DIRS..>", flags: Some(&[]), run: check::cmd_validate,
               help: &["Schema-level checks only (check --only-schema):",
                       "parse + validate scenario files (a directory",
                       "means every file a fleet run would load),",
@@ -141,13 +141,13 @@ const COMMANDS: &[Command] = &[
 /// The help's options sections, in the order they print.
 #[rustfmt::skip]
 const SECTIONS: &[(&str, &[&[Flag]])] = &[
-    ("RUN OPTIONS", &[run::RUN_FLAGS]),
+    ("RUN OPTIONS", &[run::SCENARIO_FLAGS, run::RUN_FLAGS]),
     ("SERVE OPTIONS (in addition to the run options)", &[run::SERVE_FLAGS, run::COORDINATOR_FLAGS]),
     ("WORKER OPTIONS", &[worker::FLAGS]),
     ("GEN OPTIONS", &[gen::FLAGS]),
     ("CHECK OPTIONS", &[check::FLAGS]),
     ("TRACE OPTIONS", &[trace::FLAGS]),
-    ("PROFILE OPTIONS", &[run::PROFILE_FLAGS]),
+    ("PROFILE OPTIONS", &[run::SCENARIO_FLAGS, run::PROFILE_FLAGS]),
     ("COMPARE OPTIONS", &[compare::FLAGS]),
     ("EXPORT OPTIONS", &[inspect::EXPORT_FLAGS]),
 ];

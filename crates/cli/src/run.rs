@@ -17,17 +17,14 @@ use wsnem_stats::par;
 use crate::args::{self, switch, value, Args, Flag};
 use crate::out;
 
+/// What to run and how: the flags `run`, `serve` and `profile` share.
 #[rustfmt::skip]
-pub(crate) const RUN_FLAGS: &[Flag] = &[
+pub(crate) const SCENARIO_FLAGS: &[Flag] = &[
     switch(&["--all"],                     &["Run every built-in scenario"]),
     value(&["--builtin"], "<NAME>",        &["Run one built-in (repeatable)"]),
     value(&["--all-files"], "<DIR>",       &["Run every scenario file in DIR (same as passing the",
                                              "directory as a positional argument; repeatable)"]),
-    value(&["--format"], "<FMT>",          &["Output format: summary (default), json, csv"]),
-    value(&["--out", "-o"], "<FILE>",      &["Write the report there instead of stdout"]),
-    value(&["--threads"], "<N>",           &["Parallelism across scenarios, and across fleet files",
-                                             "parsed and reports rendered (default: all cores)"]),
-    QUICK,
+    switch(&["--quick"],                   &["Shrink replications/horizons for a fast smoke run"]),
     switch(&["--no-cache"],                &["Neither read nor write the directory result cache"]),
     switch(&["--refresh"],                 &["Re-simulate everything, overwriting cached results"]),
     switch(&["--strict"],                  &["Make duplicate scenario names an error instead of a",
@@ -38,6 +35,14 @@ pub(crate) const RUN_FLAGS: &[Flag] = &[
     switch(&["--verbose", "-v"],           &["Show the live progress line even without a TTY and",
                                              "print batch metrics (workers, utilization) at the end"]),
     switch(&["--quiet", "-q"],             &["Suppress the progress line and informational stderr"]),
+];
+
+#[rustfmt::skip]
+pub(crate) const RUN_FLAGS: &[Flag] = &[
+    value(&["--format"], "<FMT>",          &["Output format: summary (default), json, csv"]),
+    value(&["--out", "-o"], "<FILE>",      &["Write the report there instead of stdout"]),
+    value(&["--threads"], "<N>",           &["Parallelism across scenarios, and across fleet files",
+                                             "parsed and reports rendered (default: all cores)"]),
     value(&["--limit"], "<N>",             &["Per-node lines in a summary's network section before",
                                              "an \"… and K more\" footer (default 50)"]),
     value(&["--scenario-timeout"], "<SECS>", &["Per-scenario wall-clock watchdog: a scenario that",
@@ -70,17 +75,11 @@ pub(crate) const COORDINATOR_FLAGS: &[Flag] = &[
 
 #[rustfmt::skip]
 pub(crate) const PROFILE_FLAGS: &[Flag] = &[
-    switch(&["--all"],                     &["Profile every built-in scenario"]),
-    value(&["--builtin"], "<NAME>",        &["Profile one built-in (repeatable)"]),
     value(&["--threads"], "<N>",           &["Parallelism across scenarios and fleet files parsed",
                                              "(default: all cores)"]),
-    QUICK,
+    value(&["--scenario-timeout"], "<SECS>", &["Per-scenario wall-clock watchdog: a scenario that",
+                                             "exceeds it is marked failed"]),
 ];
-
-const QUICK: Flag = switch(
-    &["--quick"],
-    &["Shrink replications/horizons for a fast smoke run"],
-);
 
 struct RunOptions {
     /// Positional arguments: scenario files or fleet directories (told
@@ -724,19 +723,8 @@ fn render(
 
 pub(crate) fn cmd_profile(a: &Args) -> Result<(), String> {
     let mut o = RunOptions::new(a)?;
-    if o.format != "summary" {
-        return Err("profile has no --format; its output is the timing table".into());
-    }
-    if o.out.is_some() {
-        return Err("profile prints to stdout; redirect it instead of --out".into());
-    }
     // The profile table is the output; keep stderr quiet unless asked.
-    o.quiet = !o.verbose;
-    if o.distributed.is_some() {
-        return Err(
-            "profile times in-process workers; --distributed belongs to `wsnem run`".into(),
-        );
-    }
+    o.quiet |= !o.verbose;
     let g = gather_scenarios(&o, "profile")?;
     let (results, metrics, cache_stats, _) = run_with_progress(&g, &o)?;
     let scenarios = &g.scenarios;

@@ -90,10 +90,13 @@ const FLAG_ERRORS: &[(&str, i32, &str)] = &[
     ("profile --builtin", 1, "error: missing value for --builtin <NAME>"),
     ("profile --threads", 1, "error: missing value for --threads <N>"),
     ("profile --threads 0", 1, "error: --threads must be >= 1"),
-    ("profile --format json", 1, "error: profile has no --format; its output is the timing table"),
-    ("profile --out p.txt", 1, "error: profile prints to stdout; redirect it instead of --out"),
-    ("profile --distributed 127.0.0.1:0", 1, "error: profile times in-process workers; --distributed belongs to `wsnem run`"),
-    ("profile --limit 3 --addr 1.2.3.4:1", 1, "error: nothing to profile: pass scenario files or directories, --builtin <name>, --all-files <dir> or --all"),
+    ("profile --scenario-timeout 0", 1, "error: --scenario-timeout expects a positive number of seconds, got `0`"),
+    ("profile --format json", 1, "error: unknown option `--format`"),
+    ("profile --out p.txt", 1, "error: unknown option `--out`"),
+    ("profile --distributed 127.0.0.1:0", 1, "error: unknown option `--distributed`"),
+    ("profile --grace 1", 1, "error: unknown option `--grace`"),
+    ("profile --limit 3 --addr 1.2.3.4:1", 1, "error: unknown option `--limit`"),
+    ("profile", 1, "error: nothing to profile: pass scenario files or directories, --builtin <name>, --all-files <dir> or --all"),
     ("worker --bogus", 1, "error: unknown option `--bogus`"),
     ("worker --name", 1, "error: missing value for --name <NAME>"),
     ("worker --threads", 1, "error: missing value for --threads <N>"),
@@ -164,7 +167,7 @@ const FLAG_ERRORS: &[(&str, i32, &str)] = &[
     ("check -A warnings", 1, "error: `warnings` is a blanket switch: it only combines with -D/--deny"),
     ("check", 1, "error: nothing to check: pass scenario files, directories, --builtin <name> or --all"),
     ("validate", 1, "error: validate expects at least one scenario file or directory"),
-    ("validate --all", 1, "error: 1 of 1 file(s) invalid"),
+    ("validate --all", 1, "error: unknown option `--all`"),
     ("export --bogus", 1, "error: unknown option `--bogus`"),
     ("export --format", 1, "error: missing value for --format <FMT>"),
     ("export paper-defaults --format yaml", 1, "error: unknown format `yaml` (expected toml or json)"),
