@@ -1,7 +1,7 @@
 //! The lint registry and the per-run severity overrides (`-W` / `-D` /
 //! `-A`, `--deny warnings`) that rewrite it. The registry itself — every
-//! check `wsnem check` can emit, with a stable code, a kebab-case name, a
-//! default severity and an example trigger — lives in
+//! check `wsnem check` can emit, with a stable code, a kebab-case name and
+//! a default severity — lives in
 //! [`wsnem_scenario::diag`], next to the scenario rules that emit most of
 //! its error codes, and is re-exported here.
 

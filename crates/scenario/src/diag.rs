@@ -1,7 +1,7 @@
 //! The diagnostic data model — what a check found, where, and how bad it
 //! is — and the lint registry: every finding `wsnem check` can emit, with a
-//! stable code, a kebab-case name, a default severity and an example
-//! trigger. The scenario rules ([`crate::Scenario::diagnose`]) emit their
+//! stable code, a kebab-case name and a default severity (README's lint
+//! table says what each catches and what triggers it). The scenario rules ([`crate::Scenario::diagnose`]) emit their
 //! errors here; `wsnem-analysis` re-exports this module and adds the lints
 //! and the net passes.
 
@@ -197,10 +197,6 @@ pub struct Lint {
     pub name: &'static str,
     /// Severity before any per-run override.
     pub severity: Severity,
-    /// One-line description of what the lint catches.
-    pub summary: &'static str,
-    /// An example input that triggers it.
-    pub trigger: &'static str,
 }
 
 impl Lint {
@@ -218,18 +214,16 @@ impl Lint {
 }
 
 macro_rules! lints {
-    ($($ident:ident = ($code:literal, $name:literal, $sev:ident, $summary:literal, $trigger:literal);)*) => {
+    ($($ident:ident = ($code:literal, $name:literal, $sev:ident, $summary:literal);)*) => {
         $(
             #[doc = $summary]
-            // Summaries are user-facing strings first: bracketed math like
-            // `E[S]` must not be parsed as an intra-doc link.
+            // Summaries carry bracketed math like `E[S]`, which must not be
+            // parsed as an intra-doc link.
             #[allow(rustdoc::broken_intra_doc_links)]
             pub static $ident: Lint = Lint {
                 code: $code,
                 name: $name,
                 severity: Severity::$sev,
-                summary: $summary,
-                trigger: $trigger,
             };
         )*
         /// Every registered lint, in code order.
@@ -240,98 +234,79 @@ macro_rules! lints {
 lints! {
     PARSE_ERROR = (
         "E001", "parse-error", Error,
-        "the file cannot be read, parsed, or built into a net",
-        "a TOML scenario with unbalanced brackets, or a .net.json arc naming a missing place"
+        "the file cannot be read, parsed, or built into a net"
     );
     SCHEMA_VERSION = (
         "E002", "schema-version", Error,
-        "the file's schema_version is outside the supported range",
-        "schema_version = 99 in a scenario written against a future wsnem"
+        "the file's schema_version is outside the supported range"
     );
     UNKNOWN_BACKEND = (
         "E003", "unknown-backend", Error,
-        "a requested backend is not in the solver registry",
-        "backends = [\"markov\"] in a build whose registry dropped the Markov solver"
+        "a requested backend is not in the solver registry"
     );
     INVALID_FIELD = (
         "E004", "invalid-field", Error,
-        "a field fails schema validation (out of range, inconsistent, or missing)",
-        "cpu.mu = -1, or warmup >= horizon"
+        "a field fails schema validation (out of range, inconsistent, or missing)"
     );
     UNSTABLE_QUEUE = (
         "E005", "unstable-queue", Error,
-        "offered load rho = lambda_eff * E[S] >= 1, or lambda_eff / mu >= 1: the job queue grows without bound",
-        "lambda = 12 against mu = 10, or a relay or template root whose forwarded traffic pushes it past mu"
+        "offered load rho = lambda_eff * E[S] >= 1, or lambda_eff / mu >= 1: the job queue grows without bound"
     );
     CAPABILITY_MISMATCH = (
         "E006", "capability-mismatch", Error,
-        "a backend is asked for something its capabilities rule out",
-        "service.type = \"deterministic\" with the analytic markov backend"
+        "a backend is asked for something its capabilities rule out"
     );
     NET_DEADLOCK = (
         "E007", "net-deadlock", Error,
-        "the Petri net can reach a marking that enables no transition",
-        "a .net.json whose inhibitor arc freezes the only live transition"
+        "the Petri net can reach a marking that enables no transition"
     );
     DEAD_TRANSITION = (
         "E008", "dead-transition", Error,
-        "a transition can never fire (structurally starved or unreached in the full state space)",
-        "a transition whose input place has no producer and no initial token"
+        "a transition can never fire (structurally starved or unreached in the full state space)"
     );
     MANIFEST_MISMATCH = (
         "E009", "manifest-mismatch", Error,
-        "a fleet directory disagrees with its manifest.json (missing file, drifted content)",
-        "deleting fleet-03.toml from a generated fleet, or hand-editing its lambda"
+        "a fleet directory disagrees with its manifest.json (missing file, drifted content)"
     );
     HIGH_RHO = (
         "W001", "high-rho", Warning,
-        "offered load rho >= 0.95: stable on paper, but near-saturated queues mix slowly",
-        "lambda = 9.6 against mu = 10"
+        "offered load rho >= 0.95: stable on paper, but near-saturated queues mix slowly"
     );
     RADIO_SATURATION = (
         "W002", "radio-saturation", Warning,
-        "packet airtime alone fills (or overfills) a node's radio schedule",
-        "tx_pps * tx_airtime_s + rx_pps * rx_airtime_s >= 1 on a relay under a slow MAC"
+        "packet airtime alone fills (or overfills) a node's radio schedule"
     );
     DEGENERATE_SWEEP = (
         "W003", "degenerate-sweep", Warning,
-        "a sweep axis repeats a value: duplicate rows cost simulation time and add nothing",
-        "sweep.values = [0.5, 0.5, 1.0]"
+        "a sweep axis repeats a value: duplicate rows cost simulation time and add nothing"
     );
     MANIFEST_EXTRA_FILE = (
         "W004", "manifest-extra-file", Warning,
-        "a scenario file in a fleet directory is not listed in the manifest",
-        "copying an extra .toml into a generated fleet directory"
+        "a scenario file in a fleet directory is not listed in the manifest"
     );
     NO_T_SEMIFLOW = (
         "W005", "no-t-semiflow", Warning,
-        "no transition semiflow exists: no firing mix returns the net to a marking, so no steady cycle",
-        "a net that only drains its initial tokens"
+        "no transition semiflow exists: no firing mix returns the net to a marking, so no steady cycle"
     );
     SCENARIO_TIMEOUT = (
         "W006", "scenario-timeout", Warning,
-        "a scenario exceeded the --scenario-timeout wall-clock watchdog and was marked failed",
-        "a DES point with horizon = 5e7 under --scenario-timeout 10"
+        "a scenario exceeded the --scenario-timeout wall-clock watchdog and was marked failed"
     );
     STRUCTURAL_CLASS = (
         "I001", "structural-class", Info,
-        "structural classification of the net (state machine / marked graph / free choice)",
-        "any net with conflict or synchronization"
+        "structural classification of the net (state machine / marked graph / free choice)"
     );
     SEMIFLOW_COVERAGE = (
         "I002", "semiflow-coverage", Info,
-        "places not covered by any P-semiflow: token count there is not conserved",
-        "the EDSPN job buffer, unbounded under open arrivals"
+        "places not covered by any P-semiflow: token count there is not conserved"
     );
     REACHABILITY_CAPPED = (
         "I003", "reachability-capped", Info,
-        "state-space exploration hit its budget; reachability verdicts cover the explored prefix only",
-        "any net with an unbounded place, such as the EDSPN under open arrivals"
+        "state-space exploration hit its budget; reachability verdicts cover the explored prefix only"
     );
     WORKLOAD_APPROXIMATION = (
         "I004", "workload-approximation", Info,
-        "a non-Poisson workload drives backends that assume Poisson arrivals",
-        "a bursty on-off workload evaluated by the analytic markov backend"
+        "a non-Poisson workload drives backends that assume Poisson arrivals"
     );
 }
 
