@@ -1,38 +1,46 @@
 //! The one argument parser behind every subcommand. A command declares its
-//! flags as static tables of [`Flag`] rows; [`parse`] reads an argument
-//! list against them and [`usage`] renders the help from the same rows, so
-//! a flag is accepted exactly when it is documented.
+//! flags as static tables of [`Flag`] rows; [`parse`] reads a command line
+//! against them and [`usage`] renders the help from the same rows, so a
+//! flag is accepted exactly when it is documented.
 
 use std::str::FromStr;
+
+type Lines = &'static [&'static str];
+/// Reads one flag value: `(flag name, value) -> value or message`.
+type Read<T> = fn(&str, &str) -> Result<T, String>;
 
 /// One flag: its spellings, the value it takes and its help lines.
 pub(crate) struct Flag {
     /// Every spelling; the first names the flag in getters and messages.
-    pub(crate) names: &'static [&'static str],
+    names: Lines,
     /// Placeholder of the value the flag takes; `None` makes it a switch.
-    pub(crate) metavar: Option<&'static str>,
-    pub(crate) help: &'static [&'static str],
+    metavar: Option<&'static str>,
+    help: Lines,
 }
 
 /// A flag that takes no value.
-pub(crate) const fn switch(names: &'static [&'static str], help: &'static [&'static str]) -> Flag {
+pub(crate) const fn switch(names: Lines, help: Lines) -> Flag {
+    let metavar = None;
     Flag {
         names,
-        metavar: None,
+        metavar,
         help,
     }
 }
 
 /// A flag that takes the next argument as its value.
-pub(crate) const fn value(
-    names: &'static [&'static str],
-    metavar: &'static str,
-    help: &'static [&'static str],
-) -> Flag {
+pub(crate) const fn value(names: Lines, metavar: &'static str, help: Lines) -> Flag {
+    let metavar = Some(metavar);
     Flag {
         names,
-        metavar: Some(metavar),
+        metavar,
         help,
+    }
+}
+
+impl Flag {
+    pub(crate) fn name(&self) -> &'static str {
+        self.names[0]
     }
 }
 
@@ -41,19 +49,18 @@ pub(crate) const fn value(
 pub(crate) struct Command {
     /// Starts with the command's name.
     pub(crate) synopsis: &'static str,
-    pub(crate) help: &'static [&'static str],
+    pub(crate) help: Lines,
     /// The tables the command parses; see [`parse`] for `None`.
     pub(crate) flags: Option<&'static [&'static [Flag]]>,
     pub(crate) run: fn(&Args) -> Result<(), String>,
 }
 
-/// A parsed argument list: the flags given, in command-line order, and the
-/// positional arguments.
+/// A parsed command line: the flags given, in order, each under its first
+/// name with its value (empty for a switch), and the positional arguments.
 #[derive(Default)]
 pub(crate) struct Args {
-    /// `(first name, value)` per flag given; switches carry no value.
-    given: Vec<(&'static str, Option<String>)>,
-    positionals: Vec<String>,
+    given: Vec<(&'static str, String)>,
+    pub(crate) positionals: Vec<String>,
 }
 
 /// Read `args` against `tables`. An argument that starts with `-` and
@@ -72,14 +79,13 @@ pub(crate) fn parse(args: &[String], tables: Option<&[&[Flag]]>) -> Result<Args,
             continue;
         };
         let value = match flag.metavar {
-            None => None,
-            Some(metavar) => Some(
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("missing value for {} {metavar}", flag.names[0]))?,
-            ),
+            None => String::new(),
+            Some(metavar) => it
+                .next()
+                .cloned()
+                .ok_or_else(|| format!("missing value for {} {metavar}", flag.name()))?,
         };
-        parsed.given.push((flag.names[0], value));
+        parsed.given.push((flag.name(), value));
     }
     Ok(parsed)
 }
@@ -90,38 +96,30 @@ impl Args {
         self.given.iter().any(|(n, _)| *n == name)
     }
 
-    /// The values of the flags named in `names`, in command-line order, each
-    /// with its flag's name.
-    pub(crate) fn each(&self, names: &[&str]) -> Vec<(&'static str, &str)> {
+    /// The values of the flags named in `names`, in order, each with its
+    /// flag's name.
+    pub(crate) fn each(&self, names: &[&str]) -> Vec<(&str, &str)> {
         let given = self.given.iter().filter(|(n, _)| names.contains(n));
-        given
-            .filter_map(|(n, v)| Some((*n, v.as_deref()?)))
-            .collect()
+        given.map(|(n, v)| (*n, v.as_str())).collect()
     }
 
-    /// Every value of `name`, in command-line order.
-    pub(crate) fn values(&self, name: &str) -> impl Iterator<Item = &str> {
-        self.each(&[name]).into_iter().map(|(_, v)| v)
+    /// Every value of `name`, in order.
+    pub(crate) fn values<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> {
+        let given = self.given.iter().filter(move |(n, _)| *n == name);
+        given.map(|(_, v)| v.as_str())
     }
 
     /// The last value of `name`: a repeated flag's last value wins.
     pub(crate) fn value(&self, name: &str) -> Option<&str> {
-        self.values(name).last()
+        let last = self.given.iter().rev().find(|(n, _)| *n == name);
+        last.map(|(_, v)| v.as_str())
     }
 
-    /// The last value of `name` read by `read`, which checks every value
-    /// given, so a bad early value is rejected even when a later one wins.
-    pub(crate) fn parsed<T>(
-        &self,
-        name: &str,
-        read: impl Fn(&str, &str) -> Result<T, String>,
-    ) -> Result<Option<T>, String> {
+    /// The last value of `name` read by `read`, which sees every value
+    /// given, so a bad early value fails even when a later one would win.
+    pub(crate) fn parsed<T>(&self, name: &str, read: Read<T>) -> Result<Option<T>, String> {
         self.values(name)
             .try_fold(None, |_, v| read(name, v).map(Some))
-    }
-
-    pub(crate) fn positionals(&self) -> &[String] {
-        &self.positionals
     }
 
     /// The one positional argument the command takes, if given.
@@ -134,8 +132,6 @@ impl Args {
     }
 }
 
-// The shared value readers, for `Args::parsed`.
-
 /// A count of zero or more.
 pub(crate) fn count<T: FromStr>(flag: &str, v: &str) -> Result<T, String> {
     v.parse()
@@ -144,53 +140,55 @@ pub(crate) fn count<T: FromStr>(flag: &str, v: &str) -> Result<T, String> {
 
 /// A count of one or more.
 pub(crate) fn positive(flag: &str, v: &str) -> Result<usize, String> {
-    v.parse()
-        .ok()
-        .filter(|&n: &usize| n >= 1)
-        .ok_or_else(|| format!("{flag} expects a positive integer, got `{v}`"))
+    let n = v.parse().ok().filter(|&n: &usize| n >= 1);
+    n.ok_or_else(|| format!("{flag} expects a positive integer, got `{v}`"))
 }
 
 /// A positive, finite number of seconds.
 pub(crate) fn seconds(flag: &str, v: &str) -> Result<f64, String> {
-    v.parse::<f64>()
-        .ok()
-        .filter(|x| x.is_finite() && *x > 0.0)
-        .ok_or_else(|| format!("{flag} expects a positive number of seconds, got `{v}`"))
+    let s = v.parse().ok().filter(|s: &f64| s.is_finite() && *s > 0.0);
+    s.ok_or_else(|| format!("{flag} expects a positive number of seconds, got `{v}`"))
 }
 
-/// Any unsigned 64-bit integer (an RNG seed).
+/// Any unsigned 64-bit integer.
 pub(crate) fn integer(flag: &str, v: &str) -> Result<u64, String> {
     v.parse()
         .map_err(|_| format!("{flag} expects an integer, got `{v}`"))
 }
 
-/// A thread count of at least one.
+/// A thread count: at least one.
 pub(crate) fn threads(flag: &str, v: &str) -> Result<usize, String> {
-    let n: usize = v
-        .parse()
-        .map_err(|_| format!("{flag} expects a positive integer, got `{v}`"))?;
-    if n == 0 {
-        return Err(format!("{flag} must be >= 1"));
+    match v.parse() {
+        Err(_) => Err(format!("{flag} expects a positive integer, got `{v}`")),
+        Ok(0) => Err(format!("{flag} must be >= 1")),
+        Ok(n) => Ok(n),
     }
-    Ok(n)
 }
 
-/// The help text: every command in `commands` order, then each options
-/// section of `sections` under its heading.
+/// `v` when it is one of the output formats a command writes.
+pub(crate) fn format<'a>(v: &'a str, formats: &[&str]) -> Result<&'a str, String> {
+    match formats.split_last() {
+        Some((last, rest)) if !formats.contains(&v) => Err(format!(
+            "unknown format `{v}` (expected {} or {last})",
+            rest.join(", ")
+        )),
+        _ => Ok(v),
+    }
+}
+
+/// The help text: every command in order, then each options section under
+/// its heading.
 pub(crate) fn usage(commands: &[Command], sections: &[(&str, &[&[Flag]])]) -> String {
-    let mut text = String::from(
-        "wsnem — energy-model scenario runner\n\nUSAGE:\n    wsnem <COMMAND> [OPTIONS]\n\nCOMMANDS:\n",
-    );
+    let mut text = String::from("wsnem — energy-model scenario runner\n\n");
+    text.push_str("USAGE:\n    wsnem <COMMAND> [OPTIONS]\n\nCOMMANDS:\n");
     for c in commands {
         row(&mut text, c.synopsis, 27, c.help);
     }
     for (heading, tables) in sections {
         text.push_str(&format!("\n{heading}:\n"));
         for f in tables.iter().flat_map(|t| t.iter()) {
-            let label = match f.metavar {
-                None => f.names.join(", "),
-                Some(metavar) => format!("{} {metavar}", f.names.join(", ")),
-            };
+            let label = f.names.join(", ");
+            let label = f.metavar.map_or(label.clone(), |m| format!("{label} {m}"));
             row(&mut text, &label, 22, f.help);
         }
     }
@@ -201,9 +199,8 @@ pub(crate) fn usage(commands: &[Command], sections: &[(&str, &[&[Flag]])]) -> St
 /// then the help lines; a label too wide to leave a space before the help
 /// gets a line of its own.
 fn row(text: &mut String, label: &str, width: usize, help: &[&str]) {
-    text.push_str("    ");
-    text.push_str(label);
-    let mut pad = width - label.len().min(width);
+    text.push_str(&format!("    {label}"));
+    let mut pad = width.saturating_sub(label.len());
     if pad == 0 {
         text.push('\n');
         pad = 4 + width;

@@ -1,12 +1,12 @@
 //! `check` and `validate`: static verification of scenarios and raw net
 //! specs, reported as coded diagnostics.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use wsnem_scenario::{builtin, fleet};
 use wsnem_stats::par;
 
-use crate::args::{switch, value, Args, Flag};
+use crate::args::{self, switch, value, Args, Flag};
 use crate::out;
 
 #[rustfmt::skip]
@@ -22,40 +22,40 @@ pub(crate) const FLAGS: &[Flag] = &[
     switch(&["--verbose", "-v"],           &["Also print info-severity findings (human format)"]),
 ];
 
+/// The files `check` and `validate` read for `paths`: a directory stands
+/// for every file a fleet run would load from it.
+fn targets(paths: &[String]) -> Result<Vec<PathBuf>, String> {
+    let mut files = Vec::new();
+    for path in paths {
+        if Path::new(path).is_dir() {
+            files.extend(fleet::discover(path).map_err(|e| e.to_string())?);
+        } else {
+            files.push(path.into());
+        }
+    }
+    Ok(files)
+}
+
 pub(crate) fn cmd_check(a: &Args) -> Result<(), String> {
     use wsnem_analysis::{self as analysis, Level, LintConfig};
 
-    fn set(config: &mut LintConfig, lint: &str, level: Level) -> Result<(), String> {
-        // `-D warnings` is the blanket escalation switch, rustc-style.
-        if lint.eq_ignore_ascii_case("warnings") {
-            if level == Level::Deny {
-                config.deny_warnings = true;
-                return Ok(());
-            }
-            return Err("`warnings` is a blanket switch: it only combines with -D/--deny".into());
-        }
-        config.set(lint, level)
-    }
-
-    let paths = a.positionals();
-    let builtins: Vec<&str> = a.values("--builtin").collect();
-    let all = a.has("--all");
-    let format = a.value("--format").unwrap_or("human");
+    let format = args::format(a.value("--format").unwrap_or("human"), &["human", "json"])?;
     let mut config = LintConfig::default();
     for (flag, lint) in a.each(&["-W", "-D", "-A"]) {
-        let level = match flag {
-            "-W" => Level::Warn,
-            "-D" => Level::Deny,
-            _ => Level::Allow,
-        };
-        set(&mut config, lint, level)?;
+        match (flag, lint.eq_ignore_ascii_case("warnings")) {
+            // `-D warnings` is the blanket escalation switch, rustc-style.
+            ("-D", true) => config.deny_warnings = true,
+            (_, true) => {
+                return Err(
+                    "`warnings` is a blanket switch: it only combines with -D/--deny".into(),
+                )
+            }
+            ("-W", false) => config.set(lint, Level::Warn)?,
+            ("-D", false) => config.set(lint, Level::Deny)?,
+            _ => config.set(lint, Level::Allow)?,
+        }
     }
-    if !matches!(format, "human" | "json") {
-        return Err(format!(
-            "unknown format `{format}` (expected human or json)"
-        ));
-    }
-    if paths.is_empty() && builtins.is_empty() && !all {
+    if a.positionals.is_empty() && !a.has("--builtin") && !a.has("--all") {
         return Err(
             "nothing to check: pass scenario files, directories, --builtin <name> or --all".into(),
         );
@@ -65,36 +65,27 @@ pub(crate) fn cmd_check(a: &Args) -> Result<(), String> {
     let opts = analysis::CheckOptions {
         only_schema: a.has("--only-schema"),
     };
-    let mut diagnostics: Vec<analysis::Diagnostic> = Vec::new();
-    let mut checked = 0usize;
-    if all {
-        for s in builtin::all() {
-            checked += 1;
-            diagnostics.extend(analysis::check_scenario(&s, registry, opts));
-        }
+    let mut scenarios = if a.has("--all") {
+        builtin::all()
+    } else {
+        Vec::new()
+    };
+    for name in a.values("--builtin") {
+        scenarios.push(builtin::find(name).map_err(|e| e.to_string())?);
     }
-    for name in &builtins {
-        let s = builtin::find(name).map_err(|e| e.to_string())?;
-        checked += 1;
-        diagnostics.extend(analysis::check_scenario(&s, registry, opts));
-    }
-    // Directory targets check every file a fleet run would pick up, plus
-    // any raw `*.net.json` net specs (`check_file` dispatches on the
+    let mut diagnostics: Vec<analysis::Diagnostic> = scenarios
+        .iter()
+        .flat_map(|s| analysis::check_scenario(s, registry, opts))
+        .collect();
+    // Raw `*.net.json` net specs check too (`check_file` dispatches on the
     // suffix), one file per index on every core; `resolve` sees the
-    // findings in file order either way.
-    for path in paths {
-        if Path::new(path).is_dir() {
-            let files = fleet::discover(path).map_err(|e| e.to_string())?;
-            checked += files.len();
-            let found = par::map_indexed(files.len(), None, |i| {
-                analysis::check_file(&files[i], registry, opts).0
-            });
-            diagnostics.extend(found.into_iter().flatten());
-        } else {
-            checked += 1;
-            diagnostics.extend(analysis::check_file(Path::new(path), registry, opts).0);
-        }
-    }
+    // findings in file order.
+    let files = targets(&a.positionals)?;
+    let checked = scenarios.len() + files.len();
+    let found = par::map_indexed(files.len(), None, |i| {
+        analysis::check_file(&files[i], registry, opts).0
+    });
+    diagnostics.extend(found.into_iter().flatten());
 
     let resolved = analysis::resolve(diagnostics, &config);
     let counts = analysis::counts(&resolved);
@@ -135,21 +126,10 @@ pub(crate) fn cmd_check(a: &Args) -> Result<(), String> {
 }
 
 pub(crate) fn cmd_validate(a: &Args) -> Result<(), String> {
-    let args = a.positionals();
-    if args.is_empty() {
+    if a.positionals.is_empty() {
         return Err("validate expects at least one scenario file or directory".into());
     }
-    // Directory targets validate every file a fleet run would load, as in
-    // `check` and `run`.
-    let mut files: Vec<String> = Vec::with_capacity(args.len());
-    for arg in args {
-        if Path::new(arg).is_dir() {
-            let found = fleet::discover(arg).map_err(|e| e.to_string())?;
-            files.extend(found.iter().map(|p| p.display().to_string()));
-        } else {
-            files.push(arg.clone());
-        }
-    }
+    let files = targets(&a.positionals)?;
     // `validate` is `check --only-schema` with fixed reporting: every
     // error-severity diagnostic prints, clean files get one ok-line, and
     // any invalid file makes the exit status non-zero. Files are checked
@@ -158,10 +138,11 @@ pub(crate) fn cmd_validate(a: &Args) -> Result<(), String> {
     let config = wsnem_analysis::LintConfig::default();
     let opts = wsnem_analysis::CheckOptions { only_schema: true };
     let checked = par::map_indexed(files.len(), None, |i| {
-        wsnem_analysis::check_file(Path::new(&files[i]), registry, opts)
+        wsnem_analysis::check_file(&files[i], registry, opts)
     });
     let mut bad = 0usize;
     for (file, (diags, scenario)) in files.iter().zip(checked) {
+        let file = file.display();
         let errors: Vec<_> = wsnem_analysis::resolve(diags, &config)
             .into_iter()
             .filter(|d| d.severity == wsnem_analysis::Severity::Error)

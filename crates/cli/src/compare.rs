@@ -3,9 +3,10 @@
 
 use std::path::Path;
 
-use wsnem_scenario::{builtin, files, Scenario};
+use wsnem_scenario::{files, Scenario};
 
 use crate::args::{self, switch, value, Args, Flag};
+use crate::inspect::resolve_scenario;
 use crate::out;
 use crate::run::{parse_dir, preflight};
 
@@ -36,10 +37,10 @@ pub(crate) fn cmd_compare(a: &Args) -> Result<(), String> {
     let mut file = a.positional()?;
     let builtin_name = a.value("--builtin");
     let mut dirs: Vec<String> = a.values("--all-files").map(str::to_owned).collect();
-    let format = a.value("--format").unwrap_or("summary");
+    let formats = ["summary", "json", "csv"];
+    let format = args::format(a.value("--format").unwrap_or("summary"), &formats)?;
     let out_path = a.value("--out");
     let threads = a.parsed("--threads", args::threads)?;
-    let tiered = a.has("--tiered");
     let max_delta_pp = a.parsed("--max-delta-pp", |_, v| {
         v.parse()
             .ok()
@@ -74,16 +75,7 @@ pub(crate) fn cmd_compare(a: &Args) -> Result<(), String> {
     } else {
         // Files parse without validating, so the preflight below can turn
         // every semantic problem into a coded diagnostic.
-        scenarios.push(match (file, builtin_name) {
-            (Some(_), Some(_)) => {
-                return Err("pass either a scenario file or --builtin <NAME>, not both".into())
-            }
-            (None, None) => {
-                return Err("compare expects a scenario file or --builtin <NAME>".into())
-            }
-            (Some(f), None) => files::parse(&f).map_err(|e| e.to_string())?,
-            (None, Some(n)) => builtin::find(n).map_err(|e| e.to_string())?,
-        });
+        scenarios.push(resolve_scenario(a, "compare", files::parse)?);
     }
     if !a.has("--no-check") {
         preflight(&scenarios, false)?;
@@ -104,33 +96,27 @@ pub(crate) fn cmd_compare(a: &Args) -> Result<(), String> {
         }
     }
 
+    let tiered = a.has("--tiered");
+    let compare = move |s: &Scenario| {
+        let registry = wsnem_scenario::global_registry();
+        if tiered {
+            wsnem_scenario::compare_scenario_tiered(s, registry, threads)
+        } else {
+            wsnem_scenario::compare_scenario_with(s, registry, threads)
+        }
+    };
     let mut reports: Vec<wsnem_scenario::CompareReport> = Vec::new();
     let mut timeouts = 0usize;
     for scenario in &scenarios {
-        let registry = wsnem_scenario::global_registry();
         // The same wall-clock watchdog `run --scenario-timeout` applies per
         // scenario: a point that exceeds it is skipped with a coded
         // diagnostic (an error under --strict) instead of hanging the
         // matrix.
         let report = match scenario_timeout {
-            None => {
-                if tiered {
-                    wsnem_scenario::compare_scenario_tiered(scenario, registry, threads)
-                } else {
-                    wsnem_scenario::compare_scenario_with(scenario, registry, threads)
-                }
-            }
+            None => compare(scenario),
             Some(seconds) => {
                 let s = scenario.clone();
-                wsnem_scenario::call_with_timeout(seconds, move || {
-                    let registry = wsnem_scenario::global_registry();
-                    if tiered {
-                        wsnem_scenario::compare_scenario_tiered(&s, registry, threads)
-                    } else {
-                        wsnem_scenario::compare_scenario_with(&s, registry, threads)
-                    }
-                })
-                .and_then(|r| r)
+                wsnem_scenario::call_with_timeout(seconds, move || compare(&s)).and_then(|r| r)
             }
         };
         match report {

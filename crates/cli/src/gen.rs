@@ -83,8 +83,6 @@ pub(crate) fn cmd_gen(a: &Args) -> Result<(), String> {
         .unwrap_or(GenMethod::Grid);
     let count = a.parsed("--count", args::positive)?;
     let seed = a.parsed("--seed", args::integer)?.unwrap_or(42);
-    let base_file = a.value("--base");
-    let base_builtin = a.value("--builtin");
     let format = a
         .parsed("--format", file_format)?
         .unwrap_or(FileFormat::Toml);
@@ -92,7 +90,10 @@ pub(crate) fn cmd_gen(a: &Args) -> Result<(), String> {
     if a.has("--check") {
         // Verification mode: compare the directory against what its
         // manifest.json deterministically regenerates.
-        if !fields.is_empty() || count.is_some() || base_file.is_some() || base_builtin.is_some() {
+        if ["--field", "--count", "--base", "--builtin"]
+            .iter()
+            .any(|f| a.has(f))
+        {
             return Err("--check verifies an existing fleet against its manifest; \
                  generator options do not apply"
                 .into());
@@ -122,7 +123,7 @@ pub(crate) fn cmd_gen(a: &Args) -> Result<(), String> {
         );
     }
     // The paper baseline is the natural base point for a parameter study.
-    let base = match (base_file, base_builtin) {
+    let base = match (a.value("--base"), a.value("--builtin")) {
         (Some(_), Some(_)) => {
             return Err("pass either --base <FILE> or --builtin <NAME>, not both".into())
         }

@@ -1,7 +1,9 @@
 //! The inspectors that run no model: `list`, `export`, `topology` and
 //! `radio`.
 
-use wsnem_scenario::{builtin, files, FileFormat, Scenario, DEFAULT_SUMMARY_NODE_LIMIT};
+use wsnem_scenario::{
+    builtin, files, FileFormat, Scenario, ScenarioError, DEFAULT_SUMMARY_NODE_LIMIT,
+};
 
 use crate::args::{self, value, Args, Flag};
 use crate::gen::file_format;
@@ -13,17 +15,10 @@ pub(crate) const EXPORT_FLAGS: &[Flag] = &[value(
     &["File format: toml (default), json"],
 )];
 
-/// Documented in the `topology` synopsis.
-pub(crate) const TOPOLOGY_FLAGS: &[Flag] = &[
-    value(&["--builtin"], "<NAME>", &[]),
-    value(&["--limit"], "<N>", &[]),
-];
-
-/// Documented in the `radio` synopsis.
-pub(crate) const RADIO_FLAGS: &[Flag] = &[
-    value(&["--builtin"], "<NAME>", &[]),
-    value(&["--preset"], "<NAME>", &[]),
-];
+// Documented in their commands' synopses.
+const BUILTIN: Flag = value(&["--builtin"], "<NAME>", &[]);
+pub(crate) const TOPOLOGY_FLAGS: &[Flag] = &[BUILTIN, value(&["--limit"], "<N>", &[])];
+pub(crate) const RADIO_FLAGS: &[Flag] = &[BUILTIN, value(&["--preset"], "<NAME>", &[])];
 
 pub(crate) fn cmd_list(_: &Args) -> Result<(), String> {
     let scenarios = builtin::all();
@@ -68,18 +63,18 @@ pub(crate) fn cmd_list(_: &Args) -> Result<(), String> {
 /// `--builtin` name, mutually exclusive. `command` names the caller in the
 /// nothing-given error (shared by `trace`, `topology` and `radio`).
 pub(crate) fn resolve_scenario(
-    file: Option<String>,
-    builtin_name: Option<&str>,
+    a: &Args,
     command: &str,
+    load: fn(String) -> Result<Scenario, ScenarioError>,
 ) -> Result<Scenario, String> {
-    match (file, builtin_name) {
+    match (a.positional()?, a.value("--builtin")) {
         (Some(_), Some(_)) => {
             Err("pass either a scenario file or --builtin <NAME>, not both".into())
         }
         (None, None) => Err(format!(
             "{command} expects a scenario file or --builtin <NAME>"
         )),
-        (Some(f), None) => files::load(&f).map_err(|e| e.to_string()),
+        (Some(f), None) => load(f).map_err(|e| e.to_string()),
         (None, Some(n)) => builtin::find(n).map_err(|e| e.to_string()),
     }
 }
@@ -104,7 +99,7 @@ pub(crate) fn cmd_topology(a: &Args) -> Result<(), String> {
     let limit = a
         .parsed("--limit", args::count)?
         .unwrap_or(DEFAULT_SUMMARY_NODE_LIMIT);
-    let scenario = resolve_scenario(a.positional()?, a.value("--builtin"), "topology")?;
+    let scenario = resolve_scenario(a, "topology", files::load)?;
     let spec = scenario
         .network
         .as_ref()
@@ -202,67 +197,67 @@ pub(crate) fn cmd_topology(a: &Args) -> Result<(), String> {
 pub(crate) fn cmd_radio(a: &Args) -> Result<(), String> {
     use wsnem_scenario::{Battery, RadioSpec};
 
-    let file = a.positional()?;
-    let builtin_name = a.value("--builtin");
-    let preset = a.value("--preset").map(str::to_owned);
+    let scenario_given = a.positional()?.is_some() || a.has("--builtin");
     // Collect (role, spec) pairs plus the battery that sizes the lifetime
     // column: a bare preset inspects on two AA cells; a scenario inspects
     // its own network's specs on its own battery.
-    let (specs, battery): (Vec<(String, RadioSpec)>, Battery) = match (preset, file, builtin_name) {
-        (Some(_), Some(_), _) | (Some(_), _, Some(_)) => {
-            return Err("pass either --preset <NAME> or a scenario, not both".into())
-        }
-        (Some(name), None, None) => (
-            vec![("preset".to_owned(), RadioSpec::Preset(name))],
-            Battery::two_aa(),
-        ),
-        (None, None, None) => {
-            return Err(
-                "radio expects a scenario file, --builtin <NAME> or --preset <NAME> \
+    let (specs, battery): (Vec<(String, RadioSpec)>, Battery) =
+        match (a.value("--preset"), scenario_given) {
+            (Some(_), true) => {
+                return Err("pass either --preset <NAME> or a scenario, not both".into())
+            }
+            (Some(name), false) => (
+                vec![("preset".to_owned(), RadioSpec::Preset(name.to_owned()))],
+                Battery::two_aa(),
+            ),
+            (None, false) => {
+                return Err(
+                    "radio expects a scenario file, --builtin <NAME> or --preset <NAME> \
                  (e.g. `wsnem radio --preset cc2420-class`)"
-                    .into(),
-            )
-        }
-        (None, f, b) => {
-            let scenario = resolve_scenario(f, b, "radio")?;
-            let battery = scenario.battery.build().map_err(|e| e.to_string())?;
-            let mut specs: Vec<(String, RadioSpec)> = Vec::new();
-            match &scenario.network {
-                None => specs.push((
-                    "default (scenario declares no network)".to_owned(),
-                    RadioSpec::default(),
-                )),
-                Some(net) => {
-                    specs.push((
-                        if net.radio.is_some() {
-                            "network default".to_owned()
-                        } else {
-                            "network default (implicit)".to_owned()
-                        },
-                        net.radio.clone().unwrap_or_default(),
-                    ));
-                    for n in &net.nodes {
-                        if let Some(r) = &n.radio {
-                            // One block per distinct override; name every
-                            // node that runs it.
-                            match specs.iter_mut().find(|(_, s)| s == r) {
-                                Some((role, _)) => role.push_str(&format!(", node `{}`", n.name)),
-                                None => {
-                                    specs.push((format!("node `{}` override", n.name), r.clone()))
+                        .into(),
+                )
+            }
+            (None, true) => {
+                let scenario = resolve_scenario(a, "radio", files::load)?;
+                let battery = scenario.battery.build().map_err(|e| e.to_string())?;
+                let mut specs: Vec<(String, RadioSpec)> = Vec::new();
+                match &scenario.network {
+                    None => specs.push((
+                        "default (scenario declares no network)".to_owned(),
+                        RadioSpec::default(),
+                    )),
+                    Some(net) => {
+                        specs.push((
+                            if net.radio.is_some() {
+                                "network default".to_owned()
+                            } else {
+                                "network default (implicit)".to_owned()
+                            },
+                            net.radio.clone().unwrap_or_default(),
+                        ));
+                        for n in &net.nodes {
+                            if let Some(r) = &n.radio {
+                                // One block per distinct override; name every
+                                // node that runs it.
+                                match specs.iter_mut().find(|(_, s)| s == r) {
+                                    Some((role, _)) => {
+                                        role.push_str(&format!(", node `{}`", n.name))
+                                    }
+                                    None => specs
+                                        .push((format!("node `{}` override", n.name), r.clone())),
                                 }
                             }
                         }
                     }
                 }
+                outln!(
+                    "scenario `{}`: {} distinct radio spec(s)\n",
+                    scenario.name,
+                    specs.len()
+                );
+                (specs, battery)
             }
-            outln!(
-                "scenario `{}`: {} distinct radio spec(s)\n",
-                scenario.name,
-                specs.len()
-            );
-            (specs, battery)
-        }
-    };
+        };
 
     for (i, (role, spec)) in specs.iter().enumerate() {
         if i > 0 {

@@ -81,86 +81,60 @@ pub(crate) const PROFILE_FLAGS: &[Flag] = &[
                                              "exceeds it is marked failed"]),
 ];
 
-struct RunOptions {
-    /// Positional arguments: scenario files or fleet directories (told
-    /// apart on the filesystem at gather time).
-    paths: Vec<String>,
-    /// `--all-files <DIR>` spellings, appended after the positionals.
-    dirs: Vec<String>,
-    builtins: Vec<String>,
-    all: bool,
-    format: String,
-    out: Option<String>,
+/// One `run`, `serve` or `profile` invocation: its arguments, and what its
+/// valued flags come to, each checked before any work starts.
+struct RunOptions<'a> {
+    a: &'a Args,
+    format: &'a str,
     threads: Option<usize>,
-    quick: bool,
-    no_cache: bool,
-    refresh: bool,
-    strict: bool,
-    no_check: bool,
-    verbose: bool,
+    cache: CacheMode,
+    /// Suppress informational stderr (`--quiet`; `profile` is quiet unless
+    /// `--verbose`).
     quiet: bool,
     /// Per-node lines in a summary's network section (`--limit`).
     node_limit: usize,
     /// Per-scenario wall-clock watchdog in seconds (`--scenario-timeout`).
     scenario_timeout: Option<f64>,
     /// `run --distributed <ADDR>` / `serve`: coordinate this fleet over TCP
-    /// from this listen address instead of simulating in-process.
-    distributed: Option<String>,
-    /// Zero-worker grace window in seconds (`--grace`).
-    grace: Option<f64>,
-    /// Shard lease in seconds (`--lease-timeout`).
-    lease_timeout: Option<f64>,
-    /// Worker liveness window in seconds (`--liveness-timeout`).
-    liveness_timeout: Option<f64>,
+    /// instead of simulating in-process.
+    serve: Option<ServeOptions>,
 }
 
-impl RunOptions {
-    fn new(a: &Args) -> Result<RunOptions, String> {
-        let strings = |name| a.values(name).map(str::to_owned).collect();
-        let o = RunOptions {
-            paths: a.positionals().to_vec(),
-            dirs: strings("--all-files"),
-            builtins: strings("--builtin"),
-            all: a.has("--all"),
-            format: a.value("--format").unwrap_or("summary").to_owned(),
-            out: a.value("--out").map(str::to_owned),
-            threads: a.parsed("--threads", args::threads)?,
-            quick: a.has("--quick"),
-            no_cache: a.has("--no-cache"),
-            refresh: a.has("--refresh"),
-            strict: a.has("--strict"),
-            no_check: a.has("--no-check"),
-            verbose: a.has("--verbose"),
-            quiet: a.has("--quiet"),
-            node_limit: a
-                .parsed("--limit", args::count)?
-                .unwrap_or(DEFAULT_SUMMARY_NODE_LIMIT),
-            scenario_timeout: a.parsed("--scenario-timeout", args::seconds)?,
-            distributed: a.value("--distributed").map(str::to_owned),
-            grace: a.parsed("--grace", args::seconds)?,
-            lease_timeout: a.parsed("--lease-timeout", args::seconds)?,
-            liveness_timeout: a.parsed("--liveness-timeout", args::seconds)?,
+impl<'a> RunOptions<'a> {
+    /// Read `a`; a coordinator listens on `addr`, when given.
+    fn new(a: &'a Args, addr: Option<String>) -> Result<Self, String> {
+        let formats = ["summary", "json", "csv"];
+        let format = args::format(a.value("--format").unwrap_or("summary"), &formats)?;
+        let threads = a.parsed("--threads", args::threads)?;
+        let node_limit = a.parsed("--limit", args::count)?;
+        let scenario_timeout = a.parsed("--scenario-timeout", args::seconds)?;
+        let grace = a.parsed("--grace", args::seconds)?;
+        let lease = a.parsed("--lease-timeout", args::seconds)?;
+        let liveness = a.parsed("--liveness-timeout", args::seconds)?;
+        let d = ServeOptions::default();
+        let cache = match (a.has("--no-cache"), a.has("--refresh")) {
+            (true, true) => return Err("--no-cache and --refresh are mutually exclusive".into()),
+            (true, false) => CacheMode::Disabled,
+            (false, true) => CacheMode::Refresh,
+            (false, false) => CacheMode::ReadWrite,
         };
-        if !matches!(o.format.as_str(), "summary" | "json" | "csv") {
-            return Err(format!(
-                "unknown format `{}` (expected summary, json or csv)",
-                o.format
-            ));
-        }
-        if o.no_cache && o.refresh {
-            return Err("--no-cache and --refresh are mutually exclusive".into());
-        }
-        Ok(o)
-    }
-
-    fn cache_mode(&self) -> CacheMode {
-        if self.no_cache {
-            CacheMode::Disabled
-        } else if self.refresh {
-            CacheMode::Refresh
-        } else {
-            CacheMode::ReadWrite
-        }
+        Ok(RunOptions {
+            a,
+            format,
+            threads,
+            cache,
+            quiet: a.has("--quiet"),
+            node_limit: node_limit.unwrap_or(DEFAULT_SUMMARY_NODE_LIMIT),
+            scenario_timeout,
+            serve: addr.map(|addr| ServeOptions {
+                addr,
+                grace_seconds: grace.unwrap_or(d.grace_seconds),
+                lease_seconds: lease.unwrap_or(d.lease_seconds),
+                liveness_seconds: liveness.unwrap_or(d.liveness_seconds),
+                threads,
+                timeout_seconds: scenario_timeout,
+            }),
+        })
     }
 }
 
@@ -229,7 +203,7 @@ fn gather_scenarios(o: &RunOptions, command: &str) -> Result<Gathered, String> {
                     "duplicate scenario `{}`: from {} and {}",
                     scenario.name, sources[i], source
                 );
-                if o.strict {
+                if o.a.has("--strict") {
                     return Err(format!("{msg} (--strict)"));
                 }
                 if !o.quiet {
@@ -244,12 +218,12 @@ fn gather_scenarios(o: &RunOptions, command: &str) -> Result<Gathered, String> {
             Ok(())
         };
 
-    if o.all {
+    if o.a.has("--all") {
         for s in builtin::all() {
             add(s, "--all".into(), None)?;
         }
     }
-    for name in &o.builtins {
+    for name in o.a.values("--builtin") {
         add(
             builtin::find(name).map_err(|e| e.to_string())?,
             format!("--builtin {name}"),
@@ -260,15 +234,16 @@ fn gather_scenarios(o: &RunOptions, command: &str) -> Result<Gathered, String> {
     // fleets (sorted file order) and get a result cache inside them. Files
     // parse *without* validating — the preflight below reports every
     // semantic problem as a coded diagnostic instead of one hard error.
-    let dirs = o.dirs.iter().map(|d| (d, true));
-    for (path, forced_dir) in o.paths.iter().map(|p| (p, false)).chain(dirs) {
+    let dirs = o.a.values("--all-files").map(|d| (d, true));
+    let paths = o.a.positionals.iter().map(|p| (p.as_str(), false));
+    for (path, forced_dir) in paths.chain(dirs) {
         if forced_dir || Path::new(path).is_dir() {
             let fleet = parse_dir(path, o.threads)?;
             // `--no-cache` must not even create the cache directory. A
             // cache that cannot be opened at all (read-only directory, a
             // file parked at `.wsnem-cache`) degrades the same way a failed
             // store does: warn once and run that fleet uncached.
-            let cache_index = if o.no_cache {
+            let cache_index = if o.cache == CacheMode::Disabled {
                 None
             } else {
                 match ResultCache::open_under(path) {
@@ -293,7 +268,7 @@ fn gather_scenarios(o: &RunOptions, command: &str) -> Result<Gathered, String> {
         } else {
             add(
                 files::parse(path).map_err(|e| e.to_string())?,
-                path.clone(),
+                path.to_owned(),
                 None,
             )?;
         }
@@ -306,12 +281,12 @@ fn gather_scenarios(o: &RunOptions, command: &str) -> Result<Gathered, String> {
     }
     // Static preflight (skipped by `--no-check`): errors abort here, before
     // a single event fires; warnings go to stderr and the run proceeds.
-    if !o.no_check {
+    if !o.a.has("--no-check") {
         preflight(&scenarios, o.quiet)?;
     }
     // Shrink BEFORE the cache sees the scenarios: `--quick` runs hash (and
     // therefore cache) separately from full-fidelity runs.
-    if o.quick {
+    if o.a.has("--quick") {
         scenarios = scenarios.into_iter().map(shrink).collect();
     }
     Ok(Gathered {
@@ -446,7 +421,8 @@ type BatchRun = (
 /// `--distributed <ADDR>` the batch is coordinated over TCP instead:
 /// workers pull shards, and the distribution counters come back alongside.
 fn run_with_progress(g: &Gathered, o: &RunOptions) -> Result<BatchRun, String> {
-    let show_progress = !o.quiet && (o.verbose || std::io::stderr().is_terminal());
+    let verbose = o.a.has("--verbose");
+    let show_progress = !o.quiet && (verbose || std::io::stderr().is_terminal());
     let started = Instant::now();
     // Rewriting the line in place only erases the previous write if we
     // clear by its *actual* width — a fixed 80-column wipe left residue
@@ -467,37 +443,24 @@ fn run_with_progress(g: &Gathered, o: &RunOptions) -> Result<BatchRun, String> {
         let _ = std::io::Write::flush(&mut std::io::stderr());
     };
     let on_done = show_progress.then_some(&progress as &(dyn Fn(usize, usize, &str) + Sync));
-    let (results, metrics, cache_stats, dist) = match &o.distributed {
+    let (results, metrics, cache_stats, dist) = match &o.serve {
         None => {
             let (results, metrics, cache_stats) = fleet::run_cached_with(
                 &g.scenarios,
                 &g.cache_refs(),
                 fleet::FleetRunOptions {
                     threads: o.threads,
-                    mode: o.cache_mode(),
+                    mode: o.cache,
                     timeout_seconds: o.scenario_timeout,
                 },
                 on_done,
             );
             (results, metrics, cache_stats, None)
         }
-        Some(addr) => {
-            let defaults = ServeOptions::default();
+        Some(serve) => {
             let cache_refs = g.cache_refs();
-            let coord = Coordinator::bind(
-                &g.scenarios,
-                &cache_refs,
-                o.cache_mode(),
-                ServeOptions {
-                    addr: addr.clone(),
-                    grace_seconds: o.grace.unwrap_or(defaults.grace_seconds),
-                    lease_seconds: o.lease_timeout.unwrap_or(defaults.lease_seconds),
-                    liveness_seconds: o.liveness_timeout.unwrap_or(defaults.liveness_seconds),
-                    threads: o.threads,
-                    timeout_seconds: o.scenario_timeout,
-                },
-            )
-            .map_err(|e| e.to_string())?;
+            let coord = Coordinator::bind(&g.scenarios, &cache_refs, o.cache, serve.clone())
+                .map_err(|e| e.to_string())?;
             if !o.quiet {
                 let bound = coord.local_addr().map_err(|e| e.to_string())?;
                 // One write: `eprintln!` issues a write(2) per format piece,
@@ -523,7 +486,7 @@ fn run_with_progress(g: &Gathered, o: &RunOptions) -> Result<BatchRun, String> {
         eprint!("\r{:<width$}\r", "");
         let _ = std::io::Write::flush(&mut std::io::stderr());
     }
-    if o.verbose && !o.quiet {
+    if verbose && !o.quiet {
         eprintln!(
             "{}",
             batch_line(
@@ -537,13 +500,13 @@ fn run_with_progress(g: &Gathered, o: &RunOptions) -> Result<BatchRun, String> {
 }
 
 pub(crate) fn cmd_run(a: &Args) -> Result<(), String> {
-    let o = RunOptions::new(a)?;
-    if o.distributed.is_none() {
-        if let Some(f) = COORDINATOR_FLAGS.iter().find(|f| a.has(f.names[0])) {
+    let o = RunOptions::new(a, a.value("--distributed").map(str::to_owned))?;
+    if o.serve.is_none() {
+        if let Some(f) = COORDINATOR_FLAGS.iter().find(|f| a.has(f.name())) {
             return Err(format!(
                 "{} configures the coordinator of a distributed run: add --distributed \
                  <ADDR>, or use `wsnem serve`",
-                f.names[0]
+                f.name()
             ));
         }
     }
@@ -553,14 +516,14 @@ pub(crate) fn cmd_run(a: &Args) -> Result<(), String> {
 /// `wsnem serve <DIRS..>`: a `run` that always coordinates over TCP —
 /// `--addr` (default 127.0.0.1:7177) takes the place of `--distributed`.
 pub(crate) fn cmd_serve(a: &Args) -> Result<(), String> {
-    let mut o = RunOptions::new(a)?;
-    if o.distributed.is_some() {
+    let addr = a.value("--addr").map(str::to_owned);
+    let o = RunOptions::new(
+        a,
+        Some(addr.unwrap_or_else(|| ServeOptions::default().addr)),
+    )?;
+    if a.has("--distributed") {
         return Err("serve listens on --addr; --distributed belongs to `wsnem run`".into());
     }
-    o.distributed = Some(
-        a.value("--addr")
-            .map_or_else(|| ServeOptions::default().addr, str::to_owned),
-    );
     run_command(o, "serve")
 }
 
@@ -599,11 +562,11 @@ fn run_command(o: RunOptions, command: &str) -> Result<(), String> {
         &metrics,
         cache,
         dist,
-        &o.format,
+        o.format,
         o.node_limit,
         o.threads,
     )?;
-    match &o.out {
+    match o.a.value("--out") {
         None => out(&rendered),
         Some(path) => {
             std::fs::write(path, &rendered).map_err(|e| format!("{path}: {e}"))?;
@@ -622,15 +585,8 @@ fn run_command(o: RunOptions, command: &str) -> Result<(), String> {
         eprintln!("{}", batch_line(&metrics, cache, dist.as_ref()));
     }
 
-    if !failures.is_empty() {
-        return Err(format!(
-            "{} of {} scenario(s) failed:\n  {}",
-            failures.len(),
-            g.scenarios.len(),
-            failures.join("\n  ")
-        ));
-    }
-    if timeouts > 0 && o.strict {
+    failed(&failures, g.scenarios.len())?;
+    if timeouts > 0 && o.a.has("--strict") {
         return Err(format!(
             "{timeouts} scenario(s) hit the --scenario-timeout watchdog (--strict)"
         ));
@@ -722,9 +678,9 @@ fn render(
 }
 
 pub(crate) fn cmd_profile(a: &Args) -> Result<(), String> {
-    let mut o = RunOptions::new(a)?;
+    let mut o = RunOptions::new(a, None)?;
     // The profile table is the output; keep stderr quiet unless asked.
-    o.quiet |= !o.verbose;
+    o.quiet |= !a.has("--verbose");
     let g = gather_scenarios(&o, "profile")?;
     let (results, metrics, cache_stats, _) = run_with_progress(&g, &o)?;
     let scenarios = &g.scenarios;
@@ -764,15 +720,19 @@ pub(crate) fn cmd_profile(a: &Args) -> Result<(), String> {
         "{}",
         batch_line(&metrics, g.any_cached().then_some(&cache_stats), None)
     );
-    if !failures.is_empty() {
-        return Err(format!(
-            "{} of {} scenario(s) failed:\n  {}",
-            failures.len(),
-            scenarios.len(),
-            failures.join("\n  ")
-        ));
+    failed(&failures, scenarios.len())
+}
+
+/// The error naming every failed scenario, if any of `total` failed.
+fn failed(failures: &[String], total: usize) -> Result<(), String> {
+    if failures.is_empty() {
+        return Ok(());
     }
-    Ok(())
+    let list = failures.join("\n  ");
+    Err(format!(
+        "{} of {total} scenario(s) failed:\n  {list}",
+        failures.len()
+    ))
 }
 
 #[cfg(test)]

@@ -2,6 +2,7 @@
 //! emit its NDJSON event stream.
 
 use wsnem_obs::{StateTimeline, Tee, TraceWriter};
+use wsnem_scenario::files;
 
 use crate::args::{self, value, Args, Flag};
 use crate::inspect::resolve_scenario;
@@ -27,7 +28,7 @@ pub(crate) fn cmd_trace(a: &Args) -> Result<(), String> {
     let limit = a.parsed("--limit", args::positive)?;
     let sample = a.parsed("--sample", args::positive)?;
     let seed = a.parsed("--seed", args::integer)?;
-    let scenario = resolve_scenario(a.positional()?, a.value("--builtin"), "trace")?;
+    let scenario = resolve_scenario(a, "trace", files::load)?;
     let cpu = scenario.cpu;
     let seed = seed.unwrap_or(cpu.master_seed);
     // The trace covers one replication from time zero with no warm-up

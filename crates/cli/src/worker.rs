@@ -49,7 +49,7 @@ pub(crate) fn cmd_worker(a: &Args) -> Result<(), String> {
         timeout_seconds: a.parsed("--scenario-timeout", args::seconds)?,
         ..defaults
     };
-    let addr = match a.positionals() {
+    let addr = match a.positionals.as_slice() {
         [] => return Err("worker expects a coordinator address (host:port)".into()),
         [addr] => addr,
         _ => return Err("worker expects exactly one coordinator address".into()),
