@@ -214,9 +214,9 @@ impl Lint {
 }
 
 macro_rules! lints {
-    ($($ident:ident = ($code:literal, $name:literal, $sev:ident, $summary:literal);)*) => {
+    ($($(#[$doc:meta])* $ident:ident = ($code:literal, $name:literal, $sev:ident);)*) => {
         $(
-            #[doc = $summary]
+            $(#[$doc])*
             // Summaries carry bracketed math like `E[S]`, which must not be
             // parsed as an intra-doc link.
             #[allow(rustdoc::broken_intra_doc_links)]
@@ -232,82 +232,44 @@ macro_rules! lints {
 }
 
 lints! {
-    PARSE_ERROR = (
-        "E001", "parse-error", Error,
-        "the file cannot be read, parsed, or built into a net"
-    );
-    SCHEMA_VERSION = (
-        "E002", "schema-version", Error,
-        "the file's schema_version is outside the supported range"
-    );
-    UNKNOWN_BACKEND = (
-        "E003", "unknown-backend", Error,
-        "a requested backend is not in the solver registry"
-    );
-    INVALID_FIELD = (
-        "E004", "invalid-field", Error,
-        "a field fails schema validation (out of range, inconsistent, or missing)"
-    );
-    UNSTABLE_QUEUE = (
-        "E005", "unstable-queue", Error,
-        "offered load rho = lambda_eff * E[S] >= 1, or lambda_eff / mu >= 1: the job queue grows without bound"
-    );
-    CAPABILITY_MISMATCH = (
-        "E006", "capability-mismatch", Error,
-        "a backend is asked for something its capabilities rule out"
-    );
-    NET_DEADLOCK = (
-        "E007", "net-deadlock", Error,
-        "the Petri net can reach a marking that enables no transition"
-    );
-    DEAD_TRANSITION = (
-        "E008", "dead-transition", Error,
-        "a transition can never fire (structurally starved or unreached in the full state space)"
-    );
-    MANIFEST_MISMATCH = (
-        "E009", "manifest-mismatch", Error,
-        "a fleet directory disagrees with its manifest.json (missing file, drifted content)"
-    );
-    HIGH_RHO = (
-        "W001", "high-rho", Warning,
-        "offered load rho >= 0.95: stable on paper, but near-saturated queues mix slowly"
-    );
-    RADIO_SATURATION = (
-        "W002", "radio-saturation", Warning,
-        "packet airtime alone fills (or overfills) a node's radio schedule"
-    );
-    DEGENERATE_SWEEP = (
-        "W003", "degenerate-sweep", Warning,
-        "a sweep axis repeats a value: duplicate rows cost simulation time and add nothing"
-    );
-    MANIFEST_EXTRA_FILE = (
-        "W004", "manifest-extra-file", Warning,
-        "a scenario file in a fleet directory is not listed in the manifest"
-    );
-    NO_T_SEMIFLOW = (
-        "W005", "no-t-semiflow", Warning,
-        "no transition semiflow exists: no firing mix returns the net to a marking, so no steady cycle"
-    );
-    SCENARIO_TIMEOUT = (
-        "W006", "scenario-timeout", Warning,
-        "a scenario exceeded the --scenario-timeout wall-clock watchdog and was marked failed"
-    );
-    STRUCTURAL_CLASS = (
-        "I001", "structural-class", Info,
-        "structural classification of the net (state machine / marked graph / free choice)"
-    );
-    SEMIFLOW_COVERAGE = (
-        "I002", "semiflow-coverage", Info,
-        "places not covered by any P-semiflow: token count there is not conserved"
-    );
-    REACHABILITY_CAPPED = (
-        "I003", "reachability-capped", Info,
-        "state-space exploration hit its budget; reachability verdicts cover the explored prefix only"
-    );
-    WORKLOAD_APPROXIMATION = (
-        "I004", "workload-approximation", Info,
-        "a non-Poisson workload drives backends that assume Poisson arrivals"
-    );
+    /// the file cannot be read, parsed, or built into a net
+    PARSE_ERROR = ("E001", "parse-error", Error);
+    /// the file's schema_version is outside the supported range
+    SCHEMA_VERSION = ("E002", "schema-version", Error);
+    /// a requested backend is not in the solver registry
+    UNKNOWN_BACKEND = ("E003", "unknown-backend", Error);
+    /// a field fails schema validation (out of range, inconsistent, or missing)
+    INVALID_FIELD = ("E004", "invalid-field", Error);
+    /// offered load rho = lambda_eff * E[S] >= 1, or lambda_eff / mu >= 1: the job queue grows without bound
+    UNSTABLE_QUEUE = ("E005", "unstable-queue", Error);
+    /// a backend is asked for something its capabilities rule out
+    CAPABILITY_MISMATCH = ("E006", "capability-mismatch", Error);
+    /// the Petri net can reach a marking that enables no transition
+    NET_DEADLOCK = ("E007", "net-deadlock", Error);
+    /// a transition can never fire (structurally starved or unreached in the full state space)
+    DEAD_TRANSITION = ("E008", "dead-transition", Error);
+    /// a fleet directory disagrees with its manifest.json (missing file, drifted content)
+    MANIFEST_MISMATCH = ("E009", "manifest-mismatch", Error);
+    /// offered load rho >= 0.95: stable on paper, but near-saturated queues mix slowly
+    HIGH_RHO = ("W001", "high-rho", Warning);
+    /// packet airtime alone fills (or overfills) a node's radio schedule
+    RADIO_SATURATION = ("W002", "radio-saturation", Warning);
+    /// a sweep axis repeats a value: duplicate rows cost simulation time and add nothing
+    DEGENERATE_SWEEP = ("W003", "degenerate-sweep", Warning);
+    /// a scenario file in a fleet directory is not listed in the manifest
+    MANIFEST_EXTRA_FILE = ("W004", "manifest-extra-file", Warning);
+    /// no transition semiflow exists: no firing mix returns the net to a marking, so no steady cycle
+    NO_T_SEMIFLOW = ("W005", "no-t-semiflow", Warning);
+    /// a scenario exceeded the --scenario-timeout wall-clock watchdog and was marked failed
+    SCENARIO_TIMEOUT = ("W006", "scenario-timeout", Warning);
+    /// structural classification of the net (state machine / marked graph / free choice)
+    STRUCTURAL_CLASS = ("I001", "structural-class", Info);
+    /// places not covered by any P-semiflow: token count there is not conserved
+    SEMIFLOW_COVERAGE = ("I002", "semiflow-coverage", Info);
+    /// state-space exploration hit its budget; reachability verdicts cover the explored prefix only
+    REACHABILITY_CAPPED = ("I003", "reachability-capped", Info);
+    /// a non-Poisson workload drives backends that assume Poisson arrivals
+    WORKLOAD_APPROXIMATION = ("I004", "workload-approximation", Info);
 }
 
 /// Look a lint up by code (`E005`) or name (`unstable-queue`),
