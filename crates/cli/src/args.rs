@@ -20,20 +20,18 @@ pub(crate) struct Flag {
 
 /// A flag that takes no value.
 pub(crate) const fn switch(names: Lines, help: Lines) -> Flag {
-    let metavar = None;
     Flag {
         names,
-        metavar,
+        metavar: None,
         help,
     }
 }
 
 /// A flag that takes the next argument as its value.
 pub(crate) const fn value(names: Lines, metavar: &'static str, help: Lines) -> Flag {
-    let metavar = Some(metavar);
     Flag {
         names,
-        metavar,
+        metavar: Some(metavar),
         help,
     }
 }

@@ -36,7 +36,7 @@ pub(crate) fn file_format(_: &str, v: &str) -> Result<FileFormat, String> {
 }
 
 /// Parse one `--field` value: `name=min:max[:points]`.
-fn parse_field_spec(spec: &str) -> Result<FieldSpec, String> {
+pub(crate) fn parse_field_spec(spec: &str) -> Result<FieldSpec, String> {
     let usage = "expected name=min:max[:points]";
     let (name, range) = spec
         .split_once('=')
@@ -152,27 +152,4 @@ pub(crate) fn cmd_gen(a: &Args) -> Result<(), String> {
         axes.join(", ")
     );
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parse_field_spec_full_and_partial() {
-        let f = parse_field_spec("lambda=0.25:0.75:5").unwrap();
-        assert_eq!(f.field, GenField::Lambda);
-        assert_eq!((f.min, f.max, f.points), (0.25, 0.75, Some(5)));
-        let f = parse_field_spec("node-count=4:16").unwrap();
-        assert_eq!(f.field, GenField::NodeCount);
-        assert_eq!(f.points, None);
-
-        assert!(parse_field_spec("lambda").is_err());
-        assert!(parse_field_spec("bogus=0:1")
-            .unwrap_err()
-            .contains("lambda"));
-        assert!(parse_field_spec("lambda=0:1:2:3").is_err());
-        assert!(parse_field_spec("lambda=a:b").is_err());
-        assert!(parse_field_spec("lambda=0:1:-2").is_err());
-    }
 }

@@ -182,3 +182,194 @@ fn main() -> ExitCode {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    //! Unit tests of the subcommand modules' helpers.
+
+    use wsnem_fleetd::DistStats;
+    use wsnem_scenario::{builtin, BatchMetrics, CacheStats, GenField, Scenario, ScenarioReport};
+
+    use crate::gen::parse_field_spec;
+    use crate::run::{batch_line, progress_line, render, truncate_name, RunOutput};
+
+    #[test]
+    fn truncate_name_short_passes_through() {
+        assert_eq!(truncate_name("paper-defaults", 32), "paper-defaults");
+        assert_eq!(truncate_name("", 32), "");
+        // Exactly at the limit: unchanged, no ellipsis.
+        let exact = "x".repeat(32);
+        assert_eq!(truncate_name(&exact, 32), exact);
+    }
+
+    #[test]
+    fn truncate_name_cuts_long_names_with_ellipsis() {
+        let long = "fleet-scenario-with-a-very-long-generated-name-0042";
+        let cut = truncate_name(long, 32);
+        assert_eq!(cut.chars().count(), 32);
+        assert!(cut.ends_with('…'));
+        assert!(long.starts_with(&cut[..cut.len() - '…'.len_utf8()]));
+    }
+
+    #[test]
+    fn truncate_name_counts_chars_not_bytes() {
+        // Multi-byte names must truncate on character boundaries.
+        let name = "é".repeat(40);
+        let cut = truncate_name(&name, 32);
+        assert_eq!(cut.chars().count(), 32);
+        assert!(cut.ends_with('…'));
+    }
+
+    #[test]
+    fn progress_line_has_fixed_name_column() {
+        let short = progress_line(1, 10, "tiny", 1.0, 9.0);
+        let long = progress_line(
+            2,
+            10,
+            "fleet-scenario-with-a-very-long-generated-name-0042",
+            2.0,
+            8.0,
+        );
+        // Same [done/total] digit counts ⇒ same display width: the long
+        // name is truncated into the same fixed column the short one pads.
+        assert_eq!(short.chars().count(), long.chars().count());
+        assert!(long.contains('…'));
+        assert!(short.contains("[1/10] tiny"));
+    }
+
+    #[test]
+    fn batch_line_appends_cache_counts_only_when_cached() {
+        let m = BatchMetrics {
+            scenarios: 10,
+            workers: 4,
+            wall_seconds: 2.0,
+            busy_seconds: 6.0,
+            utilization: 0.75,
+            scenarios_per_second: 5.0,
+        };
+        let plain = batch_line(&m, None, None);
+        assert!(!plain.contains("cache"));
+        let stats = CacheStats { hits: 7, misses: 3 };
+        let cached = batch_line(&m, Some(&stats), None);
+        assert!(cached.contains("cache: 7 hit(s), 3 miss(es)"), "{cached}");
+    }
+
+    #[test]
+    fn batch_line_appends_distribution_counters_after_a_distributed_run() {
+        let m = BatchMetrics {
+            scenarios: 8,
+            workers: 1,
+            wall_seconds: 2.0,
+            busy_seconds: 0.5,
+            utilization: 0.25,
+            scenarios_per_second: 4.0,
+        };
+        let dist = DistStats {
+            workers_seen: 2,
+            shards_total: 8,
+            shards_remote: 6,
+            shards_local: 2,
+            reassigned: 3,
+            fell_back_local: true,
+            ..DistStats::default()
+        };
+        let line = batch_line(&m, None, Some(&dist));
+        assert!(
+            line.contains("distributed: 2 worker(s), 6 remote + 2 local shard(s), 3 reassigned"),
+            "{line}"
+        );
+        assert!(line.ends_with("local fallback"), "{line}");
+        let clean = batch_line(&m, None, Some(&DistStats::default()));
+        assert!(!clean.contains("fallback"), "{clean}");
+    }
+
+    /// Paper defaults, an explicit tree (per-node `network` section) and a
+    /// template tree (`network_aggregate`), each on one analytic backend.
+    fn sample_reports() -> Vec<ScenarioReport> {
+        let mut plain = builtin::paper_defaults();
+        plain.backends = vec![wsnem_scenario::BackendId::Markov];
+        let mut nodes = builtin::find("tree-collection").unwrap();
+        nodes.backends = vec![wsnem_scenario::BackendId::Markov];
+        let mut aggregate = Scenario::paper_template("aggregate");
+        aggregate.backends = vec![wsnem_scenario::BackendId::Mg1];
+        aggregate.network = Some(wsnem_scenario::NetworkSpec {
+            nodes: Vec::new(),
+            topology: Some(wsnem_scenario::TopologySpec::Tree { fanout: 3 }),
+            radio: None,
+            template: Some(wsnem_scenario::TemplateSpec {
+                count: 50,
+                prefix: "n".into(),
+                event_rate: 0.01,
+                tx_per_event: 1.0,
+                rx_rate: 0.05,
+            }),
+        });
+        let reports: Vec<ScenarioReport> = [plain, nodes, aggregate]
+            .iter()
+            .map(|s| wsnem_scenario::run_scenario(s).unwrap())
+            .collect();
+        assert!(reports[1].network.is_some());
+        assert!(reports[2].network_aggregate.is_some());
+        reports
+    }
+
+    #[test]
+    fn render_joins_per_report_pieces_into_the_serial_documents() {
+        let all = sample_reports();
+        let metrics = BatchMetrics {
+            scenarios: 3,
+            workers: 2,
+            wall_seconds: 0.5,
+            busy_seconds: 0.75,
+            utilization: 0.75,
+            scenarios_per_second: 6.0,
+        };
+        let cache = CacheStats { hits: 2, misses: 1 };
+        for n in [0, 1, 3] {
+            let reports = &all[..n];
+            let json = serde_json::to_string_pretty(&RunOutput {
+                batch: metrics,
+                cache: Some(cache),
+                distributed: None,
+                reports: reports.to_vec(),
+            })
+            .unwrap()
+                + "\n";
+            let mut csv = format!("{}\n", ScenarioReport::CSV_HEADER);
+            let mut summary = String::new();
+            for r in reports {
+                for row in r.csv_rows() {
+                    csv += &(row + "\n");
+                }
+                summary += &(r.summary_with_node_limit(5) + "\n");
+            }
+            summary += &(batch_line(&metrics, Some(&cache), None) + "\n");
+            for threads in [Some(1), Some(2), None] {
+                let render = |format| {
+                    render(reports, &metrics, Some(&cache), None, format, 5, threads).unwrap()
+                };
+                assert_eq!(render("json"), json, "{n} report(s), {threads:?}");
+                assert_eq!(render("csv"), csv, "{n} report(s), {threads:?}");
+                assert_eq!(render("summary"), summary, "{n} report(s), {threads:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn parse_field_spec_full_and_partial() {
+        let f = parse_field_spec("lambda=0.25:0.75:5").unwrap();
+        assert_eq!(f.field, GenField::Lambda);
+        assert_eq!((f.min, f.max, f.points), (0.25, 0.75, Some(5)));
+        let f = parse_field_spec("node-count=4:16").unwrap();
+        assert_eq!(f.field, GenField::NodeCount);
+        assert_eq!(f.points, None);
+
+        assert!(parse_field_spec("lambda").is_err());
+        assert!(parse_field_spec("bogus=0:1")
+            .unwrap_err()
+            .contains("lambda"));
+        assert!(parse_field_spec("lambda=0:1:2:3").is_err());
+        assert!(parse_field_spec("lambda=a:b").is_err());
+        assert!(parse_field_spec("lambda=0:1:-2").is_err());
+    }
+}

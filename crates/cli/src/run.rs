@@ -351,7 +351,11 @@ pub(crate) fn preflight(scenarios: &[Scenario], quiet: bool) -> Result<(), Strin
 /// `profile`. `cache` adds hit/miss counts when a result cache was in play;
 /// `dist` adds the distribution counters after a `serve`/`--distributed`
 /// run.
-fn batch_line(m: &BatchMetrics, cache: Option<&CacheStats>, dist: Option<&DistStats>) -> String {
+pub(crate) fn batch_line(
+    m: &BatchMetrics,
+    cache: Option<&CacheStats>,
+    dist: Option<&DistStats>,
+) -> String {
     let mut line = format!(
         "batch: {} scenario(s) in {:.3} s — {} worker(s), utilization {:.0}%, {:.2} scenarios/s",
         m.scenarios,
@@ -384,7 +388,7 @@ const PROGRESS_NAME_WIDTH: usize = 32;
 /// Truncate `name` to at most `width` characters, marking the cut with an
 /// ellipsis — long fleet-generated names must not widen the progress line
 /// past what the clearing write erases.
-fn truncate_name(name: &str, width: usize) -> String {
+pub(crate) fn truncate_name(name: &str, width: usize) -> String {
     if name.chars().count() <= width {
         return name.to_owned();
     }
@@ -395,7 +399,13 @@ fn truncate_name(name: &str, width: usize) -> String {
 
 /// Render one progress line: `[done/total] name (elapsed ..., ETA ...)`,
 /// with the name truncated-then-padded to a fixed column.
-fn progress_line(done: usize, total: usize, name: &str, elapsed: f64, eta: f64) -> String {
+pub(crate) fn progress_line(
+    done: usize,
+    total: usize,
+    name: &str,
+    elapsed: f64,
+    eta: f64,
+) -> String {
     format!(
         "[{done}/{total}] {:<width$} (elapsed {elapsed:.1} s, ETA {eta:.1} s)",
         truncate_name(name, PROGRESS_NAME_WIDTH),
@@ -598,16 +608,16 @@ fn run_command(o: RunOptions, command: &str) -> Result<(), String> {
 /// batch metrics and, for cache-backed (directory) runs, the hit/miss
 /// counts.
 #[derive(serde::Serialize)]
-struct RunOutput {
-    batch: BatchMetrics,
-    cache: Option<CacheStats>,
-    distributed: Option<DistStats>,
-    reports: Vec<ScenarioReport>,
+pub(crate) struct RunOutput {
+    pub(crate) batch: BatchMetrics,
+    pub(crate) cache: Option<CacheStats>,
+    pub(crate) distributed: Option<DistStats>,
+    pub(crate) reports: Vec<ScenarioReport>,
 }
 
 /// Render the run's output in `format`, each report on its own on up to
 /// `threads` workers, joined in report order.
-fn render(
+pub(crate) fn render(
     reports: &[ScenarioReport],
     metrics: &BatchMetrics,
     cache: Option<&CacheStats>,
@@ -733,171 +743,4 @@ fn failed(failures: &[String], total: usize) -> Result<(), String> {
         "{} of {total} scenario(s) failed:\n  {list}",
         failures.len()
     ))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn truncate_name_short_passes_through() {
-        assert_eq!(truncate_name("paper-defaults", 32), "paper-defaults");
-        assert_eq!(truncate_name("", 32), "");
-        // Exactly at the limit: unchanged, no ellipsis.
-        let exact = "x".repeat(32);
-        assert_eq!(truncate_name(&exact, 32), exact);
-    }
-
-    #[test]
-    fn truncate_name_cuts_long_names_with_ellipsis() {
-        let long = "fleet-scenario-with-a-very-long-generated-name-0042";
-        let cut = truncate_name(long, 32);
-        assert_eq!(cut.chars().count(), 32);
-        assert!(cut.ends_with('…'));
-        assert!(long.starts_with(&cut[..cut.len() - '…'.len_utf8()]));
-    }
-
-    #[test]
-    fn truncate_name_counts_chars_not_bytes() {
-        // Multi-byte names must truncate on character boundaries.
-        let name = "é".repeat(40);
-        let cut = truncate_name(&name, 32);
-        assert_eq!(cut.chars().count(), 32);
-        assert!(cut.ends_with('…'));
-    }
-
-    #[test]
-    fn progress_line_has_fixed_name_column() {
-        let short = progress_line(1, 10, "tiny", 1.0, 9.0);
-        let long = progress_line(
-            2,
-            10,
-            "fleet-scenario-with-a-very-long-generated-name-0042",
-            2.0,
-            8.0,
-        );
-        // Same [done/total] digit counts ⇒ same display width: the long
-        // name is truncated into the same fixed column the short one pads.
-        assert_eq!(short.chars().count(), long.chars().count());
-        assert!(long.contains('…'));
-        assert!(short.contains("[1/10] tiny"));
-    }
-
-    #[test]
-    fn batch_line_appends_cache_counts_only_when_cached() {
-        let m = BatchMetrics {
-            scenarios: 10,
-            workers: 4,
-            wall_seconds: 2.0,
-            busy_seconds: 6.0,
-            utilization: 0.75,
-            scenarios_per_second: 5.0,
-        };
-        let plain = batch_line(&m, None, None);
-        assert!(!plain.contains("cache"));
-        let stats = CacheStats { hits: 7, misses: 3 };
-        let cached = batch_line(&m, Some(&stats), None);
-        assert!(cached.contains("cache: 7 hit(s), 3 miss(es)"), "{cached}");
-    }
-
-    #[test]
-    fn batch_line_appends_distribution_counters_after_a_distributed_run() {
-        let m = BatchMetrics {
-            scenarios: 8,
-            workers: 1,
-            wall_seconds: 2.0,
-            busy_seconds: 0.5,
-            utilization: 0.25,
-            scenarios_per_second: 4.0,
-        };
-        let dist = DistStats {
-            workers_seen: 2,
-            shards_total: 8,
-            shards_remote: 6,
-            shards_local: 2,
-            reassigned: 3,
-            fell_back_local: true,
-            ..DistStats::default()
-        };
-        let line = batch_line(&m, None, Some(&dist));
-        assert!(
-            line.contains("distributed: 2 worker(s), 6 remote + 2 local shard(s), 3 reassigned"),
-            "{line}"
-        );
-        assert!(line.ends_with("local fallback"), "{line}");
-        let clean = batch_line(&m, None, Some(&DistStats::default()));
-        assert!(!clean.contains("fallback"), "{clean}");
-    }
-
-    /// Paper defaults, an explicit tree (per-node `network` section) and a
-    /// template tree (`network_aggregate`), each on one analytic backend.
-    fn sample_reports() -> Vec<ScenarioReport> {
-        let mut plain = builtin::paper_defaults();
-        plain.backends = vec![wsnem_scenario::BackendId::Markov];
-        let mut nodes = builtin::find("tree-collection").unwrap();
-        nodes.backends = vec![wsnem_scenario::BackendId::Markov];
-        let mut aggregate = Scenario::paper_template("aggregate");
-        aggregate.backends = vec![wsnem_scenario::BackendId::Mg1];
-        aggregate.network = Some(wsnem_scenario::NetworkSpec {
-            nodes: Vec::new(),
-            topology: Some(wsnem_scenario::TopologySpec::Tree { fanout: 3 }),
-            radio: None,
-            template: Some(wsnem_scenario::TemplateSpec {
-                count: 50,
-                prefix: "n".into(),
-                event_rate: 0.01,
-                tx_per_event: 1.0,
-                rx_rate: 0.05,
-            }),
-        });
-        let reports: Vec<ScenarioReport> = [plain, nodes, aggregate]
-            .iter()
-            .map(|s| wsnem_scenario::run_scenario(s).unwrap())
-            .collect();
-        assert!(reports[1].network.is_some());
-        assert!(reports[2].network_aggregate.is_some());
-        reports
-    }
-
-    #[test]
-    fn render_joins_per_report_pieces_into_the_serial_documents() {
-        let all = sample_reports();
-        let metrics = BatchMetrics {
-            scenarios: 3,
-            workers: 2,
-            wall_seconds: 0.5,
-            busy_seconds: 0.75,
-            utilization: 0.75,
-            scenarios_per_second: 6.0,
-        };
-        let cache = CacheStats { hits: 2, misses: 1 };
-        for n in [0, 1, 3] {
-            let reports = &all[..n];
-            let json = serde_json::to_string_pretty(&RunOutput {
-                batch: metrics,
-                cache: Some(cache),
-                distributed: None,
-                reports: reports.to_vec(),
-            })
-            .unwrap()
-                + "\n";
-            let mut csv = format!("{}\n", ScenarioReport::CSV_HEADER);
-            let mut summary = String::new();
-            for r in reports {
-                for row in r.csv_rows() {
-                    csv += &(row + "\n");
-                }
-                summary += &(r.summary_with_node_limit(5) + "\n");
-            }
-            summary += &(batch_line(&metrics, Some(&cache), None) + "\n");
-            for threads in [Some(1), Some(2), None] {
-                let render = |format| {
-                    render(reports, &metrics, Some(&cache), None, format, 5, threads).unwrap()
-                };
-                assert_eq!(render("json"), json, "{n} report(s), {threads:?}");
-                assert_eq!(render("csv"), csv, "{n} report(s), {threads:?}");
-                assert_eq!(render("summary"), summary, "{n} report(s), {threads:?}");
-            }
-        }
-    }
 }
