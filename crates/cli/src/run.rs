@@ -84,7 +84,7 @@ pub(crate) const PROFILE_FLAGS: &[Flag] = &[
 /// One `run`, `serve` or `profile` invocation: its arguments, and what its
 /// valued flags come to, each checked before any work starts.
 struct RunOptions<'a> {
-    a: &'a Args,
+    args: &'a Args,
     format: &'a str,
     threads: Option<usize>,
     cache: CacheMode,
@@ -119,7 +119,7 @@ impl<'a> RunOptions<'a> {
             (false, false) => CacheMode::ReadWrite,
         };
         Ok(RunOptions {
-            a,
+            args: a,
             format,
             threads,
             cache,
@@ -203,7 +203,7 @@ fn gather_scenarios(o: &RunOptions, command: &str) -> Result<Gathered, String> {
                     "duplicate scenario `{}`: from {} and {}",
                     scenario.name, sources[i], source
                 );
-                if o.a.has("--strict") {
+                if o.args.has("--strict") {
                     return Err(format!("{msg} (--strict)"));
                 }
                 if !o.quiet {
@@ -218,12 +218,12 @@ fn gather_scenarios(o: &RunOptions, command: &str) -> Result<Gathered, String> {
             Ok(())
         };
 
-    if o.a.has("--all") {
+    if o.args.has("--all") {
         for s in builtin::all() {
             add(s, "--all".into(), None)?;
         }
     }
-    for name in o.a.values("--builtin") {
+    for name in o.args.values("--builtin") {
         add(
             builtin::find(name).map_err(|e| e.to_string())?,
             format!("--builtin {name}"),
@@ -234,8 +234,8 @@ fn gather_scenarios(o: &RunOptions, command: &str) -> Result<Gathered, String> {
     // fleets (sorted file order) and get a result cache inside them. Files
     // parse *without* validating — the preflight below reports every
     // semantic problem as a coded diagnostic instead of one hard error.
-    let dirs = o.a.values("--all-files").map(|d| (d, true));
-    let paths = o.a.positionals.iter().map(|p| (p.as_str(), false));
+    let dirs = o.args.values("--all-files").map(|d| (d, true));
+    let paths = o.args.positionals.iter().map(|p| (p.as_str(), false));
     for (path, forced_dir) in paths.chain(dirs) {
         if forced_dir || Path::new(path).is_dir() {
             let fleet = parse_dir(path, o.threads)?;
@@ -281,12 +281,12 @@ fn gather_scenarios(o: &RunOptions, command: &str) -> Result<Gathered, String> {
     }
     // Static preflight (skipped by `--no-check`): errors abort here, before
     // a single event fires; warnings go to stderr and the run proceeds.
-    if !o.a.has("--no-check") {
+    if !o.args.has("--no-check") {
         preflight(&scenarios, o.quiet)?;
     }
     // Shrink BEFORE the cache sees the scenarios: `--quick` runs hash (and
     // therefore cache) separately from full-fidelity runs.
-    if o.a.has("--quick") {
+    if o.args.has("--quick") {
         scenarios = scenarios.into_iter().map(shrink).collect();
     }
     Ok(Gathered {
@@ -431,7 +431,7 @@ type BatchRun = (
 /// `--distributed <ADDR>` the batch is coordinated over TCP instead:
 /// workers pull shards, and the distribution counters come back alongside.
 fn run_with_progress(g: &Gathered, o: &RunOptions) -> Result<BatchRun, String> {
-    let verbose = o.a.has("--verbose");
+    let verbose = o.args.has("--verbose");
     let show_progress = !o.quiet && (verbose || std::io::stderr().is_terminal());
     let started = Instant::now();
     // Rewriting the line in place only erases the previous write if we
@@ -576,7 +576,7 @@ fn run_command(o: RunOptions, command: &str) -> Result<(), String> {
         o.node_limit,
         o.threads,
     )?;
-    match o.a.value("--out") {
+    match o.args.value("--out") {
         None => out(&rendered),
         Some(path) => {
             std::fs::write(path, &rendered).map_err(|e| format!("{path}: {e}"))?;
@@ -596,7 +596,7 @@ fn run_command(o: RunOptions, command: &str) -> Result<(), String> {
     }
 
     failed(&failures, g.scenarios.len())?;
-    if timeouts > 0 && o.a.has("--strict") {
+    if timeouts > 0 && o.args.has("--strict") {
         return Err(format!(
             "{timeouts} scenario(s) hit the --scenario-timeout watchdog (--strict)"
         ));
