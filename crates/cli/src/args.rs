@@ -12,7 +12,7 @@ type Read<T> = fn(&str, &str) -> Result<T, String>;
 /// One flag: its spellings, the value it takes and its help lines.
 pub(crate) struct Flag {
     /// Every spelling; the first names the flag in getters and messages.
-    names: Lines,
+    pub(crate) names: Lines,
     /// Placeholder of the value the flag takes; `None` makes it a switch.
     metavar: Option<&'static str>,
     help: Lines,
@@ -33,12 +33,6 @@ pub(crate) const fn value(names: Lines, metavar: &'static str, help: Lines) -> F
         names,
         metavar: Some(metavar),
         help,
-    }
-}
-
-impl Flag {
-    pub(crate) fn name(&self) -> &'static str {
-        self.names[0]
     }
 }
 
@@ -81,9 +75,9 @@ pub(crate) fn parse(args: &[String], tables: Option<&[&[Flag]]>) -> Result<Args,
             Some(metavar) => it
                 .next()
                 .cloned()
-                .ok_or_else(|| format!("missing value for {} {metavar}", flag.name()))?,
+                .ok_or_else(|| format!("missing value for {} {metavar}", flag.names[0]))?,
         };
-        parsed.given.push((flag.name(), value));
+        parsed.given.push((flag.names[0], value));
     }
     Ok(parsed)
 }
@@ -118,6 +112,11 @@ impl Args {
     pub(crate) fn parsed<T>(&self, name: &str, read: Read<T>) -> Result<Option<T>, String> {
         self.values(name)
             .try_fold(None, |_, v| read(name, v).map(Some))
+    }
+
+    /// [`Args::parsed`], or `default` when the flag is not given.
+    pub(crate) fn parsed_or<T>(&self, name: &str, read: Read<T>, default: T) -> Result<T, String> {
+        Ok(self.parsed(name, read)?.unwrap_or(default))
     }
 
     /// The one positional argument the command takes, if given.

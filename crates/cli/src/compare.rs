@@ -35,11 +35,9 @@ pub(crate) const FLAGS: &[Flag] = &[
 
 pub(crate) fn cmd_compare(a: &Args) -> Result<(), String> {
     let mut file = a.positional()?;
-    let builtin_name = a.value("--builtin");
     let mut dirs: Vec<String> = a.values("--all-files").map(str::to_owned).collect();
     let formats = ["summary", "json", "csv"];
     let format = args::format(a.value("--format").unwrap_or("summary"), &formats)?;
-    let out_path = a.value("--out");
     let threads = a.parsed("--threads", args::threads)?;
     let max_delta_pp = a.parsed("--max-delta-pp", |_, v| {
         v.parse()
@@ -56,7 +54,7 @@ pub(crate) fn cmd_compare(a: &Args) -> Result<(), String> {
     }
     let mut scenarios: Vec<Scenario> = Vec::new();
     if !dirs.is_empty() {
-        if file.is_some() || builtin_name.is_some() {
+        if file.is_some() || a.has("--builtin") {
             return Err(
                 "pass either a scenario file / --builtin <NAME> or directories, not both".into(),
             );
@@ -184,7 +182,7 @@ pub(crate) fn cmd_compare(a: &Args) -> Result<(), String> {
             ))
         }
     };
-    match out_path {
+    match a.value("--out") {
         None => out(&rendered),
         Some(path) => {
             std::fs::write(path, &rendered).map_err(|e| format!("{path}: {e}"))?;

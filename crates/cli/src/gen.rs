@@ -75,17 +75,17 @@ pub(crate) fn cmd_gen(a: &Args) -> Result<(), String> {
         .values("--field")
         .map(parse_field_spec)
         .collect::<Result<Vec<FieldSpec>, String>>()?;
-    let method = a
-        .parsed("--method", |_, v| {
+    let method = a.parsed_or(
+        "--method",
+        |_, v| {
             GenMethod::parse_name(v)
                 .ok_or_else(|| format!("unknown --method `{v}` (expected grid, random or lhs)"))
-        })?
-        .unwrap_or(GenMethod::Grid);
+        },
+        GenMethod::Grid,
+    )?;
     let count = a.parsed("--count", args::positive)?;
-    let seed = a.parsed("--seed", args::integer)?.unwrap_or(42);
-    let format = a
-        .parsed("--format", file_format)?
-        .unwrap_or(FileFormat::Toml);
+    let seed = a.parsed_or("--seed", args::integer, 42)?;
+    let format = a.parsed_or("--format", file_format, FileFormat::Toml)?;
     let dir = a.positional()?.ok_or("gen expects an output directory")?;
     if a.has("--check") {
         // Verification mode: compare the directory against what its

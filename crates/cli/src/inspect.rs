@@ -80,9 +80,7 @@ pub(crate) fn resolve_scenario(
 }
 
 pub(crate) fn cmd_export(a: &Args) -> Result<(), String> {
-    let format = a
-        .parsed("--format", file_format)?
-        .unwrap_or(FileFormat::Toml);
+    let format = a.parsed_or("--format", file_format, FileFormat::Toml)?;
     let name = a
         .positional()?
         .ok_or("export expects a built-in scenario name")?;
@@ -96,9 +94,7 @@ pub(crate) fn cmd_export(a: &Args) -> Result<(), String> {
 }
 
 pub(crate) fn cmd_topology(a: &Args) -> Result<(), String> {
-    let limit = a
-        .parsed("--limit", args::count)?
-        .unwrap_or(DEFAULT_SUMMARY_NODE_LIMIT);
+    let limit = a.parsed_or("--limit", args::count, DEFAULT_SUMMARY_NODE_LIMIT)?;
     let scenario = resolve_scenario(a, "topology", files::load)?;
     let spec = scenario
         .network

@@ -69,7 +69,8 @@ mod worker;
 const COMMANDS: &[Command] = &[
     Command { synopsis: "list", flags: None, run: inspect::cmd_list,
               help: &["List built-in scenarios"] },
-    Command { synopsis: "run [FILES|DIRS..] [OPTIONS]", flags: Some(&[run::SCENARIO_FLAGS, run::RUN_FLAGS, run::COORDINATOR_FLAGS]), run: run::cmd_run,
+    Command { synopsis: "run [FILES|DIRS..] [OPTIONS]", run: run::cmd_run,
+              flags: Some(&[run::SCENARIO_FLAGS, run::RUN_FLAGS, run::COORDINATOR_FLAGS]),
               help: &["Run scenario files, whole directories of them",
                       "and/or built-ins; directory runs answer",
                       "unchanged scenarios from the content-hash",
@@ -80,35 +81,41 @@ const COMMANDS: &[Command] = &[
                       "seeded-random or Latin-hypercube samples over",
                       "declared fields, one file per scenario plus a",
                       "manifest.json recording the generator spec"] },
-    Command { synopsis: "serve <DIRS..> [OPTIONS]", flags: Some(&[run::SCENARIO_FLAGS, run::RUN_FLAGS, run::SERVE_FLAGS, run::COORDINATOR_FLAGS]), run: run::cmd_serve,
+    Command { synopsis: "serve <DIRS..> [OPTIONS]", run: run::cmd_serve,
+              flags: Some(&[run::SCENARIO_FLAGS, run::RUN_FLAGS, run::SERVE_FLAGS, run::COORDINATOR_FLAGS]),
               help: &["Run a fleet as a distributed coordinator:",
                       "listen on --addr, lease content-hash shards to",
                       "pulling workers, reassign the shards of",
                       "crashed or silent workers, and fall back to an",
                       "in-process run if no worker appears within the",
                       "grace window; accepts the run options too"] },
-    Command { synopsis: "worker <ADDR> [OPTIONS]", flags: Some(&[worker::FLAGS]), run: worker::cmd_worker,
+    Command { synopsis: "worker <ADDR> [OPTIONS]", run: worker::cmd_worker,
+              flags: Some(&[worker::FLAGS]),
               help: &["Join a coordinator as a pull worker: compute",
                       "shards, stream results back, heartbeat while",
                       "computing, and reconnect with exponential",
                       "backoff + jitter when the connection drops"] },
-    Command { synopsis: "compare [FILE|DIR] [OPTIONS]", flags: Some(&[compare::FLAGS]), run: compare::cmd_compare,
+    Command { synopsis: "compare [FILE|DIR] [OPTIONS]", run: compare::cmd_compare,
+              flags: Some(&[compare::FLAGS]),
               help: &["Run EVERY registered backend over a scenario's",
                       "base point and sweep, and emit the paper's",
                       "Table 4/5 cross-backend comparison matrix",
                       "(per-state deltas in percentage points plus",
                       "wall-clock cost per backend)"] },
-    Command { synopsis: "trace [FILE] [OPTIONS]", flags: Some(&[trace::FLAGS]), run: trace::cmd_trace,
+    Command { synopsis: "trace [FILE] [OPTIONS]", run: trace::cmd_trace,
+              flags: Some(&[trace::FLAGS]),
               help: &["Run one scenario's CPU model with a trace",
                       "observer attached and emit an NDJSON event",
                       "stream (firings, state changes, queue depths);",
                       "attaching the tracer never perturbs the run"] },
-    Command { synopsis: "profile [FILES|DIRS..] [OPTIONS]", flags: Some(&[run::SCENARIO_FLAGS, run::PROFILE_FLAGS]), run: run::cmd_profile,
+    Command { synopsis: "profile [FILES|DIRS..] [OPTIONS]", run: run::cmd_profile,
+              flags: Some(&[run::SCENARIO_FLAGS, run::PROFILE_FLAGS]),
               help: &["Run scenarios and print a wall-clock profile:",
                       "per-scenario phase timings (base / sweep /",
                       "network), per-backend solver cost and batch",
                       "worker utilization"] },
-    Command { synopsis: "check [FILES|DIRS..] [OPTIONS]", flags: Some(&[check::FLAGS]), run: check::cmd_check,
+    Command { synopsis: "check [FILES|DIRS..] [OPTIONS]", run: check::cmd_check,
+              flags: Some(&[check::FLAGS]),
               help: &["Statically verify scenarios (or raw *.net.json",
                       "Petri-net specs) without running them: schema",
                       "and backend checks, queue stability on the",
@@ -121,15 +128,18 @@ const COMMANDS: &[Command] = &[
                       "parse + validate scenario files (a directory",
                       "means every file a fleet run would load),",
                       "reporting every finding as a coded diagnostic"] },
-    Command { synopsis: "export <NAME> [OPTIONS]", flags: Some(&[inspect::EXPORT_FLAGS]), run: inspect::cmd_export,
+    Command { synopsis: "export <NAME> [OPTIONS]", run: inspect::cmd_export,
+              flags: Some(&[inspect::EXPORT_FLAGS]),
               help: &["Print a built-in scenario as a file"] },
-    Command { synopsis: "topology [FILE] [--builtin <NAME>] [--limit <N>]", flags: Some(&[inspect::TOPOLOGY_FLAGS]), run: inspect::cmd_topology,
+    Command { synopsis: "topology [FILE] [--builtin <NAME>] [--limit <N>]", run: inspect::cmd_topology,
+              flags: Some(&[inspect::TOPOLOGY_FLAGS]),
               help: &["Inspect a scenario's multi-hop routing:",
                       "per-node next hop, hop depth, subtree size,",
                       "forwarding load and radio MAC (no model",
                       "evaluation); prints at most N rows",
                       "(default 50) before an \"… and K more\" footer"] },
-    Command { synopsis: "radio [FILE] [--builtin <NAME> | --preset <NAME>]", flags: Some(&[inspect::RADIO_FLAGS]), run: inspect::cmd_radio,
+    Command { synopsis: "radio [FILE] [--builtin <NAME> | --preset <NAME>]", run: inspect::cmd_radio,
+              flags: Some(&[inspect::RADIO_FLAGS]),
               help: &["Inspect duty-cycle radio/MAC specs: lowered",
                       "timing numbers, derived duty cycle, the",
                       "per-state power split and a",

@@ -106,7 +106,7 @@ impl<'a> RunOptions<'a> {
         let formats = ["summary", "json", "csv"];
         let format = args::format(a.value("--format").unwrap_or("summary"), &formats)?;
         let threads = a.parsed("--threads", args::threads)?;
-        let node_limit = a.parsed("--limit", args::count)?;
+        let node_limit = a.parsed_or("--limit", args::count, DEFAULT_SUMMARY_NODE_LIMIT)?;
         let scenario_timeout = a.parsed("--scenario-timeout", args::seconds)?;
         let grace = a.parsed("--grace", args::seconds)?;
         let lease = a.parsed("--lease-timeout", args::seconds)?;
@@ -124,7 +124,7 @@ impl<'a> RunOptions<'a> {
             threads,
             cache,
             quiet: a.has("--quiet"),
-            node_limit: node_limit.unwrap_or(DEFAULT_SUMMARY_NODE_LIMIT),
+            node_limit,
             scenario_timeout,
             serve: addr.map(|addr| ServeOptions {
                 addr,
@@ -512,11 +512,11 @@ fn run_with_progress(g: &Gathered, o: &RunOptions) -> Result<BatchRun, String> {
 pub(crate) fn cmd_run(a: &Args) -> Result<(), String> {
     let o = RunOptions::new(a, a.value("--distributed").map(str::to_owned))?;
     if o.serve.is_none() {
-        if let Some(f) = COORDINATOR_FLAGS.iter().find(|f| a.has(f.name())) {
+        if let Some(f) = COORDINATOR_FLAGS.iter().find(|f| a.has(f.names[0])) {
             return Err(format!(
                 "{} configures the coordinator of a distributed run: add --distributed \
                  <ADDR>, or use `wsnem serve`",
-                f.name()
+                f.names[0]
             ));
         }
     }

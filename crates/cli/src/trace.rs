@@ -23,8 +23,6 @@ pub(crate) const FLAGS: &[Flag] = &[
 const STATE_LABELS: [&str; 4] = ["standby", "powerup", "idle", "active"];
 
 pub(crate) fn cmd_trace(a: &Args) -> Result<(), String> {
-    let backend = a.value("--backend").unwrap_or("des");
-    let out_path = a.value("--out");
     let limit = a.parsed("--limit", args::positive)?;
     let sample = a.parsed("--sample", args::positive)?;
     let seed = a.parsed("--seed", args::integer)?;
@@ -43,7 +41,7 @@ pub(crate) fn cmd_trace(a: &Args) -> Result<(), String> {
     }
     let mut rng = wsnem_stats::rng::Xoshiro256PlusPlus::new(seed);
 
-    let (bytes, summary) = match backend {
+    let (bytes, summary) = match a.value("--backend").unwrap_or("des") {
         "des" => {
             tracer = tracer.with_state_labels(STATE_LABELS.map(str::to_owned).to_vec());
             let params = wsnem_des::CpuSimParams {
@@ -116,7 +114,7 @@ pub(crate) fn cmd_trace(a: &Args) -> Result<(), String> {
         other => return Err(format!("unknown backend `{other}` (expected des or petri)")),
     };
 
-    match out_path {
+    match a.value("--out") {
         None => out(std::str::from_utf8(&bytes).map_err(|e| e.to_string())?),
         Some(path) => std::fs::write(path, &bytes).map_err(|e| format!("{path}: {e}"))?,
     }

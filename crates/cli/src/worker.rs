@@ -26,26 +26,25 @@ pub(crate) const FLAGS: &[Flag] = &[
                                              "corrupt-frame=N, delay-heartbeat=N:STALL_MS"]),
 ];
 
+/// A heartbeat period of at least one millisecond.
+fn heartbeat(_: &str, v: &str) -> Result<u64, String> {
+    let ms = v.parse().ok().filter(|&ms: &u64| ms > 0);
+    ms.ok_or_else(|| format!("--heartbeat expects milliseconds >= 1, got `{v}`"))
+}
+
 pub(crate) fn cmd_worker(a: &Args) -> Result<(), String> {
     let defaults = WorkerOptions::default();
     let opts = WorkerOptions {
         name: a.value("--name").map_or(defaults.name, str::to_owned),
         threads: a.parsed("--threads", args::threads)?,
         cache_dir: a.value("--cache").map(Into::into),
-        fault_plan: a
-            .parsed("--fault-plan", |_, spec| FaultPlan::parse(spec))?
-            .unwrap_or(defaults.fault_plan),
-        max_retries: a
-            .parsed("--retries", args::count)?
-            .unwrap_or(defaults.max_retries),
-        heartbeat_ms: a
-            .parsed("--heartbeat", |_, v| {
-                v.parse()
-                    .ok()
-                    .filter(|&ms: &u64| ms > 0)
-                    .ok_or_else(|| format!("--heartbeat expects milliseconds >= 1, got `{v}`"))
-            })?
-            .unwrap_or(defaults.heartbeat_ms),
+        fault_plan: a.parsed_or(
+            "--fault-plan",
+            |_, s| FaultPlan::parse(s),
+            defaults.fault_plan,
+        )?,
+        max_retries: a.parsed_or("--retries", args::count, defaults.max_retries)?,
+        heartbeat_ms: a.parsed_or("--heartbeat", heartbeat, defaults.heartbeat_ms)?,
         timeout_seconds: a.parsed("--scenario-timeout", args::seconds)?,
         ..defaults
     };
