@@ -9,11 +9,10 @@ use crate::args::{self, value, Args, Flag};
 use crate::gen::file_format;
 use crate::out;
 
-pub(crate) const EXPORT_FLAGS: &[Flag] = &[value(
-    &["--format"],
-    "<FMT>",
-    &["File format: toml (default), json"],
-)];
+#[rustfmt::skip]
+pub(crate) const EXPORT_FLAGS: &[Flag] = &[
+    value(&["--format"], "<FMT>",          &["File format: toml (default), json"]),
+];
 
 // Documented in their commands' synopses.
 const BUILTIN: Flag = value(&["--builtin"], "<NAME>", &[]);
