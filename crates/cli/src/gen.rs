@@ -28,10 +28,9 @@ pub(crate) const FLAGS: &[Flag] = &[
 
 /// Read a scenario file format (`gen --format`, `export --format`).
 pub(crate) fn file_format(_: &str, v: &str) -> Result<FileFormat, String> {
-    match v {
-        "toml" => Ok(FileFormat::Toml),
+    match args::format(v, &["toml", "json"])? {
         "json" => Ok(FileFormat::Json),
-        other => Err(format!("unknown format `{other}` (expected toml or json)")),
+        _ => Ok(FileFormat::Toml),
     }
 }
 
